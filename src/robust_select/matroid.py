@@ -4,7 +4,10 @@ matroids, plus an exhaustive axiom checker for small ground sets."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Collection
+
+import numpy as np
 
 # Exhaustive axiom checking enumerates every subset pair; refuse beyond this.
 AXIOM_CHECK_CAP = 12
@@ -12,7 +15,8 @@ AXIOM_CHECK_CAP = 12
 
 class Matroid:
     """Base independence oracle. Subclasses define ``is_independent`` and
-    ``n_actions``; extension and basis queries are derived from those."""
+    ``n_actions``; extension, mask and basis queries are derived from those
+    and may be overridden with faster equivalents."""
 
     n_actions: int
 
@@ -25,6 +29,15 @@ class Matroid:
         if element in subset:
             return False
         return self.is_independent(frozenset(subset) | {element})
+
+    def extendable(self, subset: Collection[int]) -> np.ndarray:
+        """Fresh boolean mask over the ground set whose entry ``e`` is
+        ``can_extend(subset, e)``."""
+        return np.fromiter(
+            (self.can_extend(subset, e) for e in range(self.n_actions)),
+            dtype=bool,
+            count=self.n_actions,
+        )
 
     def is_basis(self, subset: Collection[int]) -> bool:
         """True iff no remaining element can extend subset."""
@@ -50,6 +63,12 @@ class UniformMatroid(Matroid):
 
     def is_independent(self, subset: Collection[int]) -> bool:
         return len(subset) <= self.rank
+
+    def extendable(self, subset: Collection[int]) -> np.ndarray:
+        chosen = list(set(subset))
+        mask = np.full(self.n_actions, len(chosen) < self.rank)
+        mask[chosen] = False
+        return mask
 
     def is_basis(self, subset: Collection[int]) -> bool:
         return len(subset) >= min(self.rank, self.n_actions)
@@ -87,6 +106,14 @@ class PartitionMatroid(Matroid):
     def n_actions(self) -> int:
         return len(self._block_of)  # type: ignore[attr-defined]
 
+    @cached_property
+    def _block_array(self) -> np.ndarray:
+        return np.array(self._block_of, dtype=np.intp)  # type: ignore[attr-defined]
+
+    @cached_property
+    def _capacity_array(self) -> np.ndarray:
+        return np.array(self.capacities, dtype=np.intp)
+
     def is_independent(self, subset: Collection[int]) -> bool:
         block_of = self._block_of  # type: ignore[attr-defined]
         counts = [0] * len(self.blocks)
@@ -96,6 +123,16 @@ class PartitionMatroid(Matroid):
             if counts[b] > self.capacities[b]:
                 return False
         return True
+
+    def extendable(self, subset: Collection[int]) -> np.ndarray:
+        chosen = list(set(subset))
+        block_of = self._block_array
+        counts = np.bincount(block_of[chosen], minlength=len(self.blocks))
+        if (counts > self._capacity_array).any():
+            return np.zeros(self.n_actions, dtype=bool)
+        mask = (counts < self._capacity_array)[block_of]
+        mask[chosen] = False
+        return mask
 
     def is_basis(self, subset: Collection[int]) -> bool:
         block_of = self._block_of  # type: ignore[attr-defined]

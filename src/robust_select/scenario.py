@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple
 
+import numpy as np
+
 from .matroid import Matroid, matroid_from_dict, matroid_to_dict
 
 
@@ -94,6 +96,14 @@ class Scenario:
         return tuple(
             tuple(euclidean_distance(a, p) for p in self.actions) for a in self.agents
         )
+
+    @cached_property
+    def distance_array(self) -> np.ndarray:
+        """``distances`` as a read-only float64 N x M array, built on first
+        use so constructing a scenario stays free of numpy work."""
+        array = np.array(self.distances, dtype=np.float64).reshape(self.n_agents, self.n_actions)
+        array.setflags(write=False)
+        return array
 
 
 def euclidean_distance(p: Point2, q: Point2) -> float:

@@ -17,6 +17,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterator
 
+import numpy as np
+
 from .matroid import Matroid
 from .scenario import EvaluationCounter, Scenario, min_objective
 from .surrogate import MinObjectiveOracle, SurrogateOracle
@@ -112,7 +114,10 @@ def threshold_greedy(
     rescanning at every intermediate threshold the loop replays the division
     sequence down to the largest surviving gain (or termination). The output
     and the per-candidate evaluations are exactly those of the literal
-    pass-by-pass loop; only the no-op rescans are skipped.
+    pass-by-pass loop; only the no-op rescans are skipped. Within a pass the
+    candidates are scored in batches (``oracle.marginal_gains`` with the
+    threshold as ``stop_at``), one per insertion, so the oracle is charged
+    for exactly the candidates the one-at-a-time scan would evaluate.
 
     ``trace`` (optional list) receives a GreedyStep per insertion;
     ``stats`` (optional dict) receives scan-pass and threshold bookkeeping.
@@ -125,28 +130,34 @@ def threshold_greedy(
     initial = 0.0
     threshold = 0.0
     if n > 0:
-        empty = frozenset()
-        for e in range(n):
-            gain = oracle.marginal_gain(empty, e)
-            if gain > initial:
-                initial = gain
+        initial = max(0.0, float(oracle.marginal_gains(frozenset(), np.arange(n)).max()))
         threshold = initial
         floor = delta * initial
         while initial > 0 and threshold >= floor and not matroid.is_basis(selected):
             passes += 1
             inserted = False
             best_remaining = 0.0
-            for e in range(n):
-                if e in selected or not matroid.can_extend(selected, e):
-                    continue
-                gain = oracle.marginal_gain(frozenset(selected), e)
-                if gain >= threshold:
-                    if trace is not None:
-                        trace.append(GreedyStep(threshold, e, gain, frozenset(selected)))
-                    selected.add(e)
-                    inserted = True
-                elif gain > best_remaining:
-                    best_remaining = gain
+            start = 0
+            # One batched scan per stretch of the pass between insertions:
+            # the set, and so every gain and the feasibility mask, only
+            # changes when an element is accepted.
+            while True:
+                candidates = np.flatnonzero(matroid.extendable(selected)[start:]) + start
+                if candidates.size == 0:
+                    break
+                gains = oracle.marginal_gains(selected, candidates, stop_at=threshold)
+                accepted = gains[-1] >= threshold
+                rejected = gains[:-1] if accepted else gains
+                if rejected.size:
+                    best_remaining = max(best_remaining, float(rejected.max()))
+                if not accepted:
+                    break
+                e = int(candidates[gains.size - 1])
+                if trace is not None:
+                    trace.append(GreedyStep(threshold, e, float(gains[-1]), frozenset(selected)))
+                selected.add(e)
+                inserted = True
+                start = e + 1
             if inserted:
                 threshold /= 1.0 + delta
             elif best_remaining > 0.0:
@@ -234,21 +245,16 @@ def simple_greedy(scenario: Scenario, gamma: float | None = None) -> Solution:
     else:
         oracle = SurrogateOracle(scenario, gamma, counter)
     matroid = scenario.matroid
-    n = scenario.n_actions
     selected: set[int] = set()
     while not matroid.is_basis(selected):
-        best_element = None
-        best_gain = 0.0
-        base = frozenset(selected)
-        for e in range(n):
-            if e in selected or not matroid.can_extend(selected, e):
-                continue
-            gain = oracle.marginal_gain(base, e)
-            if gain > best_gain:
-                best_element, best_gain = e, gain
-        if best_element is None:
+        candidates = np.flatnonzero(matroid.extendable(selected))
+        if candidates.size == 0:
             break
-        selected.add(best_element)
+        gains = oracle.marginal_gains(selected, candidates)
+        best = int(np.argmax(gains))  # first maximum: lowest id on ties
+        if not gains[best] > 0.0:
+            break
+        selected.add(int(candidates[best]))
     value = min_objective(scenario, selected, counter)
     return Solution(
         algorithm="greedy",

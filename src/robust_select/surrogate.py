@@ -10,13 +10,27 @@ interface so baselines can greedily optimize it directly.
 
 Caching and accounting contract shared by both:
 
+* per-agent values are numpy vectors: running maxima of distances taken from
+  the scenario's ``distance_array`` (exact in IEEE arithmetic). An oracle
+  keeps two slots, the pinned base and the last extension it computed, each
+  holding a set, its per-agent vector and its reduced value;
 * every logical evaluation of the reduced objective charges one count per
-  agent, even when the result is known trivially (gamma == 0);
-* ``marginal_gain`` keeps the last base set pinned, so scanning many
-  candidates against one base pays a single new evaluation per candidate;
-* cached and from-scratch paths agree bit for bit: per-agent values are
-  running maxima of distances (exact in IEEE arithmetic) and both paths
-  reduce them in agent order with identical code.
+  agent, even when the result comes from a slot or is known trivially
+  (gamma == 0);
+* ``marginal_gains`` scores many candidates against one base in a single
+  array call and charges exactly what scanning them one at a time would: one
+  evaluation per scanned candidate, plus one for the base when it is in
+  neither slot (never when gamma == 0). With ``stop_at`` the scan ends at the
+  first candidate whose gain reaches it; lanes computed past that candidate
+  are discarded and not charged. Afterwards the base is pinned and the
+  extension slot holds the base plus the last scanned candidate, which is
+  what the one-at-a-time scan leaves behind;
+* ``marginal_gain`` is the one-candidate case of ``marginal_gains``;
+* every reduction runs over the agents in agent order
+  (``np.add.accumulate`` along axis 0), so batched, single-candidate and
+  from-scratch values agree bit for bit. Plain ``np.sum`` is not safe here:
+  on a single column of nine or more agents it switches to pairwise
+  summation and can differ in the last bit.
 """
 
 from __future__ import annotations
@@ -24,6 +38,8 @@ from __future__ import annotations
 import math
 import warnings
 from typing import Iterable
+
+import numpy as np
 
 from .scenario import EvaluationCounter, Scenario
 
@@ -33,7 +49,16 @@ CURVATURE_GROUND_CAP = 20
 # Clamps beyond this are reported; below it they are floating-point dust.
 _CLAMP_TOL = 1e-9
 
-_CacheSlot = tuple[frozenset, tuple, float]
+_CacheSlot = tuple[frozenset, np.ndarray, float]
+
+
+def _scanned_prefix(gains: np.ndarray, stop_at: float | None) -> np.ndarray:
+    """The gains up to and including the first that reaches ``stop_at``."""
+    if stop_at is not None:
+        hits = np.flatnonzero(gains >= stop_at)
+        if hits.size:
+            return gains[: hits[0] + 1]
+    return gains
 
 
 class _ProximityOracleBase:
@@ -45,23 +70,22 @@ class _ProximityOracleBase:
         self._base: _CacheSlot | None = None
         self._ext: _CacheSlot | None = None
 
-    # -- subclass hook -------------------------------------------------
-    def _reduce(self, agent_values: tuple[float, ...]) -> float:
+    # -- subclass hooks ------------------------------------------------
+    def _reduce(self, agent_values: np.ndarray) -> np.ndarray:
+        """Reduce per-agent values along axis 0, in agent order."""
         raise NotImplementedError
 
-    # -- shared machinery ----------------------------------------------
-    def _charge(self) -> None:
-        self.counter.add(self.scenario.n_agents)
+    def _known_zero(self) -> bool:
+        """True when every value is 0 without looking at the agents."""
+        return False
 
-    def _agent_values(self, subset: frozenset) -> tuple[float, ...]:
-        values = []
-        for row in self.scenario.distances:
-            best = 0.0
-            for j in subset:
-                if row[j] > best:
-                    best = row[j]
-            values.append(best)
-        return tuple(values)
+    # -- shared machinery ----------------------------------------------
+    def _charge(self, evaluations: int = 1) -> None:
+        self.counter.add(evaluations * self.scenario.n_agents)
+
+    def _slot(self, subset: frozenset) -> _CacheSlot:
+        values = self.scenario.distance_array[:, list(subset)].max(axis=1, initial=0.0)
+        return subset, values, float(self._reduce(values))
 
     def _cached(self, subset: frozenset) -> _CacheSlot | None:
         for slot in (self._base, self._ext):
@@ -70,39 +94,58 @@ class _ProximityOracleBase:
         return None
 
     def evaluate(self, subset: Iterable[int]) -> float:
-        chosen = frozenset(subset)
         self._charge()
-        hit = self._cached(chosen)
-        if hit is not None:
-            return hit[2]
-        values = self._agent_values(chosen)
-        out = self._reduce(values)
-        self._base = (chosen, values, out)
-        return out
+        if self._known_zero():
+            return 0.0
+        chosen = frozenset(subset)
+        slot = self._cached(chosen)
+        if slot is None:
+            slot = self._base = self._slot(chosen)
+        return slot[2]
 
-    def marginal_gain(self, subset: Iterable[int], element: int) -> float:
-        """Value of adding ``element`` to ``subset``; 0 when already present.
+    def marginal_gains(
+        self,
+        subset: Iterable[int],
+        candidates: Iterable[int],
+        stop_at: float | None = None,
+    ) -> np.ndarray:
+        """Gains of adding each candidate (none may be in ``subset``) to
+        ``subset``, in candidate order.
 
-        The base set's evaluation is reused from the pinned cache when it
-        matches, costing only the one new evaluation of the extended set.
+        With ``stop_at`` only the scanned prefix comes back: the gains up to
+        and including the first one >= ``stop_at``, or all of them when none
+        reaches it. Charges follow the module contract.
         """
         chosen = frozenset(subset)
-        if element in chosen:
-            return 0.0
+        ids = np.asarray(candidates, dtype=np.intp).reshape(-1)
+        if not chosen.isdisjoint(ids.tolist()):
+            raise ValueError("marginal_gains: candidates must lie outside the base set")
+        if ids.size == 0:
+            return np.zeros(0)
+        if self._known_zero():
+            gains = _scanned_prefix(np.zeros(ids.size), stop_at)
+            self._charge(gains.size)
+            return gains
         base = self._cached(chosen)
         if base is None:
             self._charge()
-            values = self._agent_values(chosen)
-            base = (chosen, values, self._reduce(values))
+            base = self._slot(chosen)
         self._base = base
-        row_index = element
-        ext_values = tuple(
-            max(v, row[row_index]) for v, row in zip(base[1], self.scenario.distances)
-        )
-        self._charge()
-        ext_value = self._reduce(ext_values)
-        self._ext = (chosen | {element}, ext_values, ext_value)
-        return ext_value - base[2]
+        ext = np.maximum(base[1][:, None], self.scenario.distance_array[:, ids])
+        ext_values = self._reduce(ext)
+        gains = _scanned_prefix(ext_values - base[2], stop_at)
+        last = gains.size - 1
+        self._charge(gains.size)
+        self._ext = (chosen | {int(ids[last])}, ext[:, last].copy(), float(ext_values[last]))
+        return gains
+
+    def marginal_gain(self, subset: Iterable[int], element: int) -> float:
+        """Value of adding ``element`` to ``subset``; 0, uncharged, when it
+        is already present."""
+        chosen = frozenset(subset)
+        if element in chosen:
+            return 0.0
+        return float(self.marginal_gains(chosen, (element,))[0])
 
 
 class SurrogateOracle(_ProximityOracleBase):
@@ -125,34 +168,20 @@ class SurrogateOracle(_ProximityOracleBase):
         super().__init__(scenario, counter)
         self.gamma = float(gamma)
 
-    def _reduce(self, agent_values: tuple[float, ...]) -> float:
-        g = self.gamma
-        total = 0.0
-        for v in agent_values:
-            total += min(v, g)
-        return total / len(agent_values)
+    def _reduce(self, agent_values: np.ndarray) -> np.ndarray:
+        capped = np.minimum(agent_values, self.gamma)
+        return np.add.accumulate(capped, axis=0)[-1] / len(agent_values)
 
-    def evaluate(self, subset: Iterable[int]) -> float:
-        if self.gamma == 0.0:
-            self._charge()
-            return 0.0
-        return super().evaluate(subset)
-
-    def marginal_gain(self, subset: Iterable[int], element: int) -> float:
-        if self.gamma == 0.0:
-            if element in frozenset(subset):
-                return 0.0
-            self._charge()
-            return 0.0
-        return super().marginal_gain(subset, element)
+    def _known_zero(self) -> bool:
+        return self.gamma == 0.0
 
 
 class MinObjectiveOracle(_ProximityOracleBase):
     """The raw worst-agent objective behind the oracle interface. Monotone
     but not submodular; useful for direct greedy baselines and reporting."""
 
-    def _reduce(self, agent_values: tuple[float, ...]) -> float:
-        return min(agent_values)
+    def _reduce(self, agent_values: np.ndarray) -> np.ndarray:
+        return agent_values.min(axis=0)
 
 
 def compute_curvature(oracle, ground: Iterable[int]) -> float:

@@ -1,6 +1,7 @@
 """CLI contract: subcommands, exit codes, and output formats."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -107,6 +108,28 @@ def test_bench_deterministic_files(tmp_path, capsys):
         )
         assert code == 0
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+GOLDEN = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("agents", [5, 16])
+def test_bench_matches_golden_csvs(agents, tmp_path, capsys):
+    """Solver speed-ups must keep every selection and evaluation count: the
+    no-wall-time CSVs stay byte-identical to the committed ones. Sixteen
+    agents is past the size where numpy switches a single column's sum to
+    pairwise order."""
+    raw, summary = tmp_path / "raw.csv", tmp_path / "summary.csv"
+    code, _, _ = run_cli(
+        capsys,
+        "bench",
+        "--agents", str(agents), "--z-min", "1", "--z-max", "3", "--trials", "5",
+        "--algorithms", "fast,greedy,ratio", "--no-wall-time",
+        "--out", str(raw), "--summary", str(summary),
+    )
+    assert code == 0
+    assert raw.read_bytes() == (GOLDEN / f"bench_agents{agents}_raw.csv").read_bytes()
+    assert summary.read_bytes() == (GOLDEN / f"bench_agents{agents}_summary.csv").read_bytes()
 
 
 def test_bench_config_file_with_overrides(tmp_path, capsys):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from robust_select import PartitionMatroid, UniformMatroid, check_matroid_axioms
-from robust_select.matroid import AXIOM_CHECK_CAP, matroid_from_dict, matroid_to_dict
+from robust_select.matroid import AXIOM_CHECK_CAP, Matroid, matroid_from_dict, matroid_to_dict
 
 
 @pytest.fixture
@@ -160,6 +160,42 @@ def test_can_extend_matches_definition(matroid, data):
             assert not matroid.can_extend(subset, e)
         else:
             assert matroid.can_extend(subset, e) == matroid.is_independent(subset | {e})
+
+
+@given(
+    st.one_of(
+        uniform_matroids,
+        partition_matroids(),
+        st.just(UniformMatroid(0, 1)),
+        st.just(PartitionMatroid((), ())),
+        st.just(PartitionMatroid(((0, 1), (2,)), (0, 1))),
+    ),
+    st.data(),
+)
+def test_extendable_matches_can_extend(matroid, data):
+    """Holds for dependent subsets too: nothing extends them."""
+    n = matroid.n_actions
+    subset = {j for j in range(n) if data.draw(st.booleans(), label=f"in_{j}")}
+    mask = matroid.extendable(subset)
+    assert mask.dtype == bool and mask.shape == (n,)
+    assert mask.tolist() == [matroid.can_extend(subset, e) for e in range(n)]
+
+
+class _AtMostOneLow(Matroid):
+    """Defines only independence: at most one of ids 0 and 1, two in all."""
+
+    n_actions = 4
+
+    def is_independent(self, subset):
+        return len(subset) <= 2 and len(set(subset) & {0, 1}) <= 1
+
+
+def test_extendable_default_uses_is_independent():
+    m = _AtMostOneLow()
+    assert m.extendable(set()).tolist() == [True, True, True, True]
+    assert m.extendable({0}).tolist() == [False, False, True, True]
+    assert m.extendable({2}).tolist() == [True, True, False, True]
+    assert m.extendable({0, 3}).tolist() == [False, False, False, False]
 
 
 def test_matroid_dict_round_trip(two_blocks):

@@ -3,6 +3,7 @@ evaluation accounting, curvature, and the structural properties."""
 
 import math
 
+import numpy as np
 import pytest
 
 from robust_select import (
@@ -107,6 +108,87 @@ def test_marginal_gain_accounting(tiny):
     assert oracle.counter.individual_evals == 4 * n  # promoted extension
     oracle.evaluate({1, 2})
     assert oracle.counter.individual_evals == 5 * n  # evaluate always charges
+
+
+def random_scenario(rng, n_agents, n_actions):
+    return Scenario.from_coords(
+        rng.uniform(0.0, 100.0, (n_agents, 2)),
+        rng.uniform(0.0, 100.0, (n_actions, 2)),
+        UniformMatroid(n_actions, n_actions),
+    )
+
+
+@pytest.mark.parametrize("n_agents", [16, 64])
+def test_batched_gains_bit_for_bit(rng, n_agents):
+    """Batched and single-candidate gains equal a fresh
+    evaluate(S | {e}) - evaluate(S), and evaluate equals a sequential sum
+    over agents, exactly."""
+    for _ in range(4):
+        scenario = random_scenario(rng, n_agents, 24)
+        upper = min_objective(scenario, range(24))
+        for oracle_of in (
+            lambda: SurrogateOracle(scenario, 0.7 * upper),
+            lambda: SurrogateOracle(scenario, 2.0 * upper),
+            lambda: MinObjectiveOracle(scenario),
+        ):
+            for size in (0, 1, 3):
+                subset = frozenset(int(j) for j in rng.choice(24, size, replace=False))
+                candidates = [e for e in range(24) if e not in subset]
+                batched = oracle_of().marginal_gains(subset, candidates)
+                single = oracle_of()
+                for e, gain in zip(candidates, batched):
+                    fresh = oracle_of()
+                    expected = fresh.evaluate(subset | {e}) - fresh.evaluate(subset)
+                    assert gain == expected
+                    assert single.marginal_gain(subset, e) == expected
+            oracle = SurrogateOracle(scenario, 0.7 * upper)
+            assert oracle.evaluate(subset) == surrogate_by_hand(scenario, 0.7 * upper, subset)
+
+
+def test_batched_cold_base_costs_one_extra_evaluation(rng):
+    scenario = random_scenario(rng, 16, 12)
+    oracle = SurrogateOracle(scenario, 50.0)
+    n = scenario.n_agents
+    oracle.marginal_gains({0, 1}, range(2, 12))
+    assert oracle.counter.individual_evals == 11 * n  # cold base + 10 candidates
+    oracle.marginal_gains({0, 1}, range(2, 12))
+    assert oracle.counter.individual_evals == 21 * n  # pinned base
+
+
+def test_batched_stop_charges_only_the_scanned_prefix(rng):
+    scenario = random_scenario(rng, 16, 12)
+    n = scenario.n_agents
+    candidates = list(range(1, 12))
+    full = SurrogateOracle(scenario, 50.0).marginal_gains({0}, candidates)
+    hit = int(np.argmax(full))
+    oracle = SurrogateOracle(scenario, 50.0)
+    prefix = oracle.marginal_gains({0}, candidates, stop_at=full[hit])
+    assert prefix.tolist() == full[: hit + 1].tolist()
+    assert oracle.counter.individual_evals == (1 + hit + 1) * n
+    # The accepted extension is left in the cache slot, as a scan would.
+    oracle.marginal_gain({0, candidates[hit]}, candidates[hit - 1])
+    assert oracle.counter.individual_evals == (1 + hit + 2) * n
+    # A threshold nothing reaches scans, and charges, every candidate.
+    oracle = SurrogateOracle(scenario, 50.0)
+    assert oracle.marginal_gains({0}, candidates, stop_at=math.inf).tolist() == full.tolist()
+    assert oracle.counter.individual_evals == (1 + len(candidates)) * n
+
+
+def test_batched_gamma_zero_charges_per_candidate_only(tiny):
+    oracle = SurrogateOracle(tiny, 0.0)
+    n = tiny.n_agents
+    assert oracle.marginal_gains({0}, [1, 2]).tolist() == [0.0, 0.0]
+    assert oracle.counter.individual_evals == 2 * n  # no cold-base charge
+    assert oracle.marginal_gains({0}, [1, 2], stop_at=0.0).tolist() == [0.0]
+    assert oracle.counter.individual_evals == 3 * n
+
+
+def test_batched_rejects_members_and_skips_empty(tiny):
+    oracle = SurrogateOracle(tiny, 8.0)
+    with pytest.raises(ValueError, match="outside"):
+        oracle.marginal_gains({1}, [0, 1])
+    assert oracle.marginal_gains({1}, []).size == 0
+    assert oracle.counter.individual_evals == 0
 
 
 def test_shared_counter(tiny):
