@@ -5,7 +5,6 @@ level, with baselines, exact small-instance oracles, and a seeded Monte
 Carlo benchmark harness."""
 
 from .bench import (
-    ALGORITHMS,
     BenchConfig,
     SummaryRow,
     TrialResult,
@@ -29,6 +28,7 @@ from .scenario import (
     EvaluationCounter,
     Point2,
     Scenario,
+    agent_values,
     euclidean_distance,
     load_scenario,
     min_objective,
@@ -39,6 +39,7 @@ from .scenario import (
     worst_case_attack,
 )
 from .solvers import (
+    SOLVERS,
     GreedyStep,
     Solution,
     SolverParams,
@@ -55,7 +56,7 @@ from .surrogate import MinObjectiveOracle, SurrogateOracle, compute_curvature
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALGORITHMS",
+    "SOLVERS",
     "BenchConfig",
     "EvaluationCounter",
     "GreedyStep",
@@ -70,6 +71,7 @@ __all__ = [
     "SurrogateOracle",
     "TrialResult",
     "UniformMatroid",
+    "agent_values",
     "aggregate",
     "brute_force_maxmin",
     "brute_force_surrogate_max",

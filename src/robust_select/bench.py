@@ -26,11 +26,13 @@ import numpy as np
 
 from .matroid import PartitionMatroid
 from .scenario import Point2, Scenario
-from .solvers import Solution, SolverParams, ratio_greedy_baseline, saturate_robust, simple_greedy
-
-ALGORITHMS = ("fast", "ratio", "greedy")
+from .solvers import SOLVERS, SolverParams
 
 WORKERS_ENV_VAR = "ROBUST_SELECT_THREADS"
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -52,6 +54,15 @@ class BenchConfig:
     measure_wall_time: bool = True
 
     def __post_init__(self) -> None:
+        for name in ("n_agents", "n_actions", "z_min", "z_max", "trials", "base_seed"):
+            if not _is_int(getattr(self, name)):
+                raise ValueError(f"bench config: {name} must be an integer, got {getattr(self, name)!r}")
+        for name in ("region", "delta", "epsilon", "curvature"):
+            value = getattr(self, name)
+            if not (_is_int(value) or isinstance(value, float) or (name == "epsilon" and value is None)):
+                raise ValueError(f"bench config: {name} must be a real number, got {value!r}")
+        if not isinstance(self.measure_wall_time, bool):
+            raise ValueError(f"bench config: measure_wall_time must be true or false, got {self.measure_wall_time!r}")
         if self.n_agents < 1:
             raise ValueError("bench config: n_agents must be >= 1")
         if self.n_actions < 0:
@@ -141,23 +152,14 @@ def generate_scenario(config: BenchConfig, z: int, seed: int) -> Scenario:
     )
 
 
-def solve_with(algorithm: str, scenario: Scenario, config: BenchConfig) -> Solution:
-    if algorithm == "fast":
-        return saturate_robust(scenario, config.solver_params())
-    if algorithm == "ratio":
-        return ratio_greedy_baseline(scenario)
-    if algorithm == "greedy":
-        return simple_greedy(scenario)
-    raise ValueError(f"unknown algorithm '{algorithm}': expected one of {', '.join(ALGORITHMS)}")
-
-
 def _run_cell(task: tuple[BenchConfig, int, int, tuple[str, ...]]) -> list[TrialResult]:
     config, z, trial, algorithms = task
     seed = trial_seed(config.base_seed, trial)
     scenario = generate_scenario(config, z, seed)
+    params = config.solver_params()
     results = []
     for name in algorithms:
-        solution = solve_with(name, scenario, config)
+        solution = SOLVERS[name](scenario, params)
         results.append(
             TrialResult(
                 z=z,
@@ -206,8 +208,8 @@ def run_benchmark(
     if not names:
         raise ValueError("no algorithms requested")
     for name in names:
-        if name not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm '{name}': expected one of {', '.join(ALGORITHMS)}")
+        if name not in SOLVERS:
+            raise ValueError(f"unknown algorithm '{name}': expected one of {', '.join(SOLVERS)}")
     if len(set(names)) != len(names):
         raise ValueError("duplicate algorithm names requested")
     tasks = [

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matroid import Matroid, PartitionMatroid, UniformMatroid, check_matroid_axioms
-from .scenario import EvaluationCounter, Scenario, min_objective, proximity_objective
+from .scenario import EvaluationCounter, Scenario, agent_values, min_objective
 from .solvers import (
     SolverParams,
     brute_force_maxmin,
@@ -160,9 +160,8 @@ def run_battery(
 
         # Per-agent objective: monotone and submodular, checked exhaustively
         # from a table of all subset values.
-        h_tables = []
-        for agent in range(n_agents):
-            h_tables.append({s: proximity_objective(scenario, agent, s) for s in subsets})
+        values = {s: agent_values(scenario, s).tolist() for s in subsets}
+        h_tables = [{s: values[s][agent] for s in subsets} for agent in range(n_agents)]
         for agent in range(n_agents):
             table = h_tables[agent]
             for b in subsets:

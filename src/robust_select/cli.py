@@ -21,7 +21,7 @@ from .bench import (
 )
 from .checks import MAX_ACTIONS_CAP, run_battery
 from .scenario import load_scenario, scenario_to_dict
-from .solvers import SolverParams, brute_force_maxmin, ratio_greedy_baseline, saturate_robust, simple_greedy
+from .solvers import SOLVERS, SolverParams
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -33,7 +33,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="solve one scenario JSON file")
     solve.add_argument("--config", required=True, help="scenario JSON file")
-    solve.add_argument("--algorithm", required=True, choices=("fast", "greedy", "ratio", "brute"))
+    solve.add_argument("--algorithm", required=True, choices=tuple(SOLVERS))
     solve.add_argument("--delta", type=float, default=1e-3, help="threshold shrink factor (fast)")
     solve.add_argument("--epsilon", type=float, default=None, help="absolute bisection gap (fast)")
     solve.add_argument("--curvature", type=float, default=1.0, help="curvature used in the acceptance test (fast)")
@@ -52,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--delta", type=float, default=None)
     bench.add_argument("--epsilon", type=float, default=None)
     bench.add_argument("--curvature", type=float, default=None)
-    bench.add_argument("--algorithms", default="fast,ratio", help="comma-separated: fast,ratio,greedy")
+    bench.add_argument("--algorithms", default="fast,ratio", help=f"comma-separated, from: {','.join(SOLVERS)}")
     bench.add_argument("--out", default=None, help="raw per-trial CSV path")
     bench.add_argument("--summary", default=None, help="per-(z, algorithm) summary CSV path")
     bench.add_argument("--no-wall-time", action="store_true", help="report wall_time_ms as 0 for byte-stable output")
@@ -73,15 +73,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.config)
-    if args.algorithm == "fast":
-        params = SolverParams(delta=args.delta, epsilon=args.epsilon, curvature=args.curvature)
-        solution = saturate_robust(scenario, params)
-    elif args.algorithm == "greedy":
-        solution = simple_greedy(scenario)
-    elif args.algorithm == "ratio":
-        solution = ratio_greedy_baseline(scenario)
-    else:
-        solution = brute_force_maxmin(scenario)
+    params = SolverParams(delta=args.delta, epsilon=args.epsilon, curvature=args.curvature)
+    solution = SOLVERS[args.algorithm](scenario, params)
     document = json.dumps(solution.to_json_dict())
     if args.output:
         try:

@@ -91,17 +91,13 @@ class Scenario:
         return len(self.actions)
 
     @cached_property
-    def distances(self) -> tuple[tuple[float, ...], ...]:
-        """Agent-to-action distance matrix, one row per agent."""
-        return tuple(
-            tuple(euclidean_distance(a, p) for p in self.actions) for a in self.agents
+    def distances(self) -> np.ndarray:
+        """Agent-to-action distance matrix, one row per agent: a read-only
+        float64 N x M array, built on first use so constructing a scenario
+        stays free of numpy work."""
+        array = np.array(
+            [[euclidean_distance(a, p) for p in self.actions] for a in self.agents], dtype=np.float64
         )
-
-    @cached_property
-    def distance_array(self) -> np.ndarray:
-        """``distances`` as a read-only float64 N x M array, built on first
-        use so constructing a scenario stays free of numpy work."""
-        array = np.array(self.distances, dtype=np.float64).reshape(self.n_agents, self.n_actions)
         array.setflags(write=False)
         return array
 
@@ -110,27 +106,42 @@ def euclidean_distance(p: Point2, q: Point2) -> float:
     return math.dist(p, q)
 
 
+def action_ids(scenario: Scenario, subset: Iterable[int]) -> np.ndarray:
+    """``subset`` as an integer array, after checking every id lies in the
+    ground set [0, M)."""
+    ids = np.asarray(subset if isinstance(subset, np.ndarray) else list(subset)).reshape(-1)
+    if ids.size == 0:
+        return ids.astype(np.intp)
+    if ids.dtype.kind not in "iu":
+        raise IndexError(f"action ids must be integers, got {ids.dtype}")
+    n = scenario.n_actions
+    index = ids.astype(np.intp, copy=False)
+    # Negative ids wrap to huge unsigned values, so one max checks both ends.
+    if np.maximum.reduce(index.view(np.uintp)) >= n:
+        bad = ids[(ids < 0) | (ids >= n)][0]
+        raise IndexError(f"action id {bad} outside ground set [0, {n})")
+    return index
+
+
+def agent_values(scenario: Scenario, subset: Iterable[int]) -> np.ndarray:
+    """Every agent's value of ``subset``: the largest distance from the
+    agent to any selected action, 0 for the empty set. Charges nothing."""
+    return scenario.distances[:, action_ids(scenario, subset)].max(axis=1, initial=0.0)
+
+
 def proximity_objective(
     scenario: Scenario,
     agent: int,
     subset: Iterable[int],
     counter: EvaluationCounter | None = None,
 ) -> float:
-    """Agent ``agent``'s value of ``subset``: the largest distance from the
-    agent to any selected action, 0 for the empty set."""
+    """Agent ``agent``'s value of ``subset``; charges one evaluation."""
     if not 0 <= agent < scenario.n_agents:
         raise IndexError(f"agent index {agent} out of range [0, {scenario.n_agents})")
+    value = float(agent_values(scenario, subset)[agent])
     if counter is not None:
         counter.add(1)
-    row = scenario.distances[agent]
-    n = scenario.n_actions
-    best = 0.0
-    for j in subset:
-        if not 0 <= j < n:
-            raise IndexError(f"action id {j} outside ground set [0, {n})")
-        if row[j] > best:
-            best = row[j]
-    return best
+    return value
 
 
 def min_objective(
@@ -139,11 +150,7 @@ def min_objective(
     counter: EvaluationCounter | None = None,
 ) -> float:
     """Worst agent's value of ``subset``; evaluates every agent."""
-    chosen = frozenset(subset)
-    return min(
-        proximity_objective(scenario, i, chosen, counter)
-        for i in range(scenario.n_agents)
-    )
+    return worst_case_attack(scenario, subset, counter)[1]
 
 
 def worst_case_attack(
@@ -152,15 +159,13 @@ def worst_case_attack(
     counter: EvaluationCounter | None = None,
 ) -> tuple[int, float]:
     """The agent an optimal attacker reduces the system to, with its value:
-    (argmin over agents, min over agents). Ties go to the lowest index."""
-    chosen = frozenset(subset)
-    worst_agent = 0
-    worst_value = proximity_objective(scenario, 0, chosen, counter)
-    for i in range(1, scenario.n_agents):
-        value = proximity_objective(scenario, i, chosen, counter)
-        if value < worst_value:
-            worst_agent, worst_value = i, value
-    return worst_agent, worst_value
+    (argmin over agents, min over agents). Ties go to the lowest index.
+    Evaluates every agent."""
+    values = agent_values(scenario, subset)
+    if counter is not None:
+        counter.add(scenario.n_agents)
+    worst = int(np.argmin(values))
+    return worst, float(values[worst])
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -279,45 +279,29 @@ def ratio_greedy_baseline(scenario: Scenario) -> Solution:
     until the selection is a basis; they also stop if every score is zero
     (0/0 counts as 0).
 
-    The normalizer is re-derived by scanning the whole feasible pool for
-    every (candidate, agent) score evaluation, and every per-agent
-    contribution computed that way is charged to the counter. That full-scan
-    cost profile, dominated by re-finding each agent's maximum available
-    contribution over and over, is the baseline the fast solver's
-    evaluation counts are judged against.
+    The normalizers are computed once per round, but the counter is charged
+    as if each (candidate, agent) score re-derived its normalizer by scanning
+    the whole feasible pool F: N * |F| * (1 + |F|) per round. That charge is
+    an accounting convention for the full-scan baseline the fast solver's
+    evaluation counts are judged against, not a count of the work done here.
     """
     started = time.perf_counter()
     counter = EvaluationCounter()
     matroid = scenario.matroid
-    n = scenario.n_actions
-    n_agents = scenario.n_agents
-    distances = scenario.distances
     selected: set[int] = set()
     while True:
-        feasible = [e for e in range(n) if e not in selected and matroid.can_extend(selected, e)]
-        if not feasible:
+        feasible = np.flatnonzero(matroid.extendable(selected))
+        if feasible.size == 0:
             break
-        best_element = None
-        best_score = 0.0
-        for e in feasible:
-            score = math.inf
-            for i in range(n_agents):
-                row = distances[i]
-                counter.add(1)
-                contribution = row[e]
-                normalizer = 0.0
-                for other in feasible:
-                    counter.add(1)
-                    if row[other] > normalizer:
-                        normalizer = row[other]
-                ratio = 0.0 if normalizer <= 0.0 else contribution / normalizer
-                if ratio < score:
-                    score = ratio
-            if score > best_score:
-                best_element, best_score = e, score
-        if best_element is None:
+        counter.add(scenario.n_agents * feasible.size * (1 + feasible.size))
+        pool = scenario.distances[:, feasible]
+        norm = pool.max(axis=1, keepdims=True)
+        # A zero normalizer means a zero row, so dividing it by 1 scores 0.
+        scores = (pool / np.where(norm > 0.0, norm, 1.0)).min(axis=0)
+        best = int(np.argmax(scores))  # first maximum: lowest id on ties
+        if not scores[best] > 0.0:
             break
-        selected.add(best_element)
+        selected.add(int(feasible[best]))
     value = min_objective(scenario, selected, counter)
     return Solution(
         algorithm="ratio",
@@ -400,3 +384,13 @@ def brute_force_surrogate_max(oracle, matroid: Matroid) -> frozenset:
         if _improves(value, ordered, best_value, best_selected):
             best_value, best_selected = value, ordered
     return frozenset(best_selected)
+
+
+# Every named solver behind one signature; the CLI and the benchmark harness
+# dispatch through this mapping. Only ``fast`` reads the parameters.
+SOLVERS: dict[str, Callable[[Scenario, SolverParams], Solution]] = {
+    "fast": saturate_robust,
+    "greedy": lambda scenario, params: simple_greedy(scenario),
+    "ratio": lambda scenario, params: ratio_greedy_baseline(scenario),
+    "brute": lambda scenario, params: brute_force_maxmin(scenario),
+}

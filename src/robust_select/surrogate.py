@@ -11,9 +11,12 @@ interface so baselines can greedily optimize it directly.
 Caching and accounting contract shared by both:
 
 * per-agent values are numpy vectors: running maxima of distances taken from
-  the scenario's ``distance_array`` (exact in IEEE arithmetic). An oracle
-  keeps two slots, the pinned base and the last extension it computed, each
-  holding a set, its per-agent vector and its reduced value;
+  the scenario's ``distances`` matrix (exact in IEEE arithmetic), built by
+  ``scenario.agent_values``. An oracle keeps two slots, the pinned base and
+  the last extension it computed, each holding a set, its per-agent vector
+  and its reduced value;
+* every action id, in a set or a candidate list, must lie in [0, M); others
+  raise IndexError before anything is scored;
 * every logical evaluation of the reduced objective charges one count per
   agent, even when the result comes from a slot or is known trivially
   (gamma == 0);
@@ -41,7 +44,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .scenario import EvaluationCounter, Scenario
+from .scenario import EvaluationCounter, Scenario, action_ids, agent_values
 
 # Curvature needs f on the full set minus each element; refuse huge grounds.
 CURVATURE_GROUND_CAP = 20
@@ -71,7 +74,7 @@ class _ProximityOracleBase:
         self._ext: _CacheSlot | None = None
 
     # -- subclass hooks ------------------------------------------------
-    def _reduce(self, agent_values: np.ndarray) -> np.ndarray:
+    def _reduce(self, values: np.ndarray) -> np.ndarray:
         """Reduce per-agent values along axis 0, in agent order."""
         raise NotImplementedError
 
@@ -84,7 +87,7 @@ class _ProximityOracleBase:
         self.counter.add(evaluations * self.scenario.n_agents)
 
     def _slot(self, subset: frozenset) -> _CacheSlot:
-        values = self.scenario.distance_array[:, list(subset)].max(axis=1, initial=0.0)
+        values = agent_values(self.scenario, subset)
         return subset, values, float(self._reduce(values))
 
     def _cached(self, subset: frozenset) -> _CacheSlot | None:
@@ -95,8 +98,6 @@ class _ProximityOracleBase:
 
     def evaluate(self, subset: Iterable[int]) -> float:
         self._charge()
-        if self._known_zero():
-            return 0.0
         chosen = frozenset(subset)
         slot = self._cached(chosen)
         if slot is None:
@@ -117,12 +118,13 @@ class _ProximityOracleBase:
         reaches it. Charges follow the module contract.
         """
         chosen = frozenset(subset)
-        ids = np.asarray(candidates, dtype=np.intp).reshape(-1)
+        ids = action_ids(self.scenario, candidates)
         if not chosen.isdisjoint(ids.tolist()):
             raise ValueError("marginal_gains: candidates must lie outside the base set")
         if ids.size == 0:
             return np.zeros(0)
         if self._known_zero():
+            action_ids(self.scenario, chosen)
             gains = _scanned_prefix(np.zeros(ids.size), stop_at)
             self._charge(gains.size)
             return gains
@@ -131,7 +133,7 @@ class _ProximityOracleBase:
             self._charge()
             base = self._slot(chosen)
         self._base = base
-        ext = np.maximum(base[1][:, None], self.scenario.distance_array[:, ids])
+        ext = np.maximum(base[1][:, None], self.scenario.distances[:, ids])
         ext_values = self._reduce(ext)
         gains = _scanned_prefix(ext_values - base[2], stop_at)
         last = gains.size - 1
@@ -152,9 +154,9 @@ class SurrogateOracle(_ProximityOracleBase):
     """Truncated-average surrogate at saturation level ``gamma``.
 
     Values lie in [0, gamma]; the empty set evaluates to 0; equality with
-    gamma means every agent is saturated. gamma == 0 short-circuits to 0
-    without touching the per-agent objectives but still pays the standard
-    charge so evaluation counts stay comparable.
+    gamma means every agent is saturated. At gamma == 0 ``marginal_gains``
+    returns zeros without touching the per-agent objectives but still pays
+    the standard charge so evaluation counts stay comparable.
     """
 
     def __init__(
@@ -168,9 +170,9 @@ class SurrogateOracle(_ProximityOracleBase):
         super().__init__(scenario, counter)
         self.gamma = float(gamma)
 
-    def _reduce(self, agent_values: np.ndarray) -> np.ndarray:
-        capped = np.minimum(agent_values, self.gamma)
-        return np.add.accumulate(capped, axis=0)[-1] / len(agent_values)
+    def _reduce(self, values: np.ndarray) -> np.ndarray:
+        capped = np.minimum(values, self.gamma)
+        return np.add.accumulate(capped, axis=0)[-1] / len(values)
 
     def _known_zero(self) -> bool:
         return self.gamma == 0.0
@@ -180,8 +182,8 @@ class MinObjectiveOracle(_ProximityOracleBase):
     """The raw worst-agent objective behind the oracle interface. Monotone
     but not submodular; useful for direct greedy baselines and reporting."""
 
-    def _reduce(self, agent_values: np.ndarray) -> np.ndarray:
-        return agent_values.min(axis=0)
+    def _reduce(self, values: np.ndarray) -> np.ndarray:
+        return values.min(axis=0)
 
 
 def compute_curvature(oracle, ground: Iterable[int]) -> float:

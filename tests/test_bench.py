@@ -236,6 +236,17 @@ def test_bench_config_validation():
         BenchConfig(delta=-1.0)
 
 
+def test_bench_config_field_types():
+    for field, value in [
+        ("trials", "3"), ("base_seed", 1.0), ("n_actions", False), ("delta", "0.1"),
+        ("curvature", None), ("region", True), ("measure_wall_time", 1),
+    ]:
+        with pytest.raises(ValueError, match=field):
+            BenchConfig(**{field: value})
+    config = BenchConfig(region=50, delta=1, epsilon=None, curvature=0)
+    assert config.solver_params().delta == 1
+
+
 def test_bench_config_from_json(tmp_path):
     path = tmp_path / "config.json"
     path.write_text('{"n_agents": 3, "trials": 5, "base_seed": 42}')

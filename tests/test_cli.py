@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from robust_select.cli import main
+from robust_select.solvers import BRUTE_FORCE_CAP
 
 TINY = {
     "agents": [[0.0, 0.0], [10.0, 0.0]],
@@ -148,6 +149,37 @@ def test_bench_unknown_algorithm(capsys):
     code, _, err = run_cli(capsys, "bench", "--algorithms", "fast,warp", "--trials", "1")
     assert code == 2
     assert "unknown algorithm" in err
+
+
+def test_bench_brute_refused_past_cap(capsys):
+    # brute is a registered benchmark algorithm, but the default 50 actions
+    # exceed its enumeration cap.
+    code, _, err = run_cli(capsys, "bench", "--algorithms", "brute", "--trials", "1", "--z-max", "1")
+    assert code == 2
+    assert f"<= {BRUTE_FORCE_CAP} actions" in err
+
+
+def test_bench_brute_runs_under_cap(tmp_path, capsys):
+    out = tmp_path / "r.csv"
+    code, _, _ = run_cli(
+        capsys, "bench", "--agents", "2", "--actions", "6", "--z-min", "1", "--z-max", "1",
+        "--trials", "2", "--algorithms", "brute,fast", "--out", str(out), "--no-wall-time",
+    )
+    assert code == 0
+    assert len(out.read_text().splitlines()) == 5
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("trials", "3"), ("n_agents", True), ("z_max", 2.0), ("region", "100"), ("epsilon", [1]), ("measure_wall_time", 0)],
+)
+def test_bench_mistyped_config_is_a_config_error(tmp_path, capsys, field, value):
+    config = tmp_path / "bench.json"
+    config.write_text(json.dumps({field: value}))
+    code, _, err = run_cli(capsys, "bench", "--config", str(config))
+    assert code == 2
+    assert field in err
+    assert "internal error" not in err
 
 
 def test_bench_unwritable_output(tmp_path, capsys):

@@ -4,6 +4,7 @@ and the scenario JSON format."""
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -13,6 +14,7 @@ from robust_select import (
     Point2,
     Scenario,
     UniformMatroid,
+    agent_values,
     euclidean_distance,
     load_scenario,
     min_objective,
@@ -64,6 +66,32 @@ def test_proximity_agent_out_of_range(tiny):
 def test_proximity_action_out_of_range(tiny):
     with pytest.raises(IndexError):
         proximity_objective(tiny, 0, {3})
+    for bad in (-1, 3):
+        with pytest.raises(IndexError, match="outside ground set"):
+            min_objective(tiny, {0, bad})
+        with pytest.raises(IndexError, match="outside ground set"):
+            worst_case_attack(tiny, [bad])
+
+
+def test_distances_is_one_read_only_array(tiny):
+    d = tiny.distances
+    assert isinstance(d, np.ndarray) and d.dtype == np.float64 and d.shape == (2, 3)
+    assert not d.flags.writeable
+    assert tiny.distances is d
+    for i, agent in enumerate(tiny.agents):
+        for j, action in enumerate(tiny.actions):
+            assert d[i][j] == euclidean_distance(agent, action)
+    empty = Scenario.from_coords([(0.0, 0.0)], [], PartitionMatroid((), ()))
+    assert empty.distances.shape == (1, 0)
+    assert agent_values(empty, set()).tolist() == [0.0]
+
+
+def test_agent_values(tiny):
+    assert agent_values(tiny, set()).tolist() == [0.0, 0.0]
+    assert agent_values(tiny, {0, 1}).tolist() == [10.0, 10.0]
+    assert agent_values(tiny, np.array([2])).tolist() == tiny.distances[:, 2].tolist()
+    with pytest.raises(IndexError, match="integers"):
+        agent_values(tiny, [1.0])
 
 
 def test_min_objective_examples(tiny):

@@ -2,11 +2,15 @@
 bisection contract, accounting, and determinism."""
 
 import itertools
+import json
 import math
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from robust_select import (
+    SOLVERS,
     PartitionMatroid,
     Scenario,
     SolverParams,
@@ -364,6 +368,19 @@ def test_ratio_counts_full_scans(tiny):
     assert solution.individual_evals == 3 * 2 * 4 + 2
 
 
+def test_ratio_zero_normalizer_scores_zero():
+    # Agent 0 sits on both actions, so its normalizer is 0 and every score
+    # is 0: the round is charged, nothing is added, no 0/0 warning fires.
+    scenario = Scenario.from_coords(
+        [(0.0, 0.0), (10.0, 0.0)], [(0.0, 0.0), (0.0, 0.0)], UniformMatroid(2, 1)
+    )
+    with np.errstate(all="raise"):
+        solution = ratio_greedy_baseline(scenario)
+    assert solution.selected == ()
+    assert solution.min_value == 0.0
+    assert solution.individual_evals == 2 * 2 * 3 + 2
+
+
 # -- exhaustive oracles ------------------------------------------------
 
 
@@ -445,3 +462,26 @@ def test_iter_independent_sets_unique_and_complete():
         frozenset({1, 2}),
     }
     assert set(sets) == expected
+
+
+# -- registry ------------------------------------------------------------
+
+GOLDEN = Path(__file__).parent / "data" / "solvers_small_golden.json"
+
+
+def test_registry_matches_small_instance_golden():
+    """Every registered solver on 200 seeded small instances (uniform and
+    partition matroids, zero capacities included): selection, repr of the
+    min value and evaluation count, against a file written before the
+    objectives and the ratio baseline moved onto one distance array."""
+    golden = json.loads(GOLDEN.read_text())
+    rng = np.random.default_rng(golden["seed"])
+    assert len(golden["solutions"]) == golden["instances"]
+    for expected in golden["solutions"]:
+        scenario = random_small_scenario(rng, golden["max_actions"], golden["max_agents"])
+        assert set(expected) == set(SOLVERS)
+        for name, solve in SOLVERS.items():
+            solution = solve(scenario, SolverParams())
+            got = [list(solution.selected), repr(solution.min_value), solution.individual_evals]
+            assert got == expected[name], name
+            assert solution.algorithm == name

@@ -191,6 +191,21 @@ def test_batched_rejects_members_and_skips_empty(tiny):
     assert oracle.counter.individual_evals == 0
 
 
+@pytest.mark.parametrize("bad", [-1, 3])
+@pytest.mark.parametrize("make", [lambda s: SurrogateOracle(s, 8.0), lambda s: SurrogateOracle(s, 0.0), MinObjectiveOracle])
+def test_out_of_range_ids_raise(tiny, make, bad):
+    """Ids outside [0, M) are refused, never wrapped to another action."""
+    oracle = make(tiny)
+    with pytest.raises(IndexError, match="outside ground set"):
+        oracle.evaluate({bad})
+    with pytest.raises(IndexError, match="outside ground set"):
+        oracle.marginal_gain(set(), bad)
+    with pytest.raises(IndexError, match="outside ground set"):
+        oracle.marginal_gains({0}, [1, bad])
+    with pytest.raises(IndexError, match="outside ground set"):
+        oracle.marginal_gains({bad}, [1])
+
+
 def test_shared_counter(tiny):
     counter = EvaluationCounter()
     SurrogateOracle(tiny, 4.0, counter).evaluate({0})
