@@ -12,6 +12,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, repeat
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -94,10 +95,11 @@ class Scenario:
     def distances(self) -> np.ndarray:
         """Agent-to-action distance matrix, one row per agent: a read-only
         float64 N x M array, built on first use so constructing a scenario
-        stays free of numpy work."""
-        array = np.array(
-            [[euclidean_distance(a, p) for p in self.actions] for a in self.agents], dtype=np.float64
-        )
+        stays free of numpy work. Entries are ``math.dist`` values, exactly
+        what ``euclidean_distance`` returns."""
+        rows = (map(math.dist, repeat(agent), self.actions) for agent in self.agents)
+        shape = (self.n_agents, self.n_actions)
+        array = np.fromiter(chain.from_iterable(rows), np.float64, shape[0] * shape[1]).reshape(shape)
         array.setflags(write=False)
         return array
 

@@ -26,12 +26,90 @@ from .surrogate import MinObjectiveOracle, SurrogateOracle
 # Exhaustive enumeration of independent sets; refuse beyond this many actions.
 BRUTE_FORCE_CAP = 20
 
+# The threshold greedy descends from its first threshold F to its floor
+# delta * F in ln(1/delta) / log1p(delta) divisions; refuse a delta that needs
+# more (delta = 1e-5 needs 1.15e6; the cap admits delta >= about 1.35e-6). As
+# delta -> 0 the count grows without bound, and once 1 + delta rounds to 1
+# the threshold never falls at all.
+THRESHOLD_STEPS_CAP = 10_000_000
+
+# Rungs of the threshold ladder computed at a time.
+_LADDER_CHUNK = 1024
+
+
+def threshold_steps(delta: float) -> float:
+    """Divisions by 1 + delta that take a threshold down to delta times its
+    start: ln(1/delta) / log1p(delta), at most 0 when delta >= 1."""
+    return -math.log(delta) / math.log1p(delta)
+
+
+def _check_threshold_steps(delta: float) -> None:
+    steps = threshold_steps(delta)
+    if steps > THRESHOLD_STEPS_CAP:
+        raise ValueError(
+            f"delta {delta!r} needs {steps:.3g} threshold steps "
+            f"(ln(1/delta) / log1p(delta)); THRESHOLD_STEPS_CAP is {THRESHOLD_STEPS_CAP}"
+        )
+
+
+def threshold_ladder(start: float, delta: float, length: int) -> np.ndarray:
+    """``length`` thresholds from ``start`` on, each the previous divided by
+    1 + delta. Accumulate divides in order and IEEE division is correctly
+    rounded, so these are exactly the values of the chain t /= 1.0 + delta."""
+    steps = np.full(length, 1.0 + delta)
+    steps[0] = start
+    return np.divide.accumulate(steps)
+
+
+class _Ladder:
+    """A forward cursor over ``threshold_ladder(start, delta, ...)``, computed
+    a chunk at a time; each chunk starts with the previous chunk's last rung."""
+
+    def __init__(self, start: float, delta: float) -> None:
+        self.delta = delta
+        self._chunk(start)
+
+    def _chunk(self, start: float) -> None:
+        self.rungs = threshold_ladder(start, delta=self.delta, length=_LADDER_CHUNK)
+        # Negated, the rungs ascend, which is what searchsorted needs.
+        self.negated = -self.rungs
+        self.k = 0
+
+    @property
+    def threshold(self) -> float:
+        return float(self.rungs[self.k])
+
+    def step(self) -> None:
+        """Move one rung down."""
+        if self.k + 1 == self.rungs.size:
+            self._chunk(self.rungs[-1])
+        self.k += 1
+
+    def drop(self, at_most: float, floor: float) -> None:
+        """Move down to the first rung that is <= ``at_most`` or < ``floor``
+        (the current rung must be neither)."""
+        while True:
+            k = min(
+                np.searchsorted(self.negated, -at_most, side="left"),
+                np.searchsorted(self.negated, -floor, side="right"),
+            )
+            if k < self.rungs.size:
+                self.k = int(k)
+                return
+            if self.rungs[-1] == self.rungs[-2]:
+                raise ValueError(
+                    f"threshold stalled at {float(self.rungs[-1])!r}: dividing it by 1 + {self.delta!r} "
+                    "no longer lowers it, so the greedy would never end"
+                )
+            self._chunk(self.rungs[-1])
+
 
 @dataclass(frozen=True)
 class SolverParams:
     """Solver tunables.
 
-    delta: threshold shrink factor for the inner greedy (> 0).
+    delta: threshold shrink factor for the inner greedy (> 0, and small
+        enough that the descent stays within THRESHOLD_STEPS_CAP steps).
     epsilon: absolute bisection stopping gap; None means one thousandth of
         the instance's initial upper bound.
     curvature: the c value used in the saturation acceptance test
@@ -47,6 +125,7 @@ class SolverParams:
     def __post_init__(self) -> None:
         if not (isinstance(self.delta, (int, float)) and math.isfinite(self.delta) and self.delta > 0):
             raise ValueError(f"delta must be finite and > 0, got {self.delta!r}")
+        _check_threshold_steps(self.delta)
         if self.epsilon is not None and not (
             isinstance(self.epsilon, (int, float)) and math.isfinite(self.epsilon) and self.epsilon > 0
         ):
@@ -110,20 +189,29 @@ def threshold_greedy(
     (freshly evaluated) marginal gain clears the threshold. The loop ends
     when the selection is a basis or the threshold falls below delta * F.
 
-    A pass that inserts nothing cannot change any gain, so instead of
-    rescanning at every intermediate threshold the loop replays the division
-    sequence down to the largest surviving gain (or termination). The output
-    and the per-candidate evaluations are exactly those of the literal
-    pass-by-pass loop; only the no-op rescans are skipped. Within a pass the
-    candidates are scored in batches (``oracle.marginal_gains`` with the
-    threshold as ``stop_at``), one per insertion, so the oracle is charged
-    for exactly the candidates the one-at-a-time scan would evaluate.
+    The thresholds are fixed up front: the ladder F, F/(1+delta), ... is
+    computed in chunks with ``np.divide.accumulate`` (``threshold_ladder``),
+    exactly the values the division chain would produce. A pass that
+    inserts nothing cannot change any gain, so instead of rescanning at
+    every intermediate threshold the loop jumps (``np.searchsorted``) to the
+    first rung at or below the largest surviving gain, or below the floor.
+    The output and the per-candidate evaluations are exactly those of the
+    literal pass-by-pass loop; only the no-op rescans are skipped. Within a
+    pass the candidates are scored in batches (``oracle.marginal_gains``
+    with the threshold as ``stop_at``), one per insertion, so the oracle is
+    charged for exactly the candidates the one-at-a-time scan would
+    evaluate. A delta whose descent would take more than
+    THRESHOLD_STEPS_CAP divisions is refused with ValueError, and so is a
+    jump past a threshold that no longer falls (deep in the subnormals,
+    dividing by 1 + delta can return its argument), which the literal loop
+    would repeat forever.
 
     ``trace`` (optional list) receives a GreedyStep per insertion;
     ``stats`` (optional dict) receives scan-pass and threshold bookkeeping.
     """
     if not delta > 0:
         raise ValueError(f"delta must be > 0, got {delta!r}")
+    _check_threshold_steps(delta)
     n = matroid.n_actions
     selected: set[int] = set()
     passes = 0
@@ -133,6 +221,7 @@ def threshold_greedy(
         initial = max(0.0, float(oracle.marginal_gains(frozenset(), np.arange(n)).max()))
         threshold = initial
         floor = delta * initial
+        ladder = _Ladder(initial, delta)
         while initial > 0 and threshold >= floor and not matroid.is_basis(selected):
             passes += 1
             inserted = False
@@ -159,12 +248,12 @@ def threshold_greedy(
                 inserted = True
                 start = e + 1
             if inserted:
-                threshold /= 1.0 + delta
+                ladder.step()
             elif best_remaining > 0.0:
-                while threshold >= floor and threshold > best_remaining:
-                    threshold /= 1.0 + delta
+                ladder.drop(best_remaining, floor)
             else:
                 break
+            threshold = ladder.threshold
     if stats is not None:
         stats["passes"] = passes
         stats["initial_threshold"] = initial

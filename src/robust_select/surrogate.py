@@ -15,32 +15,39 @@ Caching and accounting contract shared by both:
   ``scenario.agent_values``. An oracle keeps two slots, the pinned base and
   the last extension it computed, each holding a set, its per-agent vector
   and its reduced value;
+* the first ``marginal_gains`` call on a pinned base computes its gain
+  lanes: the extension of the base by *every* ground element at once (one
+  ``np.maximum`` of the base vector against ``distances``, one reduction),
+  kept beside the base with a boolean member mask of the base set. Later
+  calls on the same base index into the lanes; pinning another base drops
+  them. Lanes are work, not evaluations: they charge nothing by themselves;
 * every action id, in a set or a candidate list, must lie in [0, M); others
   raise IndexError before anything is scored;
 * every logical evaluation of the reduced objective charges one count per
-  agent, even when the result comes from a slot or is known trivially
-  (gamma == 0);
-* ``marginal_gains`` scores many candidates against one base in a single
-  array call and charges exactly what scanning them one at a time would: one
-  evaluation per scanned candidate, plus one for the base when it is in
-  neither slot (never when gamma == 0). With ``stop_at`` the scan ends at the
-  first candidate whose gain reaches it; lanes computed past that candidate
-  are discarded and not charged. Afterwards the base is pinned and the
-  extension slot holds the base plus the last scanned candidate, which is
+  agent, even when the result comes from a slot or lane or is known
+  trivially (gamma == 0);
+* ``marginal_gains`` scores many candidates against one base and charges
+  exactly what scanning them one at a time would: one evaluation per
+  scanned candidate, plus one for the base when it is in neither slot
+  (never when gamma == 0). With ``stop_at`` the scan ends at the first
+  candidate whose gain reaches it; lanes past that candidate are not
+  charged. Afterwards the base is pinned and the extension slot holds the
+  base plus the last scanned candidate (a column of the lanes), which is
   what the one-at-a-time scan leaves behind;
 * ``marginal_gain`` is the one-candidate case of ``marginal_gains``;
-* every reduction runs over the agents in agent order
-  (``np.add.accumulate`` along axis 0), so batched, single-candidate and
-  from-scratch values agree bit for bit. Plain ``np.sum`` is not safe here:
-  on a single column of nine or more agents it switches to pairwise
-  summation and can differ in the last bit.
+* every reduction runs over the agents in agent order, so batched,
+  single-candidate and from-scratch values agree bit for bit. numpy reduces
+  a C-contiguous 2-D array of two or more columns along axis 0 one row at a
+  time, so those go through ``np.add.reduce(axis=0)``; a vector or a single
+  column would be summed pairwise (from nine agents on) and can differ in
+  the last bit, so those go through ``np.add.accumulate``.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -52,7 +59,27 @@ CURVATURE_GROUND_CAP = 20
 # Clamps beyond this are reported; below it they are floating-point dust.
 _CLAMP_TOL = 1e-9
 
-_CacheSlot = tuple[frozenset, np.ndarray, float]
+
+class _Lanes(NamedTuple):
+    """Every ground element's extension of one base set."""
+
+    members: np.ndarray  # bool (M,): True on the base set's ids
+    values: np.ndarray  # (N, M): column j holds the per-agent values of base | {j}
+    reduced: np.ndarray  # (M,): the reduced objective of base | {j}
+    gains: np.ndarray  # (M,): reduced minus the base's value
+
+
+class _Slot:
+    """A set with its per-agent values and its reduced value; ``lanes`` is
+    filled in when the slot is the pinned base of a ``marginal_gains`` call."""
+
+    __slots__ = ("subset", "values", "value", "lanes")
+
+    def __init__(self, subset: frozenset, values: np.ndarray, value: float) -> None:
+        self.subset = subset
+        self.values = values
+        self.value = value
+        self.lanes: _Lanes | None = None
 
 
 def _scanned_prefix(gains: np.ndarray, stop_at: float | None) -> np.ndarray:
@@ -70,8 +97,8 @@ class _ProximityOracleBase:
     def __init__(self, scenario: Scenario, counter: EvaluationCounter | None = None) -> None:
         self.scenario = scenario
         self.counter = EvaluationCounter() if counter is None else counter
-        self._base: _CacheSlot | None = None
-        self._ext: _CacheSlot | None = None
+        self._base: _Slot | None = None
+        self._ext: _Slot | None = None
 
     # -- subclass hooks ------------------------------------------------
     def _reduce(self, values: np.ndarray) -> np.ndarray:
@@ -86,15 +113,24 @@ class _ProximityOracleBase:
     def _charge(self, evaluations: int = 1) -> None:
         self.counter.add(evaluations * self.scenario.n_agents)
 
-    def _slot(self, subset: frozenset) -> _CacheSlot:
+    def _slot(self, subset: frozenset) -> _Slot:
         values = agent_values(self.scenario, subset)
-        return subset, values, float(self._reduce(values))
+        return _Slot(subset, values, float(self._reduce(values)))
 
-    def _cached(self, subset: frozenset) -> _CacheSlot | None:
+    def _cached(self, subset: frozenset) -> _Slot | None:
         for slot in (self._base, self._ext):
-            if slot is not None and slot[0] == subset:
+            if slot is not None and slot.subset == subset:
                 return slot
         return None
+
+    def _lanes(self, slot: _Slot) -> _Lanes:
+        if slot.lanes is None:
+            members = np.zeros(self.scenario.n_actions, dtype=bool)
+            members[list(slot.subset)] = True
+            values = np.maximum(slot.values[:, None], self.scenario.distances)
+            reduced = self._reduce(values)
+            slot.lanes = _Lanes(members, values, reduced, reduced - slot.value)
+        return slot.lanes
 
     def evaluate(self, subset: Iterable[int]) -> float:
         self._charge()
@@ -102,7 +138,7 @@ class _ProximityOracleBase:
         slot = self._cached(chosen)
         if slot is None:
             slot = self._base = self._slot(chosen)
-        return slot[2]
+        return slot.value
 
     def marginal_gains(
         self,
@@ -119,26 +155,26 @@ class _ProximityOracleBase:
         """
         chosen = frozenset(subset)
         ids = action_ids(self.scenario, candidates)
-        if not chosen.isdisjoint(ids.tolist()):
+        base = self._cached(chosen)
+        cold = base is None
+        if cold:
+            base = self._slot(chosen)
+        lanes = self._lanes(base)
+        if lanes.members[ids].any():
             raise ValueError("marginal_gains: candidates must lie outside the base set")
         if ids.size == 0:
             return np.zeros(0)
         if self._known_zero():
-            action_ids(self.scenario, chosen)
             gains = _scanned_prefix(np.zeros(ids.size), stop_at)
             self._charge(gains.size)
             return gains
-        base = self._cached(chosen)
-        if base is None:
+        if cold:
             self._charge()
-            base = self._slot(chosen)
         self._base = base
-        ext = np.maximum(base[1][:, None], self.scenario.distances[:, ids])
-        ext_values = self._reduce(ext)
-        gains = _scanned_prefix(ext_values - base[2], stop_at)
-        last = gains.size - 1
+        gains = _scanned_prefix(lanes.gains[ids], stop_at)
         self._charge(gains.size)
-        self._ext = (chosen | {int(ids[last])}, ext[:, last].copy(), float(ext_values[last]))
+        last = int(ids[gains.size - 1])
+        self._ext = _Slot(chosen | {last}, lanes.values[:, last], float(lanes.reduced[last]))
         return gains
 
     def marginal_gain(self, subset: Iterable[int], element: int) -> float:
@@ -172,7 +208,11 @@ class SurrogateOracle(_ProximityOracleBase):
 
     def _reduce(self, values: np.ndarray) -> np.ndarray:
         capped = np.minimum(values, self.gamma)
-        return np.add.accumulate(capped, axis=0)[-1] / len(values)
+        if capped.ndim == 2 and capped.shape[1] > 1 and capped.flags.c_contiguous:
+            total = np.add.reduce(capped, axis=0)
+        else:
+            total = np.add.accumulate(capped, axis=0)[-1]
+        return total / len(values)
 
     def _known_zero(self) -> bool:
         return self.gamma == 0.0

@@ -55,6 +55,14 @@ def test_solve_output_file(tiny_path, tmp_path, capsys):
     assert json.loads(out_path.read_text())["selected"] == [2]
 
 
+def test_solve_refuses_delta_that_would_hang(tiny_path, capsys):
+    """1 + 1e-17 rounds to 1, so the threshold would never fall."""
+    code, out, err = run_cli(capsys, "solve", "--config", tiny_path, "--algorithm", "fast", "--delta", "1e-17")
+    assert code == 2
+    assert out == ""
+    assert "THRESHOLD_STEPS_CAP" in err
+
+
 def test_solve_missing_file(capsys):
     code, _, err = run_cli(capsys, "solve", "--config", "does-not-exist.json", "--algorithm", "fast")
     assert code == 2

@@ -11,6 +11,8 @@ import pytest
 
 from robust_select import (
     SOLVERS,
+    GreedyStep,
+    MinObjectiveOracle,
     PartitionMatroid,
     Scenario,
     SolverParams,
@@ -27,7 +29,14 @@ from robust_select import (
     threshold_greedy,
 )
 from robust_select.checks import random_small_scenario
-from robust_select.solvers import BRUTE_FORCE_CAP
+from robust_select.solvers import (
+    _LADDER_CHUNK,
+    BRUTE_FORCE_CAP,
+    THRESHOLD_STEPS_CAP,
+    _Ladder,
+    threshold_ladder,
+    threshold_steps,
+)
 
 SQRT50 = math.sqrt(50.0)
 DELTA = 1e-3
@@ -167,6 +176,138 @@ def test_threshold_greedy_accepted_gains_dominate(rng):
                 checked += 1
                 assert (1.0 + DELTA) * step.gain >= probe.marginal_gain(step.base, o) - 1e-9
     assert checked > 0
+
+
+def literal_threshold_greedy(oracle, matroid, delta):
+    """The descending-threshold greedy written out pass by pass: one
+    ``marginal_gain`` per scanned candidate, one division per pass, and no
+    shared code with ``threshold_greedy``. A pass over the set the previous
+    pass left unchanged, while that pass's best gain is still below the
+    threshold, would insert nothing; it is neither scanned nor counted, since
+    those are exactly the passes ``threshold_greedy`` skips. Returns the
+    selection, the trace and the stats ``threshold_greedy`` would report."""
+    n = matroid.n_actions
+    selected, trace, passes = set(), [], 0
+    initial = max([0.0] + [oracle.marginal_gain(frozenset(), e) for e in range(n)])
+    threshold, floor = initial, delta * initial
+    unchanged_best = None  # best gain of the last pass, if it inserted nothing
+    while initial > 0 and threshold >= floor and not matroid.is_basis(selected):
+        if unchanged_best is None or unchanged_best >= threshold:
+            passes += 1
+            best, inserted = 0.0, False
+            for e in range(n):
+                if e in selected or not matroid.can_extend(selected, e):
+                    continue
+                gain = oracle.marginal_gain(selected, e)
+                if gain >= threshold:
+                    trace.append(GreedyStep(threshold, e, gain, frozenset(selected)))
+                    selected.add(e)
+                    inserted = True
+                else:
+                    best = max(best, gain)
+            if not inserted and best == 0.0:
+                break
+            unchanged_best = None if inserted else best
+        threshold /= 1.0 + delta
+    stats = {"passes": passes, "initial_threshold": initial, "final_threshold": threshold}
+    return selected, trace, stats
+
+
+def random_matroid_scenario(rng, n_agents, n_actions):
+    agents = rng.uniform(0.0, 100.0, (n_agents, 2))
+    actions = rng.uniform(0.0, 100.0, (n_actions, 2))
+    if rng.random() < 0.5:
+        matroid = UniformMatroid(n_actions, int(rng.integers(1, 7)))
+    else:
+        assignment = rng.integers(0, 5, n_actions)
+        blocks = tuple(tuple(int(j) for j in np.flatnonzero(assignment == b)) for b in range(5))
+        matroid = PartitionMatroid(blocks, tuple(int(c) for c in rng.integers(0, 3, 5)))
+    return Scenario.from_coords(agents, actions, matroid)
+
+
+@pytest.mark.parametrize("delta", [1e-3, 0.1, 1.0])
+def test_threshold_greedy_matches_the_literal_loop(rng, delta):
+    """Ladder jumps and batched scans change nothing observable: selection,
+    trace, stats and charges equal those of the literal pass-by-pass loop,
+    and both leave the oracle's slots in the same state."""
+    checked_partition = checked_uniform = 0
+    for _ in range(12):
+        scenario = random_matroid_scenario(rng, int(rng.integers(1, 12)), int(rng.integers(1, 30)))
+        upper = min_objective(scenario, range(scenario.n_actions))
+        makers = [lambda g=g: SurrogateOracle(scenario, g) for g in (0.0, 0.4 * upper, upper, 3.0 * upper)]
+        makers.append(lambda: MinObjectiveOracle(scenario))
+        for make in makers:
+            literal_oracle, oracle = make(), make()
+            expected = literal_threshold_greedy(literal_oracle, scenario.matroid, delta)
+            trace, stats = [], {}
+            selected = threshold_greedy(oracle, scenario.matroid, delta, trace=trace, stats=stats)
+            assert (selected, trace, stats) == expected
+            assert oracle.counter.individual_evals == literal_oracle.counter.individual_evals
+            assert oracle.evaluate(selected) == literal_oracle.evaluate(selected)
+            assert oracle.counter.individual_evals == literal_oracle.counter.individual_evals
+        if isinstance(scenario.matroid, PartitionMatroid):
+            checked_partition += 1
+        else:
+            checked_uniform += 1
+    assert checked_partition and checked_uniform
+
+
+@pytest.mark.parametrize("delta", [1e-5, 1e-3, 0.1, 1.0, 3.0])
+def test_threshold_ladder_is_the_division_chain(delta):
+    start = 7.123456789
+    rungs = threshold_ladder(start, delta, 2 * _LADDER_CHUNK + 3)
+    t = start
+    for rung in rungs:
+        assert rung == t
+        t /= 1.0 + delta
+    # The chunked cursor, stepping across chunk boundaries.
+    ladder, t = _Ladder(start, delta), start
+    for _ in range(3 * _LADDER_CHUNK + 2):
+        assert ladder.threshold == t
+        ladder.step()
+        t /= 1.0 + delta
+    # Jumps land where replaying the division chain stops, across chunks,
+    # including on a rung equal to the bound or to the floor.
+    floor = rungs[-2] if delta < 1e-2 else start * 1e-4
+    marks = [rungs[k] for k in (1, 7, _LADDER_CHUNK - 1, _LADDER_CHUNK + 10) if k < rungs.size - 2]
+    ladder, t = _Ladder(start, delta), start
+    for at_most in [*marks, start * 0.99, start * 0.5, start * 0.2, start * 1e-3, 0.0]:
+        if not (t >= floor and t > at_most):
+            continue
+        while t >= floor and t > at_most:
+            t /= 1.0 + delta
+        ladder.drop(at_most, floor)
+        assert ladder.threshold == t
+
+
+def test_stalled_threshold_raises_instead_of_hanging():
+    """Far enough into the subnormals, dividing by 1 + delta returns its
+    argument; a jump that can only land below that point is refused instead
+    of looping forever, as the literal loop would."""
+    with pytest.raises(ValueError, match="stalled"):
+        _Ladder(1e-320, 1e-3).drop(1e-323, 1e-323)
+    # Distances of a few hundred units of the smallest subnormal.
+    scale = 1e-321
+    scenario = Scenario.from_coords(
+        [(85.0 * scale, 63.0 * scale), (51.0 * scale, 26.0 * scale)],
+        [(x * scale, y * scale) for x, y in ((30.0, 4.0), (7.0, 1.0), (17.0, 81.0), (64.0, 91.0))],
+        UniformMatroid(4, 2),
+    )
+    with pytest.raises(ValueError, match="stalled"):
+        saturate_robust(scenario, SolverParams(delta=1e-3))
+
+
+def test_delta_beyond_the_step_cap_is_refused(tiny):
+    """A delta so small that 1 + delta rounds to 1 used to hang the greedy;
+    any delta whose descent needs more than THRESHOLD_STEPS_CAP divisions is
+    now refused up front, by the parameters and by the greedy itself."""
+    assert threshold_steps(1e-5) < THRESHOLD_STEPS_CAP < threshold_steps(1e-6)
+    assert saturate_robust(tiny, SolverParams(delta=1e-5)).selected == (2,)
+    for delta in (1e-6, 1e-17, 5e-324):
+        with pytest.raises(ValueError, match="THRESHOLD_STEPS_CAP"):
+            SolverParams(delta=delta)
+        with pytest.raises(ValueError, match="THRESHOLD_STEPS_CAP"):
+            threshold_greedy(SurrogateOracle(tiny, 8.0), tiny.matroid, delta)
 
 
 # -- saturating solver ------------------------------------------------

@@ -191,6 +191,78 @@ def test_batched_rejects_members_and_skips_empty(tiny):
     assert oracle.counter.individual_evals == 0
 
 
+def test_members_of_a_promoted_base_are_rejected(tiny):
+    """The member mask of a base promoted from the extension slot covers the
+    element the scan added."""
+    oracle = SurrogateOracle(tiny, 8.0)
+    oracle.marginal_gains({0}, [1])
+    with pytest.raises(ValueError, match="outside"):
+        oracle.marginal_gains({0, 1}, [2, 1])
+    assert oracle.marginal_gains({0, 1}, [2]).size == 1
+
+
+def agent_order_sum(values):
+    """Sum over axis 0 one agent at a time, in agent order."""
+    total = values[0].copy() if values.ndim > 1 else float(values[0])
+    for row in values[1:]:
+        total = total + row
+    return total
+
+
+@pytest.mark.parametrize(
+    "layout",
+    ["vector", "single column", "c-contiguous", "fortran", "strided view", "two columns"],
+)
+def test_reduce_is_the_agent_order_sum(rng, layout):
+    """``_reduce`` equals an explicit agent-order sum bit for bit, whatever
+    the layout numpy hands it."""
+    for n_agents in (1, 2, 9, 64, 333):
+        raw = rng.uniform(0.0, 1.0, (n_agents, 12)) * 10.0 ** rng.integers(-6, 7, (n_agents, 12))
+        values = {
+            "vector": raw[:, 0].copy(),
+            "single column": raw[:, :1].copy(),
+            "c-contiguous": raw,
+            "fortran": np.asfortranarray(raw),
+            "strided view": raw[:, ::3],
+            "two columns": raw[:, :2].copy(),
+        }[layout]
+        gamma = float(np.median(raw))
+        expected = agent_order_sum(np.minimum(values, gamma)) / n_agents
+        reduced = SurrogateOracle(random_scenario(rng, 1, 1), gamma)._reduce(values)
+        assert np.array_equal(reduced, expected)
+
+
+@pytest.mark.parametrize("n_agents", [16, 64])
+def test_lane_reads_equal_cold_gains_and_charges(rng, n_agents):
+    """A gain read from a pinned base's cached lanes equals the gain a cold
+    oracle computes and a from-scratch difference, and costs exactly what a
+    fresh oracle's scan of the same candidate costs after its base charge.
+    Switching bases drops the lanes; switching back rebuilds them."""
+    scenario = random_scenario(rng, n_agents, 30)
+    upper = min_objective(scenario, range(30))
+    n = scenario.n_agents
+    for make in (lambda: SurrogateOracle(scenario, 0.7 * upper), lambda: MinObjectiveOracle(scenario)):
+        warm = make()
+        bases = [frozenset({3, 7}), frozenset({1, 2, 29}), frozenset({3, 7})]
+        for base in bases:
+            warm.marginal_gains(base, [0])
+            for e in range(30):
+                if e in base:
+                    continue
+                before = warm.counter.individual_evals
+                gain = warm.marginal_gain(base, e)
+                assert warm.counter.individual_evals - before == n  # pinned base
+                cold = make()
+                assert cold.marginal_gain(base, e) == gain
+                assert cold.counter.individual_evals == 2 * n  # cold base + candidate
+                fresh = make()
+                assert fresh.evaluate(base | {e}) - fresh.evaluate(base) == gain
+                # The extension slot holds base | {e}, as the one-at-a-time scan leaves it.
+                before = warm.counter.individual_evals
+                assert warm.evaluate(base | {e}) == fresh.evaluate(base | {e})
+                assert warm.counter.individual_evals - before == n
+
+
 @pytest.mark.parametrize("bad", [-1, 3])
 @pytest.mark.parametrize("make", [lambda s: SurrogateOracle(s, 8.0), lambda s: SurrogateOracle(s, 0.0), MinObjectiveOracle])
 def test_out_of_range_ids_raise(tiny, make, bad):
