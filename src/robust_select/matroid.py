@@ -134,15 +134,27 @@ class PartitionMatroid(Matroid):
         mask[chosen] = False
         return mask
 
+    @cached_property
+    def _needs(self) -> tuple[int, ...]:
+        """Per block, what a basis takes from it: min(capacity, block size)."""
+        return tuple(min(cap, len(block)) for cap, block in zip(self.capacities, self.blocks))
+
+    @cached_property
+    def _rank(self) -> int:
+        return sum(self._needs)
+
     def is_basis(self, subset: Collection[int]) -> bool:
         block_of = self._block_of  # type: ignore[attr-defined]
         counts = [0] * len(self.blocks)
         for e in subset:
-            counts[block_of[e]] += 1
-        return all(
-            counts[b] >= min(self.capacities[b], len(block))
-            for b, block in enumerate(self.blocks)
-        )
+            b = block_of[e]
+            counts[b] += 1
+            if counts[b] > self.capacities[b]:
+                return True  # dependent: no element extends it
+        if len(subset) < self._rank:
+            # The block counts sum to len(subset), so some block is short.
+            return False
+        return all(count >= need for count, need in zip(counts, self._needs))
 
 
 def matroid_to_dict(matroid: Matroid) -> dict:

@@ -33,8 +33,10 @@ BRUTE_FORCE_CAP = 20
 # the threshold never falls at all.
 THRESHOLD_STEPS_CAP = 10_000_000
 
-# Rungs of the threshold ladder computed at a time.
-_LADDER_CHUNK = 1024
+# Rungs of the threshold ladder computed at a time, beyond those a jump is
+# estimated to need; the estimate counts for at most _LADDER_JUMP_CAP rungs.
+_LADDER_CHUNK = 256
+_LADDER_JUMP_CAP = 1 << 16
 
 
 def threshold_steps(delta: float) -> float:
@@ -69,8 +71,8 @@ class _Ladder:
         self.delta = delta
         self._chunk(start)
 
-    def _chunk(self, start: float) -> None:
-        self.rungs = threshold_ladder(start, delta=self.delta, length=_LADDER_CHUNK)
+    def _chunk(self, start: float, extra: int = 0) -> None:
+        self.rungs = threshold_ladder(start, delta=self.delta, length=_LADDER_CHUNK + extra)
         # Negated, the rungs ascend, which is what searchsorted needs.
         self.negated = -self.rungs
         self.k = 0
@@ -90,18 +92,23 @@ class _Ladder:
         (the current rung must be neither)."""
         while True:
             k = min(
-                np.searchsorted(self.negated, -at_most, side="left"),
-                np.searchsorted(self.negated, -floor, side="right"),
+                self.negated.searchsorted(-at_most, side="left"),
+                self.negated.searchsorted(-floor, side="right"),
             )
             if k < self.rungs.size:
                 self.k = int(k)
                 return
-            if self.rungs[-1] == self.rungs[-2]:
+            last = self.rungs[-1]
+            if last == self.rungs[-2]:
                 raise ValueError(
-                    f"threshold stalled at {float(self.rungs[-1])!r}: dividing it by 1 + {self.delta!r} "
+                    f"threshold stalled at {float(last)!r}: dividing it by 1 + {self.delta!r} "
                     "no longer lowers it, so the greedy would never end"
                 )
-            self._chunk(self.rungs[-1])
+            # Size the next chunk by the divisions from its start down to the
+            # target; a short estimate only costs another chunk.
+            target = max(at_most, floor)
+            need = math.log(last / target) / math.log1p(self.delta) if target > 0 else math.inf
+            self._chunk(last, extra=int(min(need, _LADDER_JUMP_CAP)))
 
 
 @dataclass(frozen=True)
@@ -196,15 +203,21 @@ def threshold_greedy(
     every intermediate threshold the loop jumps (``np.searchsorted``) to the
     first rung at or below the largest surviving gain, or below the floor.
     The output and the per-candidate evaluations are exactly those of the
-    literal pass-by-pass loop; only the no-op rescans are skipped. Within a
-    pass the candidates are scored in batches (``oracle.marginal_gains``
-    with the threshold as ``stop_at``), one per insertion, so the oracle is
-    charged for exactly the candidates the one-at-a-time scan would
-    evaluate. A delta whose descent would take more than
-    THRESHOLD_STEPS_CAP divisions is refused with ValueError, and so is a
-    jump past a threshold that no longer falls (deep in the subnormals,
-    dividing by 1 + delta can return its argument), which the literal loop
-    would repeat forever.
+    literal pass-by-pass loop; only the no-op rescans are skipped.
+
+    The greedy works once per base set, the selection between two
+    insertions: ``oracle.base`` and ``oracle.child`` give its handle, whose
+    gains against every ground element are computed once, and the matroid's
+    feasibility mask is asked for once (``oracle.feasible`` turns it into
+    the feasible ids and their gains). Each stretch of a pass between
+    insertions is then a slice of those, which ``oracle.scan`` reads up to
+    the first gain at or above the threshold, charging exactly the
+    candidates the one-at-a-time scan would evaluate.
+
+    A delta whose descent would take more than THRESHOLD_STEPS_CAP
+    divisions is refused with ValueError, and so is a jump past a threshold
+    that no longer falls (deep in the subnormals, dividing by 1 + delta can
+    return its argument), which the literal loop would repeat forever.
 
     ``trace`` (optional list) receives a GreedyStep per insertion;
     ``stats`` (optional dict) receives scan-pass and threshold bookkeeping.
@@ -218,33 +231,40 @@ def threshold_greedy(
     initial = 0.0
     threshold = 0.0
     if n > 0:
-        initial = max(0.0, float(oracle.marginal_gains(frozenset(), np.arange(n)).max()))
+        base = oracle.base(())
+        initial = max(0.0, float(oracle.scan(base, *oracle.feasible(base, np.ones(n, dtype=bool))).max()))
         threshold = initial
         floor = delta * initial
         ladder = _Ladder(initial, delta)
+        candidates = None
         while initial > 0 and threshold >= floor and not matroid.is_basis(selected):
             passes += 1
             inserted = False
             best_remaining = 0.0
             start = 0
-            # One batched scan per stretch of the pass between insertions:
-            # the set, and so every gain and the feasibility mask, only
-            # changes when an element is accepted.
+            # The set, and so every gain and the feasibility mask, only
+            # changes when an element is accepted: each base's feasible ids
+            # and gains are computed once, and each stretch of a pass
+            # between insertions scans a slice of them.
             while True:
-                candidates = np.flatnonzero(matroid.extendable(selected)[start:]) + start
-                if candidates.size == 0:
+                if candidates is None:
+                    candidates, gains = oracle.feasible(base, matroid.extendable(selected))
+                lo = candidates.searchsorted(start) if start else 0
+                if lo == candidates.size:
                     break
-                gains = oracle.marginal_gains(selected, candidates, stop_at=threshold)
-                accepted = gains[-1] >= threshold
-                rejected = gains[:-1] if accepted else gains
-                if rejected.size:
-                    best_remaining = max(best_remaining, float(rejected.max()))
-                if not accepted:
+                scanned = oracle.scan(base, candidates[lo:], gains[lo:], stop_at=threshold)
+                last = scanned.size - 1
+                if not scanned[last] >= threshold:
+                    # A pass that inserts nothing has this one stretch.
+                    if not inserted:
+                        best_remaining = float(scanned.max())
                     break
-                e = int(candidates[gains.size - 1])
+                e = int(candidates[lo + last])
                 if trace is not None:
-                    trace.append(GreedyStep(threshold, e, float(gains[-1]), frozenset(selected)))
+                    trace.append(GreedyStep(threshold, e, float(scanned[last]), frozenset(selected)))
                 selected.add(e)
+                base = oracle.child(base, e)
+                candidates = None
                 inserted = True
                 start = e + 1
             if inserted:

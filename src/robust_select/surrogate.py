@@ -12,29 +12,40 @@ Caching and accounting contract shared by both:
 
 * per-agent values are numpy vectors: running maxima of distances taken from
   the scenario's ``distances`` matrix (exact in IEEE arithmetic), built by
-  ``scenario.agent_values``. An oracle keeps two slots, the pinned base and
-  the last extension it computed, each holding a set, its per-agent vector
-  and its reduced value;
-* the first ``marginal_gains`` call on a pinned base computes its gain
-  lanes: the extension of the base by *every* ground element at once (one
-  ``np.maximum`` of the base vector against ``distances``, one reduction),
-  kept beside the base with a boolean member mask of the base set. Later
-  calls on the same base index into the lanes; pinning another base drops
-  them. Lanes are work, not evaluations: they charge nothing by themselves;
-* every action id, in a set or a candidate list, must lie in [0, M); others
-  raise IndexError before anything is scored;
+  ``scenario.agent_values`` and kept capped, as the reduction sees them
+  (``min(value, gamma)`` for the surrogate). Capping commutes with the
+  running maximum bit for bit, since min and max only select values, so an
+  oracle caps ``distances`` once (``_capped``) and never again;
+* an oracle keeps two slots, the pinned base and the last extension, each a
+  set with its capped per-agent vector and its reduced value. The extension
+  slot is kept unbuilt, as the base it came from and the element it adds;
+* a slot is also the handle of its set as a base (``base`` looks one up or
+  makes a cold one). Its gain lanes, the extension by *every* ground element
+  at once, are built the first time it is scanned and kept with it: one
+  ``np.maximum`` of the capped base vector against the capped matrix (the
+  empty set's lanes are the capped matrix itself), one reduction. ``child``
+  makes the slot of the base plus an element from that element's lane,
+  without scoring any agent again. Lanes are work, not evaluations: they
+  charge nothing by themselves. At gamma == 0 every gain is known to be 0
+  and no lanes are built;
+* every action id must lie in [0, M), or IndexError is raised before
+  anything is scored: a set's ids are checked when its slot is built from
+  scratch, ``marginal_gains`` checks its candidates, and ``feasible`` (the
+  threshold greedy's path) checks once per base that its mask covers
+  exactly [0, M). Candidates inside the base raise ValueError, checked by
+  ``marginal_gains`` per call and by ``feasible`` once per base;
 * every logical evaluation of the reduced objective charges one count per
   agent, even when the result comes from a slot or lane or is known
   trivially (gamma == 0);
-* ``marginal_gains`` scores many candidates against one base and charges
-  exactly what scanning them one at a time would: one evaluation per
-  scanned candidate, plus one for the base when it is in neither slot
-  (never when gamma == 0). With ``stop_at`` the scan ends at the first
-  candidate whose gain reaches it; lanes past that candidate are not
-  charged. Afterwards the base is pinned and the extension slot holds the
-  base plus the last scanned candidate (a column of the lanes), which is
-  what the one-at-a-time scan leaves behind;
-* ``marginal_gain`` is the one-candidate case of ``marginal_gains``;
+* ``scan`` is the one charging path for gains: it reads candidates in order
+  and charges exactly what scanning them one at a time would, one
+  evaluation per scanned candidate plus one for a cold base (never when
+  gamma == 0). With ``stop_at`` the scan ends at the first candidate whose
+  gain reaches it; lanes past that candidate are not charged. Afterwards
+  the base is pinned and the extension slot is the base plus the last
+  scanned candidate, which is what the one-at-a-time scan leaves behind;
+* ``marginal_gains`` is a lookup, the checks and one ``scan``;
+  ``marginal_gain`` is its one-candidate case;
 * every reduction runs over the agents in agent order, so batched,
   single-candidate and from-scratch values agree bit for bit. numpy reduces
   a C-contiguous 2-D array of two or more columns along axis 0 one row at a
@@ -47,7 +58,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from typing import Iterable, NamedTuple
+from functools import cached_property
+from typing import Iterable
 
 import numpy as np
 
@@ -60,35 +72,27 @@ CURVATURE_GROUND_CAP = 20
 _CLAMP_TOL = 1e-9
 
 
-class _Lanes(NamedTuple):
-    """Every ground element's extension of one base set."""
-
-    members: np.ndarray  # bool (M,): True on the base set's ids
-    values: np.ndarray  # (N, M): column j holds the per-agent values of base | {j}
-    reduced: np.ndarray  # (M,): the reduced objective of base | {j}
-    gains: np.ndarray  # (M,): reduced minus the base's value
-
-
 class _Slot:
-    """A set with its per-agent values and its reduced value; ``lanes`` is
-    filled in when the slot is the pinned base of a ``marginal_gains`` call."""
+    """A set with its capped per-agent values and its reduced value.
 
-    __slots__ = ("subset", "values", "value", "lanes")
+    A slot is also the handle of its set as a base: the oracle fills in, on
+    first use, the member mask and the gain lanes. ``cold`` marks a slot
+    built for a scan that found the set in neither of the oracle's slots;
+    its own value is charged with its first scan. A slot holds no reference
+    to its oracle, so dropping an oracle frees its arrays at once.
+    """
+
+    __slots__ = ("subset", "values", "value", "cold", "members", "lanes", "reduced", "gains")
 
     def __init__(self, subset: frozenset, values: np.ndarray, value: float) -> None:
         self.subset = subset
-        self.values = values
+        self.values = values  # (N,), capped
         self.value = value
-        self.lanes: _Lanes | None = None
-
-
-def _scanned_prefix(gains: np.ndarray, stop_at: float | None) -> np.ndarray:
-    """The gains up to and including the first that reaches ``stop_at``."""
-    if stop_at is not None:
-        hits = np.flatnonzero(gains >= stop_at)
-        if hits.size:
-            return gains[: hits[0] + 1]
-    return gains
+        self.cold = False
+        self.members: np.ndarray | None = None  # bool (M,): True on the set's ids
+        self.lanes: np.ndarray | None = None  # (N, M): column j holds the capped values of subset | {j}
+        self.reduced: np.ndarray | None = None  # (M,): the reduced objective of subset | {j}
+        self.gains: np.ndarray | None = None  # (M,): reduced minus the set's value
 
 
 class _ProximityOracleBase:
@@ -97,12 +101,18 @@ class _ProximityOracleBase:
     def __init__(self, scenario: Scenario, counter: EvaluationCounter | None = None) -> None:
         self.scenario = scenario
         self.counter = EvaluationCounter() if counter is None else counter
-        self._base: _Slot | None = None
-        self._ext: _Slot | None = None
+        self._pinned: _Slot | None = None
+        # The extension slot, kept unbuilt: a scanned slot and the last
+        # candidate its scan reached.
+        self._ext: tuple[_Slot, int] | None = None
 
     # -- subclass hooks ------------------------------------------------
-    def _reduce(self, values: np.ndarray) -> np.ndarray:
-        """Reduce per-agent values along axis 0, in agent order."""
+    def _cap(self, values: np.ndarray) -> np.ndarray:
+        """Per-agent values as the reduction sees them."""
+        return values
+
+    def _total(self, capped: np.ndarray) -> np.ndarray:
+        """Reduce capped per-agent values along axis 0, in agent order."""
         raise NotImplementedError
 
     def _known_zero(self) -> bool:
@@ -110,34 +120,118 @@ class _ProximityOracleBase:
         return False
 
     # -- shared machinery ----------------------------------------------
+    def _reduce(self, values: np.ndarray) -> np.ndarray:
+        """The reduced objective of per-agent values (one set per column)."""
+        return self._total(self._cap(values))
+
+    @cached_property
+    def _capped(self) -> np.ndarray:
+        """The distance matrix capped once, so that lanes need no capping."""
+        return self._cap(self.scenario.distances)
+
     def _charge(self, evaluations: int = 1) -> None:
         self.counter.add(evaluations * self.scenario.n_agents)
 
     def _slot(self, subset: frozenset) -> _Slot:
+        if not subset:  # every agent values the empty set at 0
+            return _Slot(subset, np.zeros(self.scenario.n_agents), 0.0)
         values = agent_values(self.scenario, subset)
-        return _Slot(subset, values, float(self._reduce(values)))
+        return _Slot(subset, self._cap(values), float(self._reduce(values)))
 
     def _cached(self, subset: frozenset) -> _Slot | None:
-        for slot in (self._base, self._ext):
-            if slot is not None and slot.subset == subset:
-                return slot
+        if self._pinned is not None and self._pinned.subset == subset:
+            return self._pinned
+        if self._ext is not None:
+            slot, element = self._ext
+            if subset == slot.subset | {int(element)}:
+                return self.child(slot, element)
         return None
 
-    def _lanes(self, slot: _Slot) -> _Lanes:
-        if slot.lanes is None:
-            members = np.zeros(self.scenario.n_actions, dtype=bool)
-            members[list(slot.subset)] = True
-            values = np.maximum(slot.values[:, None], self.scenario.distances)
-            reduced = self._reduce(values)
-            slot.lanes = _Lanes(members, values, reduced, reduced - slot.value)
-        return slot.lanes
+    def _members(self, slot: _Slot) -> np.ndarray:
+        if slot.members is None:
+            slot.members = np.zeros(self.scenario.n_actions, dtype=bool)
+            slot.members[list(slot.subset)] = True
+        return slot.members
+
+    def _gains(self, slot: _Slot) -> np.ndarray:
+        """The slot's gain against every ground element, built once; the
+        only place lanes are made. The empty set's lanes are the capped
+        distance matrix itself; a known-zero oracle builds no lanes at all."""
+        if slot.gains is None:
+            if self._known_zero():
+                slot.gains = np.zeros(self.scenario.n_actions)
+            else:
+                capped = self._capped
+                slot.lanes = np.maximum(slot.values[:, None], capped) if slot.subset else capped
+                slot.reduced = self._total(slot.lanes)
+                slot.gains = slot.reduced - slot.value
+        return slot.gains
+
+    def _check_outside(self, slot: _Slot, ids: np.ndarray) -> None:
+        if np.count_nonzero(self._members(slot)[ids]):
+            raise ValueError("candidates must lie outside the base set")
+
+    def base(self, subset: Iterable[int]) -> _Slot:
+        """The handle of ``subset`` as a base: a cached slot, or a fresh cold
+        one (its ids are range-checked). Nothing is pinned or charged until
+        it is scanned."""
+        chosen = frozenset(subset)
+        slot = self._cached(chosen)
+        if slot is None:
+            slot = self._slot(chosen)
+            slot.cold = not self._known_zero()
+        return slot
+
+    def child(self, slot: _Slot, element: int) -> _Slot:
+        """The slot of ``slot``'s set plus ``element`` (a non-member of a
+        slot with lanes), read from the element's lane: no agent is scored
+        again, and nothing is charged."""
+        element = int(element)
+        child = _Slot(slot.subset | {element}, slot.lanes[:, element], float(slot.reduced[element]))
+        if slot.members is not None:
+            child.members = slot.members.copy()
+            child.members[element] = True
+        return child
+
+    def feasible(self, slot: _Slot, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The ids a boolean mask over the ground set selects, ascending,
+        with their gains against ``slot`` (no lanes are built when there are
+        none). A mask of any other length is refused with IndexError, so
+        every id is in range; a member of the set raises ValueError."""
+        n = self.scenario.n_actions
+        if mask.shape != (n,):
+            raise IndexError(f"feasibility mask of shape {mask.shape} does not cover the ground set [0, {n})")
+        ids = mask.nonzero()[0]
+        if not ids.size:
+            return ids, np.zeros(0)
+        self._check_outside(slot, ids)
+        return ids, self._gains(slot)[ids]
+
+    def scan(self, slot: _Slot, ids: np.ndarray, gains: np.ndarray, stop_at: float | None = None) -> np.ndarray:
+        """Scan ``gains``, the gains against ``slot`` of the non-member
+        candidates ``ids`` (at least one), in order, and return the scanned
+        prefix: up to and including the first gain >= ``stop_at``, or all
+        of them. The one charging path: one evaluation per scanned
+        candidate, plus one when the slot is cold. Afterwards the slot is the
+        pinned base and the extension slot is its set plus the last scanned
+        candidate (a known-zero oracle keeps neither)."""
+        if stop_at is not None:
+            hits = (gains >= stop_at).nonzero()[0]
+            if hits.size:
+                gains = gains[: hits[0] + 1]
+        self._charge(gains.size + slot.cold)
+        slot.cold = False
+        if not self._known_zero():
+            self._pinned = slot
+            self._ext = (slot, ids[gains.size - 1])
+        return gains
 
     def evaluate(self, subset: Iterable[int]) -> float:
         self._charge()
         chosen = frozenset(subset)
         slot = self._cached(chosen)
         if slot is None:
-            slot = self._base = self._slot(chosen)
+            slot = self._pinned = self._slot(chosen)
         return slot.value
 
     def marginal_gains(
@@ -155,27 +249,11 @@ class _ProximityOracleBase:
         """
         chosen = frozenset(subset)
         ids = action_ids(self.scenario, candidates)
-        base = self._cached(chosen)
-        cold = base is None
-        if cold:
-            base = self._slot(chosen)
-        lanes = self._lanes(base)
-        if lanes.members[ids].any():
-            raise ValueError("marginal_gains: candidates must lie outside the base set")
+        base = self.base(chosen)
+        self._check_outside(base, ids)
         if ids.size == 0:
             return np.zeros(0)
-        if self._known_zero():
-            gains = _scanned_prefix(np.zeros(ids.size), stop_at)
-            self._charge(gains.size)
-            return gains
-        if cold:
-            self._charge()
-        self._base = base
-        gains = _scanned_prefix(lanes.gains[ids], stop_at)
-        self._charge(gains.size)
-        last = int(ids[gains.size - 1])
-        self._ext = _Slot(chosen | {last}, lanes.values[:, last], float(lanes.reduced[last]))
-        return gains
+        return self.scan(base, ids, self._gains(base)[ids], stop_at)
 
     def marginal_gain(self, subset: Iterable[int], element: int) -> float:
         """Value of adding ``element`` to ``subset``; 0, uncharged, when it
@@ -206,13 +284,15 @@ class SurrogateOracle(_ProximityOracleBase):
         super().__init__(scenario, counter)
         self.gamma = float(gamma)
 
-    def _reduce(self, values: np.ndarray) -> np.ndarray:
-        capped = np.minimum(values, self.gamma)
+    def _cap(self, values: np.ndarray) -> np.ndarray:
+        return np.minimum(values, self.gamma)
+
+    def _total(self, capped: np.ndarray) -> np.ndarray:
         if capped.ndim == 2 and capped.shape[1] > 1 and capped.flags.c_contiguous:
             total = np.add.reduce(capped, axis=0)
         else:
             total = np.add.accumulate(capped, axis=0)[-1]
-        return total / len(values)
+        return total / len(capped)
 
     def _known_zero(self) -> bool:
         return self.gamma == 0.0
@@ -222,8 +302,8 @@ class MinObjectiveOracle(_ProximityOracleBase):
     """The raw worst-agent objective behind the oracle interface. Monotone
     but not submodular; useful for direct greedy baselines and reporting."""
 
-    def _reduce(self, values: np.ndarray) -> np.ndarray:
-        return values.min(axis=0)
+    def _total(self, capped: np.ndarray) -> np.ndarray:
+        return capped.min(axis=0)
 
 
 def compute_curvature(oracle, ground: Iterable[int]) -> float:

@@ -181,6 +181,33 @@ def test_extendable_matches_can_extend(matroid, data):
     assert mask.tolist() == [matroid.can_extend(subset, e) for e in range(n)]
 
 
+@given(
+    st.one_of(
+        uniform_matroids,
+        partition_matroids(),
+        st.just(UniformMatroid(0, 1)),
+        st.just(PartitionMatroid((), ())),
+        st.just(PartitionMatroid(((0, 1), (2,)), (0, 1))),
+    ),
+    st.data(),
+)
+def test_is_basis_matches_the_definition(matroid, data):
+    """Every override agrees with ``Matroid.is_basis`` (no remaining element
+    extends the set), dependent sets included: nothing extends those."""
+    n = matroid.n_actions
+    subset = {j for j in range(n) if data.draw(st.booleans(), label=f"in_{j}")}
+    expected = Matroid.is_basis(matroid, subset)
+    assert matroid.is_basis(subset) == expected
+    assert matroid.is_basis(sorted(subset)) == expected
+
+
+def test_partition_is_basis_of_dependent_sets():
+    m = PartitionMatroid(((0, 1), (2, 3), (4, 5)), (1, 1, 1))
+    assert m.is_basis({0, 1})  # dependent, though shorter than the rank
+    assert not m.is_basis({0, 2})
+    assert m.is_basis({0, 2, 4})
+
+
 class _AtMostOneLow(Matroid):
     """Defines only independence: at most one of ids 0 and 1, two in all."""
 

@@ -14,6 +14,7 @@ from robust_select import (
     UniformMatroid,
     compute_curvature,
     min_objective,
+    simple_greedy,
 )
 from robust_select.checks import random_small_scenario
 from robust_select.surrogate import CURVATURE_GROUND_CAP
@@ -181,6 +182,81 @@ def test_batched_gamma_zero_charges_per_candidate_only(tiny):
     assert oracle.counter.individual_evals == 2 * n  # no cold-base charge
     assert oracle.marginal_gains({0}, [1, 2], stop_at=0.0).tolist() == [0.0]
     assert oracle.counter.individual_evals == 3 * n
+
+
+@pytest.mark.parametrize("n_agents", [16, 64])
+def test_base_handle_matches_marginal_gains(rng, n_agents):
+    """The threshold greedy's path (``base``, ``feasible``, ``scan`` over
+    slices, ``child``) returns the gains and charges ``marginal_gains``
+    does, and a child's value equals a from-scratch evaluation, bit for bit.
+    ``feasible`` checks its mask once: a wrong length is an IndexError, a
+    member a ValueError, and neither it nor a child charges anything."""
+    scenario = random_scenario(rng, n_agents, 30)
+    upper = min_objective(scenario, range(30))
+    n = scenario.n_agents
+    for make in (lambda: SurrogateOracle(scenario, 0.7 * upper), lambda: MinObjectiveOracle(scenario)):
+        oracle = make()
+        base = oracle.base({3, 7})
+        with pytest.raises(IndexError, match="ground set"):
+            oracle.feasible(base, np.ones(31, dtype=bool))
+        mask = rng.random(30) < 0.7
+        mask[3] = True
+        with pytest.raises(ValueError, match="outside"):
+            oracle.feasible(base, mask)
+        mask[[3, 7]] = False
+        ids, gains = oracle.feasible(base, mask)
+        assert ids.tolist() == np.flatnonzero(mask).tolist()
+        assert oracle.counter.individual_evals == 0
+        stop = float(np.median(gains))
+        reference = make()
+        for lo in (0, ids.size // 2):
+            scanned = oracle.scan(base, ids[lo:], gains[lo:], stop_at=stop)
+            expected = reference.marginal_gains({3, 7}, ids[lo:], stop_at=stop)
+            assert scanned.tolist() == expected.tolist()
+            assert oracle.counter.individual_evals == reference.counter.individual_evals
+        e = int(ids[-1])
+        child = oracle.child(base, e)
+        fresh = make()
+        assert child.value == fresh.evaluate({3, 7, e})
+        assert oracle.counter.individual_evals == reference.counter.individual_evals
+        # The child is what a cold handle of the same set computes.
+        assert oracle.feasible(child, mask & (np.arange(30) != e))[1].tolist() == (
+            fresh.marginal_gains({3, 7, e}, [j for j in ids.tolist() if j != e]).tolist()
+        )
+        assert oracle.counter.individual_evals == reference.counter.individual_evals
+
+
+def test_gamma_zero_builds_no_lanes(rng):
+    """At gamma == 0 the gains are known to be 0: the oracle returns them,
+    charges them and checks ids and members as at any gamma, but builds no
+    capped matrix and no N x M lanes, and pins no base."""
+    scenario = random_scenario(rng, 16, 12)
+    n = scenario.n_agents
+    oracle = SurrogateOracle(scenario, 0.0)
+    assert oracle.marginal_gains({0, 3}, range(4, 12)).tolist() == [0.0] * 8
+    assert oracle.marginal_gains(set(), range(12), stop_at=0.0).tolist() == [0.0]
+    assert oracle.counter.individual_evals == 9 * n  # no cold-base charges
+    with pytest.raises(ValueError, match="outside"):
+        oracle.marginal_gains({0, 3}, [4, 3])
+    with pytest.raises(IndexError, match="outside ground set"):
+        oracle.marginal_gains({0}, [12])
+    assert oracle.counter.individual_evals == 9 * n
+    base = oracle.base({0, 3})
+    ids, gains = oracle.feasible(base, scenario.matroid.extendable({0, 3}))
+    assert ids.tolist() == [1, 2, *range(4, 12)] and not gains.any()
+    assert base.lanes is None and oracle._pinned is None and oracle._ext is None
+    assert "_capped" not in vars(oracle)
+
+
+def test_simple_greedy_at_gamma_zero_scans_once(rng):
+    """Every gain is 0, so the greedy stops after one scan of the feasible
+    ground set (no cold-base charge at gamma == 0) and reports the empty
+    selection, whose worst-agent value costs one more evaluation."""
+    for _ in range(5):
+        scenario = random_scenario(rng, int(rng.integers(1, 20)), int(rng.integers(1, 15)))
+        solution = simple_greedy(scenario, gamma=0.0)
+        assert solution.selected == () and solution.min_value == 0.0
+        assert solution.individual_evals == scenario.n_agents * (scenario.n_actions + 1)
 
 
 def test_batched_rejects_members_and_skips_empty(tiny):
