@@ -20,7 +20,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
@@ -317,22 +317,28 @@ def read_results_csv(path: str) -> list[TrialResult]:
         raise OSError(f"cannot read results CSV {path}: {exc}") from exc
 
 
+def write_summary(rows: Iterable[SummaryRow], handle: TextIO) -> None:
+    """The per-(z, algorithm) summary as CSV text, floats in repr form; the
+    one format of the summary file and of ``robust-select bench``'s stdout."""
+    writer = csv.writer(handle, lineterminator="\n")
+    writer.writerow(SUMMARY_HEADER)
+    for s in rows:
+        writer.writerow(
+            [
+                s.z,
+                s.algorithm,
+                repr(s.mean_objective),
+                repr(s.sd_objective),
+                repr(s.mean_evaluations),
+                repr(s.sd_evaluations),
+                repr(s.mean_wall_time_ms),
+            ]
+        )
+
+
 def write_summary_csv(rows: Iterable[SummaryRow], path: str) -> None:
     try:
         with open(path, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(SUMMARY_HEADER)
-            for s in rows:
-                writer.writerow(
-                    [
-                        s.z,
-                        s.algorithm,
-                        repr(s.mean_objective),
-                        repr(s.sd_objective),
-                        repr(s.mean_evaluations),
-                        repr(s.sd_evaluations),
-                        repr(s.mean_wall_time_ms),
-                    ]
-                )
+            write_summary(rows, handle)
     except OSError as exc:
         raise OSError(f"cannot write summary CSV {path}: {exc}") from exc

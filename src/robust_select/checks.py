@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matroid import Matroid, PartitionMatroid, UniformMatroid, check_matroid_axioms
+from .matroid import Matroid, PartitionMatroid, UniformMatroid, all_subsets, check_matroid_axioms
 from .scenario import EvaluationCounter, Scenario, agent_values, min_objective
 from .solvers import (
     SolverParams,
@@ -105,12 +105,9 @@ def random_small_scenario(rng: np.random.Generator, max_actions: int, max_agents
     return Scenario.from_coords(agents, actions, matroid)
 
 
-def _subsets(n: int) -> list[frozenset]:
-    return [frozenset(i for i in range(n) if mask >> i & 1) for mask in range(1 << n)]
-
-
-def _gamma_grid(upper: float) -> list[float]:
-    # k/5.0 first so the top grid point is exactly `upper`.
+def gamma_grid(upper: float) -> list[float]:
+    """Five saturation levels, upper/5 to upper; k/5.0 first so the top
+    one is exactly ``upper``."""
     return [upper * (k / 5.0) for k in range(1, 6)]
 
 
@@ -152,7 +149,7 @@ def run_battery(
         scenario = random_small_scenario(rng, max_actions)
         n = scenario.n_actions
         n_agents = scenario.n_agents
-        subsets = _subsets(n)
+        subsets = all_subsets(range(n))
 
         axioms.count()
         if not check_matroid_axioms(scenario.matroid):
@@ -165,7 +162,7 @@ def run_battery(
         for agent in range(n_agents):
             table = h_tables[agent]
             for b in subsets:
-                for a in _subs_of(b):
+                for a in all_subsets(b):
                     mono_h.count()
                     if table[a] > table[b] + BOUND_TOL:
                         mono_h.fail(scenario, f"h_{agent} not monotone on {sorted(a)} vs {sorted(b)}")
@@ -188,7 +185,7 @@ def run_battery(
                 if g_value > h_tables[agent][s] + BOUND_TOL:
                     dominance.fail(scenario, f"min objective exceeds h_{agent} on {sorted(s)}")
 
-        for gamma in [0.0] + _gamma_grid(upper):
+        for gamma in [0.0] + gamma_grid(upper):
             oracle = SurrogateOracle(scenario, gamma)
             table = {s: oracle.evaluate(s) for s in subsets}
             for s in subsets:
@@ -205,7 +202,7 @@ def run_battery(
             if table[frozenset()] != 0.0:
                 bounds_f.fail(scenario, "surrogate of the empty set is not 0")
             for b in subsets:
-                for a in _subs_of(b):
+                for a in all_subsets(b):
                     mono_f.count()
                     if table[a] > table[b] + BOUND_TOL:
                         mono_f.fail(scenario, f"surrogate not monotone at gamma={gamma}")
@@ -217,7 +214,7 @@ def run_battery(
                             mono_f.fail(scenario, f"surrogate not submodular at gamma={gamma}, v={v}")
 
         if upper > 0:
-            for gamma in _gamma_grid(upper):
+            for gamma in gamma_grid(upper):
                 oracle = SurrogateOracle(scenario, gamma)
                 trace: list = []
                 greedy_set = threshold_greedy(oracle, scenario.matroid, DELTA, trace=trace)
@@ -234,7 +231,7 @@ def run_battery(
                         if not scenario.matroid.can_extend(step.base, o):
                             continue
                         gain_dominance.count()
-                        if (1.0 + DELTA) * step.gain < probe.marginal_gain(step.base, o) - BOUND_TOL:
+                        if (1.0 + DELTA) * step.gain < probe.marginal_gains(step.base, [o])[0] - BOUND_TOL:
                             gain_dominance.fail(scenario, f"accepted gain dominated at gamma={gamma}")
 
         params = SolverParams(delta=DELTA)
@@ -308,12 +305,4 @@ def run_battery(
             solvers_ok,
             counters,
         )
-    ]
-
-
-def _subs_of(b: frozenset) -> list[frozenset]:
-    items = sorted(b)
-    return [
-        frozenset(items[i] for i in range(len(items)) if mask >> i & 1)
-        for mask in range(1 << len(items))
     ]

@@ -9,6 +9,7 @@ check lines) goes to stdout; commentary goes to stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -17,6 +18,7 @@ from .bench import (
     aggregate,
     run_benchmark,
     write_results_csv,
+    write_summary,
     write_summary_csv,
 )
 from .checks import MAX_ACTIONS_CAP, run_battery
@@ -101,13 +103,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
         "epsilon": args.epsilon,
         "curvature": args.curvature,
     }
-    merged = {k: v for k, v in overrides.items() if v is not None}
     if args.no_wall_time:
-        merged["measure_wall_time"] = False
-    if merged:
-        base = {f: getattr(config, f) for f in config.__dataclass_fields__}
-        base.update(merged)
-        config = BenchConfig(**base)
+        overrides["measure_wall_time"] = False
+    config = dataclasses.replace(config, **{k: v for k, v in overrides.items() if v is not None})
     algorithms = tuple(name.strip() for name in args.algorithms.split(",") if name.strip())
     results = run_benchmark(config, algorithms)
     rows = aggregate(results)
@@ -115,12 +113,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         write_results_csv(results, args.out)
     if args.summary:
         write_summary_csv(rows, args.summary)
-    print("z,algorithm,mean_objective,sd_objective,mean_evaluations,sd_evaluations,mean_wall_time_ms")
-    for s in rows:
-        print(
-            f"{s.z},{s.algorithm},{s.mean_objective!r},{s.sd_objective!r},"
-            f"{s.mean_evaluations!r},{s.sd_evaluations!r},{s.mean_wall_time_ms!r}"
-        )
+    write_summary(rows, sys.stdout)
     print(f"ran {len(results)} trials over {', '.join(algorithms)}", file=sys.stderr)
     return 0
 

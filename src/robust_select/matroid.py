@@ -5,12 +5,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Collection
+from typing import Collection, Iterable
 
 import numpy as np
 
 # Exhaustive axiom checking enumerates every subset pair; refuse beyond this.
 AXIOM_CHECK_CAP = 12
+
+
+def _distinct(subset: Collection[int]) -> Collection[int]:
+    """The ids ``subset`` names, each once: a list may repeat an id."""
+    return subset if isinstance(subset, (set, frozenset)) else set(subset)
 
 
 class Matroid:
@@ -62,7 +67,7 @@ class UniformMatroid(Matroid):
             raise ValueError("matroid.rank must be a positive integer")
 
     def is_independent(self, subset: Collection[int]) -> bool:
-        return len(subset) <= self.rank
+        return len(_distinct(subset)) <= self.rank
 
     def extendable(self, subset: Collection[int]) -> np.ndarray:
         chosen = list(set(subset))
@@ -71,7 +76,7 @@ class UniformMatroid(Matroid):
         return mask
 
     def is_basis(self, subset: Collection[int]) -> bool:
-        return len(subset) >= min(self.rank, self.n_actions)
+        return len(_distinct(subset)) >= min(self.rank, self.n_actions)
 
 
 @dataclass(frozen=True)
@@ -117,7 +122,7 @@ class PartitionMatroid(Matroid):
     def is_independent(self, subset: Collection[int]) -> bool:
         block_of = self._block_of  # type: ignore[attr-defined]
         counts = [0] * len(self.blocks)
-        for e in subset:
+        for e in _distinct(subset):
             b = block_of[e]
             counts[b] += 1
             if counts[b] > self.capacities[b]:
@@ -146,6 +151,7 @@ class PartitionMatroid(Matroid):
     def is_basis(self, subset: Collection[int]) -> bool:
         block_of = self._block_of  # type: ignore[attr-defined]
         counts = [0] * len(self.blocks)
+        subset = _distinct(subset)
         for e in subset:
             b = block_of[e]
             counts[b] += 1
@@ -214,6 +220,16 @@ def matroid_from_dict(spec: dict, n_actions: int) -> Matroid:
     raise ValueError("scenario config: field 'matroid.type' must be 'uniform' or 'partition'")
 
 
+def all_subsets(items: Iterable[int]) -> list[frozenset]:
+    """Every subset of ``items``, in binary counting order over the sorted
+    items: bit i of the position selects the i-th smallest item."""
+    ordered = sorted(set(items))
+    return [
+        frozenset(e for i, e in enumerate(ordered) if mask >> i & 1)
+        for mask in range(1 << len(ordered))
+    ]
+
+
 def check_matroid_axioms(matroid, n_actions: int | None = None) -> bool:
     """Exhaustively verify the three matroid axioms over every subset of the
     ground set: the empty set is independent, independence is closed under
@@ -225,8 +241,7 @@ def check_matroid_axioms(matroid, n_actions: int | None = None) -> bool:
     n = matroid.n_actions if n_actions is None else n_actions
     if n > AXIOM_CHECK_CAP:
         raise ValueError(f"axiom check limited to ground sets of size <= {AXIOM_CHECK_CAP}, got {n}")
-    subsets = [frozenset(i for i in range(n) if mask >> i & 1) for mask in range(1 << n)]
-    independent = {s for s in subsets if matroid.is_independent(s)}
+    independent = {s for s in all_subsets(range(n)) if matroid.is_independent(s)}
 
     if frozenset() not in independent:
         return False

@@ -232,7 +232,7 @@ def threshold_greedy(
     threshold = 0.0
     if n > 0:
         base = oracle.base(())
-        initial = max(0.0, float(oracle.scan(base, *oracle.feasible(base, np.ones(n, dtype=bool))).max()))
+        initial = max(0.0, float(oracle.scan(base, oracle.feasible(base, np.ones(n, dtype=bool))[1]).max()))
         threshold = initial
         floor = delta * initial
         ladder = _Ladder(initial, delta)
@@ -252,7 +252,7 @@ def threshold_greedy(
                 lo = candidates.searchsorted(start) if start else 0
                 if lo == candidates.size:
                     break
-                scanned = oracle.scan(base, candidates[lo:], gains[lo:], stop_at=threshold)
+                scanned = oracle.scan(base, gains[lo:], stop_at=threshold)
                 last = scanned.size - 1
                 if not scanned[last] >= threshold:
                     # A pass that inserts nothing has this one stretch.
@@ -346,7 +346,13 @@ def simple_greedy(scenario: Scenario, gamma: float | None = None) -> Solution:
     """Conventional greedy: repeatedly add the feasible element of maximum
     marginal gain (lowest id on ties) until the selection is a basis or no
     gain is positive. Runs on the truncated-average surrogate when ``gamma``
-    is given, otherwise directly on the worst-agent objective."""
+    is given, otherwise directly on the worst-agent objective.
+
+    Each round scans every feasible candidate of one base handle; the next
+    base is that handle's child by the argmax. It is charged as the
+    one-at-a-time scan would charge it: that scan leaves the extension by
+    its last candidate evaluated, so the child is warm only when the argmax
+    was the last candidate scanned, and otherwise cold."""
     started = time.perf_counter()
     counter = EvaluationCounter()
     if gamma is None:
@@ -355,15 +361,19 @@ def simple_greedy(scenario: Scenario, gamma: float | None = None) -> Solution:
         oracle = SurrogateOracle(scenario, gamma, counter)
     matroid = scenario.matroid
     selected: set[int] = set()
+    base = oracle.base(())
     while not matroid.is_basis(selected):
-        candidates = np.flatnonzero(matroid.extendable(selected))
+        candidates, gains = oracle.feasible(base, matroid.extendable(selected))
         if candidates.size == 0:
             break
-        gains = oracle.marginal_gains(selected, candidates)
+        gains = oracle.scan(base, gains)
         best = int(np.argmax(gains))  # first maximum: lowest id on ties
         if not gains[best] > 0.0:
             break
-        selected.add(int(candidates[best]))
+        e = int(candidates[best])
+        selected.add(e)
+        base = oracle.child(base, e)
+        base.cold = best != candidates.size - 1
     value = min_objective(scenario, selected, counter)
     return Solution(
         algorithm="greedy",
@@ -440,37 +450,19 @@ def iter_independent_sets(matroid: Matroid) -> Iterator[frozenset]:
     yield from grow([], 0)
 
 
-def _improves(value: float, selected: tuple[int, ...], best_value: float, best_selected: tuple[int, ...]) -> bool:
-    # Tie order: higher value, then fewer elements, then lexicographic ids.
-    if value != best_value:
-        return value > best_value
-    if len(selected) != len(best_selected):
-        return len(selected) < len(best_selected)
-    return selected < best_selected
-
-
 def brute_force_maxmin(scenario: Scenario) -> Solution:
-    """Exact max-min reference: enumerate every independent set and keep the
-    one with the best worst-agent value (ties: fewer elements, then
-    lexicographic ids). Exponential; refuses more than BRUTE_FORCE_CAP
-    actions."""
-    if scenario.n_actions > BRUTE_FORCE_CAP:
-        raise ValueError(
-            f"brute force limited to instances with <= {BRUTE_FORCE_CAP} actions, got {scenario.n_actions}"
-        )
+    """Exact max-min reference: ``brute_force_surrogate_max`` over the
+    worst-agent objective, so the best worst-agent value wins (ties: fewer
+    elements, then lexicographic ids). Exponential; refuses more than
+    BRUTE_FORCE_CAP actions."""
     started = time.perf_counter()
     counter = EvaluationCounter()
-    best_selected = ()
-    best_value = -math.inf
-    for subset in iter_independent_sets(scenario.matroid):
-        value = min_objective(scenario, subset, counter)
-        ordered = tuple(sorted(subset))
-        if _improves(value, ordered, best_value, best_selected):
-            best_value, best_selected = value, ordered
+    best = brute_force_surrogate_max(MinObjectiveOracle(scenario, counter), scenario.matroid)
     return Solution(
         algorithm="brute",
-        selected=best_selected,
-        min_value=best_value,
+        selected=tuple(sorted(best)),
+        # The enumeration already charged this set's evaluation.
+        min_value=min_objective(scenario, best),
         individual_evals=counter.individual_evals,
         f_evaluations=counter.f_equivalent(scenario.n_agents),
         wall_time_s=time.perf_counter() - started,
@@ -479,20 +471,19 @@ def brute_force_maxmin(scenario: Scenario) -> Solution:
 
 
 def brute_force_surrogate_max(oracle, matroid: Matroid) -> frozenset:
-    """Exact surrogate reference: the independent set maximizing the oracle,
-    with the same tie order as ``brute_force_maxmin``."""
+    """Exact reference: the independent set maximizing the oracle (ties:
+    fewer elements, then lexicographic ids). Exponential; refuses more than
+    BRUTE_FORCE_CAP actions."""
     if matroid.n_actions > BRUTE_FORCE_CAP:
         raise ValueError(
             f"brute force limited to instances with <= {BRUTE_FORCE_CAP} actions, got {matroid.n_actions}"
         )
-    best_selected: tuple[int, ...] = ()
-    best_value = -math.inf
-    for subset in iter_independent_sets(matroid):
-        value = oracle.evaluate(subset)
+
+    def rank(subset: frozenset) -> tuple:
         ordered = tuple(sorted(subset))
-        if _improves(value, ordered, best_value, best_selected):
-            best_value, best_selected = value, ordered
-    return frozenset(best_selected)
+        return -oracle.evaluate(subset), len(ordered), ordered
+
+    return min(iter_independent_sets(matroid), key=rank)
 
 
 # Every named solver behind one signature; the CLI and the benchmark harness

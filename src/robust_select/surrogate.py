@@ -8,7 +8,7 @@ over agents is not, and the cap is exactly what the outer bisection searches.
 ``MinObjectiveOracle`` wraps the raw worst-agent objective behind the same
 interface so baselines can greedily optimize it directly.
 
-Caching and accounting contract shared by both:
+Handles and accounting contract shared by both:
 
 * per-agent values are numpy vectors: running maxima of distances taken from
   the scenario's ``distances`` matrix (exact in IEEE arithmetic), built by
@@ -16,36 +16,37 @@ Caching and accounting contract shared by both:
   (``min(value, gamma)`` for the surrogate). Capping commutes with the
   running maximum bit for bit, since min and max only select values, so an
   oracle caps ``distances`` once (``_capped``) and never again;
-* an oracle keeps two slots, the pinned base and the last extension, each a
-  set with its capped per-agent vector and its reduced value. The extension
-  slot is kept unbuilt, as the base it came from and the element it adds;
-* a slot is also the handle of its set as a base (``base`` looks one up or
-  makes a cold one). Its gain lanes, the extension by *every* ground element
-  at once, are built the first time it is scanned and kept with it: one
-  ``np.maximum`` of the capped base vector against the capped matrix (the
-  empty set's lanes are the capped matrix itself), one reduction. ``child``
-  makes the slot of the base plus an element from that element's lane,
-  without scoring any agent again. Lanes are work, not evaluations: they
-  charge nothing by themselves. At gamma == 0 every gain is known to be 0
-  and no lanes are built;
+* gains are read through per-base handles. ``base`` makes a fresh handle of
+  a set, scored from scratch and cold: its own value is charged with its
+  first scan. A handle's gain lanes, the extension by *every* ground element
+  at once, are built the first time it is asked for gains and kept with it:
+  one ``np.maximum`` of the capped base vector against the capped matrix
+  (the empty set's lanes are the capped matrix itself), one reduction.
+  ``child`` makes the warm handle of the base plus an element from that
+  element's lane, without scoring any agent again (a caller that charges
+  it as a fresh set marks it ``cold``). Lanes are work, not
+  evaluations: they charge nothing by themselves. At gamma == 0 every gain
+  is known to be 0 and no lanes are built;
 * every action id must lie in [0, M), or IndexError is raised before
-  anything is scored: a set's ids are checked when its slot is built from
-  scratch, ``marginal_gains`` checks its candidates, and ``feasible`` (the
-  threshold greedy's path) checks once per base that its mask covers
-  exactly [0, M). Candidates inside the base raise ValueError, checked by
-  ``marginal_gains`` per call and by ``feasible`` once per base;
+  anything is scored: ``base`` checks a set's ids, ``marginal_gains``
+  checks its candidates, and ``feasible`` (the greedies' path) checks once
+  per base that its mask covers exactly [0, M). Candidates inside the base
+  raise ValueError, checked by ``marginal_gains`` per call and by
+  ``feasible`` once per base;
 * every logical evaluation of the reduced objective charges one count per
-  agent, even when the result comes from a slot or lane or is known
+  agent, even when the result is read from a handle or lane or is known
   trivially (gamma == 0);
-* ``scan`` is the one charging path for gains: it reads candidates in order
-  and charges exactly what scanning them one at a time would, one
-  evaluation per scanned candidate plus one for a cold base (never when
-  gamma == 0). With ``stop_at`` the scan ends at the first candidate whose
-  gain reaches it; lanes past that candidate are not charged. Afterwards
-  the base is pinned and the extension slot is the base plus the last
-  scanned candidate, which is what the one-at-a-time scan leaves behind;
-* ``marginal_gains`` is a lookup, the checks and one ``scan``;
-  ``marginal_gain`` is its one-candidate case;
+* ``scan`` is the one charging path for gains: it reads gains in order and
+  charges exactly what scanning them one at a time would, one evaluation
+  per scanned candidate plus one for a cold base (never when gamma == 0).
+  With ``stop_at`` the scan ends at the first candidate whose gain reaches
+  it; lanes past that candidate are not charged;
+* ``marginal_gains`` is a fresh handle, the checks and one ``scan``: every
+  call charges its scanned candidates plus its base (unless gamma == 0);
+* ``evaluate`` charges one evaluation and reads the value from the last
+  handle ``base`` or ``child`` made when it is of the same set; otherwise
+  it scores the set from scratch. The memo saves time only: it never
+  changes a charge or a bit;
 * every reduction runs over the agents in agent order, so batched,
   single-candidate and from-scratch values agree bit for bit. numpy reduces
   a C-contiguous 2-D array of two or more columns along axis 0 one row at a
@@ -72,14 +73,12 @@ CURVATURE_GROUND_CAP = 20
 _CLAMP_TOL = 1e-9
 
 
-class _Slot:
-    """A set with its capped per-agent values and its reduced value.
-
-    A slot is also the handle of its set as a base: the oracle fills in, on
-    first use, the member mask and the gain lanes. ``cold`` marks a slot
-    built for a scan that found the set in neither of the oracle's slots;
-    its own value is charged with its first scan. A slot holds no reference
-    to its oracle, so dropping an oracle frees its arrays at once.
+class _Handle:
+    """The handle of a set as a base: its capped per-agent values and its
+    reduced value. The oracle fills in, on first use, the member mask and
+    the gain lanes. ``cold`` marks a handle scored from scratch whose own
+    value is charged with its first scan. A handle holds no reference to
+    its oracle, so dropping an oracle frees its arrays at once.
     """
 
     __slots__ = ("subset", "values", "value", "cold", "members", "lanes", "reduced", "gains")
@@ -101,10 +100,9 @@ class _ProximityOracleBase:
     def __init__(self, scenario: Scenario, counter: EvaluationCounter | None = None) -> None:
         self.scenario = scenario
         self.counter = EvaluationCounter() if counter is None else counter
-        self._pinned: _Slot | None = None
-        # The extension slot, kept unbuilt: a scanned slot and the last
-        # candidate its scan reached.
-        self._ext: tuple[_Slot, int] | None = None
+        # The last handle ``base`` or ``child`` made, which ``evaluate``
+        # reads instead of scoring the same set again.
+        self._last: _Handle | None = None
 
     # -- subclass hooks ------------------------------------------------
     def _cap(self, values: np.ndarray) -> np.ndarray:
@@ -132,70 +130,59 @@ class _ProximityOracleBase:
     def _charge(self, evaluations: int = 1) -> None:
         self.counter.add(evaluations * self.scenario.n_agents)
 
-    def _slot(self, subset: frozenset) -> _Slot:
+    def _handle(self, subset: frozenset) -> _Handle:
         if not subset:  # every agent values the empty set at 0
-            return _Slot(subset, np.zeros(self.scenario.n_agents), 0.0)
+            return _Handle(subset, np.zeros(self.scenario.n_agents), 0.0)
         values = agent_values(self.scenario, subset)
-        return _Slot(subset, self._cap(values), float(self._reduce(values)))
+        return _Handle(subset, self._cap(values), float(self._reduce(values)))
 
-    def _cached(self, subset: frozenset) -> _Slot | None:
-        if self._pinned is not None and self._pinned.subset == subset:
-            return self._pinned
-        if self._ext is not None:
-            slot, element = self._ext
-            if subset == slot.subset | {int(element)}:
-                return self.child(slot, element)
-        return None
+    def _members(self, handle: _Handle) -> np.ndarray:
+        if handle.members is None:
+            handle.members = np.zeros(self.scenario.n_actions, dtype=bool)
+            handle.members[list(handle.subset)] = True
+        return handle.members
 
-    def _members(self, slot: _Slot) -> np.ndarray:
-        if slot.members is None:
-            slot.members = np.zeros(self.scenario.n_actions, dtype=bool)
-            slot.members[list(slot.subset)] = True
-        return slot.members
-
-    def _gains(self, slot: _Slot) -> np.ndarray:
-        """The slot's gain against every ground element, built once; the
+    def _gains(self, handle: _Handle) -> np.ndarray:
+        """The handle's gain against every ground element, built once; the
         only place lanes are made. The empty set's lanes are the capped
         distance matrix itself; a known-zero oracle builds no lanes at all."""
-        if slot.gains is None:
+        if handle.gains is None:
             if self._known_zero():
-                slot.gains = np.zeros(self.scenario.n_actions)
+                handle.gains = np.zeros(self.scenario.n_actions)
             else:
                 capped = self._capped
-                slot.lanes = np.maximum(slot.values[:, None], capped) if slot.subset else capped
-                slot.reduced = self._total(slot.lanes)
-                slot.gains = slot.reduced - slot.value
-        return slot.gains
+                handle.lanes = np.maximum(handle.values[:, None], capped) if handle.subset else capped
+                handle.reduced = self._total(handle.lanes)
+                handle.gains = handle.reduced - handle.value
+        return handle.gains
 
-    def _check_outside(self, slot: _Slot, ids: np.ndarray) -> None:
-        if np.count_nonzero(self._members(slot)[ids]):
+    def _check_outside(self, handle: _Handle, ids: np.ndarray) -> None:
+        if np.count_nonzero(self._members(handle)[ids]):
             raise ValueError("candidates must lie outside the base set")
 
-    def base(self, subset: Iterable[int]) -> _Slot:
-        """The handle of ``subset`` as a base: a cached slot, or a fresh cold
-        one (its ids are range-checked). Nothing is pinned or charged until
-        it is scanned."""
-        chosen = frozenset(subset)
-        slot = self._cached(chosen)
-        if slot is None:
-            slot = self._slot(chosen)
-            slot.cold = not self._known_zero()
-        return slot
+    def base(self, subset: Iterable[int]) -> _Handle:
+        """A fresh handle of ``subset`` as a base, scored from scratch (its
+        ids are range-checked) and cold unless every value is known to be 0.
+        Nothing is charged until it is scanned."""
+        handle = self._last = self._handle(frozenset(subset))
+        handle.cold = not self._known_zero()
+        return handle
 
-    def child(self, slot: _Slot, element: int) -> _Slot:
-        """The slot of ``slot``'s set plus ``element`` (a non-member of a
-        slot with lanes), read from the element's lane: no agent is scored
-        again, and nothing is charged."""
+    def child(self, handle: _Handle, element: int) -> _Handle:
+        """The warm handle of ``handle``'s set plus ``element`` (a non-member
+        of a handle with lanes), read from the element's lane: no agent is
+        scored again, and nothing is charged."""
         element = int(element)
-        child = _Slot(slot.subset | {element}, slot.lanes[:, element], float(slot.reduced[element]))
-        if slot.members is not None:
-            child.members = slot.members.copy()
+        child = _Handle(handle.subset | {element}, handle.lanes[:, element], float(handle.reduced[element]))
+        if handle.members is not None:
+            child.members = handle.members.copy()
             child.members[element] = True
+        self._last = child
         return child
 
-    def feasible(self, slot: _Slot, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def feasible(self, handle: _Handle, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The ids a boolean mask over the ground set selects, ascending,
-        with their gains against ``slot`` (no lanes are built when there are
+        with their gains against ``handle`` (no lanes are built when there are
         none). A mask of any other length is refused with IndexError, so
         every id is in range; a member of the set raises ValueError."""
         n = self.scenario.n_actions
@@ -204,35 +191,31 @@ class _ProximityOracleBase:
         ids = mask.nonzero()[0]
         if not ids.size:
             return ids, np.zeros(0)
-        self._check_outside(slot, ids)
-        return ids, self._gains(slot)[ids]
+        self._check_outside(handle, ids)
+        return ids, self._gains(handle)[ids]
 
-    def scan(self, slot: _Slot, ids: np.ndarray, gains: np.ndarray, stop_at: float | None = None) -> np.ndarray:
-        """Scan ``gains``, the gains against ``slot`` of the non-member
-        candidates ``ids`` (at least one), in order, and return the scanned
-        prefix: up to and including the first gain >= ``stop_at``, or all
-        of them. The one charging path: one evaluation per scanned
-        candidate, plus one when the slot is cold. Afterwards the slot is the
-        pinned base and the extension slot is its set plus the last scanned
-        candidate (a known-zero oracle keeps neither)."""
+    def scan(self, handle: _Handle, gains: np.ndarray, stop_at: float | None = None) -> np.ndarray:
+        """Scan ``gains``, the gains of non-member candidates against
+        ``handle``, in order, and return the scanned prefix: up to and
+        including the first gain >= ``stop_at``, or all of them. The one
+        charging path: one evaluation per scanned candidate, plus one when
+        the handle is cold, which it is not afterwards."""
         if stop_at is not None:
             hits = (gains >= stop_at).nonzero()[0]
             if hits.size:
                 gains = gains[: hits[0] + 1]
-        self._charge(gains.size + slot.cold)
-        slot.cold = False
-        if not self._known_zero():
-            self._pinned = slot
-            self._ext = (slot, ids[gains.size - 1])
+        self._charge(gains.size + handle.cold)
+        handle.cold = False
         return gains
 
     def evaluate(self, subset: Iterable[int]) -> float:
+        """The reduced objective of ``subset``; charges one evaluation."""
         self._charge()
         chosen = frozenset(subset)
-        slot = self._cached(chosen)
-        if slot is None:
-            slot = self._pinned = self._slot(chosen)
-        return slot.value
+        last = self._last
+        if last is not None and last.subset == chosen:
+            return last.value
+        return self._handle(chosen).value
 
     def marginal_gains(
         self,
@@ -245,23 +228,15 @@ class _ProximityOracleBase:
 
         With ``stop_at`` only the scanned prefix comes back: the gains up to
         and including the first one >= ``stop_at``, or all of them when none
-        reaches it. Charges follow the module contract.
+        reaches it. Every call charges its scanned candidates plus its base
+        (never at gamma == 0), whatever calls came before it.
         """
-        chosen = frozenset(subset)
         ids = action_ids(self.scenario, candidates)
-        base = self.base(chosen)
+        base = self.base(subset)
         self._check_outside(base, ids)
         if ids.size == 0:
             return np.zeros(0)
-        return self.scan(base, ids, self._gains(base)[ids], stop_at)
-
-    def marginal_gain(self, subset: Iterable[int], element: int) -> float:
-        """Value of adding ``element`` to ``subset``; 0, uncharged, when it
-        is already present."""
-        chosen = frozenset(subset)
-        if element in chosen:
-            return 0.0
-        return float(self.marginal_gains(chosen, (element,))[0])
+        return self.scan(base, self._gains(base)[ids], stop_at)
 
 
 class SurrogateOracle(_ProximityOracleBase):

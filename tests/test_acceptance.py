@@ -31,16 +31,13 @@ from robust_select import (
     threshold_greedy,
     write_results_csv,
 )
-from robust_select.checks import random_small_scenario
+from robust_select.checks import gamma_grid, random_small_scenario
+from robust_select.matroid import all_subsets
 
 DELTA = 1e-3
 TOL = 1e-9
 FAMILY_SEED = 0
 FAMILY_SIZE = 250
-
-
-def gamma_grid(upper):
-    return [upper * (k / 5.0) for k in range(1, 6)]
 
 
 @pytest.fixture(scope="module")
@@ -113,7 +110,7 @@ def test_criterion_3_structural_properties(instance_family):
     pair_checks = 0
     for scenario in instance_family:
         n = scenario.n_actions
-        subsets = [frozenset(j for j in range(n) if mask >> j & 1) for mask in range(1 << n)]
+        subsets = all_subsets(range(n))
         upper = min_objective(scenario, range(n))
         h = [
             {s: proximity_objective(scenario, agent, s) for s in subsets}

@@ -105,6 +105,21 @@ def test_bench_writes_both_csvs(tmp_path, capsys):
     assert stdout.splitlines()[1:] == summary_lines[1:]
 
 
+def test_bench_stdout_is_the_summary_file(tmp_path, capsys):
+    """The stdout table and the ``--summary`` file are the same bytes."""
+    summary = tmp_path / "summary.csv"
+    code, stdout, _ = run_cli(
+        capsys,
+        "bench",
+        "--agents", "3", "--actions", "9", "--z-min", "0", "--z-max", "2",
+        "--trials", "3", "--seed", "11",
+        "--algorithms", "fast,greedy,ratio",
+        "--summary", str(summary),
+    )
+    assert code == 0
+    assert stdout.encode("utf-8") == summary.read_bytes()
+
+
 def test_bench_deterministic_files(tmp_path, capsys):
     paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
     for path in paths:

@@ -142,6 +142,17 @@ def partition_matroids(draw):
     return PartitionMatroid(blocks, capacities)
 
 
+# The random matroids plus the edge cases: empty ground sets, and a block of
+# capacity 0.
+any_matroids = st.one_of(
+    uniform_matroids,
+    partition_matroids(),
+    st.just(UniformMatroid(0, 1)),
+    st.just(PartitionMatroid((), ())),
+    st.just(PartitionMatroid(((0, 1), (2,)), (0, 1))),
+)
+
+
 @given(st.one_of(uniform_matroids, partition_matroids()))
 def test_axioms_hold_for_real_matroids(matroid):
     assert check_matroid_axioms(matroid)
@@ -162,16 +173,7 @@ def test_can_extend_matches_definition(matroid, data):
             assert matroid.can_extend(subset, e) == matroid.is_independent(subset | {e})
 
 
-@given(
-    st.one_of(
-        uniform_matroids,
-        partition_matroids(),
-        st.just(UniformMatroid(0, 1)),
-        st.just(PartitionMatroid((), ())),
-        st.just(PartitionMatroid(((0, 1), (2,)), (0, 1))),
-    ),
-    st.data(),
-)
+@given(any_matroids, st.data())
 def test_extendable_matches_can_extend(matroid, data):
     """Holds for dependent subsets too: nothing extends them."""
     n = matroid.n_actions
@@ -181,16 +183,7 @@ def test_extendable_matches_can_extend(matroid, data):
     assert mask.tolist() == [matroid.can_extend(subset, e) for e in range(n)]
 
 
-@given(
-    st.one_of(
-        uniform_matroids,
-        partition_matroids(),
-        st.just(UniformMatroid(0, 1)),
-        st.just(PartitionMatroid((), ())),
-        st.just(PartitionMatroid(((0, 1), (2,)), (0, 1))),
-    ),
-    st.data(),
-)
+@given(any_matroids, st.data())
 def test_is_basis_matches_the_definition(matroid, data):
     """Every override agrees with ``Matroid.is_basis`` (no remaining element
     extends the set), dependent sets included: nothing extends those."""
@@ -199,6 +192,18 @@ def test_is_basis_matches_the_definition(matroid, data):
     expected = Matroid.is_basis(matroid, subset)
     assert matroid.is_basis(subset) == expected
     assert matroid.is_basis(sorted(subset)) == expected
+
+
+@given(any_matroids, st.data())
+def test_a_list_answers_for_the_set_it_names(matroid, data):
+    """Independence and basis queries on a list, repeats included, answer
+    for the set the list names, as ``can_extend`` does."""
+    n = matroid.n_actions
+    listed = data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n)) if n else []
+    named = frozenset(listed)
+    assert matroid.is_independent(listed) == matroid.is_independent(named)
+    assert matroid.is_basis(listed) == Matroid.is_basis(matroid, named)
+    assert matroid.extendable(listed).tolist() == matroid.extendable(named).tolist()
 
 
 def test_partition_is_basis_of_dependent_sets():

@@ -24,6 +24,7 @@ from robust_select import (
     scenario_to_dict,
     worst_case_attack,
 )
+from robust_select.matroid import all_subsets
 
 SQRT50 = math.sqrt(50.0)
 
@@ -124,8 +125,7 @@ def test_worst_case_attack_single_agent():
 
 
 def test_min_objective_never_exceeds_any_agent(tiny):
-    for mask in range(8):
-        subset = {j for j in range(3) if mask >> j & 1}
+    for subset in all_subsets(range(3)):
         g = min_objective(tiny, subset)
         for agent in range(2):
             assert g <= proximity_objective(tiny, agent, subset) + 1e-12
@@ -139,7 +139,7 @@ def test_monotone_and_submodular_exhaustive(rng):
     for _ in range(20):
         scenario = random_small_scenario(rng, max_actions=7)
         n = scenario.n_actions
-        subsets = [frozenset(j for j in range(n) if mask >> j & 1) for mask in range(1 << n)]
+        subsets = all_subsets(range(n))
         for agent in range(scenario.n_agents):
             value = {s: proximity_objective(scenario, agent, s) for s in subsets}
             for b in subsets:

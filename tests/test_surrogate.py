@@ -1,4 +1,4 @@
-"""Truncated-average surrogate: values, marginal gains, cache transparency,
+"""Truncated-average surrogate: values, marginal gains, base handles,
 evaluation accounting, curvature, and the structural properties."""
 
 import math
@@ -17,6 +17,7 @@ from robust_select import (
     simple_greedy,
 )
 from robust_select.checks import random_small_scenario
+from robust_select.matroid import all_subsets
 from robust_select.surrogate import CURVATURE_GROUND_CAP
 
 SQRT50 = math.sqrt(50.0)
@@ -52,8 +53,7 @@ def test_evaluate_gamma_zero(tiny):
 def test_evaluate_matches_hand_computation(tiny):
     for gamma in (0.0, 3.0, 8.0, 50.0):
         oracle = SurrogateOracle(tiny, gamma)
-        for mask in range(8):
-            subset = frozenset(j for j in range(3) if mask >> j & 1)
+        for subset in all_subsets(range(3)):
             assert oracle.evaluate(subset) == surrogate_by_hand(tiny, gamma, subset)
 
 
@@ -62,7 +62,7 @@ def test_empty_set_is_zero(tiny):
 
 
 def test_marginal_gain_from_empty(tiny):
-    gain = SurrogateOracle(tiny, 8.0).marginal_gain(set(), 2)
+    gain = SurrogateOracle(tiny, 8.0).marginal_gains(set(), [2])[0]
     assert gain == pytest.approx(SQRT50, abs=1e-12)
 
 
@@ -70,19 +70,14 @@ def test_marginal_gain_partial(tiny):
     # Adding action 0 to {2}: agent 0 unchanged at sqrt(50), agent 1 goes
     # to min(10, 8); recomputed here from scratch.
     expected = (SQRT50 + min(10.0, 8.0)) / 2.0 - SQRT50
-    gain = SurrogateOracle(tiny, 8.0).marginal_gain({2}, 0)
+    gain = SurrogateOracle(tiny, 8.0).marginal_gains({2}, [0])[0]
     assert gain == pytest.approx(expected, abs=1e-12)
     assert gain == pytest.approx(0.4645, abs=1e-4)
 
 
-def test_marginal_gain_element_already_in(tiny):
-    oracle = SurrogateOracle(tiny, 8.0)
-    assert oracle.marginal_gain({2}, 2) == 0.0
-    assert oracle.counter.individual_evals == 0
-
-
 def test_marginal_gain_cache_transparency(tiny, rng):
-    """Cached and uncached paths must agree bit for bit."""
+    """Gains from one oracle asked again and again equal a fresh oracle's
+    from-scratch difference, bit for bit."""
     for _ in range(10):
         scenario = random_small_scenario(rng, max_actions=6)
         upper = min_objective(scenario, range(scenario.n_actions))
@@ -90,7 +85,7 @@ def test_marginal_gain_cache_transparency(tiny, rng):
         warm = SurrogateOracle(scenario, gamma)
         subset = frozenset()
         for e in range(scenario.n_actions):
-            cached_gain = warm.marginal_gain(subset, e)
+            cached_gain = warm.marginal_gains(subset, [e])[0]
             fresh = SurrogateOracle(scenario, gamma)
             uncached_gain = fresh.evaluate(subset | {e}) - fresh.evaluate(subset)
             assert cached_gain == uncached_gain
@@ -99,16 +94,22 @@ def test_marginal_gain_cache_transparency(tiny, rng):
 
 
 def test_marginal_gain_accounting(tiny):
+    """Every call charges its base and its candidates; nothing carries over
+    from one call to the next. ``evaluate`` charges one evaluation whether
+    or not the set is the last handle's, and reads that handle only for its
+    own set."""
     oracle = SurrogateOracle(tiny, 8.0)
     n = tiny.n_agents
-    oracle.marginal_gain(set(), 0)
-    assert oracle.counter.individual_evals == 2 * n  # cold base + extension
-    oracle.marginal_gain(set(), 1)
-    assert oracle.counter.individual_evals == 3 * n  # cached base
-    oracle.marginal_gain({1}, 2)
-    assert oracle.counter.individual_evals == 4 * n  # promoted extension
+    oracle.marginal_gains(set(), [0])
+    assert oracle.counter.individual_evals == 2 * n  # base + candidate
+    oracle.marginal_gains(set(), [1])
+    assert oracle.counter.individual_evals == 4 * n  # the same base, charged again
+    oracle.marginal_gains({1}, [2])
+    assert oracle.counter.individual_evals == 6 * n
+    assert oracle.evaluate({2}) == SQRT50  # the last handle is {1}
+    assert oracle.evaluate({1}) == 4.0
     oracle.evaluate({1, 2})
-    assert oracle.counter.individual_evals == 5 * n  # evaluate always charges
+    assert oracle.counter.individual_evals == 9 * n  # evaluate always charges
 
 
 def random_scenario(rng, n_agents, n_actions):
@@ -141,7 +142,7 @@ def test_batched_gains_bit_for_bit(rng, n_agents):
                     fresh = oracle_of()
                     expected = fresh.evaluate(subset | {e}) - fresh.evaluate(subset)
                     assert gain == expected
-                    assert single.marginal_gain(subset, e) == expected
+                    assert single.marginal_gains(subset, [e])[0] == expected
             oracle = SurrogateOracle(scenario, 0.7 * upper)
             assert oracle.evaluate(subset) == surrogate_by_hand(scenario, 0.7 * upper, subset)
 
@@ -153,7 +154,7 @@ def test_batched_cold_base_costs_one_extra_evaluation(rng):
     oracle.marginal_gains({0, 1}, range(2, 12))
     assert oracle.counter.individual_evals == 11 * n  # cold base + 10 candidates
     oracle.marginal_gains({0, 1}, range(2, 12))
-    assert oracle.counter.individual_evals == 21 * n  # pinned base
+    assert oracle.counter.individual_evals == 22 * n  # every call charges its base
 
 
 def test_batched_stop_charges_only_the_scanned_prefix(rng):
@@ -166,9 +167,9 @@ def test_batched_stop_charges_only_the_scanned_prefix(rng):
     prefix = oracle.marginal_gains({0}, candidates, stop_at=full[hit])
     assert prefix.tolist() == full[: hit + 1].tolist()
     assert oracle.counter.individual_evals == (1 + hit + 1) * n
-    # The accepted extension is left in the cache slot, as a scan would.
-    oracle.marginal_gain({0, candidates[hit]}, candidates[hit - 1])
-    assert oracle.counter.individual_evals == (1 + hit + 2) * n
+    # A call on the accepted extension charges its own base.
+    oracle.marginal_gains({0, candidates[hit]}, [candidates[hit - 1]])
+    assert oracle.counter.individual_evals == (1 + hit + 1 + 2) * n
     # A threshold nothing reaches scans, and charges, every candidate.
     oracle = SurrogateOracle(scenario, 50.0)
     assert oracle.marginal_gains({0}, candidates, stop_at=math.inf).tolist() == full.tolist()
@@ -190,7 +191,9 @@ def test_base_handle_matches_marginal_gains(rng, n_agents):
     slices, ``child``) returns the gains and charges ``marginal_gains``
     does, and a child's value equals a from-scratch evaluation, bit for bit.
     ``feasible`` checks its mask once: a wrong length is an IndexError, a
-    member a ValueError, and neither it nor a child charges anything."""
+    member a ValueError, and neither it nor a child charges anything. A
+    handle's first scan charges its base, later scans only their
+    candidates; each ``marginal_gains`` call charges its base."""
     scenario = random_scenario(rng, n_agents, 30)
     upper = min_objective(scenario, range(30))
     n = scenario.n_agents
@@ -209,27 +212,30 @@ def test_base_handle_matches_marginal_gains(rng, n_agents):
         assert oracle.counter.individual_evals == 0
         stop = float(np.median(gains))
         reference = make()
+        charged = 1  # the cold base, with the first scan
         for lo in (0, ids.size // 2):
-            scanned = oracle.scan(base, ids[lo:], gains[lo:], stop_at=stop)
+            scanned = oracle.scan(base, gains[lo:], stop_at=stop)
             expected = reference.marginal_gains({3, 7}, ids[lo:], stop_at=stop)
             assert scanned.tolist() == expected.tolist()
-            assert oracle.counter.individual_evals == reference.counter.individual_evals
+            charged += scanned.size
+            assert oracle.counter.individual_evals == charged * n
+        assert reference.counter.individual_evals == (charged + 1) * n
         e = int(ids[-1])
         child = oracle.child(base, e)
         fresh = make()
         assert child.value == fresh.evaluate({3, 7, e})
-        assert oracle.counter.individual_evals == reference.counter.individual_evals
+        assert oracle.counter.individual_evals == charged * n
         # The child is what a cold handle of the same set computes.
         assert oracle.feasible(child, mask & (np.arange(30) != e))[1].tolist() == (
             fresh.marginal_gains({3, 7, e}, [j for j in ids.tolist() if j != e]).tolist()
         )
-        assert oracle.counter.individual_evals == reference.counter.individual_evals
+        assert oracle.counter.individual_evals == charged * n
 
 
 def test_gamma_zero_builds_no_lanes(rng):
     """At gamma == 0 the gains are known to be 0: the oracle returns them,
     charges them and checks ids and members as at any gamma, but builds no
-    capped matrix and no N x M lanes, and pins no base."""
+    capped matrix and no N x M lanes."""
     scenario = random_scenario(rng, 16, 12)
     n = scenario.n_agents
     oracle = SurrogateOracle(scenario, 0.0)
@@ -244,7 +250,7 @@ def test_gamma_zero_builds_no_lanes(rng):
     base = oracle.base({0, 3})
     ids, gains = oracle.feasible(base, scenario.matroid.extendable({0, 3}))
     assert ids.tolist() == [1, 2, *range(4, 12)] and not gains.any()
-    assert base.lanes is None and oracle._pinned is None and oracle._ext is None
+    assert base.lanes is None and not base.cold
     assert "_capped" not in vars(oracle)
 
 
@@ -268,13 +274,14 @@ def test_batched_rejects_members_and_skips_empty(tiny):
 
 
 def test_members_of_a_promoted_base_are_rejected(tiny):
-    """The member mask of a base promoted from the extension slot covers the
-    element the scan added."""
+    """The member mask of a child handle covers the element it added."""
     oracle = SurrogateOracle(tiny, 8.0)
-    oracle.marginal_gains({0}, [1])
+    base = oracle.base({0})
+    oracle.feasible(base, np.array([False, True, True]))
+    child = oracle.child(base, 1)
     with pytest.raises(ValueError, match="outside"):
-        oracle.marginal_gains({0, 1}, [2, 1])
-    assert oracle.marginal_gains({0, 1}, [2]).size == 1
+        oracle.feasible(child, np.array([False, True, True]))
+    assert oracle.feasible(child, np.array([False, False, True]))[0].tolist() == [2]
 
 
 def agent_order_sum(values):
@@ -310,32 +317,34 @@ def test_reduce_is_the_agent_order_sum(rng, layout):
 
 @pytest.mark.parametrize("n_agents", [16, 64])
 def test_lane_reads_equal_cold_gains_and_charges(rng, n_agents):
-    """A gain read from a pinned base's cached lanes equals the gain a cold
+    """A gain read from a scanned handle's lanes equals the gain a cold
     oracle computes and a from-scratch difference, and costs exactly what a
     fresh oracle's scan of the same candidate costs after its base charge.
-    Switching bases drops the lanes; switching back rebuilds them."""
+    ``evaluate`` reads a child's value from the handle, charging one
+    evaluation and returning the from-scratch bits."""
     scenario = random_scenario(rng, n_agents, 30)
     upper = min_objective(scenario, range(30))
     n = scenario.n_agents
     for make in (lambda: SurrogateOracle(scenario, 0.7 * upper), lambda: MinObjectiveOracle(scenario)):
         warm = make()
-        bases = [frozenset({3, 7}), frozenset({1, 2, 29}), frozenset({3, 7})]
-        for base in bases:
-            warm.marginal_gains(base, [0])
-            for e in range(30):
-                if e in base:
-                    continue
+        for members in ({3, 7}, {1, 2, 29}, {3, 7}):
+            base = warm.base(members)
+            mask = np.ones(30, dtype=bool)
+            mask[list(members)] = False
+            ids, gains = warm.feasible(base, mask)
+            warm.scan(base, gains[:1])
+            for e, lane in zip(ids.tolist(), gains):
                 before = warm.counter.individual_evals
-                gain = warm.marginal_gain(base, e)
-                assert warm.counter.individual_evals - before == n  # pinned base
+                gain = float(warm.scan(base, np.array([lane]))[0])
+                assert warm.counter.individual_evals - before == n  # a scanned base
                 cold = make()
-                assert cold.marginal_gain(base, e) == gain
+                assert cold.marginal_gains(members, [e])[0] == gain
                 assert cold.counter.individual_evals == 2 * n  # cold base + candidate
                 fresh = make()
-                assert fresh.evaluate(base | {e}) - fresh.evaluate(base) == gain
-                # The extension slot holds base | {e}, as the one-at-a-time scan leaves it.
+                assert fresh.evaluate(members | {e}) - fresh.evaluate(members) == gain
+                warm.child(base, e)
                 before = warm.counter.individual_evals
-                assert warm.evaluate(base | {e}) == fresh.evaluate(base | {e})
+                assert warm.evaluate(members | {e}) == fresh.evaluate(members | {e})
                 assert warm.counter.individual_evals - before == n
 
 
@@ -347,7 +356,7 @@ def test_out_of_range_ids_raise(tiny, make, bad):
     with pytest.raises(IndexError, match="outside ground set"):
         oracle.evaluate({bad})
     with pytest.raises(IndexError, match="outside ground set"):
-        oracle.marginal_gain(set(), bad)
+        oracle.base({bad})
     with pytest.raises(IndexError, match="outside ground set"):
         oracle.marginal_gains({0}, [1, bad])
     with pytest.raises(IndexError, match="outside ground set"):
@@ -372,7 +381,7 @@ def test_min_objective_oracle(tiny):
     oracle = MinObjectiveOracle(tiny)
     assert oracle.evaluate({2}) == min_objective(tiny, {2})
     assert oracle.evaluate(set()) == 0.0
-    gain = oracle.marginal_gain({0}, 1)
+    gain = oracle.marginal_gains({0}, [1])[0]
     assert gain == min_objective(tiny, {0, 1}) - min_objective(tiny, {0})
 
 
@@ -383,7 +392,7 @@ def test_structural_properties_random_instances(rng):
     for _ in range(25):
         scenario = random_small_scenario(rng, max_actions=6)
         n = scenario.n_actions
-        subsets = [frozenset(j for j in range(n) if mask >> j & 1) for mask in range(1 << n)]
+        subsets = all_subsets(range(n))
         upper = min_objective(scenario, range(n))
         for gamma in (0.0, 0.3 * upper, 0.7 * upper, upper):
             oracle = SurrogateOracle(scenario, gamma)
@@ -417,7 +426,7 @@ def test_marginal_gain_nonnegative(rng):
         oracle = SurrogateOracle(scenario, 0.5 * upper if upper > 0 else 1.0)
         subset = frozenset()
         for e in range(scenario.n_actions):
-            assert oracle.marginal_gain(subset, e) >= 0.0
+            assert oracle.marginal_gains(subset, [e])[0] >= 0.0
             subset = subset | {e}
 
 
