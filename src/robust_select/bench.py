@@ -24,15 +24,11 @@ from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
-from .matroid import PartitionMatroid
+from .matroid import PartitionMatroid, is_int
 from .scenario import Point2, Scenario
 from .solvers import SOLVERS, SolverParams
 
 WORKERS_ENV_VAR = "ROBUST_SELECT_THREADS"
-
-
-def _is_int(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -55,11 +51,11 @@ class BenchConfig:
 
     def __post_init__(self) -> None:
         for name in ("n_agents", "n_actions", "z_min", "z_max", "trials", "base_seed"):
-            if not _is_int(getattr(self, name)):
+            if not is_int(getattr(self, name)):
                 raise ValueError(f"bench config: {name} must be an integer, got {getattr(self, name)!r}")
         for name in ("region", "delta", "epsilon", "curvature"):
             value = getattr(self, name)
-            if not (_is_int(value) or isinstance(value, float) or (name == "epsilon" and value is None)):
+            if not (is_int(value) or isinstance(value, float) or (name == "epsilon" and value is None)):
                 raise ValueError(f"bench config: {name} must be a real number, got {value!r}")
         if not isinstance(self.measure_wall_time, bool):
             raise ValueError(f"bench config: measure_wall_time must be true or false, got {self.measure_wall_time!r}")

@@ -3,8 +3,7 @@ matroids, plus an exhaustive axiom checker for small ground sets."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import Collection, Iterable
 
 import numpy as np
@@ -13,15 +12,41 @@ import numpy as np
 AXIOM_CHECK_CAP = 12
 
 
-def _distinct(subset: Collection[int]) -> Collection[int]:
-    """The ids ``subset`` names, each once: a list may repeat an id."""
-    return subset if isinstance(subset, (set, frozenset)) else set(subset)
+def is_int(value: object) -> bool:
+    """True for an integer that is not a bool (JSON's true/false are not ids
+    or counts)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def ground_ids(subset: Iterable[int], n: int) -> np.ndarray:
+    """``subset`` as an integer array, after checking every id lies in the
+    ground set [0, n)."""
+    ids = np.asarray(subset if isinstance(subset, np.ndarray) else list(subset)).reshape(-1)
+    if ids.size == 0:
+        return ids.astype(np.intp)
+    if ids.dtype.kind not in "iu":
+        raise IndexError(f"action ids must be integers, got {ids.dtype}")
+    index = ids.astype(np.intp, copy=False)
+    # Negative ids wrap to huge unsigned values, so one max checks both ends.
+    # The builtin max, since queried id sets are small: on a handful of ids
+    # a numpy reduction costs three times the list.
+    if max(index.view(np.uintp).tolist()) >= n:
+        bad = ids[(ids < 0) | (ids >= n)][0]
+        raise IndexError(f"action id {bad} outside ground set [0, {n})")
+    return index
+
+
+def _distinct_ids(subset: Collection[int], n: int) -> np.ndarray:
+    """The ids ``subset`` names, each once (a list may repeat an id), as a
+    range-checked array."""
+    return ground_ids(subset if isinstance(subset, (set, frozenset)) else set(subset), n)
 
 
 class Matroid:
     """Base independence oracle. Subclasses define ``is_independent`` and
-    ``n_actions``; extension, mask and basis queries are derived from those
-    and may be overridden with faster equivalents."""
+    ``n_actions``, and may override ``extendable`` with a faster
+    equivalent. ``is_basis`` is derived from ``extendable``: a set is a
+    basis when nothing extends it."""
 
     n_actions: int
 
@@ -45,12 +70,8 @@ class Matroid:
         )
 
     def is_basis(self, subset: Collection[int]) -> bool:
-        """True iff no remaining element can extend subset."""
-        return all(
-            not self.can_extend(subset, e)
-            for e in range(self.n_actions)
-            if e not in subset
-        )
+        """True iff no element can extend subset (so a dependent set is one)."""
+        return not self.extendable(subset).any()
 
 
 @dataclass(frozen=True)
@@ -63,20 +84,17 @@ class UniformMatroid(Matroid):
     def __post_init__(self) -> None:
         if self.n_actions < 0:
             raise ValueError("matroid: ground set size must be >= 0")
-        if not isinstance(self.rank, int) or self.rank < 1:
+        if not is_int(self.rank) or self.rank < 1:
             raise ValueError("matroid.rank must be a positive integer")
 
     def is_independent(self, subset: Collection[int]) -> bool:
-        return len(_distinct(subset)) <= self.rank
+        return _distinct_ids(subset, self.n_actions).size <= self.rank
 
     def extendable(self, subset: Collection[int]) -> np.ndarray:
-        chosen = list(set(subset))
-        mask = np.full(self.n_actions, len(chosen) < self.rank)
+        chosen = _distinct_ids(subset, self.n_actions)
+        mask = np.full(self.n_actions, chosen.size < self.rank)
         mask[chosen] = False
         return mask
-
-    def is_basis(self, subset: Collection[int]) -> bool:
-        return len(_distinct(subset)) >= min(self.rank, self.n_actions)
 
 
 @dataclass(frozen=True)
@@ -87,17 +105,20 @@ class PartitionMatroid(Matroid):
 
     blocks: tuple[tuple[int, ...], ...]
     capacities: tuple[int, ...]
+    # Per id its block, and per block its capacity, as arrays.
+    _block_of: np.ndarray = field(init=False, repr=False, compare=False)
+    _capacity_of: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.blocks) != len(self.capacities):
             raise ValueError("matroid: one capacity per block is required")
         for cap in self.capacities:
-            if not isinstance(cap, int) or cap < 0:
+            if not is_int(cap) or cap < 0:
                 raise ValueError("matroid.capacity must be an integer >= 0")
         block_of: dict[int, int] = {}
         for b, block in enumerate(self.blocks):
             for e in block:
-                if not isinstance(e, int) or e < 0:
+                if not is_int(e) or e < 0:
                     raise ValueError("matroid.blocks: action ids must be integers >= 0")
                 if e in block_of:
                     raise ValueError(f"matroid.blocks: action id {e} appears in two blocks")
@@ -105,62 +126,30 @@ class PartitionMatroid(Matroid):
         if sorted(block_of) != list(range(len(block_of))):
             missing = next(i for i in range(len(block_of) + 1) if i not in block_of)
             raise ValueError(f"matroid.blocks: action id {missing} is outside all blocks")
-        object.__setattr__(self, "_block_of", tuple(block_of[e] for e in range(len(block_of))))
+        block_of_id = [block_of[e] for e in range(len(block_of))]
+        object.__setattr__(self, "_block_of", np.array(block_of_id, dtype=np.intp))
+        object.__setattr__(self, "_capacity_of", np.array(self.capacities, dtype=np.intp))
 
     @property
     def n_actions(self) -> int:
-        return len(self._block_of)  # type: ignore[attr-defined]
+        return len(self._block_of)
 
-    @cached_property
-    def _block_array(self) -> np.ndarray:
-        return np.array(self._block_of, dtype=np.intp)  # type: ignore[attr-defined]
-
-    @cached_property
-    def _capacity_array(self) -> np.ndarray:
-        return np.array(self.capacities, dtype=np.intp)
+    def _counts(self, chosen: np.ndarray) -> np.ndarray:
+        """How many of the distinct ids ``chosen`` each block holds."""
+        return np.bincount(self._block_of[chosen], minlength=len(self.blocks))
 
     def is_independent(self, subset: Collection[int]) -> bool:
-        block_of = self._block_of  # type: ignore[attr-defined]
-        counts = [0] * len(self.blocks)
-        for e in _distinct(subset):
-            b = block_of[e]
-            counts[b] += 1
-            if counts[b] > self.capacities[b]:
-                return False
-        return True
+        counts = self._counts(_distinct_ids(subset, self.n_actions))
+        return not (counts > self._capacity_of).any()
 
     def extendable(self, subset: Collection[int]) -> np.ndarray:
-        chosen = list(set(subset))
-        block_of = self._block_array
-        counts = np.bincount(block_of[chosen], minlength=len(self.blocks))
-        if (counts > self._capacity_array).any():
+        chosen = _distinct_ids(subset, self.n_actions)
+        counts = self._counts(chosen)
+        if (counts > self._capacity_of).any():
             return np.zeros(self.n_actions, dtype=bool)
-        mask = (counts < self._capacity_array)[block_of]
+        mask = (counts < self._capacity_of)[self._block_of]
         mask[chosen] = False
         return mask
-
-    @cached_property
-    def _needs(self) -> tuple[int, ...]:
-        """Per block, what a basis takes from it: min(capacity, block size)."""
-        return tuple(min(cap, len(block)) for cap, block in zip(self.capacities, self.blocks))
-
-    @cached_property
-    def _rank(self) -> int:
-        return sum(self._needs)
-
-    def is_basis(self, subset: Collection[int]) -> bool:
-        block_of = self._block_of  # type: ignore[attr-defined]
-        counts = [0] * len(self.blocks)
-        subset = _distinct(subset)
-        for e in subset:
-            b = block_of[e]
-            counts[b] += 1
-            if counts[b] > self.capacities[b]:
-                return True  # dependent: no element extends it
-        if len(subset) < self._rank:
-            # The block counts sum to len(subset), so some block is short.
-            return False
-        return all(count >= need for count, need in zip(counts, self._needs))
 
 
 def matroid_to_dict(matroid: Matroid) -> dict:
@@ -186,7 +175,7 @@ def matroid_from_dict(spec: dict, n_actions: int) -> Matroid:
     kind = spec.get("type")
     if kind == "uniform":
         rank = spec.get("rank")
-        if not isinstance(rank, int) or rank < 1:
+        if not is_int(rank) or rank < 1:
             raise ValueError("scenario config: field 'matroid.rank' must be a positive integer")
         return UniformMatroid(n_actions=n_actions, rank=rank)
     if kind == "partition":
@@ -195,7 +184,7 @@ def matroid_from_dict(spec: dict, n_actions: int) -> Matroid:
             raise ValueError("scenario config: field 'matroid.blocks' must be a list of id lists")
         blocks = []
         for block in raw_blocks:
-            if not isinstance(block, list) or any(not isinstance(e, int) for e in block):
+            if not isinstance(block, list) or not all(map(is_int, block)):
                 raise ValueError("scenario config: field 'matroid.blocks' must contain integer ids")
             blocks.append(tuple(block))
         if "capacities" in spec:
@@ -205,7 +194,7 @@ def matroid_from_dict(spec: dict, n_actions: int) -> Matroid:
             capacities = tuple(caps)
         else:
             z = spec.get("capacity")
-            if not isinstance(z, int):
+            if not is_int(z):
                 raise ValueError("scenario config: field 'matroid.capacity' must be an integer")
             capacities = (z,) * len(blocks)
         try:

@@ -17,7 +17,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .matroid import Matroid, matroid_from_dict, matroid_to_dict
+from .matroid import Matroid, ground_ids, is_int, matroid_from_dict, matroid_to_dict
 
 
 class Point2(NamedTuple):
@@ -116,27 +116,10 @@ def euclidean_distance(p: Point2, q: Point2) -> float:
     return math.dist(p, q)
 
 
-def action_ids(scenario: Scenario, subset: Iterable[int]) -> np.ndarray:
-    """``subset`` as an integer array, after checking every id lies in the
-    ground set [0, M)."""
-    ids = np.asarray(subset if isinstance(subset, np.ndarray) else list(subset)).reshape(-1)
-    if ids.size == 0:
-        return ids.astype(np.intp)
-    if ids.dtype.kind not in "iu":
-        raise IndexError(f"action ids must be integers, got {ids.dtype}")
-    n = scenario.n_actions
-    index = ids.astype(np.intp, copy=False)
-    # Negative ids wrap to huge unsigned values, so one max checks both ends.
-    if np.maximum.reduce(index.view(np.uintp)) >= n:
-        bad = ids[(ids < 0) | (ids >= n)][0]
-        raise IndexError(f"action id {bad} outside ground set [0, {n})")
-    return index
-
-
 def agent_values(scenario: Scenario, subset: Iterable[int]) -> np.ndarray:
     """Every agent's value of ``subset``: the largest distance from the
     agent to any selected action, 0 for the empty set. Charges nothing."""
-    return scenario.distances[:, action_ids(scenario, subset)].max(axis=1, initial=0.0)
+    return scenario.distances[:, ground_ids(subset, scenario.n_actions)].max(axis=1, initial=0.0)
 
 
 def proximity_objective(
@@ -210,7 +193,7 @@ def _coord_field(data: dict, name: str, minimum: int) -> tuple[Point2, ...]:
         ok = (
             isinstance(entry, (list, tuple))
             and len(entry) == 2
-            and all(isinstance(c, (int, float)) and math.isfinite(c) for c in entry)
+            and all((is_int(c) or isinstance(c, float)) and math.isfinite(c) for c in entry)
         )
         if not ok:
             raise ValueError(f"scenario config: field '{name}' must contain finite [x, y] pairs")

@@ -194,7 +194,7 @@ def threshold_greedy(
     1/(1+delta) per pass; each pass scans the non-selected elements in
     ascending id order and immediately inserts any feasible element whose
     (freshly evaluated) marginal gain clears the threshold. The loop ends
-    when the selection is a basis or the threshold falls below delta * F.
+    when no feasible element is left or the threshold falls below delta * F.
 
     The thresholds are fixed up front: the ladder F, F/(1+delta), ... is
     computed in chunks with ``np.divide.accumulate`` (``threshold_ladder``),
@@ -236,19 +236,17 @@ def threshold_greedy(
         threshold = initial
         floor = delta * initial
         ladder = _Ladder(initial, delta)
-        candidates = None
-        while initial > 0 and threshold >= floor and not matroid.is_basis(selected):
+        # The set, and so every gain and the feasibility mask, only changes
+        # when an element is accepted: each base's feasible ids and gains
+        # are computed once, and each stretch of a pass between insertions
+        # scans a slice of them. The greedy ends when none are left.
+        candidates, gains = oracle.feasible(base, matroid.extendable(selected))
+        while initial > 0 and threshold >= floor and candidates.size:
             passes += 1
             inserted = False
             best_remaining = 0.0
             start = 0
-            # The set, and so every gain and the feasibility mask, only
-            # changes when an element is accepted: each base's feasible ids
-            # and gains are computed once, and each stretch of a pass
-            # between insertions scans a slice of them.
             while True:
-                if candidates is None:
-                    candidates, gains = oracle.feasible(base, matroid.extendable(selected))
                 lo = candidates.searchsorted(start) if start else 0
                 if lo == candidates.size:
                     break
@@ -264,7 +262,7 @@ def threshold_greedy(
                     trace.append(GreedyStep(threshold, e, float(scanned[last]), frozenset(selected)))
                 selected.add(e)
                 base = oracle.child(base, e)
-                candidates = None
+                candidates, gains = oracle.feasible(base, matroid.extendable(selected))
                 inserted = True
                 start = e + 1
             if inserted:
@@ -344,8 +342,8 @@ def saturate_robust(
 
 def simple_greedy(scenario: Scenario, gamma: float | None = None) -> Solution:
     """Conventional greedy: repeatedly add the feasible element of maximum
-    marginal gain (lowest id on ties) until the selection is a basis or no
-    gain is positive. Runs on the truncated-average surrogate when ``gamma``
+    marginal gain (lowest id on ties) until no feasible element is left or
+    no gain is positive. Runs on the truncated-average surrogate when ``gamma``
     is given, otherwise directly on the worst-agent objective.
 
     Each round scans every feasible candidate of one base handle; the next
@@ -362,7 +360,7 @@ def simple_greedy(scenario: Scenario, gamma: float | None = None) -> Solution:
     matroid = scenario.matroid
     selected: set[int] = set()
     base = oracle.base(())
-    while not matroid.is_basis(selected):
+    while True:
         candidates, gains = oracle.feasible(base, matroid.extendable(selected))
         if candidates.size == 0:
             break

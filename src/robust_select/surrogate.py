@@ -64,7 +64,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .scenario import EvaluationCounter, Scenario, action_ids, agent_values
+from .matroid import ground_ids
+from .scenario import EvaluationCounter, Scenario, agent_values
 
 # Curvature needs f on the full set minus each element; refuse huge grounds.
 CURVATURE_GROUND_CAP = 20
@@ -231,7 +232,7 @@ class _ProximityOracleBase:
         reaches it. Every call charges its scanned candidates plus its base
         (never at gamma == 0), whatever calls came before it.
         """
-        ids = action_ids(self.scenario, candidates)
+        ids = ground_ids(candidates, self.scenario.n_actions)
         base = self.base(subset)
         self._check_outside(base, ids)
         if ids.size == 0:

@@ -123,6 +123,12 @@ def test_validation_errors():
         PartitionMatroid(((0,), (0,)), (1, 1))
     with pytest.raises(ValueError, match="outside all blocks"):
         PartitionMatroid(((0,), (2,)), (1, 1))
+    with pytest.raises(ValueError, match="positive integer"):
+        UniformMatroid(2, True)
+    with pytest.raises(ValueError, match="capacity"):
+        PartitionMatroid(((0,),), (True,))
+    with pytest.raises(ValueError, match="action ids"):
+        PartitionMatroid(((False,),), (1,))
 
 
 uniform_matroids = st.integers(1, 8).flatmap(
@@ -183,13 +189,21 @@ def test_extendable_matches_can_extend(matroid, data):
     assert mask.tolist() == [matroid.can_extend(subset, e) for e in range(n)]
 
 
+def basis_by_definition(matroid, subset):
+    """No element outside the set ``subset`` names passes ``can_extend``."""
+    named = frozenset(subset)
+    return not any(
+        matroid.can_extend(named, e) for e in range(matroid.n_actions) if e not in named
+    )
+
+
 @given(any_matroids, st.data())
 def test_is_basis_matches_the_definition(matroid, data):
-    """Every override agrees with ``Matroid.is_basis`` (no remaining element
-    extends the set), dependent sets included: nothing extends those."""
+    """``is_basis`` agrees with the definition written out, dependent sets
+    included: nothing extends those."""
     n = matroid.n_actions
     subset = {j for j in range(n) if data.draw(st.booleans(), label=f"in_{j}")}
-    expected = Matroid.is_basis(matroid, subset)
+    expected = basis_by_definition(matroid, subset)
     assert matroid.is_basis(subset) == expected
     assert matroid.is_basis(sorted(subset)) == expected
 
@@ -202,7 +216,7 @@ def test_a_list_answers_for_the_set_it_names(matroid, data):
     listed = data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n)) if n else []
     named = frozenset(listed)
     assert matroid.is_independent(listed) == matroid.is_independent(named)
-    assert matroid.is_basis(listed) == Matroid.is_basis(matroid, named)
+    assert matroid.is_basis(listed) == basis_by_definition(matroid, named)
     assert matroid.extendable(listed).tolist() == matroid.extendable(named).tolist()
 
 
@@ -230,6 +244,45 @@ def test_extendable_default_uses_is_independent():
     assert m.extendable({0, 3}).tolist() == [False, False, False, False]
 
 
+def test_is_basis_default_uses_is_independent():
+    m = _AtMostOneLow()
+    assert not m.is_basis({0})
+    assert m.is_basis({0, 3})
+    assert m.is_basis({0, 1})  # dependent: nothing extends it
+
+
+_UNIFORM = UniformMatroid(3, 1)
+_PARTITION = PartitionMatroid(((0, 1), (2,)), (1, 1))
+
+
+@pytest.mark.parametrize(
+    "matroid, query, args",
+    [
+        (_UNIFORM, "is_independent", ({7},)),
+        (_UNIFORM, "is_basis", ({7},)),
+        (_UNIFORM, "can_extend", (set(), 9)),
+        (_UNIFORM, "extendable", ([0, -1],)),
+        (_PARTITION, "is_independent", ({-1, 2},)),
+        (_PARTITION, "is_independent", ({5},)),
+        (_PARTITION, "is_basis", ([3],)),
+        (_PARTITION, "can_extend", ({0}, -1)),
+    ],
+    ids=[
+        "uniform-independent-7",
+        "uniform-basis-7",
+        "uniform-extend-9",
+        "uniform-extendable-neg1",
+        "partition-independent-neg1",
+        "partition-independent-5",
+        "partition-basis-3",
+        "partition-extend-neg1",
+    ],
+)
+def test_queries_refuse_ids_outside_the_ground_set(matroid, query, args):
+    with pytest.raises(IndexError, match=r"action id -?\d+ outside ground set \[0, 3\)"):
+        getattr(matroid, query)(*args)
+
+
 def test_matroid_dict_round_trip(two_blocks):
     spec = matroid_to_dict(two_blocks)
     assert spec == {"type": "partition", "blocks": [[0], [1, 2]], "capacity": 1}
@@ -251,3 +304,12 @@ def test_matroid_dict_errors():
         matroid_from_dict({"type": "partition", "blocks": [[0]]}, 1)
     with pytest.raises(ValueError, match="cover every action id"):
         matroid_from_dict({"type": "partition", "blocks": [[0]], "capacity": 1}, 2)
+    # JSON true/false are not ids or counts.
+    with pytest.raises(ValueError, match="matroid.rank"):
+        matroid_from_dict({"type": "uniform", "rank": True}, 2)
+    with pytest.raises(ValueError, match="matroid.capacity"):
+        matroid_from_dict({"type": "partition", "blocks": [[0, 1]], "capacity": True}, 2)
+    with pytest.raises(ValueError, match="matroid.capacity"):
+        matroid_from_dict({"type": "partition", "blocks": [[0, 1]], "capacities": [True]}, 2)
+    with pytest.raises(ValueError, match="matroid.blocks"):
+        matroid_from_dict({"type": "partition", "blocks": [[False, True]], "capacity": 1}, 2)

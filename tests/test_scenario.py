@@ -209,6 +209,16 @@ def test_json_errors_name_the_field():
         scenario_from_dict({"agents": [[0, 0]], "actions": [], "matroid": {"type": "graphic"}})
     with pytest.raises(ValueError, match="'agents'"):
         scenario_from_dict({"agents": [[0, math.inf]], "actions": [], "matroid": {"type": "uniform", "rank": 1}})
+    # JSON true/false are not numbers: read as 1/0, they would load a
+    # scenario that saves differently.
+    with pytest.raises(ValueError, match="'agents'"):
+        scenario_from_dict({"agents": [[True, 0]], "actions": [], "matroid": {"type": "uniform", "rank": 1}})
+    with pytest.raises(ValueError, match="'actions'"):
+        scenario_from_dict({"agents": [[0, 0]], "actions": [[0, False]], "matroid": {"type": "uniform", "rank": 1}})
+    with pytest.raises(ValueError, match="matroid.capacity"):
+        scenario_from_dict(
+            {"agents": [[0, 0]], "actions": [[0, 0]], "matroid": {"type": "partition", "blocks": [[0]], "capacity": True}}
+        )
 
 
 def test_load_scenario_invalid_json(tmp_path):

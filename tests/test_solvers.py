@@ -12,6 +12,7 @@ import pytest
 from robust_select import (
     SOLVERS,
     GreedyStep,
+    Matroid,
     MinObjectiveOracle,
     PartitionMatroid,
     Scenario,
@@ -28,7 +29,7 @@ from robust_select import (
     simple_greedy,
     threshold_greedy,
 )
-from robust_select.checks import random_small_scenario
+from robust_select.checks import gamma_grid, random_small_scenario
 from robust_select.solvers import (
     _LADDER_CHUNK,
     BRUTE_FORCE_CAP,
@@ -641,3 +642,39 @@ def test_registry_matches_small_instance_golden():
             got = [list(solution.selected), repr(solution.min_value), solution.individual_evals]
             assert got == expected[name], name
             assert solution.algorithm == name
+
+
+class _ForwardingMatroid(Matroid):
+    """Defines only ``is_independent``, forwarded to a built-in matroid, so
+    every other query takes the generic path."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.n_actions = inner.n_actions
+
+    def is_independent(self, subset):
+        return self.inner.is_independent(subset)
+
+
+def test_generic_matroid_path_solves_as_the_built_in(rng):
+    """A matroid that defines only ``is_independent`` gets every solver's
+    answer and every threshold-greedy trace and stat of the built-in it
+    forwards to."""
+    for _ in range(30):
+        scenario = random_small_scenario(rng, max_actions=12, max_agents=4)
+        generic = Scenario(scenario.agents, scenario.actions, _ForwardingMatroid(scenario.matroid))
+        for name, solve in SOLVERS.items():
+            want, got = solve(scenario, SolverParams()), solve(generic, SolverParams())
+            assert (got.selected, got.min_value, got.individual_evals) == (
+                want.selected,
+                want.min_value,
+                want.individual_evals,
+            ), name
+        upper = min_objective(scenario, range(scenario.n_actions))
+        for gamma in gamma_grid(upper):
+            runs = []
+            for instance in (scenario, generic):
+                oracle, trace, stats = SurrogateOracle(instance, gamma), [], {}
+                selected = threshold_greedy(oracle, instance.matroid, 1e-3, trace=trace, stats=stats)
+                runs.append((selected, trace, stats, oracle.counter.individual_evals))
+            assert runs[0] == runs[1]
