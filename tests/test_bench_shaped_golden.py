@@ -9,9 +9,12 @@ Two seeded shapes, built here from ``np.random.default_rng``:
   100 x 100 square, at most one action per non-empty cell of an 8 x 8 grid.
 
 Per instance the file pins ``fast`` at two deltas (selection, hex min value,
-evaluation count, hex-encoded params) and ``threshold_greedy`` at 0.4 times
-and at the upper bound (selection, trace, stats, evaluation count). Floats
-are stored with ``float.hex`` so equality is bit for bit.
+evaluation count, hex-encoded params), ``threshold_greedy`` at 0.4 times
+and at the upper bound (selection, trace, stats, evaluation count), and the
+two baselines, ``simple_greedy`` (on the worst-agent objective and on the
+surrogate at 0.4 times the upper bound) and ``ratio_greedy_baseline``
+(selection, hex min value, evaluation count). Floats are stored with
+``float.hex`` so equality is bit for bit.
 
 Regenerate with ``PYTHONPATH=src python tests/test_bench_shaped_golden.py``,
 but only from a commit whose outputs are known to be right.
@@ -30,7 +33,9 @@ from robust_select import (
     SurrogateOracle,
     UniformMatroid,
     min_objective,
+    ratio_greedy_baseline,
     saturate_robust,
+    simple_greedy,
     threshold_greedy,
 )
 
@@ -70,6 +75,14 @@ def hexed(value):
     return float(value).hex() if isinstance(value, float) else value
 
 
+def baseline(solution):
+    return {
+        "selected": list(solution.selected),
+        "min_value": solution.min_value.hex(),
+        "individual_evals": solution.individual_evals,
+    }
+
+
 def record(shape, index, scenario):
     upper = min_objective(scenario, range(scenario.n_actions))
     fast = {}
@@ -92,7 +105,12 @@ def record(shape, index, scenario):
             "stats": {key: hexed(value) for key, value in stats.items()},
             "individual_evals": oracle.counter.individual_evals,
         }
-    return {"shape": shape, "index": index, "fast": fast, "threshold_greedy": greedy}
+    baselines = {
+        "greedy": baseline(simple_greedy(scenario)),
+        "greedy_surrogate_0.4": baseline(simple_greedy(scenario, GREEDY_GAMMA_FRACTIONS[0] * upper)),
+        "ratio": baseline(ratio_greedy_baseline(scenario)),
+    }
+    return {"shape": shape, "index": index, "fast": fast, "threshold_greedy": greedy, "baselines": baselines}
 
 
 def records():
