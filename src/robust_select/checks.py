@@ -175,8 +175,7 @@ def run_battery(
                         if lhs < rhs - BOUND_TOL:
                             mono_h.fail(scenario, f"h_{agent} not submodular at v={v}")
 
-        everything = frozenset(range(n))
-        upper = min_objective(scenario, everything)
+        upper = min_objective(scenario, range(n))
 
         for s in subsets:
             g_value = min_objective(scenario, s)

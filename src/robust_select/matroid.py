@@ -20,8 +20,19 @@ def is_int(value: object) -> bool:
 
 def ground_ids(subset: Iterable[int], n: int) -> np.ndarray:
     """``subset`` as an integer array, after checking every id lies in the
-    ground set [0, n)."""
-    ids = np.asarray(subset if isinstance(subset, np.ndarray) else list(subset)).reshape(-1)
+    ground set [0, n) and is not a bool."""
+    if isinstance(subset, range):  # holds no bools; arange skips the list
+        subset = np.arange(subset.start, subset.stop, subset.step)
+    if isinstance(subset, np.ndarray):
+        ids = subset.reshape(-1)
+    else:
+        items = list(subset)
+        if not items:
+            return np.zeros(0, dtype=np.intp)
+        # np.asarray reads True as 1 in a list of ints.
+        if bool in map(type, items):
+            raise IndexError("action ids must be integers, got bool")
+        ids = np.asarray(items).reshape(-1)
     if ids.size == 0:
         return ids.astype(np.intp)
     if ids.dtype.kind not in "iu":
@@ -42,11 +53,41 @@ def _distinct_ids(subset: Collection[int], n: int) -> np.ndarray:
     return ground_ids(subset if isinstance(subset, (set, frozenset)) else set(subset), n)
 
 
+class Feasibility:
+    """The feasibility state of a set that grows one element at a time:
+    ``mask`` is always ``extendable`` of the set, and ``add(e)`` puts an
+    element the mask allows into the set, raising IndexError for an id
+    outside the ground set and ValueError for any other element the mask
+    refuses (a member, or one that breaks independence). This generic state
+    asks ``matroid.extendable`` again after each ``add``; the built-in
+    matroids update their mask in place instead."""
+
+    def __init__(self, matroid: "Matroid", subset: Collection[int]) -> None:
+        self.matroid = matroid
+        self.chosen = set(subset)
+        self.mask = matroid.extendable(self.chosen)
+
+    def add(self, element: int) -> None:
+        self._admit(element)
+        self.chosen.add(element)
+        self.mask = self.matroid.extendable(self.chosen)
+
+    def _admit(self, element: int) -> None:
+        n = len(self.mask)
+        if isinstance(element, bool) or not isinstance(element, (int, np.integer)) or not 0 <= element < n:
+            raise IndexError(f"action id {element!r} is not an id of the ground set [0, {n})")
+        if not self.mask[element]:
+            raise ValueError(f"action id {element} cannot extend the set")
+
+
 class Matroid:
     """Base independence oracle. Subclasses define ``is_independent`` and
     ``n_actions``, and may override ``extendable`` with a faster
     equivalent. ``is_basis`` is derived from ``extendable``: a set is a
-    basis when nothing extends it."""
+    basis when nothing extends it. The greedies grow their set through
+    ``feasibility``, whose default asks ``extendable`` once per element
+    added; the built-in matroids answer ``extendable`` from a fresh state of
+    their own, which ``add`` updates with a few numpy calls."""
 
     n_actions: int
 
@@ -69,9 +110,54 @@ class Matroid:
             count=self.n_actions,
         )
 
+    def feasibility(self, subset: Collection[int] = ()) -> Feasibility:
+        """A feasibility state of ``subset``, for growing it one element at a
+        time."""
+        return Feasibility(self, subset)
+
     def is_basis(self, subset: Collection[int]) -> bool:
         """True iff no element can extend subset (so a dependent set is one)."""
         return not self.extendable(subset).any()
+
+
+class _UniformFeasibility(Feasibility):
+    """``room`` counts the elements the set can still take."""
+
+    def __init__(self, matroid: "UniformMatroid", subset: Collection[int]) -> None:
+        chosen = _distinct_ids(subset, matroid.n_actions)
+        self.room = matroid.rank - chosen.size
+        self.mask = np.full(matroid.n_actions, self.room > 0)
+        self.mask[chosen] = False
+
+    def add(self, element: int) -> None:
+        self._admit(element)
+        self.mask[element] = False
+        self.room -= 1
+        if not self.room:
+            self.mask[:] = False
+
+
+class _PartitionFeasibility(Feasibility):
+    """``room`` counts, per block, the elements the set can still take."""
+
+    def __init__(self, matroid: "PartitionMatroid", subset: Collection[int]) -> None:
+        chosen = _distinct_ids(subset, matroid.n_actions)
+        room = matroid._capacity_of - matroid._counts(chosen) if chosen.size else matroid._capacity_of
+        self.block_of = matroid._block_of
+        self.room = room.tolist()
+        if min(self.room, default=0) < 0:  # a dependent set
+            self.mask = np.zeros(matroid.n_actions, dtype=bool)
+        else:
+            self.mask = (room > 0)[self.block_of]
+            self.mask[chosen] = False
+
+    def add(self, element: int) -> None:
+        self._admit(element)
+        self.mask[element] = False
+        block = self.block_of[element]
+        self.room[block] -= 1
+        if not self.room[block]:
+            self.mask[self.block_of == block] = False
 
 
 @dataclass(frozen=True)
@@ -90,11 +176,11 @@ class UniformMatroid(Matroid):
     def is_independent(self, subset: Collection[int]) -> bool:
         return _distinct_ids(subset, self.n_actions).size <= self.rank
 
+    def feasibility(self, subset: Collection[int] = ()) -> Feasibility:
+        return _UniformFeasibility(self, subset)
+
     def extendable(self, subset: Collection[int]) -> np.ndarray:
-        chosen = _distinct_ids(subset, self.n_actions)
-        mask = np.full(self.n_actions, chosen.size < self.rank)
-        mask[chosen] = False
-        return mask
+        return self.feasibility(subset).mask
 
 
 @dataclass(frozen=True)
@@ -142,14 +228,11 @@ class PartitionMatroid(Matroid):
         counts = self._counts(_distinct_ids(subset, self.n_actions))
         return not (counts > self._capacity_of).any()
 
+    def feasibility(self, subset: Collection[int] = ()) -> Feasibility:
+        return _PartitionFeasibility(self, subset)
+
     def extendable(self, subset: Collection[int]) -> np.ndarray:
-        chosen = _distinct_ids(subset, self.n_actions)
-        counts = self._counts(chosen)
-        if (counts > self._capacity_of).any():
-            return np.zeros(self.n_actions, dtype=bool)
-        mask = (counts < self._capacity_of)[self._block_of]
-        mask[chosen] = False
-        return mask
+        return self.feasibility(subset).mask
 
 
 def matroid_to_dict(matroid: Matroid) -> dict:

@@ -65,49 +65,51 @@ def threshold_ladder(start: float, delta: float, length: int) -> np.ndarray:
 
 class _Ladder:
     """A forward cursor over ``threshold_ladder(start, delta, ...)``, computed
-    a chunk at a time; each chunk starts with the previous chunk's last rung."""
+    a chunk at a time; each chunk starts with the previous chunk's last rung.
+    The rungs are kept negated, so that they ascend, as searchsorted needs:
+    IEEE division is symmetric in sign, so the chain from -start is exactly
+    the negated chain from start."""
 
     def __init__(self, start: float, delta: float) -> None:
         self.delta = delta
-        self._chunk(start)
+        self._chunk(-start)
 
-    def _chunk(self, start: float, extra: int = 0) -> None:
-        self.rungs = threshold_ladder(start, delta=self.delta, length=_LADDER_CHUNK + extra)
-        # Negated, the rungs ascend, which is what searchsorted needs.
-        self.negated = -self.rungs
+    def _chunk(self, negated_start: float, extra: int = 0) -> None:
+        self.negated = threshold_ladder(negated_start, delta=self.delta, length=_LADDER_CHUNK + extra)
         self.k = 0
 
     @property
     def threshold(self) -> float:
-        return float(self.rungs[self.k])
+        return -float(self.negated[self.k])
 
     def step(self) -> None:
         """Move one rung down."""
-        if self.k + 1 == self.rungs.size:
-            self._chunk(self.rungs[-1])
+        if self.k + 1 == self.negated.size:
+            self._chunk(self.negated[-1])
         self.k += 1
 
     def drop(self, at_most: float, floor: float) -> None:
         """Move down to the first rung that is <= ``at_most`` or < ``floor``
         (the current rung must be neither)."""
         while True:
+            negated = self.negated
             k = min(
-                self.negated.searchsorted(-at_most, side="left"),
-                self.negated.searchsorted(-floor, side="right"),
+                negated.searchsorted(-at_most, side="left"),
+                negated.searchsorted(-floor, side="right"),
             )
-            if k < self.rungs.size:
+            if k < negated.size:
                 self.k = int(k)
                 return
-            last = self.rungs[-1]
-            if last == self.rungs[-2]:
+            last = negated[-1]
+            if last == negated[-2]:
                 raise ValueError(
-                    f"threshold stalled at {float(last)!r}: dividing it by 1 + {self.delta!r} "
+                    f"threshold stalled at {-float(last)!r}: dividing it by 1 + {self.delta!r} "
                     "no longer lowers it, so the greedy would never end"
                 )
             # Size the next chunk by the divisions from its start down to the
             # target; a short estimate only costs another chunk.
             target = max(at_most, floor)
-            need = math.log(last / target) / math.log1p(self.delta) if target > 0 else math.inf
+            need = math.log(last / -target) / math.log1p(self.delta) if target > 0 else math.inf
             self._chunk(last, extra=int(min(need, _LADDER_JUMP_CAP)))
 
 
@@ -203,13 +205,17 @@ def threshold_greedy(
     every intermediate threshold the loop jumps (``np.searchsorted``) to the
     first rung at or below the largest surviving gain, or below the floor.
     The output and the per-candidate evaluations are exactly those of the
-    literal pass-by-pass loop; only the no-op rescans are skipped.
+    literal pass-by-pass loop; only the no-op rescans are skipped. The rungs
+    themselves cannot be skipped: each is the previous one divided, and the
+    serial division (about 8 ns a rung, some 30-45 thousand rungs per
+    bisection solve on the benchmark workloads) is the ladder's floor.
 
     The greedy works once per base set, the selection between two
     insertions: ``oracle.base`` and ``oracle.child`` give its handle, whose
-    gains against every ground element are computed once, and the matroid's
-    feasibility mask is asked for once (``oracle.feasible`` turns it into
-    the feasible ids and their gains). Each stretch of a pass between
+    gains against every ground element are computed once, and one
+    ``matroid.feasibility`` state follows the selection for the whole run,
+    its mask updated as each element is added (``oracle.feasible`` turns it
+    into the feasible ids and their gains). Each stretch of a pass between
     insertions is then a slice of those, which ``oracle.scan`` reads up to
     the first gain at or above the threshold, charging exactly the
     candidates the one-at-a-time scan would evaluate.
@@ -226,12 +232,11 @@ def threshold_greedy(
         raise ValueError(f"delta must be > 0, got {delta!r}")
     _check_threshold_steps(delta)
     n = matroid.n_actions
-    selected: set[int] = set()
     passes = 0
     initial = 0.0
     threshold = 0.0
+    base = oracle.base(())
     if n > 0:
-        base = oracle.base(())
         initial = max(0.0, float(oracle.scan(base, oracle.feasible(base, np.ones(n, dtype=bool))[1]).max()))
         threshold = initial
         floor = delta * initial
@@ -240,7 +245,8 @@ def threshold_greedy(
         # when an element is accepted: each base's feasible ids and gains
         # are computed once, and each stretch of a pass between insertions
         # scans a slice of them. The greedy ends when none are left.
-        candidates, gains = oracle.feasible(base, matroid.extendable(selected))
+        feasibility = matroid.feasibility()
+        candidates, gains = oracle.feasible(base, feasibility.mask)
         while initial > 0 and threshold >= floor and candidates.size:
             passes += 1
             inserted = False
@@ -259,10 +265,10 @@ def threshold_greedy(
                     break
                 e = int(candidates[lo + last])
                 if trace is not None:
-                    trace.append(GreedyStep(threshold, e, float(scanned[last]), frozenset(selected)))
-                selected.add(e)
+                    trace.append(GreedyStep(threshold, e, float(scanned[last]), base.subset))
+                feasibility.add(e)
                 base = oracle.child(base, e)
-                candidates, gains = oracle.feasible(base, matroid.extendable(selected))
+                candidates, gains = oracle.feasible(base, feasibility.mask)
                 inserted = True
                 start = e + 1
             if inserted:
@@ -276,7 +282,7 @@ def threshold_greedy(
         stats["passes"] = passes
         stats["initial_threshold"] = initial
         stats["final_threshold"] = threshold
-    return selected
+    return set(base.subset)
 
 
 def saturate_robust(
@@ -301,8 +307,7 @@ def saturate_robust(
         params = SolverParams()
     started = time.perf_counter()
     counter = EvaluationCounter()
-    everything = frozenset(range(scenario.n_actions))
-    upper_init = min_objective(scenario, everything, counter)
+    upper_init = min_objective(scenario, range(scenario.n_actions), counter)
     lower, upper = 0.0, upper_init
     epsilon = params.epsilon if params.epsilon is not None else 1e-3 * upper_init
     divisor = 1.0 + params.curvature + params.delta
@@ -347,21 +352,21 @@ def simple_greedy(scenario: Scenario, gamma: float | None = None) -> Solution:
     is given, otherwise directly on the worst-agent objective.
 
     Each round scans every feasible candidate of one base handle; the next
-    base is that handle's child by the argmax. It is charged as the
-    one-at-a-time scan would charge it: that scan leaves the extension by
-    its last candidate evaluated, so the child is warm only when the argmax
-    was the last candidate scanned, and otherwise cold."""
+    base is that handle's child by the argmax, and one
+    ``matroid.feasibility`` state follows the selection. The child is
+    charged as the one-at-a-time scan would charge it: that scan leaves the
+    extension by its last candidate evaluated, so the child is warm only
+    when the argmax was the last candidate scanned, and otherwise cold."""
     started = time.perf_counter()
     counter = EvaluationCounter()
     if gamma is None:
         oracle = MinObjectiveOracle(scenario, counter)
     else:
         oracle = SurrogateOracle(scenario, gamma, counter)
-    matroid = scenario.matroid
-    selected: set[int] = set()
+    feasibility = scenario.matroid.feasibility()
     base = oracle.base(())
     while True:
-        candidates, gains = oracle.feasible(base, matroid.extendable(selected))
+        candidates, gains = oracle.feasible(base, feasibility.mask)
         if candidates.size == 0:
             break
         gains = oracle.scan(base, gains)
@@ -369,13 +374,13 @@ def simple_greedy(scenario: Scenario, gamma: float | None = None) -> Solution:
         if not gains[best] > 0.0:
             break
         e = int(candidates[best])
-        selected.add(e)
+        feasibility.add(e)
         base = oracle.child(base, e)
         base.cold = best != candidates.size - 1
-    value = min_objective(scenario, selected, counter)
+    value = min_objective(scenario, base.subset, counter)
     return Solution(
         algorithm="greedy",
-        selected=tuple(sorted(selected)),
+        selected=tuple(sorted(base.subset)),
         min_value=value,
         individual_evals=counter.individual_evals,
         f_evaluations=counter.f_equivalent(scenario.n_agents),
@@ -396,29 +401,39 @@ def ratio_greedy_baseline(scenario: Scenario) -> Solution:
     until the selection is a basis; they also stop if every score is zero
     (0/0 counts as 0).
 
-    The normalizers are computed once per round, but the counter is charged
-    as if each (candidate, agent) score re-derived its normalizer by scanning
-    the whole feasible pool F: N * |F| * (1 + |F|) per round. That charge is
-    an accounting convention for the full-scan baseline the fast solver's
-    evaluation counts are judged against, not a count of the work done here.
+    One ``matroid.feasibility`` state follows the selection. The normalizers
+    are taken once per round; the scores of the whole ground set are
+    computed again only when a normalizer moved (a candidate's score depends
+    on nothing else), and the round's pick is the argmax over the feasible
+    ones. The counter is charged as if each (candidate, agent) score
+    re-derived its normalizer by scanning the whole feasible pool F:
+    N * |F| * (1 + |F|) per round. That charge is an accounting convention
+    for the full-scan baseline the fast solver's evaluation counts are
+    judged against, not a count of the work done here.
     """
     started = time.perf_counter()
     counter = EvaluationCounter()
-    matroid = scenario.matroid
+    distances = scenario.distances
+    feasibility = scenario.matroid.feasibility()
     selected: set[int] = set()
+    norm = scores = None
     while True:
-        feasible = np.flatnonzero(matroid.extendable(selected))
-        if feasible.size == 0:
+        mask = feasibility.mask
+        size = int(np.count_nonzero(mask))
+        if not size:
             break
-        counter.add(scenario.n_agents * feasible.size * (1 + feasible.size))
-        pool = scenario.distances[:, feasible]
-        norm = pool.max(axis=1, keepdims=True)
-        # A zero normalizer means a zero row, so dividing it by 1 scores 0.
-        scores = (pool / np.where(norm > 0.0, norm, 1.0)).min(axis=0)
-        best = int(np.argmax(scores))  # first maximum: lowest id on ties
+        counter.add(scenario.n_agents * size * (1 + size))
+        pool_max = distances.max(axis=1, where=mask, initial=0.0)
+        if scores is None or (pool_max != norm).any():
+            norm = pool_max
+            # A zero normalizer means a zero row of the pool, so dividing it
+            # by 1 scores 0.
+            scores = (distances / np.where(norm > 0.0, norm, 1.0)[:, None]).min(axis=0)
+        best = int(np.argmax(np.where(mask, scores, -np.inf)))  # first maximum: lowest id on ties
         if not scores[best] > 0.0:
             break
-        selected.add(int(feasible[best]))
+        feasibility.add(best)
+        selected.add(best)
     value = min_objective(scenario, selected, counter)
     return Solution(
         algorithm="ratio",

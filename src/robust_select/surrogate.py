@@ -32,7 +32,7 @@ Handles and accounting contract shared by both:
   checks its candidates, and ``feasible`` (the greedies' path) checks once
   per base that its mask covers exactly [0, M). Candidates inside the base
   raise ValueError, checked by ``marginal_gains`` per call and by
-  ``feasible`` once per base;
+  ``feasible`` once per base, which reads the mask at the set's ids;
 * every logical evaluation of the reduced objective charges one count per
   agent, even when the result is read from a handle or lane or is known
   trivially (gamma == 0);
@@ -73,23 +73,23 @@ CURVATURE_GROUND_CAP = 20
 # Clamps beyond this are reported; below it they are floating-point dust.
 _CLAMP_TOL = 1e-9
 
+_MEMBER_CANDIDATE = "candidates must lie outside the base set"
+
 
 class _Handle:
     """The handle of a set as a base: its capped per-agent values and its
-    reduced value. The oracle fills in, on first use, the member mask and
-    the gain lanes. ``cold`` marks a handle scored from scratch whose own
+    reduced value. The oracle fills in the gain lanes on first use. ``cold`` marks a handle scored from scratch whose own
     value is charged with its first scan. A handle holds no reference to
     its oracle, so dropping an oracle frees its arrays at once.
     """
 
-    __slots__ = ("subset", "values", "value", "cold", "members", "lanes", "reduced", "gains")
+    __slots__ = ("subset", "values", "value", "cold", "lanes", "reduced", "gains")
 
     def __init__(self, subset: frozenset, values: np.ndarray, value: float) -> None:
         self.subset = subset
         self.values = values  # (N,), capped
         self.value = value
         self.cold = False
-        self.members: np.ndarray | None = None  # bool (M,): True on the set's ids
         self.lanes: np.ndarray | None = None  # (N, M): column j holds the capped values of subset | {j}
         self.reduced: np.ndarray | None = None  # (M,): the reduced objective of subset | {j}
         self.gains: np.ndarray | None = None  # (M,): reduced minus the set's value
@@ -101,6 +101,7 @@ class _ProximityOracleBase:
     def __init__(self, scenario: Scenario, counter: EvaluationCounter | None = None) -> None:
         self.scenario = scenario
         self.counter = EvaluationCounter() if counter is None else counter
+        self._agents = scenario.n_agents
         # The last handle ``base`` or ``child`` made, which ``evaluate``
         # reads instead of scoring the same set again.
         self._last: _Handle | None = None
@@ -129,19 +130,13 @@ class _ProximityOracleBase:
         return self._cap(self.scenario.distances)
 
     def _charge(self, evaluations: int = 1) -> None:
-        self.counter.add(evaluations * self.scenario.n_agents)
+        self.counter.add(evaluations * self._agents)
 
     def _handle(self, subset: frozenset) -> _Handle:
         if not subset:  # every agent values the empty set at 0
-            return _Handle(subset, np.zeros(self.scenario.n_agents), 0.0)
+            return _Handle(subset, np.zeros(self._agents), 0.0)
         values = agent_values(self.scenario, subset)
         return _Handle(subset, self._cap(values), float(self._reduce(values)))
-
-    def _members(self, handle: _Handle) -> np.ndarray:
-        if handle.members is None:
-            handle.members = np.zeros(self.scenario.n_actions, dtype=bool)
-            handle.members[list(handle.subset)] = True
-        return handle.members
 
     def _gains(self, handle: _Handle) -> np.ndarray:
         """The handle's gain against every ground element, built once; the
@@ -157,10 +152,6 @@ class _ProximityOracleBase:
                 handle.gains = handle.reduced - handle.value
         return handle.gains
 
-    def _check_outside(self, handle: _Handle, ids: np.ndarray) -> None:
-        if np.count_nonzero(self._members(handle)[ids]):
-            raise ValueError("candidates must lie outside the base set")
-
     def base(self, subset: Iterable[int]) -> _Handle:
         """A fresh handle of ``subset`` as a base, scored from scratch (its
         ids are range-checked) and cold unless every value is known to be 0.
@@ -174,11 +165,9 @@ class _ProximityOracleBase:
         of a handle with lanes), read from the element's lane: no agent is
         scored again, and nothing is charged."""
         element = int(element)
-        child = _Handle(handle.subset | {element}, handle.lanes[:, element], float(handle.reduced[element]))
-        if handle.members is not None:
-            child.members = handle.members.copy()
-            child.members[element] = True
-        self._last = child
+        child = self._last = _Handle(
+            handle.subset | {element}, handle.lanes[:, element], float(handle.reduced[element])
+        )
         return child
 
     def feasible(self, handle: _Handle, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -192,7 +181,8 @@ class _ProximityOracleBase:
         ids = mask.nonzero()[0]
         if not ids.size:
             return ids, np.zeros(0)
-        self._check_outside(handle, ids)
+        if handle.subset and mask[list(handle.subset)].any():
+            raise ValueError(_MEMBER_CANDIDATE)
         return ids, self._gains(handle)[ids]
 
     def scan(self, handle: _Handle, gains: np.ndarray, stop_at: float | None = None) -> np.ndarray:
@@ -201,10 +191,11 @@ class _ProximityOracleBase:
         including the first gain >= ``stop_at``, or all of them. The one
         charging path: one evaluation per scanned candidate, plus one when
         the handle is cold, which it is not afterwards."""
-        if stop_at is not None:
-            hits = (gains >= stop_at).nonzero()[0]
-            if hits.size:
-                gains = gains[: hits[0] + 1]
+        if stop_at is not None and gains.size:
+            hits = gains >= stop_at
+            first = hits.argmax()  # the first True, if there is one
+            if hits[first]:
+                gains = gains[: first + 1]
         self._charge(gains.size + handle.cold)
         handle.cold = False
         return gains
@@ -234,7 +225,8 @@ class _ProximityOracleBase:
         """
         ids = ground_ids(candidates, self.scenario.n_actions)
         base = self.base(subset)
-        self._check_outside(base, ids)
+        if not base.subset.isdisjoint(ids.tolist()):
+            raise ValueError(_MEMBER_CANDIDATE)
         if ids.size == 0:
             return np.zeros(0)
         return self.scan(base, self._gains(base)[ids], stop_at)

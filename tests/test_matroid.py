@@ -283,6 +283,80 @@ def test_queries_refuse_ids_outside_the_ground_set(matroid, query, args):
         getattr(matroid, query)(*args)
 
 
+@pytest.mark.parametrize("matroid", [_UNIFORM, _PARTITION], ids=["uniform", "partition"])
+@pytest.mark.parametrize("query", ["is_independent", "is_basis", "extendable", "feasibility"])
+@pytest.mark.parametrize("ids", [[True, 2], {False, 2}], ids=["list", "set"])
+def test_queries_refuse_a_bool_among_ids(matroid, query, ids):
+    """numpy reads True as 1 in a list of ints; the queries refuse it."""
+    with pytest.raises(IndexError, match="got bool"):
+        getattr(matroid, query)(ids)
+
+
+class _Forwarding(Matroid):
+    """Defines only independence, forwarded to a built-in matroid, so every
+    other query takes the generic path."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.n_actions = inner.n_actions
+
+    def is_independent(self, subset):
+        return self.inner.is_independent(subset)
+
+
+def _refused(state, element, error):
+    """``state.add(element)`` raises ``error`` and leaves the state as it was."""
+    before = state.mask.tolist()
+    with pytest.raises(error):
+        state.add(element)
+    assert state.mask.tolist() == before
+
+
+@given(st.one_of(any_matroids, any_matroids.map(_Forwarding)), st.data())
+def test_feasibility_state_follows_its_set(matroid, data):
+    """Along a drawn insertion order from a drawn start (dependent starts
+    included), the state's mask is the definition's answer after every
+    ``add``; ``extendable`` hands out fresh masks that no later ``add``
+    touches; and ``add`` refuses members, infeasible elements and ids
+    outside the ground set, changing nothing."""
+    n = matroid.n_actions
+    chosen = {j for j in range(n) if data.draw(st.booleans(), label=f"start_{j}")}
+    state = matroid.feasibility(sorted(chosen))
+    handed_out = []
+    while True:
+        expected = [matroid.can_extend(chosen, e) for e in range(n)]
+        assert state.mask.dtype == bool and state.mask.shape == (n,)
+        assert state.mask.tolist() == expected
+        mask = matroid.extendable(chosen)
+        assert mask is not state.mask and mask.tolist() == expected
+        handed_out.append((mask, expected))
+        for bad in (-1, n, True, 0.0):
+            _refused(state, bad, IndexError)
+        for e in range(n):
+            if not expected[e]:
+                _refused(state, e, ValueError)
+        allowed = [e for e in range(n) if expected[e]]
+        if not allowed:
+            break
+        e = data.draw(st.sampled_from(allowed), label="add")
+        state.add(e)
+        chosen.add(e)
+    for mask, expected in handed_out:
+        assert mask.tolist() == expected
+
+
+def test_feasibility_state_of_a_partition_closes_a_full_block():
+    m = PartitionMatroid(((0, 1, 2), (3,), (4, 5)), (2, 0, 1))
+    state = m.feasibility()
+    assert state.mask.tolist() == [True, True, True, False, True, True]
+    state.add(1)
+    assert state.mask.tolist() == [True, False, True, False, True, True]
+    state.add(2)
+    assert state.mask.tolist() == [False, False, False, False, True, True]
+    with pytest.raises(ValueError, match="cannot extend"):
+        state.add(0)
+
+
 def test_matroid_dict_round_trip(two_blocks):
     spec = matroid_to_dict(two_blocks)
     assert spec == {"type": "partition", "blocks": [[0], [1, 2]], "capacity": 1}

@@ -74,6 +74,28 @@ def test_proximity_action_out_of_range(tiny):
             worst_case_attack(tiny, [bad])
 
 
+def test_a_bool_among_ids_is_refused(tiny):
+    """numpy would read True as id 1 in a list of ints; every path that
+    takes action ids refuses it instead."""
+    for ids in ([True, 0], [0, True], (2, False), {True, 2}):
+        with pytest.raises(IndexError, match="got bool"):
+            agent_values(tiny, ids)
+        with pytest.raises(IndexError, match="got bool"):
+            min_objective(tiny, ids)
+
+
+@pytest.mark.parametrize("ids", [range(3), range(0), range(2, 0, -1), range(0, 3, 2)])
+def test_a_range_reads_as_its_list(tiny, ids):
+    assert agent_values(tiny, ids).tolist() == agent_values(tiny, list(ids)).tolist()
+    assert min_objective(tiny, ids) == min_objective(tiny, list(ids))
+
+
+@pytest.mark.parametrize("ids", [range(-1, 2), range(4), range(3, -1, -1)])
+def test_a_range_outside_the_ground_set_is_refused(tiny, ids):
+    with pytest.raises(IndexError, match="outside ground set"):
+        agent_values(tiny, ids)
+
+
 def test_distances_is_one_read_only_array(tiny):
     d = tiny.distances
     assert isinstance(d, np.ndarray) and d.dtype == np.float64 and d.shape == (2, 3)

@@ -363,6 +363,17 @@ def test_out_of_range_ids_raise(tiny, make, bad):
         oracle.marginal_gains({bad}, [1])
 
 
+def test_a_bool_among_ids_is_refused(tiny):
+    """True is not read as id 1, in a base set or among candidates."""
+    oracle = SurrogateOracle(tiny, 8.0)
+    with pytest.raises(IndexError, match="got bool"):
+        oracle.base([True, 2])
+    with pytest.raises(IndexError, match="got bool"):
+        oracle.marginal_gains({0}, [2, True])
+    with pytest.raises(IndexError, match="got bool"):
+        oracle.evaluate([0, True])
+
+
 def test_shared_counter(tiny):
     counter = EvaluationCounter()
     SurrogateOracle(tiny, 4.0, counter).evaluate({0})
