@@ -74,7 +74,7 @@ class Feasibility:
 
     def _admit(self, element: int) -> None:
         n = len(self.mask)
-        if isinstance(element, bool) or not isinstance(element, (int, np.integer)) or not 0 <= element < n:
+        if not (is_int(element) or isinstance(element, np.integer)) or not 0 <= element < n:
             raise IndexError(f"action id {element!r} is not an id of the ground set [0, {n})")
         if not self.mask[element]:
             raise ValueError(f"action id {element} cannot extend the set")

@@ -402,10 +402,10 @@ def ratio_greedy_baseline(scenario: Scenario) -> Solution:
     (0/0 counts as 0).
 
     One ``matroid.feasibility`` state follows the selection. The normalizers
-    are taken once per round; the scores of the whole ground set are
-    computed again only when a normalizer moved (a candidate's score depends
-    on nothing else), and the round's pick is the argmax over the feasible
-    ones. The counter is charged as if each (candidate, agent) score
+    are taken once per round; the pool's scores are computed again only when
+    a normalizer moved (a candidate's score depends on nothing else, and a
+    candidate that leaves the pool never returns), and the round's pick is
+    the argmax over the candidates still feasible. The counter is charged as if each (candidate, agent) score
     re-derived its normalizer by scanning the whole feasible pool F:
     N * |F| * (1 + |F|) per round. That charge is an accounting convention
     for the full-scan baseline the fast solver's evaluation counts are
@@ -427,8 +427,10 @@ def ratio_greedy_baseline(scenario: Scenario) -> Solution:
         if scores is None or (pool_max != norm).any():
             norm = pool_max
             # A zero normalizer means a zero row of the pool, so dividing it
-            # by 1 scores 0.
-            scores = (distances / np.where(norm > 0.0, norm, 1.0)[:, None]).min(axis=0)
+            # by 1 scores 0. Only the pool is divided: a column outside it
+            # never returns to it, and it could overflow.
+            divisor = np.where(norm > 0.0, norm, 1.0)[:, None]
+            scores = np.divide(distances, divisor, out=np.zeros_like(distances), where=mask).min(axis=0)
         best = int(np.argmax(np.where(mask, scores, -np.inf)))  # first maximum: lowest id on ties
         if not scores[best] > 0.0:
             break

@@ -538,6 +538,45 @@ def test_ratio_zero_normalizer_scores_zero():
     assert solution.individual_evals == 2 * 2 * 3 + 2
 
 
+def test_ratio_scores_only_the_feasible_pool():
+    """Round 2's pool is the one action at a subnormal distance; the
+    infeasible far action would overflow its score, and is not scored."""
+    scenario = Scenario.from_coords(
+        [(0.0, 0.0)], [(1e-310, 0.0), (1e10, 0.0)], PartitionMatroid(((0,), (1,)), (1, 1))
+    )
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        solution = ratio_greedy_baseline(scenario)
+    assert solution.selected == (0, 1)
+
+
+def reference_ratio_baseline(scenario):
+    """The baseline as defined, round by round: rebuild the feasible pool,
+    its normalizers and every score."""
+    matroid, selected, charges = scenario.matroid, set(), 0
+    while True:
+        feasible = np.flatnonzero(matroid.extendable(selected))
+        if feasible.size == 0:
+            break
+        charges += scenario.n_agents * feasible.size * (1 + feasible.size)
+        pool = scenario.distances[:, feasible]
+        norm = pool.max(axis=1, keepdims=True)
+        scores = (pool / np.where(norm > 0.0, norm, 1.0)).min(axis=0)
+        best = int(np.argmax(scores))
+        if not scores[best] > 0.0:
+            break
+        selected.add(int(feasible[best]))
+    return tuple(sorted(selected)), min_objective(scenario, selected), charges + scenario.n_agents
+
+
+def test_ratio_baseline_matches_the_round_by_round_definition(rng):
+    """Keeping scores until a normalizer moves changes no pick, value or
+    charge, on uniform and partition matroids (zero capacities included)."""
+    for _ in range(40):
+        scenario = random_matroid_scenario(rng, int(rng.integers(1, 12)), int(rng.integers(1, 30)))
+        solution = ratio_greedy_baseline(scenario)
+        assert (solution.selected, solution.min_value, solution.individual_evals) == reference_ratio_baseline(scenario)
+
+
 # -- exhaustive oracles ------------------------------------------------
 
 
