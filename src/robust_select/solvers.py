@@ -405,11 +405,12 @@ def ratio_greedy_baseline(scenario: Scenario) -> Solution:
     are taken once per round; the pool's scores are computed again only when
     a normalizer moved (a candidate's score depends on nothing else, and a
     candidate that leaves the pool never returns), and the round's pick is
-    the argmax over the candidates still feasible. The counter is charged as if each (candidate, agent) score
-    re-derived its normalizer by scanning the whole feasible pool F:
-    N * |F| * (1 + |F|) per round. That charge is an accounting convention
-    for the full-scan baseline the fast solver's evaluation counts are
-    judged against, not a count of the work done here.
+    the argmax over the candidates still feasible. The counter is charged
+    as if each (candidate, agent) score re-derived its normalizer by
+    scanning the whole feasible pool F: N * |F| * (1 + |F|) per round. That
+    charge is an accounting convention for the full-scan baseline the fast
+    solver's evaluation counts are judged against, not a count of the work
+    done here.
     """
     started = time.perf_counter()
     counter = EvaluationCounter()

@@ -78,9 +78,10 @@ _MEMBER_CANDIDATE = "candidates must lie outside the base set"
 
 class _Handle:
     """The handle of a set as a base: its capped per-agent values and its
-    reduced value. The oracle fills in the gain lanes on first use. ``cold`` marks a handle scored from scratch whose own
-    value is charged with its first scan. A handle holds no reference to
-    its oracle, so dropping an oracle frees its arrays at once.
+    reduced value. The oracle fills in the gain lanes on first use.
+    ``cold`` marks a handle scored from scratch whose own value is charged
+    with its first scan. A handle holds no reference to its oracle, so
+    dropping an oracle frees its arrays at once.
     """
 
     __slots__ = ("subset", "values", "value", "cold", "lanes", "reduced", "gains")
@@ -165,10 +166,8 @@ class _ProximityOracleBase:
         of a handle with lanes), read from the element's lane: no agent is
         scored again, and nothing is charged."""
         element = int(element)
-        child = self._last = _Handle(
-            handle.subset | {element}, handle.lanes[:, element], float(handle.reduced[element])
-        )
-        return child
+        self._last = _Handle(handle.subset | {element}, handle.lanes[:, element], float(handle.reduced[element]))
+        return self._last
 
     def feasible(self, handle: _Handle, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The ids a boolean mask over the ground set selects, ascending,
