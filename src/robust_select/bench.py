@@ -17,18 +17,14 @@ import csv
 import hashlib
 import json
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
-from .matroid import PartitionMatroid, is_int
-from .scenario import Point2, Scenario
+from .matroid import PartitionMatroid, is_int, is_real
+from .scenario import Scenario
 from .solvers import SOLVERS, SolverParams
-
-WORKERS_ENV_VAR = "ROBUST_SELECT_THREADS"
 
 
 @dataclass(frozen=True)
@@ -55,7 +51,7 @@ class BenchConfig:
                 raise ValueError(f"bench config: {name} must be an integer, got {getattr(self, name)!r}")
         for name in ("region", "delta", "epsilon", "curvature"):
             value = getattr(self, name)
-            if not (is_int(value) or isinstance(value, float) or (name == "epsilon" and value is None)):
+            if not (is_real(value) or (name == "epsilon" and value is None)):
                 raise ValueError(f"bench config: {name} must be a real number, got {value!r}")
         if not isinstance(self.measure_wall_time, bool):
             raise ValueError(f"bench config: measure_wall_time must be true or false, got {self.measure_wall_time!r}")
@@ -141,15 +137,10 @@ def generate_scenario(config: BenchConfig, z: int, seed: int) -> Scenario:
         x, y = actions[j]
         blocks[(1 if x >= half else 0) + (2 if y >= half else 0)].append(j)
     matroid = PartitionMatroid(tuple(tuple(b) for b in blocks), (z,) * 4)
-    return Scenario(
-        agents=tuple(Point2(float(x), float(y)) for x, y in agents),
-        actions=tuple(Point2(float(x), float(y)) for x, y in actions),
-        matroid=matroid,
-    )
+    return Scenario.from_coords(agents, actions, matroid)
 
 
-def _run_cell(task: tuple[BenchConfig, int, int, tuple[str, ...]]) -> list[TrialResult]:
-    config, z, trial, algorithms = task
+def _run_cell(config: BenchConfig, z: int, trial: int, algorithms: tuple[str, ...]) -> list[TrialResult]:
     seed = trial_seed(config.base_seed, trial)
     scenario = generate_scenario(config, z, seed)
     params = config.solver_params()
@@ -170,36 +161,16 @@ def _run_cell(task: tuple[BenchConfig, int, int, tuple[str, ...]]) -> list[Trial
     return results
 
 
-def resolve_workers(requested: int | None = None) -> int:
-    """Worker count for trial-level parallelism. The environment variable
-    ROBUST_SELECT_THREADS caps any request (0 means one worker per CPU);
-    without it, an unspecified request runs single-threaded."""
-    env = os.environ.get(WORKERS_ENV_VAR)
-    cap = None
-    if env is not None and env != "":
-        try:
-            cap = int(env)
-        except ValueError:
-            raise ValueError(f"{WORKERS_ENV_VAR} must be an integer, got {env!r}") from None
-        if cap < 0:
-            raise ValueError(f"{WORKERS_ENV_VAR} must be >= 0, got {cap}")
-        if cap == 0:
-            cap = os.cpu_count() or 1
-    if requested is None:
-        return cap if cap is not None else 1
-    if requested < 1:
-        raise ValueError(f"worker count must be >= 1, got {requested}")
-    return min(requested, cap) if cap is not None else requested
-
-
 def run_benchmark(
     config: BenchConfig,
     algorithms: Sequence[str] = ("fast", "ratio"),
-    workers: int | None = None,
+    workers: int = 1,
 ) -> list[TrialResult]:
-    """Run every algorithm on every (z, trial) cell. Output order is fixed
-    (by z, trial, algorithm name) regardless of worker count, and identical
-    configs produce identical results."""
+    """Run every algorithm on every (z, trial) cell, in this process. Output
+    order is fixed (by z, trial, algorithm name), and identical configs
+    produce identical results. ``workers`` accepts only 1."""
+    if not is_int(workers) or workers != 1:
+        raise ValueError(f"the benchmark runs in one process: workers must be 1, got {workers!r}")
     names = tuple(algorithms)
     if not names:
         raise ValueError("no algorithms requested")
@@ -208,19 +179,12 @@ def run_benchmark(
             raise ValueError(f"unknown algorithm '{name}': expected one of {', '.join(SOLVERS)}")
     if len(set(names)) != len(names):
         raise ValueError("duplicate algorithm names requested")
-    tasks = [
-        (config, z, trial, names)
+    results = [
+        result
         for z in range(config.z_min, config.z_max + 1)
         for trial in range(config.trials)
+        for result in _run_cell(config, z, trial, names)
     ]
-    n_workers = resolve_workers(workers)
-    if n_workers > 1 and len(tasks) > 1:
-        chunk = max(1, len(tasks) // (n_workers * 8))
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            nested = list(pool.map(_run_cell, tasks, chunksize=chunk))
-    else:
-        nested = [_run_cell(task) for task in tasks]
-    results = [r for cell in nested for r in cell]
     results.sort(key=lambda r: (r.z, r.trial, r.algorithm))
     return results
 

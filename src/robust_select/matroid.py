@@ -18,6 +18,12 @@ def is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def is_real(value: object) -> bool:
+    """True for an ``is_int`` integer or a float: a real number that is not
+    a bool."""
+    return is_int(value) or isinstance(value, float)
+
+
 def ground_ids(subset: Iterable[int], n: int) -> np.ndarray:
     """``subset`` as an integer array, after checking every id lies in the
     ground set [0, n) and is not a bool."""

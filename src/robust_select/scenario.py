@@ -17,7 +17,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .matroid import Matroid, ground_ids, is_int, matroid_from_dict, matroid_to_dict
+from .matroid import Matroid, ground_ids, is_int, is_real, matroid_from_dict, matroid_to_dict
 
 
 class Point2(NamedTuple):
@@ -129,7 +129,7 @@ def proximity_objective(
     counter: EvaluationCounter | None = None,
 ) -> float:
     """Agent ``agent``'s value of ``subset``; charges one evaluation."""
-    if not 0 <= agent < scenario.n_agents:
+    if not (is_int(agent) and 0 <= agent < scenario.n_agents):
         raise IndexError(f"agent index {agent} out of range [0, {scenario.n_agents})")
     value = float(agent_values(scenario, subset)[agent])
     if counter is not None:
@@ -193,7 +193,7 @@ def _coord_field(data: dict, name: str, minimum: int) -> tuple[Point2, ...]:
         ok = (
             isinstance(entry, (list, tuple))
             and len(entry) == 2
-            and all((is_int(c) or isinstance(c, float)) and math.isfinite(c) for c in entry)
+            and all(is_real(c) and math.isfinite(c) for c in entry)
         )
         if not ok:
             raise ValueError(f"scenario config: field '{name}' must contain finite [x, y] pairs")

@@ -19,7 +19,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .matroid import Matroid
+from .matroid import Matroid, is_real
 from .scenario import EvaluationCounter, Scenario, min_objective
 from .surrogate import MinObjectiveOracle, SurrogateOracle
 
@@ -132,18 +132,14 @@ class SolverParams:
     curvature: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.delta, (int, float)) and math.isfinite(self.delta) and self.delta > 0):
+        if not (is_real(self.delta) and math.isfinite(self.delta) and self.delta > 0):
             raise ValueError(f"delta must be finite and > 0, got {self.delta!r}")
         _check_threshold_steps(self.delta)
         if self.epsilon is not None and not (
-            isinstance(self.epsilon, (int, float)) and math.isfinite(self.epsilon) and self.epsilon > 0
+            is_real(self.epsilon) and math.isfinite(self.epsilon) and self.epsilon > 0
         ):
             raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon!r}")
-        if not (
-            isinstance(self.curvature, (int, float))
-            and math.isfinite(self.curvature)
-            and 0.0 <= self.curvature <= 1.0
-        ):
+        if not (is_real(self.curvature) and math.isfinite(self.curvature) and 0.0 <= self.curvature <= 1.0):
             raise ValueError(f"curvature must lie in [0, 1], got {self.curvature!r}")
 
 

@@ -45,8 +45,8 @@ Handles and accounting contract shared by both:
   call charges its scanned candidates plus its base (unless gamma == 0);
 * ``evaluate`` charges one evaluation and reads the value from the last
   handle ``base`` or ``child`` made when it is of the same set; otherwise
-  it scores the set from scratch. The memo saves time only: it never
-  changes a charge or a bit;
+  it scores the set from scratch, checking its ids before the charge. The
+  memo saves time only: it never changes a charge, a bit or a refusal;
 * every reduction runs over the agents in agent order, so batched,
   single-candidate and from-scratch values agree bit for bit. numpy reduces
   a C-contiguous 2-D array of two or more columns along axis 0 one row at a
@@ -64,7 +64,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .matroid import ground_ids
+from .matroid import ground_ids, is_real
 from .scenario import EvaluationCounter, Scenario, agent_values
 
 # Curvature needs f on the full set minus each element; refuse huge grounds.
@@ -200,13 +200,17 @@ class _ProximityOracleBase:
         return gains
 
     def evaluate(self, subset: Iterable[int]) -> float:
-        """The reduced objective of ``subset``; charges one evaluation."""
-        self._charge()
+        """The reduced objective of ``subset``; charges one evaluation once
+        its ids have passed the checks. The memo is read only for a set
+        without bools, which would compare equal to their ids."""
         chosen = frozenset(subset)
         last = self._last
-        if last is not None and last.subset == chosen:
-            return last.value
-        return self._handle(chosen).value
+        if last is not None and last.subset == chosen and bool not in map(type, chosen):
+            value = last.value
+        else:
+            value = self._handle(chosen).value
+        self._charge()
+        return value
 
     def marginal_gains(
         self,
@@ -246,7 +250,7 @@ class SurrogateOracle(_ProximityOracleBase):
         gamma: float,
         counter: EvaluationCounter | None = None,
     ) -> None:
-        if not isinstance(gamma, (int, float)) or not math.isfinite(gamma) or gamma < 0:
+        if not is_real(gamma) or not math.isfinite(gamma) or gamma < 0:
             raise ValueError(f"gamma must be finite and >= 0, got {gamma!r}")
         super().__init__(scenario, counter)
         self.gamma = float(gamma)

@@ -19,7 +19,6 @@ from robust_select import (
     write_results_csv,
     write_summary_csv,
 )
-from robust_select.bench import resolve_workers
 
 
 def small_config(**overrides):
@@ -106,25 +105,12 @@ def test_run_benchmark_single_cell():
     assert results[0].objective >= 0.0
 
 
-def test_workers_do_not_change_results():
+def test_run_benchmark_runs_in_one_process():
     config = small_config(measure_wall_time=False)
-    sequential = run_benchmark(config, ("fast",), workers=1)
-    parallel = run_benchmark(config, ("fast",), workers=2)
-    assert sequential == parallel
-
-
-def test_resolve_workers(monkeypatch):
-    monkeypatch.delenv("ROBUST_SELECT_THREADS", raising=False)
-    assert resolve_workers(None) == 1
-    assert resolve_workers(4) == 4
-    monkeypatch.setenv("ROBUST_SELECT_THREADS", "2")
-    assert resolve_workers(None) == 2
-    assert resolve_workers(8) == 2
-    monkeypatch.setenv("ROBUST_SELECT_THREADS", "0")
-    assert resolve_workers(None) >= 1
-    monkeypatch.setenv("ROBUST_SELECT_THREADS", "nope")
-    with pytest.raises(ValueError):
-        resolve_workers(None)
+    assert run_benchmark(config, ("fast",), workers=1) == run_benchmark(config, ("fast",))
+    for workers in (2, 0, True):
+        with pytest.raises(ValueError, match="one process"):
+            run_benchmark(config, ("fast",), workers=workers)
 
 
 def test_aggregate_means():

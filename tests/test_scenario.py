@@ -62,6 +62,9 @@ def test_proximity_agent_out_of_range(tiny):
         proximity_objective(tiny, 2, {0})
     with pytest.raises(IndexError):
         proximity_objective(tiny, -1, {0})
+    for bad in (True, 1.0, None):
+        with pytest.raises(IndexError, match="agent index"):
+            proximity_objective(tiny, bad, {0})
 
 
 def test_proximity_action_out_of_range(tiny):

@@ -453,6 +453,10 @@ def test_saturate_end_to_end_bound_known_counterexample():
 def test_solver_params_validation():
     with pytest.raises(ValueError):
         SolverParams(delta=0.0)
+    for field in ("delta", "epsilon", "curvature"):
+        for flag in (True, False):
+            with pytest.raises(ValueError, match=field):
+                SolverParams(**{field: flag})
     with pytest.raises(ValueError):
         SolverParams(epsilon=-1.0)
     with pytest.raises(ValueError):

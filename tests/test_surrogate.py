@@ -351,7 +351,8 @@ def test_lane_reads_equal_cold_gains_and_charges(rng, n_agents):
 @pytest.mark.parametrize("bad", [-1, 3])
 @pytest.mark.parametrize("make", [lambda s: SurrogateOracle(s, 8.0), lambda s: SurrogateOracle(s, 0.0), MinObjectiveOracle])
 def test_out_of_range_ids_raise(tiny, make, bad):
-    """Ids outside [0, M) are refused, never wrapped to another action."""
+    """Ids outside [0, M) are refused, never wrapped to another action, and
+    a refused call charges nothing."""
     oracle = make(tiny)
     with pytest.raises(IndexError, match="outside ground set"):
         oracle.evaluate({bad})
@@ -361,17 +362,23 @@ def test_out_of_range_ids_raise(tiny, make, bad):
         oracle.marginal_gains({0}, [1, bad])
     with pytest.raises(IndexError, match="outside ground set"):
         oracle.marginal_gains({bad}, [1])
+    assert oracle.counter.individual_evals == 0
 
 
 def test_a_bool_among_ids_is_refused(tiny):
-    """True is not read as id 1, in a base set or among candidates."""
-    oracle = SurrogateOracle(tiny, 8.0)
-    with pytest.raises(IndexError, match="got bool"):
-        oracle.base([True, 2])
-    with pytest.raises(IndexError, match="got bool"):
-        oracle.marginal_gains({0}, [2, True])
-    with pytest.raises(IndexError, match="got bool"):
-        oracle.evaluate([0, True])
+    """True is not read as id 1, in a base set, among candidates or in a set
+    that equals the memo; a refused call charges nothing."""
+    for oracle in (SurrogateOracle(tiny, 8.0), MinObjectiveOracle(tiny)):
+        with pytest.raises(IndexError, match="got bool"):
+            oracle.base([True, 2])
+        with pytest.raises(IndexError, match="got bool"):
+            oracle.marginal_gains({0}, [2, True])
+        with pytest.raises(IndexError, match="got bool"):
+            oracle.evaluate([0, True])
+        oracle.base({0, 1})
+        with pytest.raises(IndexError, match="got bool"):
+            oracle.evaluate([0, True])
+        assert oracle.counter.individual_evals == 0
 
 
 def test_shared_counter(tiny):
@@ -386,6 +393,9 @@ def test_gamma_validation(tiny):
         SurrogateOracle(tiny, -1.0)
     with pytest.raises(ValueError):
         SurrogateOracle(tiny, math.nan)
+    for flag in (True, False):
+        with pytest.raises(ValueError, match="gamma"):
+            SurrogateOracle(tiny, flag)
 
 
 def test_min_objective_oracle(tiny):
