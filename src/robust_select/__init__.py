@@ -29,7 +29,6 @@ from .scenario import (
     Point2,
     Scenario,
     agent_values,
-    euclidean_distance,
     load_scenario,
     min_objective,
     proximity_objective,
@@ -77,7 +76,6 @@ __all__ = [
     "brute_force_surrogate_max",
     "check_matroid_axioms",
     "compute_curvature",
-    "euclidean_distance",
     "generate_scenario",
     "iter_independent_sets",
     "load_scenario",

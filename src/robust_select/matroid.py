@@ -26,7 +26,13 @@ def is_real(value: object) -> bool:
 
 def ground_ids(subset: Iterable[int], n: int) -> np.ndarray:
     """``subset`` as an integer array, after checking every id lies in the
-    ground set [0, n) and is not a bool."""
+    ground set [0, n) and is not a bool.
+
+    A bool is seen only if it reaches this function. ``True == 1`` and
+    ``hash(True) == hash(1)``, so a set that holds an id and the bool equal
+    to it (``{1, True}``) has already collapsed to the id (``{1}``) when it
+    is built, and is read as that id: keeping bools out of such a set is
+    the caller's responsibility."""
     if isinstance(subset, range):  # holds no bools; arange skips the list
         subset = np.arange(subset.start, subset.stop, subset.step)
     if isinstance(subset, np.ndarray):

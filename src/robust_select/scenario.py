@@ -95,8 +95,8 @@ class Scenario:
     def distances(self) -> np.ndarray:
         """Agent-to-action distance matrix, one row per agent: a read-only
         float64 N x M array, built on first use so constructing a scenario
-        stays free of numpy work. Entries are ``math.dist`` values, exactly
-        what ``euclidean_distance`` returns.
+        stays free of numpy work. Entries are ``math.dist`` values of each
+        (agent, action) pair.
 
         ``math.dist`` stays, one call per pair, because the vectorised forms
         round differently and every selection and golden file rests on these
@@ -110,10 +110,6 @@ class Scenario:
         array = np.fromiter(chain.from_iterable(rows), np.float64, shape[0] * shape[1]).reshape(shape)
         array.setflags(write=False)
         return array
-
-
-def euclidean_distance(p: Point2, q: Point2) -> float:
-    return math.dist(p, q)
 
 
 def agent_values(scenario: Scenario, subset: Iterable[int]) -> np.ndarray:

@@ -13,6 +13,7 @@ the same scenario/matroid types so benchmark trials stay paired.
 from __future__ import annotations
 
 import math
+import sys
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
@@ -37,6 +38,15 @@ THRESHOLD_STEPS_CAP = 10_000_000
 # estimated to need; the estimate counts for at most _LADDER_JUMP_CAP rungs.
 _LADDER_CHUNK = 256
 _LADDER_JUMP_CAP = 1 << 16
+
+# A rung's certified bounds are its estimate widened by (n + _LADDER_SLACK)
+# units of 2**-52, n divisions past the last rung computed exactly: twice
+# the n roundings of the chain, plus sixteen units for ``pow`` and the few
+# products that form the bounds (each within one unit).
+_LADDER_SLACK = 16
+# Below the smallest normal double a division's rounding error is no longer
+# relative, so no bound is certified there.
+_MIN_NORMAL = sys.float_info.min
 
 
 def threshold_steps(delta: float) -> float:
@@ -64,53 +74,161 @@ def threshold_ladder(start: float, delta: float, length: int) -> np.ndarray:
 
 
 class _Ladder:
-    """A forward cursor over ``threshold_ladder(start, delta, ...)``, computed
-    a chunk at a time; each chunk starts with the previous chunk's last rung.
-    The rungs are kept negated, so that they ascend, as searchsorted needs:
-    IEEE division is symmetric in sign, so the chain from -start is exactly
-    the negated chain from start."""
+    """A forward cursor over ``threshold_ladder(start, delta, ...)`` whose
+    current rung ``k`` is known by certified bounds ``low <= rung <= high``,
+    and computed only when they cannot decide a comparison or a caller reads
+    it (``threshold``).
+
+    The bound: with c = 1.0 + delta, each division t / c whose result is
+    normal is correctly rounded, off by a factor in [1 - u, 1 + u] with
+    u = 2**-53, so the rung n divisions past an exact rung b lies within
+    b * c**-n * [(1 - u)**n, (1 + u)**n], and (1 + u)**n <= 1 + 2nu at any
+    n a ladder reaches. The bounds are ``b * c ** -n`` widened by
+    (n + _LADDER_SLACK) * 2**-52. Where the low bound is a normal double,
+    every rung down to it is normal and the bound holds; a rung whose low
+    bound is not is computed exactly, from the last exact rung (rung 0 is
+    ``start``), with the chunked chain. The bounds decide only comparisons
+    the chain decides the same way, so every rung in force is the chain's,
+    bit for bit."""
 
     def __init__(self, start: float, delta: float) -> None:
         self.delta = delta
-        self._chunk(-start)
+        self._c = 1.0 + delta
+        self._settle(0, float(start))
 
-    def _chunk(self, negated_start: float, extra: int = 0) -> None:
-        self.negated = threshold_ladder(negated_start, delta=self.delta, length=_LADDER_CHUNK + extra)
-        self.k = 0
+    def _settle(self, k: int, value: float) -> None:
+        """Make rung ``k``, of exact ``value``, current and the base of the
+        bounds of the rungs below it."""
+        self.k = self._exact_k = k
+        self._exact = self.low = self.high = value
+
+    def bounds(self, k: int) -> tuple[float, float] | None:
+        """Certified (low, high) of rung ``k``, at or past the last exact
+        rung, or None where they would certify nothing."""
+        n = k - self._exact_k
+        if n == 0:
+            return self._exact, self._exact
+        estimate = self._exact * self._c**-n
+        slack = estimate * ((n + _LADDER_SLACK) * 2.0**-52)
+        low = estimate - slack
+        if not low >= _MIN_NORMAL:
+            return None
+        return low, estimate + slack
+
+    def _rung(self, k: int) -> float:
+        """Rung ``k`` exactly: the chain from the last exact rung, at most
+        _LADDER_JUMP_CAP divisions at a time."""
+        t, n = self._exact, k - self._exact_k
+        while n:
+            length = min(n, _LADDER_JUMP_CAP)
+            t = float(threshold_ladder(t, self.delta, length + 1)[-1])
+            n -= length
+        return t
+
+    def _move(self, k: int) -> None:
+        """Make rung ``k`` current, computing it when its bounds certify nothing."""
+        bounds = self.bounds(k)
+        if bounds is None:
+            self._settle(k, self._rung(k))
+        else:
+            self.k = k
+            self.low, self.high = bounds
 
     @property
     def threshold(self) -> float:
-        return -float(self.negated[self.k])
+        """The current rung, exactly."""
+        if self.k != self._exact_k:
+            self._settle(self.k, self._rung(self.k))
+        return self._exact
 
     def step(self) -> None:
         """Move one rung down."""
-        if self.k + 1 == self.negated.size:
-            self._chunk(self.negated[-1])
-        self.k += 1
+        self._move(self.k + 1)
+
+    def at_least(self, floor: float) -> bool:
+        """Whether the current rung is >= ``floor``."""
+        if self.low >= floor:
+            return True
+        if self.high < floor:
+            return False
+        return self.threshold >= floor
+
+    def scan(self, oracle, handle, gains: np.ndarray) -> tuple[np.ndarray, bool]:
+        """``oracle.scan(handle, gains, stop_at=rung)`` for the current rung,
+        with the same prefix and charges, and whether its last gain reaches
+        the rung. It scans to the low bound; a hit below the high bound
+        computes the rung, and a hit short of it is no hit: the scan goes on
+        from the next candidate to the rung, on the handle the first part
+        left warm, so together the two charge what one scan would."""
+        scanned = oracle.scan(handle, gains, stop_at=self.low)
+        last = scanned[-1]
+        if not last >= self.low:
+            return scanned, False
+        if last >= self.high or last >= self.threshold:
+            return scanned, True
+        rest = oracle.scan(handle, gains[scanned.size :], stop_at=self._exact)
+        return np.concatenate((scanned, rest)), bool(rest.size) and rest[-1] >= self._exact
+
+    def _stops(self, k: int, bound: float, strict: bool) -> bool | None:
+        """Whether rung ``k`` is a stop of ``drop`` (below ``bound``, or at
+        it unless ``strict``), where the bounds decide it; else None. No rung
+        down to the current one is."""
+        if k <= self.k:
+            return False
+        bounds = self.bounds(k)
+        if bounds is None:
+            return None
+        low, high = bounds
+        if high < bound or (high == bound and not strict):
+            return True
+        if low > bound or (low == bound and strict):
+            return False
+        return None
 
     def drop(self, at_most: float, floor: float) -> None:
         """Move down to the first rung that is <= ``at_most`` or < ``floor``
-        (the current rung must be neither)."""
+        (the current rung must be neither). That is one condition: a rung
+        <= ``at_most`` when ``at_most >= floor``, else a rung < ``floor``.
+        The target is estimated from logarithms and taken once the bounds
+        certify that it stops and the rung above it does not; otherwise the
+        exact chain is walked to it."""
+        strict = not at_most >= floor
+        bound = floor if strict else at_most
+        if bound >= _MIN_NORMAL and self._exact > bound:
+            k = self._exact_k + math.ceil((math.log(self._exact) - math.log(bound)) / math.log(self._c))
+            k = max(k, self.k + 1)
+            while (stops := self._stops(k, bound, strict)) is not None:
+                if not stops:
+                    k += 1
+                    continue
+                above = self._stops(k - 1, bound, strict)
+                if above is None:
+                    break
+                if not above:
+                    self._move(k)
+                    return
+                k -= 1
+        self._walk(bound, strict)
+
+    def _walk(self, bound: float, strict: bool) -> None:
+        """``drop`` along the exact chain, a chunk at a time."""
+        k, t, extra = self.k, self.threshold, 0
         while True:
-            negated = self.negated
-            k = min(
-                negated.searchsorted(-at_most, side="left"),
-                negated.searchsorted(-floor, side="right"),
-            )
-            if k < negated.size:
-                self.k = int(k)
+            chain = threshold_ladder(t, self.delta, _LADDER_CHUNK + extra)
+            stops = chain < bound if strict else chain <= bound
+            first = int(stops.argmax())
+            if stops[first]:
+                self._settle(k + first, float(chain[first]))
                 return
-            last = negated[-1]
-            if last == negated[-2]:
+            if chain[-1] == chain[-2]:
                 raise ValueError(
-                    f"threshold stalled at {-float(last)!r}: dividing it by 1 + {self.delta!r} "
+                    f"threshold stalled at {float(chain[-1])!r}: dividing it by 1 + {self.delta!r} "
                     "no longer lowers it, so the greedy would never end"
                 )
             # Size the next chunk by the divisions from its start down to the
             # target; a short estimate only costs another chunk.
-            target = max(at_most, floor)
-            need = math.log(last / -target) / math.log1p(self.delta) if target > 0 else math.inf
-            self._chunk(last, extra=int(min(need, _LADDER_JUMP_CAP)))
+            need = math.log(chain[-1] / bound) / math.log1p(self.delta) if bound > 0 else math.inf
+            k, t, extra = k + chain.size - 1, float(chain[-1]), int(min(need, _LADDER_JUMP_CAP))
 
 
 @dataclass(frozen=True)
@@ -194,17 +312,23 @@ def threshold_greedy(
     (freshly evaluated) marginal gain clears the threshold. The loop ends
     when no feasible element is left or the threshold falls below delta * F.
 
-    The thresholds are fixed up front: the ladder F, F/(1+delta), ... is
-    computed in chunks with ``np.divide.accumulate`` (``threshold_ladder``),
-    exactly the values the division chain would produce. A pass that
-    inserts nothing cannot change any gain, so instead of rescanning at
-    every intermediate threshold the loop jumps (``np.searchsorted``) to the
-    first rung at or below the largest surviving gain, or below the floor.
-    The output and the per-candidate evaluations are exactly those of the
-    literal pass-by-pass loop; only the no-op rescans are skipped. The rungs
-    themselves cannot be skipped: each is the previous one divided, and the
-    serial division (about 8 ns a rung, some 30-45 thousand rungs per
-    bisection solve on the benchmark workloads) is the ladder's floor.
+    The thresholds are the division chain F, F/(1+delta), ... exactly, as
+    ``threshold_ladder`` computes it. A pass that inserts nothing cannot
+    change any gain, so instead of rescanning at every intermediate
+    threshold the loop jumps to the first rung at or below the largest
+    surviving gain, or below the floor. The output and the per-candidate
+    evaluations are exactly those of the literal pass-by-pass loop; only the
+    no-op rescans are skipped.
+
+    The untraced loop never reads a rung's value, only compares it with
+    gains and the floor, so the ladder (``_Ladder``) knows the current rung
+    by certified bounds: F * (1+delta)**-k widened by (k + 16) * 2**-52,
+    which holds while the rungs are normal doubles, since each division is
+    correctly rounded (relative error at most 2**-53). A jump's rung is
+    estimated from logarithms and certified by the bounds. The exact chain
+    is computed, from the last rung computed exactly, only for a rung that
+    is subnormal, for a comparison too close for the bounds to call, and
+    for the values ``trace`` and ``stats`` report.
 
     The greedy works once per base set, the selection between two
     insertions: ``oracle.base`` and ``oracle.child`` give its handle, whose
@@ -230,20 +354,19 @@ def threshold_greedy(
     n = matroid.n_actions
     passes = 0
     initial = 0.0
-    threshold = 0.0
     base = oracle.base(())
     if n > 0:
         initial = max(0.0, float(oracle.scan(base, oracle.feasible(base, np.ones(n, dtype=bool))[1]).max()))
-        threshold = initial
+    ladder = _Ladder(initial, delta)
+    if n > 0:
         floor = delta * initial
-        ladder = _Ladder(initial, delta)
         # The set, and so every gain and the feasibility mask, only changes
         # when an element is accepted: each base's feasible ids and gains
         # are computed once, and each stretch of a pass between insertions
         # scans a slice of them. The greedy ends when none are left.
         feasibility = matroid.feasibility()
         candidates, gains = oracle.feasible(base, feasibility.mask)
-        while initial > 0 and threshold >= floor and candidates.size:
+        while initial > 0 and ladder.at_least(floor) and candidates.size:
             passes += 1
             inserted = False
             best_remaining = 0.0
@@ -252,16 +375,15 @@ def threshold_greedy(
                 lo = candidates.searchsorted(start) if start else 0
                 if lo == candidates.size:
                     break
-                scanned = oracle.scan(base, gains[lo:], stop_at=threshold)
-                last = scanned.size - 1
-                if not scanned[last] >= threshold:
+                scanned, hit = ladder.scan(oracle, base, gains[lo:])
+                if not hit:
                     # A pass that inserts nothing has this one stretch.
                     if not inserted:
                         best_remaining = float(scanned.max())
                     break
-                e = int(candidates[lo + last])
+                e = int(candidates[lo + scanned.size - 1])
                 if trace is not None:
-                    trace.append(GreedyStep(threshold, e, float(scanned[last]), base.subset))
+                    trace.append(GreedyStep(ladder.threshold, e, float(scanned[-1]), base.subset))
                 feasibility.add(e)
                 base = oracle.child(base, e)
                 candidates, gains = oracle.feasible(base, feasibility.mask)
@@ -273,11 +395,10 @@ def threshold_greedy(
                 ladder.drop(best_remaining, floor)
             else:
                 break
-            threshold = ladder.threshold
     if stats is not None:
         stats["passes"] = passes
         stats["initial_threshold"] = initial
-        stats["final_threshold"] = threshold
+        stats["final_threshold"] = ladder.threshold
     return set(base.subset)
 
 
@@ -293,8 +414,15 @@ def saturate_robust(
     reuse across gammas, so evaluation counts stay honest), keeps the greedy
     set as the incumbent when its surrogate value reaches
     gamma / (1 + curvature + delta), and halves the bracket until its width
-    is at most epsilon. The incumbent's worst-agent value is guaranteed to be
-    within a 1/(1 + curvature + delta) factor of the optimum, minus epsilon.
+    is at most epsilon.
+
+    What is proven is the per-gamma bound: at each probe the greedy set's
+    surrogate value is within a 1/(1 + curvature + delta) factor of the best
+    independent set's surrogate value at that gamma. No end-to-end factor
+    on the incumbent's worst-agent value follows from it for two or more
+    agents, since the acceptance test reads an average over agents (see
+    "Known limitation" in the README; a frozen counterexample is pinned in
+    the tests).
 
     ``bisection_trace`` (optional list) receives the (lower, upper) bracket
     after every iteration.

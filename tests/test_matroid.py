@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from robust_select import PartitionMatroid, UniformMatroid, check_matroid_axioms
-from robust_select.matroid import AXIOM_CHECK_CAP, Matroid, matroid_from_dict, matroid_to_dict
+from robust_select.matroid import AXIOM_CHECK_CAP, Matroid, ground_ids, matroid_from_dict, matroid_to_dict
 
 
 @pytest.fixture
@@ -387,3 +387,14 @@ def test_matroid_dict_errors():
         matroid_from_dict({"type": "partition", "blocks": [[0, 1]], "capacities": [True]}, 2)
     with pytest.raises(ValueError, match="matroid.blocks"):
         matroid_from_dict({"type": "partition", "blocks": [[False, True]], "capacity": 1}, 2)
+
+
+def test_ground_ids_sees_a_bool_only_if_it_survives_to_the_check():
+    """A bool that reaches ``ground_ids`` is refused, in a list or alone in
+    a set; a set that also holds the id equal to it has collapsed to that
+    id before the check runs, and is read as that id."""
+    for ids in ([1, True], [True], {True}, {False, 2}):
+        with pytest.raises(IndexError, match="got bool"):
+            ground_ids(ids, 3)
+    assert {1, True} == {1}
+    assert ground_ids({1, True}, 3).tolist() == ground_ids({1}, 3).tolist() == [1]

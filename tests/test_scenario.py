@@ -15,7 +15,6 @@ from robust_select import (
     Scenario,
     UniformMatroid,
     agent_values,
-    euclidean_distance,
     load_scenario,
     min_objective,
     proximity_objective,
@@ -32,15 +31,15 @@ coord = st.integers(-1000, 1000).map(lambda v: v / 10.0)
 
 
 def test_distance_identity():
-    assert euclidean_distance(Point2(0.0, 0.0), Point2(0.0, 0.0)) == 0.0
+    assert math.dist(Point2(0.0, 0.0), Point2(0.0, 0.0)) == 0.0
 
 
 def test_distance_axis():
-    assert euclidean_distance(Point2(0.0, 0.0), Point2(10.0, 0.0)) == 10.0
+    assert math.dist(Point2(0.0, 0.0), Point2(10.0, 0.0)) == 10.0
 
 
 def test_distance_diagonal():
-    d = euclidean_distance(Point2(0.0, 0.0), Point2(5.0, 5.0))
+    d = math.dist(Point2(0.0, 0.0), Point2(5.0, 5.0))
     assert d == pytest.approx(SQRT50, abs=1e-12)
     assert d == pytest.approx(7.0711, abs=1e-4)
 
@@ -48,7 +47,7 @@ def test_distance_diagonal():
 @given(coord, coord, coord, coord)
 def test_distance_symmetric_nonnegative(ax, ay, bx, by):
     p, q = Point2(ax, ay), Point2(bx, by)
-    assert euclidean_distance(p, q) == euclidean_distance(q, p) >= 0.0
+    assert math.dist(p, q) == math.dist(q, p) >= 0.0
 
 
 def test_proximity_examples(tiny):
@@ -106,7 +105,7 @@ def test_distances_is_one_read_only_array(tiny):
     assert tiny.distances is d
     for i, agent in enumerate(tiny.agents):
         for j, action in enumerate(tiny.actions):
-            assert d[i][j] == euclidean_distance(agent, action)
+            assert d[i][j] == math.dist(agent, action)
     empty = Scenario.from_coords([(0.0, 0.0)], [], PartitionMatroid((), ()))
     assert empty.distances.shape == (1, 0)
     assert agent_values(empty, set()).tolist() == [0.0]
@@ -130,7 +129,7 @@ def test_min_objective_brute_matches(tiny):
     # Independent recomputation over both agents.
     for subset in ({0}, {1}, {2}, {0, 1}, {0, 2}, {1, 2}, {0, 1, 2}):
         expected = min(
-            max(euclidean_distance(tiny.agents[i], tiny.actions[j]) for j in subset)
+            max(math.dist(tiny.agents[i], tiny.actions[j]) for j in subset)
             for i in range(2)
         )
         assert min_objective(tiny, subset) == expected

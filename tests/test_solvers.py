@@ -4,10 +4,12 @@ bisection contract, accounting, and determinism."""
 import itertools
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from robust_select import (
     SOLVERS,
@@ -30,6 +32,7 @@ from robust_select import (
     threshold_greedy,
 )
 from robust_select.checks import gamma_grid, random_small_scenario
+from robust_select import solvers
 from robust_select.solvers import (
     _LADDER_CHUNK,
     BRUTE_FORCE_CAP,
@@ -325,6 +328,109 @@ def test_delta_beyond_the_step_cap_is_refused(tiny):
         with pytest.raises(ValueError, match="THRESHOLD_STEPS_CAP"):
             threshold_greedy(SurrogateOracle(tiny, 8.0), tiny.matroid, delta)
 
+
+# -- certified ladder ---------------------------------------------------
+
+NORMAL_STARTS = st.floats(min_value=sys.float_info.min, max_value=1e300)
+LADDER_DELTAS = st.floats(min_value=1.35e-6, max_value=3.0)
+
+
+def ladder_length(delta, cap):
+    """Rungs from the start to two past the greedy's floor, at most ``cap``."""
+    return min(max(int(threshold_steps(delta)), 0) + 2, cap) + 1
+
+
+@given(start=NORMAL_STARTS, delta=LADDER_DELTAS, data=st.data())
+def test_ladder_bounds_contain_the_division_chain(start, delta, data):
+    """The certified bounds of every rung hold the exact chain's rung, from
+    rung 0 and from a rung computed exactly later on; they are given for
+    every rung well inside the normal range."""
+    chain = threshold_ladder(start, delta, ladder_length(delta, 20_000))
+    last = chain.size - 1
+    ladder = _Ladder(start, delta)
+    for base in (0, data.draw(st.integers(0, last), label="base")):
+        if base:
+            ladder.drop(chain[base], 0.0)
+            assert ladder.threshold == chain[base]
+        ks = {*range(base, min(base + 32, last) + 1), *range(max(base, last - 32), last + 1)}
+        ks |= set(data.draw(st.lists(st.integers(base, last), max_size=16), label="ks"))
+        for k in sorted(ks):
+            bounds = ladder.bounds(k)
+            if bounds is None:
+                assert chain[k] < 2.0 * sys.float_info.min
+            else:
+                assert bounds[0] <= chain[k] <= bounds[1]
+
+
+@given(start=NORMAL_STARTS, delta=LADDER_DELTAS, data=st.data())
+def test_ladder_drop_lands_where_the_chain_stops(start, delta, data):
+    """``drop`` lands where searchsorted over the exact chain does, also for
+    a bound equal to a rung or one ulp either side of it."""
+    chain = threshold_ladder(start, delta, ladder_length(delta, 5_000))
+    negated = -chain
+
+    def near_rung(label):
+        rung = chain[data.draw(st.integers(1, chain.size - 1), label=label)]
+        return float(rung + data.draw(st.sampled_from([-1, 0, 1]), label=f"{label} ulps") * np.spacing(rung))
+
+    floor = near_rung("floor")
+    ladder, k = _Ladder(start, delta), 0
+    for at_most in data.draw(st.lists(st.builds(near_rung, st.just("at_most")), min_size=1, max_size=4)):
+        if not (chain[k] >= floor and chain[k] > at_most):
+            continue
+        k = int(min(negated.searchsorted(-at_most, side="left"), negated.searchsorted(-floor, side="right")))
+        assume(k < chain.size)
+        ladder.drop(at_most, floor)
+        assert ladder.k == k
+        assert ladder.threshold == chain[k]
+
+
+def test_untraced_greedy_computes_no_rung(rng, monkeypatch):
+    """Without a trace or stats, the greedy decides every comparison from
+    the ladder's bounds on these instances: no rung is computed."""
+    computed = []
+    chain = solvers.threshold_ladder
+    monkeypatch.setattr(solvers, "threshold_ladder", lambda *args: computed.append(args) or chain(*args))
+    for _ in range(12):
+        scenario = random_matroid_scenario(rng, int(rng.integers(2, 12)), int(rng.integers(5, 30)))
+        upper = min_objective(scenario, range(scenario.n_actions))
+        for gamma in (0.4 * upper, upper):
+            threshold_greedy(SurrogateOracle(scenario, gamma), scenario.matroid, DELTA)
+    assert computed == []
+
+
+@pytest.mark.parametrize("slack", [2**52 - 2**46, 2**54])
+def test_threshold_greedy_with_undecided_bounds_matches_the_literal_loop(rng, monkeypatch, slack):
+    """With bounds too wide to decide most comparisons (2**52 - 2**46 units
+    of 2**-52: from 1/64 of the rung to nearly twice it; 2**54: none, so
+    every rung is computed), the greedy takes the exact path and still
+    equals the literal loop in selection, trace, stats and charges. With
+    the first, a scan can stop at the low bound on a gain short of the
+    rung, and go on from the next candidate."""
+    monkeypatch.setattr(solvers, "_LADDER_SLACK", slack)
+    continued = 0
+    for _ in range(12):
+        scenario = random_matroid_scenario(rng, int(rng.integers(1, 12)), int(rng.integers(1, 30)))
+        upper = min_objective(scenario, range(scenario.n_actions))
+        for gamma, delta in itertools.product((0.0, 0.4 * upper, upper), (1e-3, 0.1, 1.0)):
+            literal_oracle, oracle = SurrogateOracle(scenario, gamma), SurrogateOracle(scenario, gamma)
+            *expected, charges = literal_threshold_greedy(literal_oracle, scenario.matroid, delta)
+            calls = []
+            scan = oracle.scan
+
+            def spy(handle, gains, stop_at=None):
+                if stop_at is not None:  # not the first, full scan
+                    calls.append((handle, stop_at))
+                return scan(handle, gains, stop_at)
+
+            oracle.scan = spy
+            trace, stats = [], {}
+            selected = threshold_greedy(oracle, scenario.matroid, delta, trace=trace, stats=stats)
+            assert [selected, trace, stats] == expected
+            assert oracle.counter.individual_evals == charges * scenario.n_agents
+            # A scan goes on on the same handle only to a higher stop: the rung.
+            continued += sum(a[0] is b[0] and b[1] > a[1] for a, b in zip(calls, calls[1:]))
+    assert continued if slack < 2**52 else not continued
 
 # -- saturating solver ------------------------------------------------
 
