@@ -3,7 +3,7 @@
 
     python3 scripts/bench_layers.py --out BENCH_11.json [--label TEXT] [--quick]
 
-Five layers, each timed as the minimum over k repeats on fixed seeds, with
+Five layers, each timed as the minimum over REPEATS runs on fixed seeds, with
 the evaluations one repeat charges (in f-equivalents, as
 ``Solution.f_evaluations`` counts them):
 
@@ -56,6 +56,8 @@ from robust_select import (  # noqa: E402
 
 CAPACITY = 5
 BASE_SEED = 0
+# Runs each layer's time is the minimum of (the full benchmark takes half).
+REPEATS = 7
 # Scans timed back to back per repeat: one takes about a microsecond.
 SCAN_BATCH = 1000
 
@@ -151,12 +153,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", type=Path, required=True, help="BENCH_<n>.json file to append the record to")
     parser.add_argument("--label", default="", help="what the record measures, e.g. 'parent' or 'change'")
-    parser.add_argument("--repeats", type=int, default=7, help="k, the repeats each layer's minimum is taken over")
     parser.add_argument("--quick", action="store_true", help="2 repeats and a 40-run full benchmark")
     args = parser.parse_args(argv)
-    if args.repeats < 1:
-        parser.error("--repeats must be >= 1")
-    repeats, full_trials = (2, 2) if args.quick else (args.repeats, BenchConfig().trials)
+    repeats, full_trials = (2, 2) if args.quick else (REPEATS, BenchConfig().trials)
     kernel = [kernel_ms(3)]
     rows = layers(repeats, full_trials)
     kernel.append(kernel_ms(3))
