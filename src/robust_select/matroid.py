@@ -136,10 +136,11 @@ class _UniformFeasibility(Feasibility):
     """``room`` counts the elements the set can still take."""
 
     def __init__(self, matroid: "UniformMatroid", subset: Collection[int]) -> None:
-        chosen = _distinct_ids(subset, matroid.n_actions)
-        self.room = matroid.rank - chosen.size
+        chosen = _distinct_ids(subset, matroid.n_actions) if len(subset) else ()
+        self.room = matroid.rank - len(chosen)
         self.mask = np.full(matroid.n_actions, self.room > 0)
-        self.mask[chosen] = False
+        if len(chosen):
+            self.mask[chosen] = False
 
     def add(self, element: int) -> None:
         self._admit(element)
@@ -153,11 +154,15 @@ class _PartitionFeasibility(Feasibility):
     """``room`` counts, per block, the elements the set can still take."""
 
     def __init__(self, matroid: "PartitionMatroid", subset: Collection[int]) -> None:
-        chosen = _distinct_ids(subset, matroid.n_actions)
-        room = matroid._capacity_of - matroid._counts(chosen) if chosen.size else matroid._capacity_of
         self.block_of = matroid._block_of
+        if not len(subset):
+            self.room = list(matroid.capacities)
+            self.mask = (matroid._capacity_of > 0)[self.block_of]
+            return
+        chosen = _distinct_ids(subset, matroid.n_actions)
+        room = matroid._capacity_of - matroid._counts(chosen)
         self.room = room.tolist()
-        if min(self.room, default=0) < 0:  # a dependent set
+        if min(self.room) < 0:  # a dependent set
             self.mask = np.zeros(matroid.n_actions, dtype=bool)
         else:
             self.mask = (room > 0)[self.block_of]

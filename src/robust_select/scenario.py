@@ -12,12 +12,15 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import product, starmap
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from .matroid import Matroid, ground_ids, is_int, is_real, matroid_from_dict, matroid_to_dict
+
+# Agent-action pairs a scenario may have: about 1 GB, at the ~32 bytes a pair a solve holds.
+DISTANCE_PAIRS_CAP = 30_000_000
 
 
 class Point2(NamedTuple):
@@ -96,7 +99,8 @@ class Scenario:
         """Agent-to-action distance matrix, one row per agent: a read-only
         float64 N x M array, built on first use so constructing a scenario
         stays free of numpy work. Entries are ``math.dist`` values of each
-        (agent, action) pair.
+        (agent, action) pair in row order, one ``starmap``. More than
+        DISTANCE_PAIRS_CAP pairs are refused with ValueError before allocating.
 
         ``math.dist`` stays, one call per pair, because the vectorised forms
         round differently and every selection and golden file rests on these
@@ -105,17 +109,23 @@ class Scenario:
         25,000 paper-quadrant pairs, 2,508-2,576 of 480,000 ring-uniform
         pairs and 5,764-5,842 of 1,024,000 crowd-grid pairs, and
         ``np.sqrt(dx * dx + dy * dy)`` on about 16% of all pairs."""
-        rows = (map(math.dist, repeat(agent), self.actions) for agent in self.agents)
         shape = (self.n_agents, self.n_actions)
-        array = np.fromiter(chain.from_iterable(rows), np.float64, shape[0] * shape[1]).reshape(shape)
+        if shape[0] * shape[1] > DISTANCE_PAIRS_CAP:
+            raise ValueError(f"N x M = {shape[0]} x {shape[1]} exceeds DISTANCE_PAIRS_CAP = {DISTANCE_PAIRS_CAP}")
+        pairs = starmap(math.dist, product(self.agents, self.actions))
+        array = np.fromiter(pairs, np.float64, shape[0] * shape[1]).reshape(shape)
         array.setflags(write=False)
         return array
 
 
 def agent_values(scenario: Scenario, subset: Iterable[int]) -> np.ndarray:
     """Every agent's value of ``subset``: the largest distance from the
-    agent to any selected action, 0 for the empty set. Charges nothing."""
-    return scenario.distances[:, ground_ids(subset, scenario.n_actions)].max(axis=1, initial=0.0)
+    agent to any selected action, 0 for the empty set. Charges nothing. A
+    step-1 ``range`` in [0, M) (the trivial bound's) reads a view, not ``ground_ids``."""
+    distances, n = scenario.distances, scenario.n_actions
+    if isinstance(subset, range) and subset.step == 1 and 0 <= subset.start and subset.stop <= n:
+        return distances[:, subset.start : subset.stop].max(axis=1, initial=0.0)
+    return distances[:, ground_ids(subset, n)].max(axis=1, initial=0.0)
 
 
 def proximity_objective(

@@ -350,7 +350,7 @@ def threshold_greedy(
     initial = 0.0
     base = oracle.base(())
     if n > 0:
-        initial = max(0.0, float(oracle.scan(base, oracle.feasible(base, np.ones(n, dtype=bool))[1]).max()))
+        initial = max(0.0, float(oracle.scan(base, oracle.gains(base)).max()))
     ladder = _Ladder(initial, delta)
     if n > 0:
         floor = delta * initial

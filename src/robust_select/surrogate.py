@@ -25,8 +25,8 @@ Handles and accounting contract shared by both:
   ``child`` makes the warm handle of the base plus an element from that
   element's lane, without scoring any agent again (a caller that charges
   it as a fresh set marks it ``cold``). Lanes are work, not
-  evaluations: they charge nothing by themselves. At gamma == 0 every gain
-  is known to be 0 and no lanes are built;
+  evaluations: they charge nothing by themselves. A handle with every agent
+  at gamma (any handle at gamma == 0) builds none: every gain is 0;
 * every action id must lie in [0, M), or IndexError is raised before
   anything is scored: ``base`` checks a set's ids, ``marginal_gains``
   checks its candidates, and ``feasible`` (the greedies' path) checks once
@@ -120,6 +120,10 @@ class _ProximityOracleBase:
         """True when every value is 0 without looking at the agents."""
         return False
 
+    def _saturated(self, handle: _Handle) -> bool:
+        """True when no element can raise any of the handle's values."""
+        return False
+
     # -- shared machinery ----------------------------------------------
     def _reduce(self, values: np.ndarray) -> np.ndarray:
         """The reduced objective of per-agent values (one set per column)."""
@@ -139,12 +143,13 @@ class _ProximityOracleBase:
         values = agent_values(self.scenario, subset)
         return _Handle(subset, self._cap(values), float(self._reduce(values)))
 
-    def _gains(self, handle: _Handle) -> np.ndarray:
+    def gains(self, handle: _Handle) -> np.ndarray:
         """The handle's gain against every ground element, built once; the
-        only place lanes are made. The empty set's lanes are the capped
-        distance matrix itself; a known-zero oracle builds no lanes at all."""
+        only place lanes are made (the empty set's are the capped matrix). A
+        saturated handle builds none: each lane would equal its values, whose
+        agent-order sum is its value bit for bit, so every gain is +0.0."""
         if handle.gains is None:
-            if self._known_zero():
+            if self._saturated(handle):
                 handle.gains = np.zeros(self.scenario.n_actions)
             else:
                 capped = self._capped
@@ -162,11 +167,16 @@ class _ProximityOracleBase:
         return handle
 
     def child(self, handle: _Handle, element: int) -> _Handle:
-        """The warm handle of ``handle``'s set plus ``element`` (a non-member
-        of a handle with lanes), read from the element's lane: no agent is
-        scored again, and nothing is charged."""
+        """The warm handle of ``handle``'s set plus ``element`` (a non-member),
+        read from the element's lane or, if ``handle`` is saturated, from
+        ``handle``: no agent is scored again, and nothing is charged."""
         element = int(element)
-        self._last = _Handle(handle.subset | {element}, handle.lanes[:, element], float(handle.reduced[element]))
+        self.gains(handle)  # the lanes, unless saturated
+        if handle.lanes is None:  # saturated: the set plus element has the same values
+            values, value = handle.values, handle.value
+        else:
+            values, value = handle.lanes[:, element], float(handle.reduced[element])
+        self._last = _Handle(handle.subset | {element}, values, value)
         return self._last
 
     def feasible(self, handle: _Handle, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -182,7 +192,7 @@ class _ProximityOracleBase:
             return ids, np.zeros(0)
         if handle.subset and mask[list(handle.subset)].any():
             raise ValueError(_MEMBER_CANDIDATE)
-        return ids, self._gains(handle)[ids]
+        return ids, self.gains(handle)[ids]
 
     def scan(self, handle: _Handle, gains: np.ndarray, stop_at: float | None = None) -> np.ndarray:
         """Scan ``gains``, the gains of non-member candidates against
@@ -232,7 +242,7 @@ class _ProximityOracleBase:
             raise ValueError(_MEMBER_CANDIDATE)
         if ids.size == 0:
             return np.zeros(0)
-        return self.scan(base, self._gains(base)[ids], stop_at)
+        return self.scan(base, self.gains(base)[ids], stop_at)
 
 
 class SurrogateOracle(_ProximityOracleBase):
@@ -254,6 +264,8 @@ class SurrogateOracle(_ProximityOracleBase):
             raise ValueError(f"gamma must be finite and >= 0, got {gamma!r}")
         super().__init__(scenario, counter)
         self.gamma = float(gamma)
+        # A saturated value (N gammas summed, / N) is within N * 2**-53 of gamma: a first test.
+        self._nearly_gamma = self.gamma * (1.0 - 2.0**-20)
 
     def _cap(self, values: np.ndarray) -> np.ndarray:
         return np.minimum(values, self.gamma)
@@ -267,6 +279,9 @@ class SurrogateOracle(_ProximityOracleBase):
 
     def _known_zero(self) -> bool:
         return self.gamma == 0.0
+
+    def _saturated(self, handle: _Handle) -> bool:
+        return handle.value >= self._nearly_gamma and handle.values.min() >= self.gamma
 
 
 class MinObjectiveOracle(_ProximityOracleBase):

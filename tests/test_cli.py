@@ -63,6 +63,14 @@ def test_solve_refuses_delta_that_would_hang(tiny_path, capsys):
     assert "THRESHOLD_STEPS_CAP" in err
 
 
+def test_solve_refuses_a_scenario_past_the_pair_cap(tiny_path, capsys, monkeypatch):
+    monkeypatch.setattr("robust_select.scenario.DISTANCE_PAIRS_CAP", 5)
+    for algorithm in ("fast", "greedy", "ratio"):
+        code, out, err = run_cli(capsys, "solve", "--config", tiny_path, "--algorithm", algorithm)
+        assert code == 2 and out == ""
+        assert "DISTANCE_PAIRS_CAP = 5" in err
+
+
 def test_solve_missing_file(capsys):
     code, _, err = run_cli(capsys, "solve", "--config", "does-not-exist.json", "--algorithm", "fast")
     assert code == 2

@@ -1,5 +1,6 @@
 """Independence oracles and the exhaustive axiom checker."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -343,6 +344,53 @@ def test_feasibility_state_follows_its_set(matroid, data):
         chosen.add(e)
     for mask, expected in handed_out:
         assert mask.tolist() == expected
+
+
+def _room_of(matroid, chosen):
+    """``room`` by its definition: what the set can still take, in total
+    (uniform) or per block (partition)."""
+    if isinstance(matroid, UniformMatroid):
+        return matroid.rank - len(chosen)
+    return [cap - sum(e in chosen for e in block) for block, cap in zip(matroid.blocks, matroid.capacities)]
+
+
+@given(any_matroids, st.data())
+def test_empty_feasibility_state_matches_the_general_path(matroid, data):
+    """``feasibility()`` reads the empty set's state from the rank or the
+    capacities (blocks of capacity 0 included). Its mask and room are the
+    definition's, and after any ``add`` it is the state the general path
+    builds from the one-element set."""
+    n = matroid.n_actions
+    empty = matroid.feasibility()
+    assert empty.mask.dtype == bool and empty.mask.shape == (n,)
+    assert empty.mask.tolist() == Matroid.extendable(matroid, ()).tolist()
+    assert empty.room == _room_of(matroid, set())
+    allowed = np.flatnonzero(empty.mask).tolist()
+    if allowed:
+        e = data.draw(st.sampled_from(allowed), label="add")
+        empty.add(e)
+        general = matroid.feasibility([e])
+        assert empty.mask.tolist() == general.mask.tolist()
+        assert empty.room == general.room == _room_of(matroid, {e})
+
+
+@given(any_matroids, st.data())
+def test_empty_feasibility_states_are_independent(matroid, data):
+    """Two empty states of one matroid share nothing: adding to one leaves
+    the other, a fresh third and the matroid as they were."""
+    first, second = matroid.feasibility(), matroid.feasibility()
+    mask, room = second.mask.tolist(), second.room
+    allowed = np.flatnonzero(first.mask).tolist()
+    for _ in range(data.draw(st.integers(1, 3), label="adds")):
+        if not allowed:
+            break
+        e = data.draw(st.sampled_from(allowed), label="add")
+        first.add(e)
+        allowed = np.flatnonzero(first.mask).tolist()
+    third = matroid.feasibility()
+    for state in (second, third):
+        assert state.mask.tolist() == mask and state.room == room
+    assert room == _room_of(matroid, set())
 
 
 def test_feasibility_state_of_a_partition_closes_a_full_block():

@@ -98,6 +98,62 @@ def test_a_range_outside_the_ground_set_is_refused(tiny, ids):
         agent_values(tiny, ids)
 
 
+def _random_scenario(rng, n_agents, n_actions):
+    return Scenario.from_coords(
+        rng.uniform(0.0, 100.0, (n_agents, 2)),
+        rng.uniform(0.0, 100.0, (n_actions, 2)),
+        UniformMatroid(n_actions, 2),
+    )
+
+
+@pytest.mark.parametrize(
+    "ids", [range(8), range(0), range(2, 5), range(7, 8), range(5, 2), range(0, 8, 2), range(7, 0, -3)]
+)
+def test_a_range_reads_as_its_list_bit_for_bit(rng, ids):
+    """A step-1 range inside [0, M) reads a slice of the distance matrix and
+    any other range goes through the id check; both give the list's bits."""
+    scenario = _random_scenario(rng, 9, 8)
+    bits = agent_values(scenario, ids).view(np.uint64).tolist()
+    assert bits == agent_values(scenario, list(ids)).view(np.uint64).tolist()
+    assert min_objective(scenario, ids) == min_objective(scenario, list(ids))
+
+
+def test_the_trivial_bound_reads_a_slice(rng, monkeypatch):
+    """The ground set ``range(M)`` builds no id array."""
+    scenario = _random_scenario(rng, 9, 8)
+    expected = agent_values(scenario, list(range(8))).tolist()
+
+    def refuse(*args):
+        raise AssertionError("ground_ids was called")
+
+    monkeypatch.setattr("robust_select.scenario.ground_ids", refuse)
+    assert agent_values(scenario, range(8)).tolist() == expected
+    with pytest.raises(AssertionError, match="ground_ids"):
+        agent_values(scenario, range(0, 8, 2))
+
+
+@pytest.mark.parametrize("ids", [range(-1, 8), range(0, 9), range(-3, -1)])
+def test_a_range_past_the_slice_is_refused(rng, ids):
+    with pytest.raises(IndexError, match="outside ground set"):
+        agent_values(_random_scenario(rng, 9, 8), ids)
+
+
+def test_distances_refuse_more_pairs_than_the_cap(rng, monkeypatch):
+    """N x M above DISTANCE_PAIRS_CAP is refused with an error naming the
+    cap, before any distance is computed or stored; the cap itself runs."""
+    monkeypatch.setattr("robust_select.scenario.DISTANCE_PAIRS_CAP", 24)
+    assert _random_scenario(rng, 3, 8).distances.shape == (3, 8)
+    oversized = _random_scenario(rng, 5, 5)
+
+    def refuse(*args):
+        raise AssertionError("a distance was computed")
+
+    monkeypatch.setattr(math, "dist", refuse)
+    with pytest.raises(ValueError, match=r"N x M = 5 x 5 exceeds DISTANCE_PAIRS_CAP = 24"):
+        oversized.distances
+    assert "distances" not in vars(oversized)
+
+
 def test_distances_is_one_read_only_array(tiny):
     d = tiny.distances
     assert isinstance(d, np.ndarray) and d.dtype == np.float64 and d.shape == (2, 3)

@@ -15,9 +15,11 @@ from robust_select import (
     compute_curvature,
     min_objective,
     simple_greedy,
+    threshold_greedy,
 )
 from robust_select.checks import random_small_scenario
 from robust_select.matroid import all_subsets
+from robust_select.scenario import agent_values
 from robust_select.surrogate import CURVATURE_GROUND_CAP
 
 SQRT50 = math.sqrt(50.0)
@@ -252,6 +254,125 @@ def test_gamma_zero_builds_no_lanes(rng):
     assert ids.tolist() == [1, 2, *range(4, 12)] and not gains.any()
     assert base.lanes is None and not base.cold
     assert "_capped" not in vars(oracle)
+
+
+def _bits(array):
+    """The float64 bit patterns of ``array``, so that +0.0 and -0.0 differ."""
+    return np.asarray(array, dtype=np.float64).view(np.uint64).tolist()
+
+
+def _lane_path(oracle):
+    """``oracle`` with saturation never detected: every handle builds lanes."""
+    oracle._saturated = lambda handle: False
+    return oracle
+
+
+@pytest.mark.parametrize("n_agents", [1, 16, 64])
+def test_saturated_handles_build_no_lanes(rng, n_agents):
+    """Below every distance, gamma saturates every agent of a non-empty set.
+    Its handle builds no lanes, and its gains are +0.0 bit for bit: the
+    from-scratch lanes (``np.maximum``, then ``np.add.reduce`` in agent
+    order) minus its value. Scanning them charges what the lane path
+    charges, and its child is the lane path's child."""
+    scenario = random_scenario(rng, n_agents, 30)
+    gamma = 0.5 * float(scenario.distances.min())
+    capped = np.minimum(scenario.distances, gamma)
+    for members in ({3}, {3, 7}, {0, 1, 29}):
+        oracle, lanes = SurrogateOracle(scenario, gamma), _lane_path(SurrogateOracle(scenario, gamma))
+        base, reference = oracle.base(members), lanes.base(members)
+        values = np.minimum(agent_values(scenario, members), gamma)
+        scratch = np.add.reduce(np.maximum(values[:, None], capped), axis=0) / n_agents - base.value
+        assert _bits(oracle.gains(base)) == _bits(scratch) == _bits(np.zeros(30))
+        assert base.lanes is None
+        assert _bits(lanes.gains(reference)) == _bits(scratch) and reference.lanes is not None
+        mask = np.ones(30, dtype=bool)
+        mask[list(members)] = False
+        for each, handle in ((oracle, base), (lanes, reference)):
+            gains = each.feasible(handle, mask)[1]
+            assert each.scan(handle, gains[:5]).size == 5
+            assert each.scan(handle, gains[5:], stop_at=0.0).size == 1
+        assert oracle.counter.individual_evals == lanes.counter.individual_evals == 7 * n_agents
+        child, expected = oracle.child(base, 12), lanes.child(reference, 12)
+        assert child.subset == expected.subset and child.value == expected.value
+        assert _bits(child.values) == _bits(expected.values)
+        assert _bits(oracle.gains(child)) == _bits(lanes.gains(expected)) and child.lanes is None
+        assert oracle.evaluate(members | {12}) == lanes.evaluate(members | {12})
+        assert oracle.counter.individual_evals == lanes.counter.individual_evals == 8 * n_agents
+
+
+@pytest.mark.parametrize("n_agents", [16, 64])
+def test_partly_saturated_handles_build_lanes(rng, n_agents):
+    """A handle with only some agents at gamma builds its lanes, and its
+    gains and its children are the from-scratch values, bit for bit, even
+    for a child taken before any gain was read."""
+    scenario = random_scenario(rng, n_agents, 30)
+    for members in ({3}, {3, 7}, {0, 1, 29}):
+        gamma = float(np.median(agent_values(scenario, members)))
+        values = np.minimum(agent_values(scenario, members), gamma)
+        assert (values == gamma).any() and (values < gamma).any()
+        oracle = SurrogateOracle(scenario, gamma)
+        base = oracle.base(members)
+        capped = np.minimum(scenario.distances, gamma)
+        scratch = np.add.reduce(np.maximum(values[:, None], capped), axis=0) / n_agents - base.value
+        assert _bits(oracle.gains(base)) == _bits(scratch) and base.lanes is not None
+        child = oracle.child(base, 12)
+        assert _bits(child.values) == _bits(np.minimum(agent_values(scenario, members | {12}), gamma))
+        assert child.value == SurrogateOracle(scenario, gamma).evaluate(members | {12})
+        unread = SurrogateOracle(scenario, gamma)
+        assert _bits(unread.child(unread.base(members), 12).values) == _bits(child.values)
+
+
+def test_a_saturated_value_with_an_agent_below_gamma_builds_lanes():
+    """Two agents at d and at gamma = the next double above d (of even last
+    bit) sum to 2 * gamma after rounding, so the set's value equals that of
+    a set saturating both while agent 0 is below gamma. Its handle still
+    builds lanes, and an element that raises agent 0 reaches gamma in its
+    child."""
+    for k in range(1, 100):
+        near = (3.0, 0.37 * k)
+        d = math.dist((0.0, 0.0), near)
+        gamma = math.nextafter(d, math.inf)
+        if not np.float64(gamma).view(np.uint64) & 1 and math.frexp(gamma)[0] != 0.5:
+            break
+    scenario = Scenario.from_coords([(0.0, 0.0), (100.0, 0.0)], [near, (0.0, 50.0)], UniformMatroid(2, 2))
+    oracle = SurrogateOracle(scenario, gamma)
+    base = oracle.base({0})
+    assert base.values.tolist() == [d, gamma] and base.value == oracle.evaluate({0, 1})
+    assert oracle.gains(base).tolist() == [0.0, 0.0] and base.lanes is not None
+    assert oracle.child(base, 1).values.tolist() == [gamma, gamma]
+
+
+def _greedy_outputs(scenario, gamma):
+    """What the two greedies return at ``gamma``, wall times left out."""
+    oracle = SurrogateOracle(scenario, gamma)
+    trace, stats = [], {}
+    selected = threshold_greedy(oracle, scenario.matroid, 0.05, trace=trace, stats=stats)
+    greedy = simple_greedy(scenario, gamma=gamma)
+    return selected, trace, stats, oracle.counter.individual_evals, greedy.selected, greedy.individual_evals
+
+
+def test_greedies_match_the_lane_path(rng, monkeypatch):
+    """Skipping the lanes of saturated handles changes no selection, trace,
+    stat or charge of the threshold greedy or the conventional greedy."""
+    saturated = 0
+    for _ in range(12):
+        n_actions = int(rng.integers(5, 25))
+        scenario = Scenario.from_coords(
+            rng.uniform(0.0, 100.0, (int(rng.integers(1, 20)), 2)),
+            rng.uniform(0.0, 100.0, (n_actions, 2)),
+            UniformMatroid(n_actions, int(rng.integers(1, 6))),
+        )
+        upper = min_objective(scenario, range(n_actions))
+        for gamma in (0.0, 0.1 * upper, 0.5 * upper, upper, 2.0 * upper):
+            outputs = _greedy_outputs(scenario, gamma)
+            oracle = SurrogateOracle(scenario, gamma)
+            handle = oracle.base(outputs[0])
+            oracle.gains(handle)
+            saturated += bool(handle.subset) and handle.lanes is None
+            with monkeypatch.context() as patch:
+                patch.setattr(SurrogateOracle, "_saturated", lambda self, handle: False)
+                assert _greedy_outputs(scenario, gamma) == outputs
+    assert saturated  # the skip was exercised
 
 
 def test_simple_greedy_at_gamma_zero_scans_once(rng):
