@@ -92,7 +92,7 @@ def test_a_range_reads_as_its_list(tiny, ids):
     assert min_objective(tiny, ids) == min_objective(tiny, list(ids))
 
 
-@pytest.mark.parametrize("ids", [range(-1, 2), range(4), range(3, -1, -1)])
+@pytest.mark.parametrize("ids", [range(-1, 2), range(4), range(3, -1, -1), range(-3, -1)])
 def test_a_range_outside_the_ground_set_is_refused(tiny, ids):
     with pytest.raises(IndexError, match="outside ground set"):
         agent_values(tiny, ids)
@@ -130,12 +130,6 @@ def test_the_trivial_bound_reads_a_slice(rng, monkeypatch):
     assert agent_values(scenario, range(8)).tolist() == expected
     with pytest.raises(AssertionError, match="ground_ids"):
         agent_values(scenario, range(0, 8, 2))
-
-
-@pytest.mark.parametrize("ids", [range(-1, 8), range(0, 9), range(-3, -1)])
-def test_a_range_past_the_slice_is_refused(rng, ids):
-    with pytest.raises(IndexError, match="outside ground set"):
-        agent_values(_random_scenario(rng, 9, 8), ids)
 
 
 def test_distances_refuse_more_pairs_than_the_cap(rng, monkeypatch):
