@@ -121,8 +121,7 @@ class Scenario:
 def agent_values(scenario: Scenario, subset: Iterable[int]) -> np.ndarray:
     """Every agent's value of ``subset``: the largest distance from the
     agent to any selected action, 0 for the empty set. Charges nothing. A
-    step-1 ``range`` with 0 <= start <= stop <= M (the trivial bound's)
-    reads a view, not ``ground_ids``."""
+    step-1 ``range`` with 0 <= start <= stop <= M (the trivial bound) reads a slice."""
     distances, n = scenario.distances, scenario.n_actions
     if isinstance(subset, range) and subset.step == 1 and 0 <= subset.start <= subset.stop <= n:
         return distances[:, subset.start : subset.stop].max(axis=1, initial=0.0)
