@@ -16,12 +16,16 @@ the evaluations one repeat charges (in f-equivalents, as
   ``ratio``: 10 capacities x 100 trials x 2 algorithms = 2000 runs.
 
 The first three run on the paper sweep's scenario at capacity 5 of trial 0.
-Each record also holds the environment (commit, Python, numpy, CPU) and
-the host speed, as the mean time of perfbench's reference kernel
-(``perfbench/speed.py``), so that records taken in different phases of a
-shared host can be scaled alike. ``--quick`` takes fewer repeats and runs
-the full benchmark with 2 trials per capacity (40 runs); it checks that the
-script works and says little about speed.
+A block of perfbench's reference kernel (``perfbench/speed.py``) runs
+before each layer's first repeat and after every repeat, and each layer
+also records ``scaled_ms``: the minimum over its repeats of the wall time
+times ``speed.scales`` of the blocks around that repeat, its time on a host
+where the kernel takes ``speed.REFERENCE_KERNEL_MS``. A shared host's speed
+moves by up to about 1.8x within seconds, and a raw minimum follows those
+phases. Each record also holds the environment (commit, Python, numpy, CPU)
+and the mean kernel time around the whole run. ``--quick`` takes fewer
+repeats and runs the full benchmark with 2 trials per capacity (40 runs);
+it checks that the script works and says little about speed.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import numpy as np  # noqa: E402
-from speed import kernel_ms  # noqa: E402
+from speed import kernel_ms, scales  # noqa: E402
 
 from robust_select import (  # noqa: E402
     BenchConfig,
@@ -60,17 +64,22 @@ BASE_SEED = 0
 REPEATS = 7
 # Scans timed back to back per repeat: one takes about a microsecond.
 SCAN_BATCH = 1000
+# Reference kernels per speed block (one takes about 3-5 ms).
+KERNEL_REPS = 2
 
 
-def min_time_ms(run, repeats: int) -> tuple[float, float]:
-    """The least wall time of ``repeats`` calls of ``run``, in ms, and the
-    evaluations ``run`` returns for one call (the same on every call)."""
-    best, evaluations = float("inf"), None
+def min_time_ms(run, repeats: int) -> tuple[float, float, float]:
+    """The least wall time of ``repeats`` calls of ``run``, in ms, the least
+    of those times scaled by the kernel blocks run just before and just
+    after each call, and the evaluations ``run`` returns for one call (the
+    same on every call)."""
+    walls, blocks, evaluations = [], [kernel_ms(KERNEL_REPS)], None
     for _ in range(repeats):
         started = perf_counter()
         evaluations = run()
-        best = min(best, (perf_counter() - started) * 1000.0)
-    return best, evaluations
+        walls.append((perf_counter() - started) * 1000.0)
+        blocks.append(kernel_ms(KERNEL_REPS))
+    return min(walls), min(w * f for w, f in zip(walls, scales(blocks))), evaluations
 
 
 def layers(repeats: int, full_trials: int) -> list[dict]:
@@ -116,10 +125,13 @@ def layers(repeats: int, full_trials: int) -> list[dict]:
         ("bench_cell", cell, repeats, instance),
         ("bench_full", full, max(1, repeats // 2), {"base_seed": BASE_SEED, "trials": full_trials}),
     ):
-        wall_ms, evaluations = min_time_ms(run, k)
+        wall_ms, scaled_ms, evaluations = min_time_ms(run, k)
         if name == "scan":
-            wall_ms /= SCAN_BATCH
-        rows.append({"layer": name, "wall_ms": wall_ms, "repeats": k, "evaluations": evaluations, "seeds": seeds})
+            wall_ms, scaled_ms = wall_ms / SCAN_BATCH, scaled_ms / SCAN_BATCH
+        rows.append(
+            {"layer": name, "wall_ms": wall_ms, "scaled_ms": scaled_ms, "repeats": k, "evaluations": evaluations,
+             "seeds": seeds}
+        )
     return rows
 
 
@@ -171,7 +183,10 @@ def main(argv: list[str] | None = None) -> int:
     document["records"].append(record)
     args.out.write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")
     for row in rows:
-        print(f"{row['layer']:>16}  {row['wall_ms']:10.4f} ms  {row['evaluations']:12.1f} evaluations")
+        print(
+            f"{row['layer']:>16}  {row['wall_ms']:10.4f} ms  {row['scaled_ms']:10.4f} scaled ms  "
+            f"{row['evaluations']:12.1f} evaluations"
+        )
     return 0
 
 

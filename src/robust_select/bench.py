@@ -49,18 +49,14 @@ class BenchConfig:
         for name in ("n_agents", "n_actions", "z_min", "z_max", "trials", "base_seed"):
             if not is_int(getattr(self, name)):
                 raise ValueError(f"bench config: {name} must be an integer, got {getattr(self, name)!r}")
-        for name in ("region", "delta", "epsilon", "curvature"):
-            value = getattr(self, name)
-            if not (is_real(value) or (name == "epsilon" and value is None)):
-                raise ValueError(f"bench config: {name} must be a real number, got {value!r}")
         if not isinstance(self.measure_wall_time, bool):
             raise ValueError(f"bench config: measure_wall_time must be true or false, got {self.measure_wall_time!r}")
         if self.n_agents < 1:
             raise ValueError("bench config: n_agents must be >= 1")
         if self.n_actions < 0:
             raise ValueError("bench config: n_actions must be >= 0")
-        if not (math.isfinite(self.region) and self.region > 0):
-            raise ValueError("bench config: region must be finite and > 0")
+        if not (is_real(self.region) and math.isfinite(self.region) and self.region > 0):
+            raise ValueError(f"bench config: region must be a finite real number > 0, got {self.region!r}")
         if self.z_min < 0 or self.z_max < self.z_min:
             raise ValueError("bench config: need 0 <= z_min <= z_max")
         if self.trials < 1:

@@ -119,8 +119,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    if args.max_actions > MAX_ACTIONS_CAP:
-        raise ValueError(f"--max-actions must be <= {MAX_ACTIONS_CAP}, got {args.max_actions}")
     outcomes = run_battery(
         instances=args.instances,
         max_actions=args.max_actions,

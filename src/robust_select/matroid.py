@@ -33,8 +33,6 @@ def ground_ids(subset: Iterable[int], n: int) -> np.ndarray:
     to it (``{1, True}``) has already collapsed to the id (``{1}``) when it
     is built, and is read as that id: keeping bools out of such a set is
     the caller's responsibility."""
-    if isinstance(subset, range):  # holds no bools; arange skips the list
-        subset = np.arange(subset.start, subset.stop, subset.step)
     if isinstance(subset, np.ndarray):
         ids = subset.reshape(-1)
     else:
@@ -185,8 +183,8 @@ class UniformMatroid(Matroid):
     rank: int
 
     def __post_init__(self) -> None:
-        if self.n_actions < 0:
-            raise ValueError("matroid: ground set size must be >= 0")
+        if not is_int(self.n_actions) or self.n_actions < 0:
+            raise ValueError(f"matroid.n_actions must be an integer >= 0, got {self.n_actions!r}")
         if not is_int(self.rank) or self.rank < 1:
             raise ValueError("matroid.rank must be a positive integer")
 

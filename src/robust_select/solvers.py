@@ -16,7 +16,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -34,8 +34,8 @@ BRUTE_FORCE_CAP = 20
 # the threshold never falls at all.
 THRESHOLD_STEPS_CAP = 10_000_000
 
-# Rungs of the threshold ladder computed at a time, beyond those a jump is
-# estimated to need; the estimate counts for at most _LADDER_JUMP_CAP rungs.
+# Rungs of the threshold ladder the exact walk computes at a time, and the
+# most divisions one jump computes at a time.
 _LADDER_CHUNK = 256
 _LADDER_JUMP_CAP = 1 << 16
 
@@ -206,9 +206,9 @@ class _Ladder:
 
     def _walk(self, bound: float, strict: bool) -> None:
         """``drop`` along the exact chain, a chunk at a time."""
-        k, t, extra = self.k, self.threshold, 0
+        k, t = self.k, self.threshold
         while True:
-            chain = threshold_ladder(t, self.delta, _LADDER_CHUNK + extra)
+            chain = threshold_ladder(t, self.delta, _LADDER_CHUNK)
             stops = chain < bound if strict else chain <= bound
             first = int(stops.argmax())
             if stops[first]:
@@ -219,10 +219,7 @@ class _Ladder:
                     f"threshold stalled at {float(chain[-1])!r}: dividing it by 1 + {self.delta!r} "
                     "no longer lowers it, so the greedy would never end"
                 )
-            # Size the next chunk by the divisions from its start down to the
-            # target; a short estimate only costs another chunk.
-            need = math.log(chain[-1] / bound) / math.log1p(self.delta) if bound > 0 else math.inf
-            k, t, extra = k + chain.size - 1, float(chain[-1]), int(min(need, _LADDER_JUMP_CAP))
+            k, t = k + chain.size - 1, float(chain[-1])
 
 
 @dataclass(frozen=True)
@@ -277,6 +274,22 @@ class Solution:
             "wall_time_ms": self.wall_time_s * 1000.0,
             "params": dict(self.params),
         }
+
+
+def _solution(
+    algorithm: str, scenario: Scenario, selected: Iterable[int], counter: EvaluationCounter,
+    started: float, params: dict, value: float | None = None,
+) -> Solution:
+    """A solver's ``Solution``: ``selected`` ascending, its worst agent's
+    value (charged to ``counter`` unless ``value`` is given), the counter's
+    charges and the wall time since ``started``."""
+    if value is None:
+        value = min_objective(scenario, selected, counter)
+    return Solution(
+        algorithm=algorithm, selected=tuple(sorted(selected)), min_value=value,
+        individual_evals=counter.individual_evals, f_evaluations=counter.f_equivalent(scenario.n_agents),
+        wall_time_s=time.perf_counter() - started, params=params,
+    )
 
 
 @dataclass(frozen=True)
@@ -345,50 +358,47 @@ def threshold_greedy(
     if not delta > 0:
         raise ValueError(f"delta must be > 0, got {delta!r}")
     _check_threshold_steps(delta)
-    n = matroid.n_actions
     passes = 0
-    initial = 0.0
     base = oracle.base(())
-    if n > 0:
-        initial = max(0.0, float(oracle.scan(base, oracle.gains(base)).max()))
+    # An empty ground set scans nothing, so nothing is charged.
+    initial = max(0.0, float(oracle.scan(base, oracle.gains(base)).max(initial=0.0)))
     ladder = _Ladder(initial, delta)
-    if n > 0:
-        floor = delta * initial
-        # The set, and so every gain and the feasibility mask, only changes
-        # when an element is accepted: each base's feasible ids and gains
-        # are computed once, and each stretch of a pass between insertions
-        # scans a slice of them. The greedy ends when none are left.
-        feasibility = matroid.feasibility()
-        candidates, gains = oracle.feasible(base, feasibility.mask)
-        while initial > 0 and ladder.at_least(floor) and candidates.size:
-            passes += 1
-            inserted = False
-            best_remaining = 0.0
-            start = 0
-            while True:
-                lo = candidates.searchsorted(start) if start else 0
-                if lo == candidates.size:
-                    break
-                scanned, hit = ladder.scan(oracle, base, gains[lo:])
-                if not hit:
-                    # A pass that inserts nothing has this one stretch.
-                    if not inserted:
-                        best_remaining = float(scanned.max())
-                    break
-                e = int(candidates[lo + scanned.size - 1])
-                if trace is not None:
-                    trace.append(GreedyStep(ladder.threshold, e, float(scanned[-1]), base.subset))
-                feasibility.add(e)
-                base = oracle.child(base, e)
-                candidates, gains = oracle.feasible(base, feasibility.mask)
-                inserted = True
-                start = e + 1
-            if inserted:
-                ladder.step()
-            elif best_remaining > 0.0:
-                ladder.drop(best_remaining, floor)
-            else:
+    floor = delta * initial
+    # The set, and so every gain and the feasibility mask, only changes
+    # when an element is accepted: each base's feasible ids and gains
+    # are computed once, and each stretch of a pass between insertions
+    # scans a slice of them. The greedy ends when none are left.
+    feasibility = matroid.feasibility()
+    candidates, gains = oracle.feasible(base, feasibility.mask)
+    while initial > 0 and ladder.at_least(floor) and candidates.size:
+        passes += 1
+        inserted = False
+        best_remaining = 0.0
+        start = 0
+        while True:
+            lo = candidates.searchsorted(start) if start else 0
+            if lo == candidates.size:
                 break
+            scanned, hit = ladder.scan(oracle, base, gains[lo:])
+            if not hit:
+                # A pass that inserts nothing has this one stretch.
+                if not inserted:
+                    best_remaining = float(scanned.max())
+                break
+            e = int(candidates[lo + scanned.size - 1])
+            if trace is not None:
+                trace.append(GreedyStep(ladder.threshold, e, float(scanned[-1]), base.subset))
+            feasibility.add(e)
+            base = oracle.child(base, e)
+            candidates, gains = oracle.feasible(base, feasibility.mask)
+            inserted = True
+            start = e + 1
+        if inserted:
+            ladder.step()
+        elif best_remaining > 0.0:
+            ladder.drop(best_remaining, floor)
+        else:
+            break
     if stats is not None:
         stats["passes"] = passes
         stats["initial_threshold"] = initial
@@ -408,7 +418,9 @@ def saturate_robust(
     reuse across gammas, so evaluation counts stay honest), keeps the greedy
     set as the incumbent when its surrogate value reaches
     gamma / (1 + curvature + delta), and halves the bracket until its width
-    is at most epsilon.
+    is at most epsilon, or until a probe leaves it unchanged (an epsilon
+    finer than the doubles near the bracket, whose midpoint rounds onto an
+    end).
 
     What is proven is the per-gamma bound: at each probe the greedy set's
     surrogate value is within a 1/(1 + curvature + delta) factor of the best
@@ -434,6 +446,7 @@ def saturate_robust(
     if upper_init > 0.0:
         while upper - lower > epsilon:
             gamma = 0.5 * (upper + lower)
+            bracket = (lower, upper)
             oracle = SurrogateOracle(scenario, gamma, counter)
             candidate = threshold_greedy(oracle, scenario.matroid, params.delta)
             if oracle.evaluate(candidate) < gamma / divisor:
@@ -444,23 +457,12 @@ def saturate_robust(
             iterations += 1
             if bisection_trace is not None:
                 bisection_trace.append((lower, upper))
-    value = min_objective(scenario, best, counter)
-    return Solution(
-        algorithm="fast",
-        selected=tuple(sorted(best)),
-        min_value=value,
-        individual_evals=counter.individual_evals,
-        f_evaluations=counter.f_equivalent(scenario.n_agents),
-        wall_time_s=time.perf_counter() - started,
-        params={
-            "delta": params.delta,
-            "epsilon": epsilon,
-            "curvature": params.curvature,
-            "lower": lower,
-            "upper": upper,
-            "iterations": iterations,
-        },
-    )
+            if (lower, upper) == bracket:  # every later probe would repeat this one
+                break
+    return _solution("fast", scenario, best, counter, started, {
+        "delta": params.delta, "epsilon": epsilon, "curvature": params.curvature,
+        "lower": lower, "upper": upper, "iterations": iterations,
+    })
 
 
 def simple_greedy(scenario: Scenario, gamma: float | None = None) -> Solution:
@@ -495,16 +497,7 @@ def simple_greedy(scenario: Scenario, gamma: float | None = None) -> Solution:
         feasibility.add(e)
         base = oracle.child(base, e)
         base.cold = best != candidates.size - 1
-    value = min_objective(scenario, base.subset, counter)
-    return Solution(
-        algorithm="greedy",
-        selected=tuple(sorted(base.subset)),
-        min_value=value,
-        individual_evals=counter.individual_evals,
-        f_evaluations=counter.f_equivalent(scenario.n_agents),
-        wall_time_s=time.perf_counter() - started,
-        params={"gamma": gamma},
-    )
+    return _solution("greedy", scenario, base.subset, counter, started, {"gamma": gamma})
 
 
 def ratio_greedy_baseline(scenario: Scenario) -> Solution:
@@ -555,16 +548,7 @@ def ratio_greedy_baseline(scenario: Scenario) -> Solution:
             break
         feasibility.add(best)
         selected.add(best)
-    value = min_objective(scenario, selected, counter)
-    return Solution(
-        algorithm="ratio",
-        selected=tuple(sorted(selected)),
-        min_value=value,
-        individual_evals=counter.individual_evals,
-        f_evaluations=counter.f_equivalent(scenario.n_agents),
-        wall_time_s=time.perf_counter() - started,
-        params={},
-    )
+    return _solution("ratio", scenario, selected, counter, started, {})
 
 
 def iter_independent_sets(matroid: Matroid) -> Iterator[frozenset]:
@@ -592,16 +576,8 @@ def brute_force_maxmin(scenario: Scenario) -> Solution:
     started = time.perf_counter()
     counter = EvaluationCounter()
     best = brute_force_surrogate_max(MinObjectiveOracle(scenario, counter), scenario.matroid)
-    return Solution(
-        algorithm="brute",
-        selected=tuple(sorted(best)),
-        # The enumeration already charged this set's evaluation.
-        min_value=min_objective(scenario, best),
-        individual_evals=counter.individual_evals,
-        f_evaluations=counter.f_equivalent(scenario.n_agents),
-        wall_time_s=time.perf_counter() - started,
-        params={},
-    )
+    # The enumeration already charged this set's evaluation.
+    return _solution("brute", scenario, best, counter, started, {}, value=min_objective(scenario, best))
 
 
 def brute_force_surrogate_max(oracle, matroid: Matroid) -> frozenset:

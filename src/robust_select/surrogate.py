@@ -38,9 +38,9 @@ Handles and accounting contract shared by both:
   trivially (gamma == 0);
 * ``scan`` is the one charging path for gains: it reads gains in order and
   charges exactly what scanning them one at a time would, one evaluation
-  per scanned candidate plus one for a cold base (never when gamma == 0).
-  With ``stop_at`` the scan ends at the first candidate whose gain reaches
-  it; lanes past that candidate are not charged;
+  per scanned candidate plus one for a cold base (never when gamma == 0,
+  nor for a scan of no candidates). With ``stop_at`` the scan ends at the
+  first candidate whose gain reaches it; lanes past it are not charged;
 * ``marginal_gains`` is a fresh handle, the checks and one ``scan``: every
   call charges its scanned candidates plus its base (unless gamma == 0);
 * ``evaluate`` charges one evaluation and reads the value from the last
@@ -125,10 +125,6 @@ class _ProximityOracleBase:
         return False
 
     # -- shared machinery ----------------------------------------------
-    def _reduce(self, values: np.ndarray) -> np.ndarray:
-        """The reduced objective of per-agent values (one set per column)."""
-        return self._total(self._cap(values))
-
     @cached_property
     def _capped(self) -> np.ndarray:
         """The distance matrix capped once, so that lanes need no capping."""
@@ -140,8 +136,8 @@ class _ProximityOracleBase:
     def _handle(self, subset: frozenset) -> _Handle:
         if not subset:  # every agent values the empty set at 0
             return _Handle(subset, np.zeros(self._agents), 0.0)
-        values = agent_values(self.scenario, subset)
-        return _Handle(subset, self._cap(values), float(self._reduce(values)))
+        capped = self._cap(agent_values(self.scenario, subset))
+        return _Handle(subset, capped, float(self._total(capped)))
 
     def gains(self, handle: _Handle) -> np.ndarray:
         """The handle's gain against every ground element, built once; the
@@ -199,14 +195,16 @@ class _ProximityOracleBase:
         ``handle``, in order, and return the scanned prefix: up to and
         including the first gain >= ``stop_at``, or all of them. The one
         charging path: one evaluation per scanned candidate, plus one when
-        the handle is cold, which it is not afterwards."""
-        if stop_at is not None and gains.size:
-            hits = gains >= stop_at
-            first = hits.argmax()  # the first True, if there is one
-            if hits[first]:
-                gains = gains[: first + 1]
-        self._charge(gains.size + handle.cold)
-        handle.cold = False
+        the handle is cold, which it is not afterwards. A scan of no
+        candidates evaluates nothing and charges nothing."""
+        if gains.size:
+            if stop_at is not None:
+                hits = gains >= stop_at
+                first = hits.argmax()  # the first True, if there is one
+                if hits[first]:
+                    gains = gains[: first + 1]
+            self._charge(gains.size + handle.cold)
+            handle.cold = False
         return gains
 
     def evaluate(self, subset: Iterable[int]) -> float:

@@ -1,3 +1,5 @@
+import signal
+
 import hypothesis
 import numpy as np
 import pytest
@@ -22,3 +24,18 @@ def tiny():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240)
+
+
+@pytest.fixture
+def deadline():
+    """Fails a test that is still running after 10 s with TimeoutError
+    (SIGALRM), so that a hang fails instead of stalling the suite."""
+
+    def expire(signum, frame):
+        raise TimeoutError("still running after 10 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(10)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)

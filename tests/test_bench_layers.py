@@ -23,7 +23,7 @@ def test_quick_mode_appends_a_record_that_parses(tmp_path):
         assert {"commit", "python", "numpy", "cpu"} <= set(record["environment"])
         assert [row["layer"] for row in record["layers"]] == LAYERS
         for row in record["layers"]:
-            assert row["wall_ms"] > 0 and row["repeats"] >= 1 and row["seeds"]
+            assert row["wall_ms"] > 0 and row["scaled_ms"] > 0 and row["repeats"] >= 1 and row["seeds"]
         assert record["layers"][0]["evaluations"] == 1.0
     # The same seeds charge the same evaluations on every run.
     assert [row["evaluations"] for row in records[0]["layers"]] == [row["evaluations"] for row in records[1]["layers"]]

@@ -63,6 +63,20 @@ def test_solve_refuses_delta_that_would_hang(tiny_path, capsys):
     assert "THRESHOLD_STEPS_CAP" in err
 
 
+def test_solve_epsilon_below_float_resolution_returns(tmp_path, capsys, deadline):
+    """The bisection stops once a probe leaves the bracket unchanged."""
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({
+        "agents": [[2.8319671145462966, 12.428327649956394], [67.06244146936304, 64.71895115742501]],
+        "actions": [[61.53851114812539, 38.367755426188346], [99.7209935789211, 98.08353387762301],
+                    [68.55419844806947, 65.04592762678163]],
+        "matroid": {"type": "partition", "blocks": [[2], [0], [1]], "capacity": 1},
+    }))
+    code, out, _ = run_cli(capsys, "solve", "--config", str(path), "--algorithm", "fast", "--epsilon", "1e-300")
+    assert code == 0
+    assert json.loads(out)["selected"] == [1]
+
+
 def test_solve_refuses_a_scenario_past_the_pair_cap(tiny_path, capsys, monkeypatch):
     monkeypatch.setattr("robust_select.scenario.DISTANCE_PAIRS_CAP", 5)
     for algorithm in ("fast", "greedy", "ratio"):

@@ -116,6 +116,9 @@ def test_axiom_cap_refused():
 def test_validation_errors():
     with pytest.raises(ValueError, match="positive integer"):
         UniformMatroid(3, 0)
+    for n_actions in (True, 2.5, "3", -1):
+        with pytest.raises(ValueError, match="matroid.n_actions"):
+            UniformMatroid(n_actions, 1)
     with pytest.raises(ValueError, match="one capacity per block"):
         PartitionMatroid(((0,),), (1, 1))
     with pytest.raises(ValueError, match=">= 0"):

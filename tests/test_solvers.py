@@ -91,7 +91,9 @@ def test_threshold_greedy_initial_threshold_is_best_singleton(tiny):
 
 def test_threshold_greedy_empty_ground_set():
     scenario = empty_ground_scenario()
-    assert threshold_greedy(SurrogateOracle(scenario, 1.0), scenario.matroid, DELTA) == set()
+    oracle = SurrogateOracle(scenario, 1.0)
+    assert threshold_greedy(oracle, scenario.matroid, DELTA) == set()
+    assert oracle.counter.individual_evals == 0
 
 
 def test_threshold_greedy_zero_capacity():
@@ -513,6 +515,23 @@ def test_saturate_bisection_contract(rng):
             width = upper_bound - lower
         assert width <= epsilon
         checked += 1
+
+
+def test_saturate_stops_when_a_probe_leaves_the_bracket_unchanged(deadline):
+    """An epsilon finer than the doubles near the bracket: the midpoint
+    rounds onto an end, the probe leaves the bracket as it was, and so
+    would every later one. The solve stops at the first such probe."""
+    rng = np.random.default_rng(0)
+    scenarios = [random_small_scenario(rng, 7) for _ in range(5)]
+    selected = []
+    for index in (1, 4):
+        trace = []
+        solution = saturate_robust(scenarios[index], SolverParams(epsilon=1e-300), bisection_trace=trace)
+        assert solution.params["iterations"] == len(trace)
+        assert trace[-1] == trace[-2]
+        assert all(a != b for a, b in zip(trace, trace[1:-1]))
+        selected.append(solution.selected)
+    assert selected == [(1,), (0,)]
 
 
 def test_saturate_end_to_end_bound(rng):

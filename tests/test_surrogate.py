@@ -418,8 +418,8 @@ def agent_order_sum(values):
     ["vector", "single column", "c-contiguous", "fortran", "strided view", "two columns"],
 )
 def test_reduce_is_the_agent_order_sum(rng, layout):
-    """``_reduce`` equals an explicit agent-order sum bit for bit, whatever
-    the layout numpy hands it."""
+    """``_total`` of ``_cap``ped values equals an explicit agent-order sum
+    bit for bit, whatever the layout numpy hands it."""
     for n_agents in (1, 2, 9, 64, 333):
         raw = rng.uniform(0.0, 1.0, (n_agents, 12)) * 10.0 ** rng.integers(-6, 7, (n_agents, 12))
         values = {
@@ -432,7 +432,8 @@ def test_reduce_is_the_agent_order_sum(rng, layout):
         }[layout]
         gamma = float(np.median(raw))
         expected = agent_order_sum(np.minimum(values, gamma)) / n_agents
-        reduced = SurrogateOracle(random_scenario(rng, 1, 1), gamma)._reduce(values)
+        oracle = SurrogateOracle(random_scenario(rng, 1, 1), gamma)
+        reduced = oracle._total(oracle._cap(values))
         assert np.array_equal(reduced, expected)
 
 
