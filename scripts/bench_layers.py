@@ -128,10 +128,10 @@ def layers(repeats: int, full_trials: int) -> list[dict]:
         wall_ms, scaled_ms, evaluations = min_time_ms(run, k)
         if name == "scan":
             wall_ms, scaled_ms = wall_ms / SCAN_BATCH, scaled_ms / SCAN_BATCH
-        rows.append(
-            {"layer": name, "wall_ms": wall_ms, "scaled_ms": scaled_ms, "repeats": k, "evaluations": evaluations,
-             "seeds": seeds}
-        )
+        rows.append({
+            "layer": name, "wall_ms": wall_ms, "scaled_ms": scaled_ms, "repeats": k,
+            "evaluations": evaluations, "seeds": seeds,
+        })
     return rows
 
 

@@ -361,7 +361,7 @@ def threshold_greedy(
     passes = 0
     base = oracle.base(())
     # An empty ground set scans nothing, so nothing is charged.
-    initial = max(0.0, float(oracle.scan(base, oracle.gains(base)).max(initial=0.0)))
+    initial = float(oracle.scan(base, oracle.gains(base)).max(initial=0.0))
     ladder = _Ladder(initial, delta)
     floor = delta * initial
     # The set, and so every gain and the feasibility mask, only changes
