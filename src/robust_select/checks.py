@@ -230,7 +230,8 @@ def run_battery(
                         if not scenario.matroid.can_extend(step.base, o):
                             continue
                         gain_dominance.count()
-                        if (1.0 + DELTA) * step.gain < probe.marginal_gains(step.base, [o])[0] - BOUND_TOL:
+                        gain = probe.evaluate(step.base | {o}) - probe.evaluate(step.base)
+                        if (1.0 + DELTA) * step.gain < gain - BOUND_TOL:
                             gain_dominance.fail(scenario, f"accepted gain dominated at gamma={gamma}")
 
         params = SolverParams(delta=DELTA)

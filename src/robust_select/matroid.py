@@ -65,22 +65,27 @@ def _distinct_ids(subset: Collection[int], n: int) -> np.ndarray:
 
 class Feasibility:
     """The feasibility state of a set that grows one element at a time:
-    ``mask`` is always ``extendable`` of the set, and ``add(e)`` puts an
-    element the mask allows into the set, raising IndexError for an id
-    outside the ground set and ValueError for any other element the mask
-    refuses (a member, or one that breaks independence). This generic state
-    asks ``matroid.extendable`` again after each ``add``; the built-in
-    matroids update their mask in place instead."""
+    ``mask`` is a boolean mask over the ground set whose entry ``e`` is
+    ``can_extend(set, e)``, and ``add(e)`` puts an element the mask allows
+    into the set, raising IndexError for an id outside the ground set and
+    ValueError for any other element the mask refuses (a member, or one
+    that breaks independence). This generic state asks ``can_extend`` of
+    every element again after each ``add``; the built-in matroids update
+    their mask in place instead."""
 
     def __init__(self, matroid: "Matroid", subset: Collection[int]) -> None:
         self.matroid = matroid
         self.chosen = set(subset)
-        self.mask = matroid.extendable(self.chosen)
+        self.mask = self._extendable()
 
     def add(self, element: int) -> None:
         self._admit(element)
         self.chosen.add(element)
-        self.mask = self.matroid.extendable(self.chosen)
+        self.mask = self._extendable()
+
+    def _extendable(self) -> np.ndarray:
+        n = self.matroid.n_actions
+        return np.fromiter((self.matroid.can_extend(self.chosen, e) for e in range(n)), dtype=bool, count=n)
 
     def _admit(self, element: int) -> None:
         n = len(self.mask)
@@ -92,12 +97,12 @@ class Feasibility:
 
 class Matroid:
     """Base independence oracle. Subclasses define ``is_independent`` and
-    ``n_actions``, and may override ``extendable`` with a faster
-    equivalent. ``is_basis`` is derived from ``extendable``: a set is a
-    basis when nothing extends it. The greedies grow their set through
-    ``feasibility``, whose default asks ``extendable`` once per element
-    added; the built-in matroids answer ``extendable`` from a fresh state of
-    their own, which ``add`` updates with a few numpy calls."""
+    ``n_actions``, and may override ``feasibility`` with a faster state.
+    ``extendable`` is the mask of a fresh state, and ``is_basis`` is
+    derived from it: a set is a basis when nothing extends it. The greedies
+    grow their set through one state, whose mask the built-in matroids
+    update with a few numpy calls per element added; the generic state asks
+    ``can_extend`` of every element again."""
 
     n_actions: int
 
@@ -113,12 +118,8 @@ class Matroid:
 
     def extendable(self, subset: Collection[int]) -> np.ndarray:
         """Fresh boolean mask over the ground set whose entry ``e`` is
-        ``can_extend(subset, e)``."""
-        return np.fromiter(
-            (self.can_extend(subset, e) for e in range(self.n_actions)),
-            dtype=bool,
-            count=self.n_actions,
-        )
+        ``can_extend(subset, e)``: the mask of a fresh feasibility state."""
+        return self.feasibility(subset).mask
 
     def feasibility(self, subset: Collection[int] = ()) -> Feasibility:
         """A feasibility state of ``subset``, for growing it one element at a
@@ -194,9 +195,6 @@ class UniformMatroid(Matroid):
     def feasibility(self, subset: Collection[int] = ()) -> Feasibility:
         return _UniformFeasibility(self, subset)
 
-    def extendable(self, subset: Collection[int]) -> np.ndarray:
-        return self.feasibility(subset).mask
-
 
 @dataclass(frozen=True)
 class PartitionMatroid(Matroid):
@@ -245,9 +243,6 @@ class PartitionMatroid(Matroid):
 
     def feasibility(self, subset: Collection[int] = ()) -> Feasibility:
         return _PartitionFeasibility(self, subset)
-
-    def extendable(self, subset: Collection[int]) -> np.ndarray:
-        return self.feasibility(subset).mask
 
 
 def matroid_to_dict(matroid: Matroid) -> dict:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product, starmap
@@ -108,12 +109,23 @@ class Scenario:
         1 and 101), ``np.hypot`` differed in the last bit on 136-154 of
         25,000 paper-quadrant pairs, 2,508-2,576 of 480,000 ring-uniform
         pairs and 5,764-5,842 of 1,024,000 crowd-grid pairs, and
-        ``np.sqrt(dx * dx + dy * dy)`` on about 16% of all pairs."""
+        ``np.sqrt(dx * dx + dy * dy)`` on about 16% of all pairs.
+
+        A matrix whose largest entry times 2 N is not a finite double is
+        refused with ValueError: that covers an infinite distance, the
+        surrogate's sum over agents and the bisection's midpoint sum."""
         shape = (self.n_agents, self.n_actions)
         if shape[0] * shape[1] > DISTANCE_PAIRS_CAP:
             raise ValueError(f"N x M = {shape[0]} x {shape[1]} exceeds DISTANCE_PAIRS_CAP = {DISTANCE_PAIRS_CAP}")
         pairs = starmap(math.dist, product(self.agents, self.actions))
         array = np.fromiter(pairs, np.float64, shape[0] * shape[1]).reshape(shape)
+        largest = float(array.max(initial=0.0))
+        if not math.isfinite(2 * shape[0] * largest):
+            raise ValueError(
+                f"largest distance {largest!r} exceeds the distance scale limit "
+                f"{sys.float_info.max / (2 * shape[0]):.6g} = float64 max / (2 x {shape[0]} agents): "
+                "2 x N x the largest distance must be finite"
+            )
         array.setflags(write=False)
         return array
 

@@ -51,7 +51,7 @@ _MIN_NORMAL = sys.float_info.min
 
 def threshold_steps(delta: float) -> float:
     """Divisions by 1 + delta that take a threshold down to delta times its
-    start: ln(1/delta) / log1p(delta), at most 0 when delta >= 1."""
+    start: ln(1/delta) / log1p(delta), which is 0 at delta == 1."""
     return -math.log(delta) / math.log1p(delta)
 
 
@@ -226,8 +226,10 @@ class _Ladder:
 class SolverParams:
     """Solver tunables.
 
-    delta: threshold shrink factor for the inner greedy (> 0, and small
-        enough that the descent stays within THRESHOLD_STEPS_CAP steps).
+    delta: threshold shrink factor for the inner greedy, in (0, 1]: above
+        1 the greedy's floor delta * F would lie above its first threshold
+        F, and no pass would run. Small deltas are bounded too: the descent
+        must stay within THRESHOLD_STEPS_CAP steps.
     epsilon: absolute bisection stopping gap; None means one thousandth of
         the instance's initial upper bound.
     curvature: the c value used in the saturation acceptance test
@@ -241,8 +243,8 @@ class SolverParams:
     curvature: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (is_real(self.delta) and math.isfinite(self.delta) and self.delta > 0):
-            raise ValueError(f"delta must be finite and > 0, got {self.delta!r}")
+        if not (is_real(self.delta) and 0 < self.delta <= 1):
+            raise ValueError(f"delta must lie in (0, 1], got {self.delta!r}")
         _check_threshold_steps(self.delta)
         if self.epsilon is not None and not (
             is_real(self.epsilon) and math.isfinite(self.epsilon) and self.epsilon > 0
@@ -347,16 +349,17 @@ def threshold_greedy(
     the first gain at or above the threshold, charging exactly the
     candidates the one-at-a-time scan would evaluate.
 
-    A delta whose descent would take more than THRESHOLD_STEPS_CAP
-    divisions is refused with ValueError, and so is a jump past a threshold
-    that no longer falls (deep in the subnormals, dividing by 1 + delta can
-    return its argument), which the literal loop would repeat forever.
+    A delta outside (0, 1], or whose descent would take more than
+    THRESHOLD_STEPS_CAP divisions, is refused with ValueError, and so is a
+    jump past a threshold that no longer falls (deep in the subnormals,
+    dividing by 1 + delta can return its argument), which the literal loop
+    would repeat forever.
 
     ``trace`` (optional list) receives a GreedyStep per insertion;
     ``stats`` (optional dict) receives scan-pass and threshold bookkeeping.
     """
-    if not delta > 0:
-        raise ValueError(f"delta must be > 0, got {delta!r}")
+    if not 0 < delta <= 1:
+        raise ValueError(f"delta must lie in (0, 1], got {delta!r}")
     _check_threshold_steps(delta)
     passes = 0
     base = oracle.base(())

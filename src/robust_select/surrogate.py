@@ -28,11 +28,10 @@ Handles and accounting contract shared by both:
   evaluations: they charge nothing by themselves. A handle with every agent
   at gamma (any handle at gamma == 0) builds none: every gain is 0;
 * every action id must lie in [0, M), or IndexError is raised before
-  anything is scored: ``base`` checks a set's ids, ``marginal_gains``
-  checks its candidates, and ``feasible`` (the greedies' path) checks once
-  per base that its mask covers exactly [0, M). Candidates inside the base
-  raise ValueError, checked by ``marginal_gains`` per call and by
-  ``feasible`` once per base, which reads the mask at the set's ids;
+  anything is scored: ``base`` checks a set's ids, and ``feasible`` checks
+  once per base that its mask covers exactly [0, M). Candidates inside the
+  base raise ValueError, checked by ``feasible`` once per base, which reads
+  the mask at the set's ids;
 * every logical evaluation of the reduced objective charges one count per
   agent, even when the result is read from a handle or lane or is known
   trivially (gamma == 0);
@@ -41,14 +40,12 @@ Handles and accounting contract shared by both:
   per scanned candidate plus one for a cold base (never when gamma == 0,
   nor for a scan of no candidates). With ``stop_at`` the scan ends at the
   first candidate whose gain reaches it; lanes past it are not charged;
-* ``marginal_gains`` is a fresh handle, the checks and one ``scan``: every
-  call charges its scanned candidates plus its base (unless gamma == 0);
 * ``evaluate`` charges one evaluation and reads the value from the last
   handle ``base`` or ``child`` made when it is of the same set; otherwise
   it scores the set from scratch, checking its ids before the charge. The
   memo saves time only: it never changes a charge, a bit or a refusal;
-* every reduction runs over the agents in agent order, so batched,
-  single-candidate and from-scratch values agree bit for bit. numpy reduces
+* every reduction runs over the agents in agent order, so lane and
+  from-scratch values agree bit for bit. numpy reduces
   a C-contiguous 2-D array of two or more columns along axis 0 one row at a
   time, so those go through ``np.add.reduce(axis=0)``; a vector or a single
   column would be summed pairwise (from nine agents on) and can differ in
@@ -64,7 +61,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .matroid import ground_ids, is_real
+from .matroid import is_real
 from .scenario import EvaluationCounter, Scenario, agent_values
 
 # Curvature needs f on the full set minus each element; refuse huge grounds.
@@ -72,8 +69,6 @@ CURVATURE_GROUND_CAP = 20
 
 # Clamps beyond this are reported; below it they are floating-point dust.
 _CLAMP_TOL = 1e-9
-
-_MEMBER_CANDIDATE = "candidates must lie outside the base set"
 
 
 class _Handle:
@@ -187,7 +182,7 @@ class _ProximityOracleBase:
         if not ids.size:
             return ids, np.zeros(0)
         if handle.subset and mask[list(handle.subset)].any():
-            raise ValueError(_MEMBER_CANDIDATE)
+            raise ValueError("candidates must lie outside the base set")
         return ids, self.gains(handle)[ids]
 
     def scan(self, handle: _Handle, gains: np.ndarray, stop_at: float | None = None) -> np.ndarray:
@@ -220,36 +215,12 @@ class _ProximityOracleBase:
         self._charge()
         return value
 
-    def marginal_gains(
-        self,
-        subset: Iterable[int],
-        candidates: Iterable[int],
-        stop_at: float | None = None,
-    ) -> np.ndarray:
-        """Gains of adding each candidate (none may be in ``subset``) to
-        ``subset``, in candidate order.
-
-        With ``stop_at`` only the scanned prefix comes back: the gains up to
-        and including the first one >= ``stop_at``, or all of them when none
-        reaches it. Every call charges its scanned candidates plus its base
-        (never at gamma == 0), whatever calls came before it.
-        """
-        ids = ground_ids(candidates, self.scenario.n_actions)
-        base = self.base(subset)
-        if not base.subset.isdisjoint(ids.tolist()):
-            raise ValueError(_MEMBER_CANDIDATE)
-        if ids.size == 0:
-            return np.zeros(0)
-        return self.scan(base, self.gains(base)[ids], stop_at)
-
 
 class SurrogateOracle(_ProximityOracleBase):
     """Truncated-average surrogate at saturation level ``gamma``.
 
     Values lie in [0, gamma]; the empty set evaluates to 0; equality with
-    gamma means every agent is saturated. At gamma == 0 ``marginal_gains``
-    returns zeros without touching the per-agent objectives but still pays
-    the standard charge so evaluation counts stay comparable.
+    gamma means every agent is saturated.
     """
 
     def __init__(

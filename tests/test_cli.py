@@ -85,6 +85,26 @@ def test_solve_refuses_a_scenario_past_the_pair_cap(tiny_path, capsys, monkeypat
         assert "DISTANCE_PAIRS_CAP = 5" in err
 
 
+@pytest.mark.parametrize(
+    "agents, actions",
+    [
+        ([[-1e308, 0.0]], [[1e308, 0.0], [0.0, 0.0]]),
+        ([[0.0, 0.0]], [[1.7e308, 0.0], [1e308, 0.0]]),
+        ([[0.0, 0.0], [0.0, 0.0]], [[1.2e308, 0.0], [1e308, 0.0]]),
+    ],
+)
+def test_solve_refuses_distances_that_overflow(tmp_path, capsys, agents, actions):
+    """An infinite distance, a bisection midpoint sum past the largest
+    double, and two agents' surrogate sum past it: each is a usage error
+    that names the limit, for every solver."""
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"agents": agents, "actions": actions, "matroid": {"type": "uniform", "rank": 1}}))
+    for algorithm in ("fast", "greedy", "ratio", "brute"):
+        code, out, err = run_cli(capsys, "solve", "--config", str(path), "--algorithm", algorithm)
+        assert code == 2 and out == ""
+        assert "distance scale limit" in err
+
+
 def test_solve_missing_file(capsys):
     code, _, err = run_cli(capsys, "solve", "--config", "does-not-exist.json", "--algorithm", "fast")
     assert code == 2
@@ -100,11 +120,12 @@ def test_solve_malformed_config_names_field(tmp_path, capsys):
 
 
 def test_solve_bad_params(tiny_path, capsys):
-    code, _, err = run_cli(
-        capsys, "solve", "--config", tiny_path, "--algorithm", "fast", "--delta", "-1"
-    )
-    assert code == 2
-    assert "delta" in err
+    """A delta outside (0, 1] is a usage error: above 1 the greedy's floor
+    would lie above its first threshold, so it would select nothing."""
+    for delta in ("-1", "1.5"):
+        code, out, err = run_cli(capsys, "solve", "--config", tiny_path, "--algorithm", "fast", "--delta", delta)
+        assert code == 2 and out == ""
+        assert "delta must lie in (0, 1]" in err
 
 
 def test_bench_writes_both_csvs(tmp_path, capsys):
@@ -241,9 +262,7 @@ def test_bench_unwritable_output(tmp_path, capsys):
 def test_check_passes_on_small_battery(capsys):
     code, out, _ = run_cli(capsys, "check", "--instances", "25", "--seed", "0")
     assert code == 0
-    lines = out.splitlines()
-    assert lines
-    assert all(line.startswith("PASS") for line in lines)
+    assert out == (GOLDEN / "check_seed0_25.txt").read_text()
 
 
 def test_check_rejects_oversized_cap(capsys):

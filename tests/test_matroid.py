@@ -366,7 +366,7 @@ def test_empty_feasibility_state_matches_the_general_path(matroid, data):
     n = matroid.n_actions
     empty = matroid.feasibility()
     assert empty.mask.dtype == bool and empty.mask.shape == (n,)
-    assert empty.mask.tolist() == Matroid.extendable(matroid, ()).tolist()
+    assert empty.mask.tolist() == [matroid.can_extend((), e) for e in range(n)]
     assert empty.room == _room_of(matroid, set())
     allowed = np.flatnonzero(empty.mask).tolist()
     if allowed:

@@ -3,6 +3,8 @@ and the scenario JSON format."""
 
 import json
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from robust_select import (
     load_scenario,
     min_objective,
     proximity_objective,
+    saturate_robust,
     save_scenario,
     scenario_from_dict,
     scenario_to_dict,
@@ -137,6 +140,29 @@ def test_distances_refuse_more_pairs_than_the_cap(rng, monkeypatch):
     with pytest.raises(ValueError, match=r"N x M = 5 x 5 exceeds DISTANCE_PAIRS_CAP = 24"):
         oversized.distances
     assert "distances" not in vars(oversized)
+
+
+# Distances that overflow a sum: an infinite one, a midpoint sum past the
+# largest double, and two agents' surrogate sum past it.
+OVERFLOWING = [
+    ([(-1e308, 0.0)], [(1e308, 0.0), (0.0, 0.0)]),
+    ([(0.0, 0.0)], [(1.7e308, 0.0), (1e308, 0.0)]),
+    ([(0.0, 0.0), (0.0, 0.0)], [(1.2e308, 0.0), (1e308, 0.0)]),
+]
+
+
+@pytest.mark.parametrize("agents, actions", OVERFLOWING)
+def test_distances_refuse_a_scale_that_overflows(agents, actions):
+    """A matrix whose largest distance times 2 N is not finite is refused
+    with an error naming the limit, and is not kept; a solve at the limit
+    itself finds it."""
+    scenario = Scenario.from_coords(agents, actions, UniformMatroid(len(actions), 1))
+    limit = sys.float_info.max / (2 * len(agents))
+    with pytest.raises(ValueError, match=re.escape(f"distance scale limit {limit:.6g} ")):
+        scenario.distances
+    assert "distances" not in vars(scenario)
+    at_limit = Scenario.from_coords([(0.0, 0.0)] * len(agents), [(limit, 0.0)], UniformMatroid(1, 1))
+    assert saturate_robust(at_limit).min_value == limit
 
 
 def test_distances_is_one_read_only_array(tiny):

@@ -111,8 +111,9 @@ def test_threshold_greedy_worthless_singletons():
 
 
 def test_threshold_greedy_rejects_bad_delta(tiny):
-    with pytest.raises(ValueError):
-        threshold_greedy(SurrogateOracle(tiny, 8.0), tiny.matroid, 0.0)
+    for delta in (0.0, 1.5):
+        with pytest.raises(ValueError, match=r"delta must lie in \(0, 1\]"):
+            threshold_greedy(SurrogateOracle(tiny, 8.0), tiny.matroid, delta)
 
 
 def test_threshold_greedy_feasible_output(rng):
@@ -180,7 +181,8 @@ def test_threshold_greedy_accepted_gains_dominate(rng):
                 if not scenario.matroid.can_extend(step.base, o):
                     continue
                 checked += 1
-                assert (1.0 + DELTA) * step.gain >= probe.marginal_gains(step.base, [o])[0] - 1e-9
+                gain = probe.evaluate(step.base | {o}) - probe.evaluate(step.base)
+                assert (1.0 + DELTA) * step.gain >= gain - 1e-9
     assert checked > 0
 
 
@@ -205,7 +207,7 @@ def literal_threshold_greedy(oracle, matroid, delta):
     def gain_of(base, e):
         nonlocal gains_taken
         gains_taken += 1
-        return float(oracle.marginal_gains(base, [e])[0])
+        return oracle.evaluate(base | {e}) - oracle.evaluate(base)
 
     initial = max([0.0] + [gain_of(frozenset(), e) for e in range(n)])
     threshold, floor = initial, delta * initial
@@ -576,8 +578,9 @@ def test_saturate_end_to_end_bound_known_counterexample():
 
 
 def test_solver_params_validation():
-    with pytest.raises(ValueError):
-        SolverParams(delta=0.0)
+    for delta in (0.0, 1.5, math.inf):
+        with pytest.raises(ValueError, match=r"delta must lie in \(0, 1\]"):
+            SolverParams(delta=delta)
     for field in ("delta", "epsilon", "curvature"):
         for flag in (True, False):
             with pytest.raises(ValueError, match=field):

@@ -64,7 +64,8 @@ def test_empty_set_is_zero(tiny):
 
 
 def test_marginal_gain_from_empty(tiny):
-    gain = SurrogateOracle(tiny, 8.0).marginal_gains(set(), [2])[0]
+    oracle = SurrogateOracle(tiny, 8.0)
+    gain = oracle.gains(oracle.base(set()))[2]
     assert gain == pytest.approx(SQRT50, abs=1e-12)
 
 
@@ -72,46 +73,49 @@ def test_marginal_gain_partial(tiny):
     # Adding action 0 to {2}: agent 0 unchanged at sqrt(50), agent 1 goes
     # to min(10, 8); recomputed here from scratch.
     expected = (SQRT50 + min(10.0, 8.0)) / 2.0 - SQRT50
-    gain = SurrogateOracle(tiny, 8.0).marginal_gains({2}, [0])[0]
+    oracle = SurrogateOracle(tiny, 8.0)
+    gain = oracle.gains(oracle.base({2}))[0]
     assert gain == pytest.approx(expected, abs=1e-12)
     assert gain == pytest.approx(0.4645, abs=1e-4)
 
 
 def test_marginal_gain_cache_transparency(tiny, rng):
-    """Gains from one oracle asked again and again equal a fresh oracle's
-    from-scratch difference, bit for bit."""
+    """Gains read from one oracle's handles, each base the child of the one
+    before, equal a fresh oracle's from-scratch difference, bit for bit."""
     for _ in range(10):
         scenario = random_small_scenario(rng, max_actions=6)
         upper = min_objective(scenario, range(scenario.n_actions))
         gamma = 0.6 * upper if upper > 0 else 1.0
         warm = SurrogateOracle(scenario, gamma)
-        subset = frozenset()
+        handle = warm.base(())
         for e in range(scenario.n_actions):
-            cached_gain = warm.marginal_gains(subset, [e])[0]
+            cached_gain = warm.gains(handle)[e]
             fresh = SurrogateOracle(scenario, gamma)
-            uncached_gain = fresh.evaluate(subset | {e}) - fresh.evaluate(subset)
+            uncached_gain = fresh.evaluate(handle.subset | {e}) - fresh.evaluate(handle.subset)
             assert cached_gain == uncached_gain
             if e % 2 == 0:
-                subset = subset | {e}
+                handle = warm.child(handle, e)
 
 
 def test_marginal_gain_accounting(tiny):
-    """Every call charges its base and its candidates; nothing carries over
-    from one call to the next. ``evaluate`` charges one evaluation whether
-    or not the set is the last handle's, and reads that handle only for its
-    own set."""
+    """A handle's first scan charges its base and its candidates, later
+    scans only their candidates, and every fresh handle is cold again.
+    ``evaluate`` charges one evaluation whether or not the set is the last
+    handle's, and reads that handle only for its own set."""
     oracle = SurrogateOracle(tiny, 8.0)
     n = tiny.n_agents
-    oracle.marginal_gains(set(), [0])
+    base = oracle.base(set())
+    oracle.scan(base, oracle.gains(base)[[0]])
     assert oracle.counter.individual_evals == 2 * n  # base + candidate
-    oracle.marginal_gains(set(), [1])
-    assert oracle.counter.individual_evals == 4 * n  # the same base, charged again
-    oracle.marginal_gains({1}, [2])
-    assert oracle.counter.individual_evals == 6 * n
+    oracle.scan(base, oracle.gains(base)[[1]])
+    assert oracle.counter.individual_evals == 3 * n  # the base is warm now
+    base = oracle.base({1})
+    oracle.scan(base, oracle.gains(base)[[2]])
+    assert oracle.counter.individual_evals == 5 * n  # a fresh handle is cold
     assert oracle.evaluate({2}) == SQRT50  # the last handle is {1}
     assert oracle.evaluate({1}) == 4.0
     oracle.evaluate({1, 2})
-    assert oracle.counter.individual_evals == 9 * n  # evaluate always charges
+    assert oracle.counter.individual_evals == 8 * n  # evaluate always charges
 
 
 def random_scenario(rng, n_agents, n_actions):
@@ -124,9 +128,10 @@ def random_scenario(rng, n_agents, n_actions):
 
 @pytest.mark.parametrize("n_agents", [16, 64])
 def test_batched_gains_bit_for_bit(rng, n_agents):
-    """Batched and single-candidate gains equal a fresh
-    evaluate(S | {e}) - evaluate(S), and evaluate equals a sequential sum
-    over agents, exactly."""
+    """A handle's gains over its feasible candidates equal a fresh
+    evaluate(S | {e}) - evaluate(S), its children's values a fresh
+    evaluate(S | {e}), and evaluate equals a sequential sum over agents,
+    exactly."""
     for _ in range(4):
         scenario = random_scenario(rng, n_agents, 24)
         upper = min_objective(scenario, range(24))
@@ -137,14 +142,16 @@ def test_batched_gains_bit_for_bit(rng, n_agents):
         ):
             for size in (0, 1, 3):
                 subset = frozenset(int(j) for j in rng.choice(24, size, replace=False))
-                candidates = [e for e in range(24) if e not in subset]
-                batched = oracle_of().marginal_gains(subset, candidates)
-                single = oracle_of()
-                for e, gain in zip(candidates, batched):
+                mask = np.ones(24, dtype=bool)
+                mask[list(subset)] = False
+                batched = oracle_of()
+                handle = batched.base(subset)
+                candidates, gains = batched.feasible(handle, mask)
+                for e, gain in zip(candidates.tolist(), gains):
                     fresh = oracle_of()
-                    expected = fresh.evaluate(subset | {e}) - fresh.evaluate(subset)
-                    assert gain == expected
-                    assert single.marginal_gains(subset, [e])[0] == expected
+                    extended = fresh.evaluate(subset | {e})
+                    assert gain == extended - fresh.evaluate(subset)
+                    assert batched.child(handle, e).value == extended
             oracle = SurrogateOracle(scenario, 0.7 * upper)
             assert oracle.evaluate(subset) == surrogate_by_hand(scenario, 0.7 * upper, subset)
 
@@ -153,49 +160,67 @@ def test_batched_cold_base_costs_one_extra_evaluation(rng):
     scenario = random_scenario(rng, 16, 12)
     oracle = SurrogateOracle(scenario, 50.0)
     n = scenario.n_agents
-    oracle.marginal_gains({0, 1}, range(2, 12))
+    base = oracle.base({0, 1})
+    gains = oracle.gains(base)[2:]
+    oracle.scan(base, gains)
     assert oracle.counter.individual_evals == 11 * n  # cold base + 10 candidates
-    oracle.marginal_gains({0, 1}, range(2, 12))
-    assert oracle.counter.individual_evals == 22 * n  # every call charges its base
+    oracle.scan(base, gains)
+    assert oracle.counter.individual_evals == 21 * n  # a scanned base is warm
+    again = oracle.base({0, 1})
+    oracle.scan(again, oracle.gains(again)[2:])
+    assert oracle.counter.individual_evals == 32 * n  # a fresh handle is cold
 
 
 def test_batched_stop_charges_only_the_scanned_prefix(rng):
     scenario = random_scenario(rng, 16, 12)
     n = scenario.n_agents
     candidates = list(range(1, 12))
-    full = SurrogateOracle(scenario, 50.0).marginal_gains({0}, candidates)
+    fresh = SurrogateOracle(scenario, 50.0)
+    full = [fresh.evaluate({0, e}) - fresh.evaluate({0}) for e in candidates]
     hit = int(np.argmax(full))
     oracle = SurrogateOracle(scenario, 50.0)
-    prefix = oracle.marginal_gains({0}, candidates, stop_at=full[hit])
-    assert prefix.tolist() == full[: hit + 1].tolist()
+    base = oracle.base({0})
+    prefix = oracle.scan(base, oracle.gains(base)[1:], stop_at=full[hit])
+    assert prefix.tolist() == full[: hit + 1]
     assert oracle.counter.individual_evals == (1 + hit + 1) * n
-    # A call on the accepted extension charges its own base.
-    oracle.marginal_gains({0, candidates[hit]}, [candidates[hit - 1]])
-    assert oracle.counter.individual_evals == (1 + hit + 1 + 2) * n
+    # The accepted extension is warm: a scan of it charges its candidates only.
+    child = oracle.child(base, candidates[hit])
+    oracle.scan(child, oracle.gains(child)[[candidates[hit - 1]]])
+    assert oracle.counter.individual_evals == (1 + hit + 1 + 1) * n
     # A threshold nothing reaches scans, and charges, every candidate.
     oracle = SurrogateOracle(scenario, 50.0)
-    assert oracle.marginal_gains({0}, candidates, stop_at=math.inf).tolist() == full.tolist()
+    base = oracle.base({0})
+    assert oracle.scan(base, oracle.gains(base)[1:], stop_at=math.inf).tolist() == full
     assert oracle.counter.individual_evals == (1 + len(candidates)) * n
 
 
 def test_batched_gamma_zero_charges_per_candidate_only(tiny):
     oracle = SurrogateOracle(tiny, 0.0)
     n = tiny.n_agents
-    assert oracle.marginal_gains({0}, [1, 2]).tolist() == [0.0, 0.0]
+    base = oracle.base({0})
+    gains = oracle.gains(base)[[1, 2]]
+    assert oracle.scan(base, gains).tolist() == [0.0, 0.0]
     assert oracle.counter.individual_evals == 2 * n  # no cold-base charge
-    assert oracle.marginal_gains({0}, [1, 2], stop_at=0.0).tolist() == [0.0]
+    assert oracle.scan(oracle.base({0}), gains, stop_at=0.0).tolist() == [0.0]
     assert oracle.counter.individual_evals == 3 * n
 
 
+def _prefix(gains, stop_at):
+    """``gains`` up to and including the first one >= ``stop_at``, or all."""
+    hits = [i for i, gain in enumerate(gains) if gain >= stop_at]
+    return gains[: hits[0] + 1] if hits else gains
+
+
 @pytest.mark.parametrize("n_agents", [16, 64])
-def test_base_handle_matches_marginal_gains(rng, n_agents):
+def test_base_handle_matches_evaluate_differences(rng, n_agents):
     """The threshold greedy's path (``base``, ``feasible``, ``scan`` over
-    slices, ``child``) returns the gains and charges ``marginal_gains``
-    does, and a child's value equals a from-scratch evaluation, bit for bit.
-    ``feasible`` checks its mask once: a wrong length is an IndexError, a
-    member a ValueError, and neither it nor a child charges anything. A
-    handle's first scan charges its base, later scans only their
-    candidates; each ``marginal_gains`` call charges its base."""
+    slices, ``child``) returns the gains a fresh
+    evaluate(S | {e}) - evaluate(S) gives, scan by scan up to the first
+    that reaches the threshold, and a child's value equals a from-scratch
+    evaluation, bit for bit. ``feasible`` checks its mask once: a wrong
+    length is an IndexError, a member a ValueError, and neither it nor a
+    child charges anything. A handle's first scan charges its base, later
+    scans only their candidates."""
     scenario = random_scenario(rng, n_agents, 30)
     upper = min_objective(scenario, range(30))
     n = scenario.n_agents
@@ -212,25 +237,25 @@ def test_base_handle_matches_marginal_gains(rng, n_agents):
         ids, gains = oracle.feasible(base, mask)
         assert ids.tolist() == np.flatnonzero(mask).tolist()
         assert oracle.counter.individual_evals == 0
-        stop = float(np.median(gains))
         reference = make()
+        by_definition = [reference.evaluate({3, 7, e}) - reference.evaluate({3, 7}) for e in ids.tolist()]
+        stop = float(np.median(gains))
         charged = 1  # the cold base, with the first scan
         for lo in (0, ids.size // 2):
             scanned = oracle.scan(base, gains[lo:], stop_at=stop)
-            expected = reference.marginal_gains({3, 7}, ids[lo:], stop_at=stop)
-            assert scanned.tolist() == expected.tolist()
+            assert scanned.tolist() == _prefix(by_definition[lo:], stop)
             charged += scanned.size
             assert oracle.counter.individual_evals == charged * n
-        assert reference.counter.individual_evals == (charged + 1) * n
         e = int(ids[-1])
         child = oracle.child(base, e)
         fresh = make()
         assert child.value == fresh.evaluate({3, 7, e})
         assert oracle.counter.individual_evals == charged * n
-        # The child is what a cold handle of the same set computes.
-        assert oracle.feasible(child, mask & (np.arange(30) != e))[1].tolist() == (
-            fresh.marginal_gains({3, 7, e}, [j for j in ids.tolist() if j != e]).tolist()
-        )
+        # The child's gains are the from-scratch differences of its set.
+        rest = [j for j in ids.tolist() if j != e]
+        assert oracle.feasible(child, mask & (np.arange(30) != e))[1].tolist() == [
+            fresh.evaluate({3, 7, e, j}) - fresh.evaluate({3, 7, e}) for j in rest
+        ]
         assert oracle.counter.individual_evals == charged * n
 
 
@@ -241,18 +266,21 @@ def test_gamma_zero_builds_no_lanes(rng):
     scenario = random_scenario(rng, 16, 12)
     n = scenario.n_agents
     oracle = SurrogateOracle(scenario, 0.0)
-    assert oracle.marginal_gains({0, 3}, range(4, 12)).tolist() == [0.0] * 8
-    assert oracle.marginal_gains(set(), range(12), stop_at=0.0).tolist() == [0.0]
-    assert oracle.counter.individual_evals == 9 * n  # no cold-base charges
-    with pytest.raises(ValueError, match="outside"):
-        oracle.marginal_gains({0, 3}, [4, 3])
-    with pytest.raises(IndexError, match="outside ground set"):
-        oracle.marginal_gains({0}, [12])
-    assert oracle.counter.individual_evals == 9 * n
     base = oracle.base({0, 3})
     ids, gains = oracle.feasible(base, scenario.matroid.extendable({0, 3}))
-    assert ids.tolist() == [1, 2, *range(4, 12)] and not gains.any()
-    assert base.lanes is None and not base.cold
+    assert ids.tolist() == [1, 2, *range(4, 12)] and gains.tolist() == [0.0] * 10
+    assert oracle.scan(base, gains).size == 10
+    empty = oracle.base(())
+    assert oracle.scan(empty, oracle.gains(empty), stop_at=0.0).tolist() == [0.0]
+    assert oracle.counter.individual_evals == 11 * n  # no cold-base charges
+    with pytest.raises(ValueError, match="outside"):
+        oracle.feasible(base, np.ones(12, dtype=bool))
+    with pytest.raises(IndexError, match="ground set"):
+        oracle.feasible(base, np.ones(13, dtype=bool))
+    with pytest.raises(IndexError, match="outside ground set"):
+        oracle.base({12})
+    assert oracle.counter.individual_evals == 11 * n
+    assert base.lanes is None and empty.lanes is None and not base.cold
     assert "_capped" not in vars(oracle)
 
 
@@ -387,11 +415,16 @@ def test_simple_greedy_at_gamma_zero_scans_once(rng):
 
 
 def test_batched_rejects_members_and_skips_empty(tiny):
+    """A mask that admits a member is refused; an empty one builds no lanes,
+    and a scan of nothing charges nothing, not even a cold base."""
     oracle = SurrogateOracle(tiny, 8.0)
+    base = oracle.base({1})
     with pytest.raises(ValueError, match="outside"):
-        oracle.marginal_gains({1}, [0, 1])
-    assert oracle.marginal_gains({1}, []).size == 0
-    assert oracle.counter.individual_evals == 0
+        oracle.feasible(base, np.array([True, True, False]))
+    ids, gains = oracle.feasible(base, np.zeros(3, dtype=bool))
+    assert ids.size == gains.size == 0 and base.lanes is None
+    assert oracle.scan(base, gains).size == 0
+    assert oracle.counter.individual_evals == 0 and base.cold
 
 
 def test_members_of_a_promoted_base_are_rejected(tiny):
@@ -460,7 +493,8 @@ def test_lane_reads_equal_cold_gains_and_charges(rng, n_agents):
                 gain = float(warm.scan(base, np.array([lane]))[0])
                 assert warm.counter.individual_evals - before == n  # a scanned base
                 cold = make()
-                assert cold.marginal_gains(members, [e])[0] == gain
+                handle = cold.base(members)
+                assert cold.scan(handle, cold.gains(handle)[[e]])[0] == gain
                 assert cold.counter.individual_evals == 2 * n  # cold base + candidate
                 fresh = make()
                 assert fresh.evaluate(members | {e}) - fresh.evaluate(members) == gain
@@ -480,21 +514,15 @@ def test_out_of_range_ids_raise(tiny, make, bad):
         oracle.evaluate({bad})
     with pytest.raises(IndexError, match="outside ground set"):
         oracle.base({bad})
-    with pytest.raises(IndexError, match="outside ground set"):
-        oracle.marginal_gains({0}, [1, bad])
-    with pytest.raises(IndexError, match="outside ground set"):
-        oracle.marginal_gains({bad}, [1])
     assert oracle.counter.individual_evals == 0
 
 
 def test_a_bool_among_ids_is_refused(tiny):
-    """True is not read as id 1, in a base set, among candidates or in a set
-    that equals the memo; a refused call charges nothing."""
+    """True is not read as id 1, in a base set or in a set that equals the
+    memo; a refused call charges nothing."""
     for oracle in (SurrogateOracle(tiny, 8.0), MinObjectiveOracle(tiny)):
         with pytest.raises(IndexError, match="got bool"):
             oracle.base([True, 2])
-        with pytest.raises(IndexError, match="got bool"):
-            oracle.marginal_gains({0}, [2, True])
         with pytest.raises(IndexError, match="got bool"):
             oracle.evaluate([0, True])
         oracle.base({0, 1})
@@ -524,7 +552,7 @@ def test_min_objective_oracle(tiny):
     oracle = MinObjectiveOracle(tiny)
     assert oracle.evaluate({2}) == min_objective(tiny, {2})
     assert oracle.evaluate(set()) == 0.0
-    gain = oracle.marginal_gains({0}, [1])[0]
+    gain = oracle.gains(oracle.base({0}))[1]
     assert gain == min_objective(tiny, {0, 1}) - min_objective(tiny, {0})
 
 
@@ -567,10 +595,10 @@ def test_marginal_gain_nonnegative(rng):
         scenario = random_small_scenario(rng, max_actions=6)
         upper = min_objective(scenario, range(scenario.n_actions))
         oracle = SurrogateOracle(scenario, 0.5 * upper if upper > 0 else 1.0)
-        subset = frozenset()
+        handle = oracle.base(())
         for e in range(scenario.n_actions):
-            assert oracle.marginal_gains(subset, [e])[0] >= 0.0
-            subset = subset | {e}
+            assert (oracle.gains(handle) >= 0.0).all()
+            handle = oracle.child(handle, e)
 
 
 class _ModularOracle:
