@@ -17,8 +17,8 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import dataclass, fields
-from typing import Iterable, Sequence, TextIO
+from dataclasses import astuple, dataclass, fields
+from typing import Iterable, Sequence, TextIO, get_type_hints
 
 import numpy as np
 
@@ -55,7 +55,7 @@ class BenchConfig:
             raise ValueError("bench config: n_agents must be >= 1")
         if self.n_actions < 0:
             raise ValueError("bench config: n_actions must be >= 0")
-        if not (is_real(self.region) and math.isfinite(self.region) and self.region > 0):
+        if not (is_real(self.region) and self.region > 0):
             raise ValueError(f"bench config: region must be a finite real number > 0, got {self.region!r}")
         if self.z_min < 0 or self.z_max < self.z_min:
             raise ValueError("bench config: need 0 <= z_min <= z_max")
@@ -223,73 +223,43 @@ def _sample_sd(values: list[float]) -> float:
     return math.sqrt(sum((v - m) ** 2 for v in values) / (len(values) - 1))
 
 
-RESULTS_HEADER = ["z", "trial", "algorithm", "objective", "evaluations", "wall_time_ms", "seed"]
-SUMMARY_HEADER = [
-    "z",
-    "algorithm",
-    "mean_objective",
-    "sd_objective",
-    "mean_evaluations",
-    "sd_evaluations",
-    "mean_wall_time_ms",
-]
+def _write_records(handle: TextIO, record: type, records: Iterable) -> None:
+    """A header of ``record``'s field names in declaration order, then each
+    record's values; the csv module writes a float in repr (shortest
+    round-trip) form."""
+    writer = csv.writer(handle, lineterminator="\n")
+    writer.writerow(f.name for f in fields(record))
+    writer.writerows(map(astuple, records))
 
 
 def write_results_csv(results: Iterable[TrialResult], path: str) -> None:
-    """Raw per-trial CSV. Floats use repr (shortest round-trip form), so
-    reading the file back recovers them exactly."""
+    """Raw per-trial CSV; reading the file back recovers its floats exactly."""
     try:
         with open(path, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(RESULTS_HEADER)
-            for r in results:
-                writer.writerow(
-                    [r.z, r.trial, r.algorithm, repr(r.objective), repr(r.evaluations), repr(r.wall_time_ms), r.seed]
-                )
+            _write_records(handle, TrialResult, results)
     except OSError as exc:
         raise OSError(f"cannot write results CSV {path}: {exc}") from exc
 
 
 def read_results_csv(path: str) -> list[TrialResult]:
+    """The records of a raw per-trial CSV, each column converted by the type
+    of its ``TrialResult`` field."""
+    types = get_type_hints(TrialResult)
     try:
         with open(path, "r", encoding="utf-8", newline="") as handle:
             reader = csv.reader(handle)
             header = next(reader, None)
-            if header != RESULTS_HEADER:
+            if header != list(types):
                 raise ValueError(f"results CSV {path}: unexpected header {header}")
-            return [
-                TrialResult(
-                    z=int(row[0]),
-                    trial=int(row[1]),
-                    algorithm=row[2],
-                    objective=float(row[3]),
-                    evaluations=float(row[4]),
-                    wall_time_ms=float(row[5]),
-                    seed=int(row[6]),
-                )
-                for row in reader
-            ]
+            return [TrialResult(*(kind(value) for kind, value in zip(types.values(), row))) for row in reader]
     except OSError as exc:
         raise OSError(f"cannot read results CSV {path}: {exc}") from exc
 
 
 def write_summary(rows: Iterable[SummaryRow], handle: TextIO) -> None:
-    """The per-(z, algorithm) summary as CSV text, floats in repr form; the
-    one format of the summary file and of ``robust-select bench``'s stdout."""
-    writer = csv.writer(handle, lineterminator="\n")
-    writer.writerow(SUMMARY_HEADER)
-    for s in rows:
-        writer.writerow(
-            [
-                s.z,
-                s.algorithm,
-                repr(s.mean_objective),
-                repr(s.sd_objective),
-                repr(s.mean_evaluations),
-                repr(s.sd_evaluations),
-                repr(s.mean_wall_time_ms),
-            ]
-        )
+    """The per-(z, algorithm) summary as CSV text; the one format of the
+    summary file and of ``robust-select bench``'s stdout."""
+    _write_records(handle, SummaryRow, rows)
 
 
 def write_summary_csv(rows: Iterable[SummaryRow], path: str) -> None:

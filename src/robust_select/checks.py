@@ -33,43 +33,30 @@ DELTA = 1e-3
 
 @dataclass
 class CheckResult:
+    """One property family accumulating over instances: how many checks ran,
+    and the first failure's detail and instance."""
+
     name: str
-    passed: bool
-    checked: int
+    checked: int = 0
     detail: str = ""
     counterexample: Scenario | None = None
+
+    @property
+    def passed(self) -> bool:
+        return self.counterexample is None
+
+    def count(self) -> None:
+        self.checked += 1
+
+    def fail(self, scenario: Scenario, detail: str) -> None:
+        if self.counterexample is None:
+            self.detail = detail
+            self.counterexample = scenario
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         extra = f" {self.detail}" if self.detail else ""
         return f"{status} {self.name} checked={self.checked}{extra}"
-
-
-@dataclass
-class _Family:
-    """One property family accumulating over instances."""
-
-    name: str
-    checked: int = 0
-    failure: str | None = None
-    counterexample: Scenario | None = None
-
-    def count(self, n: int = 1) -> None:
-        self.checked += n
-
-    def fail(self, scenario: Scenario, detail: str) -> None:
-        if self.failure is None:
-            self.failure = detail
-            self.counterexample = scenario
-
-    def result(self) -> CheckResult:
-        return CheckResult(
-            name=self.name,
-            passed=self.failure is None,
-            checked=self.checked,
-            detail=self.failure or "",
-            counterexample=self.counterexample,
-        )
 
 
 class _CorruptFamily:
@@ -123,17 +110,17 @@ def run_battery(
         raise ValueError("check battery needs instances >= 1 and max-actions >= 1")
     rng = np.random.default_rng(seed)
 
-    axioms = _Family("matroid_axioms")
-    mono_h = _Family("objective_monotone_submodular")
-    mono_f = _Family("surrogate_monotone_submodular")
-    bounds_f = _Family("surrogate_bounds")
-    dominance = _Family("min_objective_dominance")
-    greedy_bound = _Family("threshold_greedy_vs_optimal_bound")
-    gain_dominance = _Family("accepted_gain_dominates_feasible_optimal")
-    maxmin_bound = _Family("end_to_end_maxmin_bound")
-    bisection = _Family("bisection_contract")
-    solvers_ok = _Family("solver_feasibility_determinism")
-    counters = _Family("counter_monotonicity")
+    axioms = CheckResult("matroid_axioms")
+    mono_h = CheckResult("objective_monotone_submodular")
+    mono_f = CheckResult("surrogate_monotone_submodular")
+    bounds_f = CheckResult("surrogate_bounds")
+    dominance = CheckResult("min_objective_dominance")
+    greedy_bound = CheckResult("threshold_greedy_vs_optimal_bound")
+    gain_dominance = CheckResult("accepted_gain_dominates_feasible_optimal")
+    maxmin_bound = CheckResult("end_to_end_maxmin_bound")
+    bisection = CheckResult("bisection_contract")
+    solvers_ok = CheckResult("solver_feasibility_determinism")
+    counters = CheckResult("counter_monotonicity")
 
     if inject_defect:
         # Negative control: force a reported failure through the full
@@ -160,20 +147,7 @@ def run_battery(
         values = {s: agent_values(scenario, s).tolist() for s in subsets}
         h_tables = [{s: values[s][agent] for s in subsets} for agent in range(n_agents)]
         for agent in range(n_agents):
-            table = h_tables[agent]
-            for b in subsets:
-                for a in all_subsets(b):
-                    mono_h.count()
-                    if table[a] > table[b] + BOUND_TOL:
-                        mono_h.fail(scenario, f"h_{agent} not monotone on {sorted(a)} vs {sorted(b)}")
-                    for v in range(n):
-                        if v in b:
-                            continue
-                        mono_h.count()
-                        lhs = table[a | {v}] - table[a]
-                        rhs = table[b | {v}] - table[b]
-                        if lhs < rhs - BOUND_TOL:
-                            mono_h.fail(scenario, f"h_{agent} not submodular at v={v}")
+            _check_monotone_submodular(mono_h, scenario, h_tables[agent], f"h_{agent}")
 
         upper = min_objective(scenario, range(n))
 
@@ -200,17 +174,7 @@ def run_battery(
                     bounds_f.fail(scenario, f"saturation mismatch on {sorted(s)}")
             if table[frozenset()] != 0.0:
                 bounds_f.fail(scenario, "surrogate of the empty set is not 0")
-            for b in subsets:
-                for a in all_subsets(b):
-                    mono_f.count()
-                    if table[a] > table[b] + BOUND_TOL:
-                        mono_f.fail(scenario, f"surrogate not monotone at gamma={gamma}")
-                    for v in range(n):
-                        if v in b:
-                            continue
-                        mono_f.count()
-                        if table[a | {v}] - table[a] < table[b | {v}] - table[b] - BOUND_TOL:
-                            mono_f.fail(scenario, f"surrogate not submodular at gamma={gamma}, v={v}")
+            _check_monotone_submodular(mono_f, scenario, table, f"surrogate at gamma={gamma}")
 
         if upper > 0:
             for gamma in gamma_grid(upper):
@@ -291,18 +255,31 @@ def run_battery(
             last = counter.individual_evals
 
     return [
-        family.result()
-        for family in (
-            axioms,
-            mono_h,
-            mono_f,
-            bounds_f,
-            dominance,
-            greedy_bound,
-            gain_dominance,
-            maxmin_bound,
-            bisection,
-            solvers_ok,
-            counters,
-        )
+        axioms,
+        mono_h,
+        mono_f,
+        bounds_f,
+        dominance,
+        greedy_bound,
+        gain_dominance,
+        maxmin_bound,
+        bisection,
+        solvers_ok,
+        counters,
     ]
+
+
+def _check_monotone_submodular(family: CheckResult, scenario: Scenario, table: dict, label: str) -> None:
+    """Check a table of every subset's value for monotonicity and
+    submodularity, over every pair a <= b of its subsets and every v outside b."""
+    for b in table:
+        for a in all_subsets(b):
+            family.count()
+            if table[a] > table[b] + BOUND_TOL:
+                family.fail(scenario, f"{label} not monotone on {sorted(a)} vs {sorted(b)}")
+            for v in range(scenario.n_actions):
+                if v in b:
+                    continue
+                family.count()
+                if table[a | {v}] - table[a] < table[b | {v}] - table[b] - BOUND_TOL:
+                    family.fail(scenario, f"{label} not submodular at v={v}")

@@ -44,20 +44,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("bench", help="run the Monte Carlo benchmark")
     bench.add_argument("--config", default=None, help="BenchConfig JSON file; flags below override it")
-    bench.add_argument("--agents", type=int, default=None)
-    bench.add_argument("--actions", type=int, default=None)
+    # Each override's dest is the BenchConfig field it sets, and its default None leaves that field as it is.
+    bench.add_argument("--agents", dest="n_agents", type=int, default=None)
+    bench.add_argument("--actions", dest="n_actions", type=int, default=None)
     bench.add_argument("--region", type=float, default=None)
     bench.add_argument("--z-min", type=int, default=None)
     bench.add_argument("--z-max", type=int, default=None)
     bench.add_argument("--trials", type=int, default=None)
-    bench.add_argument("--seed", type=int, default=None)
+    bench.add_argument("--seed", dest="base_seed", type=int, default=None)
     bench.add_argument("--delta", type=float, default=None)
     bench.add_argument("--epsilon", type=float, default=None)
     bench.add_argument("--curvature", type=float, default=None)
     bench.add_argument("--algorithms", default="fast,ratio", help=f"comma-separated, from: {','.join(SOLVERS)}")
     bench.add_argument("--out", default=None, help="raw per-trial CSV path")
     bench.add_argument("--summary", default=None, help="per-(z, algorithm) summary CSV path")
-    bench.add_argument("--no-wall-time", action="store_true", help="report wall_time_ms as 0 for byte-stable output")
+    bench.add_argument(
+        "--no-wall-time",
+        dest="measure_wall_time",
+        action="store_false",
+        default=None,
+        help="report wall_time_ms as 0 for byte-stable output",
+    )
     bench.set_defaults(func=cmd_bench)
 
     check = sub.add_parser("check", help="run the randomized verification battery")
@@ -91,20 +98,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     config = BenchConfig.from_json_file(args.config) if args.config else BenchConfig()
-    overrides = {
-        "n_agents": args.agents,
-        "n_actions": args.actions,
-        "region": args.region,
-        "z_min": args.z_min,
-        "z_max": args.z_max,
-        "trials": args.trials,
-        "base_seed": args.seed,
-        "delta": args.delta,
-        "epsilon": args.epsilon,
-        "curvature": args.curvature,
-    }
-    if args.no_wall_time:
-        overrides["measure_wall_time"] = False
+    overrides = {f.name: getattr(args, f.name) for f in dataclasses.fields(BenchConfig)}
     config = dataclasses.replace(config, **{k: v for k, v in overrides.items() if v is not None})
     algorithms = tuple(name.strip() for name in args.algorithms.split(",") if name.strip())
     results = run_benchmark(config, algorithms)

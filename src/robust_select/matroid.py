@@ -3,6 +3,7 @@ matroids, plus an exhaustive axiom checker for small ground sets."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Collection, Iterable
 
@@ -10,6 +11,7 @@ import numpy as np
 
 # Exhaustive axiom checking enumerates every subset pair; refuse beyond this.
 AXIOM_CHECK_CAP = 12
+_INTP_MAX = int(np.iinfo(np.intp).max)
 
 
 def is_int(value: object) -> bool:
@@ -19,9 +21,12 @@ def is_int(value: object) -> bool:
 
 
 def is_real(value: object) -> bool:
-    """True for an ``is_int`` integer or a float: a real number that is not
-    a bool."""
-    return is_int(value) or isinstance(value, float)
+    """True for a finite real number that is not a bool: a finite float, or
+    an ``is_int`` integer that converts to a finite double."""
+    try:
+        return (is_int(value) or isinstance(value, float)) and math.isfinite(value)
+    except OverflowError:  # an integer past the largest double
+        return False
 
 
 def ground_ids(subset: Iterable[int], n: int) -> np.ndarray:
@@ -33,18 +38,13 @@ def ground_ids(subset: Iterable[int], n: int) -> np.ndarray:
     to it (``{1, True}``) has already collapsed to the id (``{1}``) when it
     is built, and is read as that id: keeping bools out of such a set is
     the caller's responsibility."""
-    if isinstance(subset, np.ndarray):
-        ids = subset.reshape(-1)
-    else:
-        items = list(subset)
-        if not items:
-            return np.zeros(0, dtype=np.intp)
-        # np.asarray reads True as 1 in a list of ints.
-        if bool in map(type, items):
-            raise IndexError("action ids must be integers, got bool")
-        ids = np.asarray(items).reshape(-1)
-    if ids.size == 0:
-        return ids.astype(np.intp)
+    items = list(subset)
+    if not items:
+        return np.zeros(0, dtype=np.intp)
+    # np.asarray reads True as 1 in a list of ints.
+    if bool in map(type, items):
+        raise IndexError("action ids must be integers, got bool")
+    ids = np.asarray(items).reshape(-1)
     if ids.dtype.kind not in "iu":
         raise IndexError(f"action ids must be integers, got {ids.dtype}")
     index = ids.astype(np.intp, copy=False)
@@ -212,8 +212,9 @@ class PartitionMatroid(Matroid):
         if len(self.blocks) != len(self.capacities):
             raise ValueError("matroid: one capacity per block is required")
         for cap in self.capacities:
-            if not is_int(cap) or cap < 0:
-                raise ValueError("matroid.capacity must be an integer >= 0")
+            # The capacities are held as np.intp.
+            if not is_int(cap) or not 0 <= cap <= _INTP_MAX:
+                raise ValueError(f"matroid.capacity must be an integer >= 0 and <= {_INTP_MAX}, got {cap!r}")
         block_of: dict[int, int] = {}
         for b, block in enumerate(self.blocks):
             for e in block:

@@ -211,7 +211,7 @@ def _coord_field(data: dict, name: str, minimum: int) -> tuple[Point2, ...]:
         ok = (
             isinstance(entry, (list, tuple))
             and len(entry) == 2
-            and all(is_real(c) and math.isfinite(c) for c in entry)
+            and all(map(is_real, entry))
         )
         if not ok:
             raise ValueError(f"scenario config: field '{name}' must contain finite [x, y] pairs")

@@ -246,11 +246,9 @@ class SolverParams:
         if not (is_real(self.delta) and 0 < self.delta <= 1):
             raise ValueError(f"delta must lie in (0, 1], got {self.delta!r}")
         _check_threshold_steps(self.delta)
-        if self.epsilon is not None and not (
-            is_real(self.epsilon) and math.isfinite(self.epsilon) and self.epsilon > 0
-        ):
+        if self.epsilon is not None and not (is_real(self.epsilon) and self.epsilon > 0):
             raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon!r}")
-        if not (is_real(self.curvature) and math.isfinite(self.curvature) and 0.0 <= self.curvature <= 1.0):
+        if not (is_real(self.curvature) and 0.0 <= self.curvature <= 1.0):
             raise ValueError(f"curvature must lie in [0, 1], got {self.curvature!r}")
 
 

@@ -54,7 +54,6 @@ Handles and accounting contract shared by both:
 
 from __future__ import annotations
 
-import math
 import warnings
 from functools import cached_property
 from typing import Iterable
@@ -229,7 +228,7 @@ class SurrogateOracle(_ProximityOracleBase):
         gamma: float,
         counter: EvaluationCounter | None = None,
     ) -> None:
-        if not is_real(gamma) or not math.isfinite(gamma) or gamma < 0:
+        if not is_real(gamma) or gamma < 0:
             raise ValueError(f"gamma must be finite and >= 0, got {gamma!r}")
         super().__init__(scenario, counter)
         self.gamma = float(gamma)

@@ -185,6 +185,13 @@ def test_results_csv_round_trip_exact_floats(tmp_path_factory, rows):
     assert read_results_csv(str(path)) == results
 
 
+def test_read_results_csv_refuses_a_header_other_than_the_field_names(tmp_path):
+    path = tmp_path / "results.csv"
+    path.write_text("z,trial,algorithm,objective,evaluations,seed,wall_time_ms\n1,0,fast,1.0,2.0,3,0.0\n")
+    with pytest.raises(ValueError, match="results.csv"):
+        read_results_csv(str(path))
+
+
 def test_summary_csv(tmp_path):
     rows = [SummaryRow(1, "fast", 1.5, 0.1, 100.0, 2.0, 3.25)]
     path = tmp_path / "summary.csv"

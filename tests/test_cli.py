@@ -105,6 +105,24 @@ def test_solve_refuses_distances_that_overflow(tmp_path, capsys, agents, actions
         assert "distance scale limit" in err
 
 
+@pytest.mark.parametrize(
+    "field, document",
+    [
+        ("'agents'", {**TINY, "agents": [[10**400, 0.0]]}),
+        ("'actions'", {**TINY, "actions": [[0.0, 0.0], [10.0, -(10**400)], [5.0, 5.0]]}),
+        ("matroid.capacity", {**TINY, "matroid": {"type": "partition", "blocks": [[0, 1, 2]], "capacity": 10**29}}),
+    ],
+)
+def test_solve_refuses_an_integer_past_its_machine_type(tmp_path, capsys, field, document):
+    """A coordinate no double can hold and a capacity past np.intp are
+    usage errors that name their field, not internal errors."""
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(document))
+    code, out, err = run_cli(capsys, "solve", "--config", str(path), "--algorithm", "fast")
+    assert code == 2 and out == ""
+    assert field in err
+
+
 def test_solve_missing_file(capsys):
     code, _, err = run_cli(capsys, "solve", "--config", "does-not-exist.json", "--algorithm", "fast")
     assert code == 2
@@ -211,6 +229,36 @@ def test_bench_config_file_with_overrides(tmp_path, capsys):
     assert len(out.read_text().splitlines()) == 2
 
 
+def test_bench_flags_override_the_config_fields_they_name(tmp_path, capsys, monkeypatch):
+    """The flags whose names differ from their BenchConfig fields override
+    those fields of a config file, and leave them as the file set them when
+    absent."""
+    path = tmp_path / "bench.json"
+    path.write_text(json.dumps(
+        {"n_agents": 2, "n_actions": 6, "base_seed": 4, "measure_wall_time": True, "trials": 1, "z_max": 1}
+    ))
+    seen = []
+
+    def record(config, algorithms):
+        seen.append(config)
+        return []
+
+    monkeypatch.setattr("robust_select.cli.run_benchmark", record)
+    monkeypatch.setattr("robust_select.cli.aggregate", lambda results: [])
+    flags = ("--agents", "3", "--actions", "5", "--seed", "9", "--no-wall-time")
+    for argv in ((), flags):
+        code, _, _ = run_cli(capsys, "bench", "--config", str(path), *argv)
+        assert code == 0
+    fields = [(c.n_agents, c.n_actions, c.base_seed, c.measure_wall_time, c.trials) for c in seen]
+    assert fields == [(2, 6, 4, True, 1), (3, 5, 9, False, 1)]
+
+
+def test_bench_refuses_a_capacity_past_intp(capsys):
+    code, out, err = run_cli(capsys, "bench", "--z-min", str(10**29), "--z-max", str(10**29), "--trials", "1")
+    assert code == 2 and out == ""
+    assert "matroid.capacity" in err
+
+
 def test_bench_unknown_algorithm(capsys):
     code, _, err = run_cli(capsys, "bench", "--algorithms", "fast,warp", "--trials", "1")
     assert code == 2
@@ -237,7 +285,12 @@ def test_bench_brute_runs_under_cap(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "field, value",
-    [("trials", "3"), ("n_agents", True), ("z_max", 2.0), ("region", "100"), ("epsilon", [1]), ("measure_wall_time", 0)],
+    [
+        ("trials", "3"), ("n_agents", True), ("z_max", 2.0), ("region", "100"), ("epsilon", [1]),
+        ("measure_wall_time", 0),
+        # Integers that no double can hold.
+        *(pytest.param(field, 10**400, id=f"{field}-huge") for field in ("region", "epsilon", "curvature")),
+    ],
 )
 def test_bench_mistyped_config_is_a_config_error(tmp_path, capsys, field, value):
     config = tmp_path / "bench.json"

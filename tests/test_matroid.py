@@ -123,6 +123,8 @@ def test_validation_errors():
         PartitionMatroid(((0,),), (1, 1))
     with pytest.raises(ValueError, match=">= 0"):
         PartitionMatroid(((0,),), (-1,))
+    with pytest.raises(ValueError, match="matroid.capacity"):
+        PartitionMatroid(((0,),), (2**63,))  # past np.intp
     with pytest.raises(ValueError, match="two blocks"):
         PartitionMatroid(((0,), (0,)), (1, 1))
     with pytest.raises(ValueError, match="outside all blocks"):

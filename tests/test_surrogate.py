@@ -543,6 +543,8 @@ def test_gamma_validation(tiny):
         SurrogateOracle(tiny, -1.0)
     with pytest.raises(ValueError):
         SurrogateOracle(tiny, math.nan)
+    with pytest.raises(ValueError, match="gamma"):
+        SurrogateOracle(tiny, 10**400)  # no double holds it
     for flag in (True, False):
         with pytest.raises(ValueError, match="gamma"):
             SurrogateOracle(tiny, flag)
