@@ -243,7 +243,8 @@ def write_results_csv(results: Iterable[TrialResult], path: str) -> None:
 
 def read_results_csv(path: str) -> list[TrialResult]:
     """The records of a raw per-trial CSV, each column converted by the type
-    of its ``TrialResult`` field."""
+    of its ``TrialResult`` field. A row with more or fewer fields than the
+    header is refused with ValueError, naming the file and the line."""
     types = get_type_hints(TrialResult)
     try:
         with open(path, "r", encoding="utf-8", newline="") as handle:
@@ -251,7 +252,14 @@ def read_results_csv(path: str) -> list[TrialResult]:
             header = next(reader, None)
             if header != list(types):
                 raise ValueError(f"results CSV {path}: unexpected header {header}")
-            return [TrialResult(*(kind(value) for kind, value in zip(types.values(), row))) for row in reader]
+            records = []
+            for row in reader:
+                if len(row) != len(types):
+                    raise ValueError(
+                        f"results CSV {path}, line {reader.line_num}: {len(row)} fields, the header has {len(types)}"
+                    )
+                records.append(TrialResult(*(kind(value) for kind, value in zip(types.values(), row))))
+            return records
     except OSError as exc:
         raise OSError(f"cannot read results CSV {path}: {exc}") from exc
 

@@ -48,6 +48,8 @@ def ground_ids(subset: Iterable[int], n: int) -> np.ndarray:
     if ids.dtype.kind not in "iu":
         raise IndexError(f"action ids must be integers, got {ids.dtype}")
     index = ids.astype(np.intp, copy=False)
+    if not index.size:  # an integer array with no entries, say of shape (1, 0)
+        return index
     # Negative ids wrap to huge unsigned values, so one max checks both ends.
     # The builtin max, since queried id sets are small: on a handful of ids
     # a numpy reduction costs three times the list.

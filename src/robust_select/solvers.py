@@ -153,21 +153,16 @@ class _Ladder:
             return False
         return self.threshold >= floor
 
-    def scan(self, oracle, handle, gains: np.ndarray) -> tuple[np.ndarray, bool]:
-        """``oracle.scan(handle, gains, stop_at=rung)`` for the current rung,
-        with the same prefix and charges, and whether its last gain reaches
-        the rung. It scans to the low bound; a hit below the high bound
-        computes the rung, and a hit short of it is no hit: the scan goes on
-        from the next candidate to the rung, on the handle the first part
-        left warm, so together the two charge what one scan would."""
-        scanned = oracle.scan(handle, gains, stop_at=self.low)
-        last = scanned[-1]
-        if not last >= self.low:
-            return scanned, False
-        if last >= self.high or last >= self.threshold:
-            return scanned, True
-        rest = oracle.scan(handle, gains[scanned.size :], stop_at=self._exact)
-        return np.concatenate((scanned, rest)), bool(rest.size) and rest[-1] >= self._exact
+    def first_hit(self, running: np.ndarray) -> int:
+        """The index of the first gain at or above the current rung, given
+        the running maximum of the gains, or its length if there is none.
+        It searches for the low bound; a hit below the high bound computes
+        the rung, and a hit short of it is no hit: the search goes on to the
+        rung, which every earlier gain is short of too."""
+        first = int(running.searchsorted(self.low))
+        if first == running.size or running[first] >= self.high or running[first] >= self.threshold:
+            return first
+        return int(running.searchsorted(self._exact))
 
     def _stops(self, k: int, bound: float, strict: bool) -> bool | None:
         """Whether rung ``k`` is a stop of ``drop`` (below ``bound``, or at
@@ -343,9 +338,13 @@ def threshold_greedy(
     ``matroid.feasibility`` state follows the selection for the whole run,
     its mask updated as each element is added (``oracle.feasible`` turns it
     into the feasible ids and their gains). Each stretch of a pass between
-    insertions is then a slice of those, which ``oracle.scan`` reads up to
-    the first gain at or above the threshold, charging exactly the
-    candidates the one-at-a-time scan would evaluate.
+    insertions is then a slice of those: a pass from the first candidate
+    reads the running maximum of the base's gains, taken at most once per
+    base, and the stretch after an insertion takes that of its own suffix.
+    One ``searchsorted`` finds the first gain at or above the threshold, and
+    a stretch without one ends with its best gain, the running maximum's
+    last entry. The loop counts the candidates the one-at-a-time scan would
+    evaluate and charges them once, through ``oracle.charge_scan``.
 
     A delta outside (0, 1], or whose descent would take more than
     THRESHOLD_STEPS_CAP divisions, is refused with ValueError, and so is a
@@ -371,35 +370,37 @@ def threshold_greedy(
     # scans a slice of them. The greedy ends when none are left.
     feasibility = matroid.feasibility()
     candidates, gains = oracle.feasible(base, feasibility.mask)
+    running = None  # the running maximum of the base's gains, once a pass needs it
+    scanned = 0  # candidates the one-at-a-time scans evaluate, charged at the end
     while initial > 0 and ladder.at_least(floor) and candidates.size:
         passes += 1
-        inserted = False
-        best_remaining = 0.0
-        start = 0
-        while True:
-            lo = candidates.searchsorted(start) if start else 0
-            if lo == candidates.size:
+        if running is None:
+            running = np.maximum.accumulate(gains)
+        hit = ladder.first_hit(running)
+        if hit == running.size:
+            # A pass that inserts nothing scans every candidate once.
+            scanned += hit
+            if not running[-1] > 0.0:
                 break
-            scanned, hit = ladder.scan(oracle, base, gains[lo:])
-            if not hit:
-                # A pass that inserts nothing has this one stretch.
-                if not inserted:
-                    best_remaining = float(scanned.max())
-                break
-            e = int(candidates[lo + scanned.size - 1])
+            ladder.drop(float(running[-1]), floor)
+            continue
+        lo = 0
+        while hit < running.size:
+            scanned += hit + 1
+            e = int(candidates[lo + hit])
             if trace is not None:
-                trace.append(GreedyStep(ladder.threshold, e, float(scanned[-1]), base.subset))
+                trace.append(GreedyStep(ladder.threshold, e, float(gains[lo + hit]), base.subset))
             feasibility.add(e)
             base = oracle.child(base, e)
             candidates, gains = oracle.feasible(base, feasibility.mask)
-            inserted = True
-            start = e + 1
-        if inserted:
-            ladder.step()
-        elif best_remaining > 0.0:
-            ladder.drop(best_remaining, floor)
-        else:
-            break
+            # The pass goes on from the next id, over the new base's suffix.
+            lo = int(candidates.searchsorted(e + 1))
+            running = np.maximum.accumulate(gains[lo:])
+            hit = ladder.first_hit(running)
+        scanned += running.size
+        running = None
+        ladder.step()
+    oracle.charge_scan(base, scanned)
     if stats is not None:
         stats["passes"] = passes
         stats["initial_threshold"] = initial
@@ -513,42 +514,54 @@ def ratio_greedy_baseline(scenario: Scenario) -> Solution:
     until the selection is a basis; they also stop if every score is zero
     (0/0 counts as 0).
 
-    One ``matroid.feasibility`` state follows the selection. The normalizers
-    are taken once per round; the pool's scores are computed again only when
-    a normalizer moved (a candidate's score depends on nothing else, and a
-    candidate that leaves the pool never returns), and the round's pick is
-    the argmax over the candidates still feasible. The counter is charged
-    as if each (candidate, agent) score re-derived its normalizer by
-    scanning the whole feasible pool F: N * |F| * (1 + |F|) per round. That
-    charge is an accounting convention for the full-scan baseline the fast
-    solver's evaluation counts are judged against, not a count of the work
-    done here.
+    One ``matroid.feasibility`` state follows the selection, and a column
+    that leaves the pool never returns. A candidate's score depends on the
+    normalizers alone, so the scores are computed again only when a
+    normalizer moved, and with them the pool's pick order (descending score,
+    lowest id first: a stable argsort) and the columns that attain some
+    normalizer. A round's pick is the first column of that order still in
+    the pool. A normalizer can only move when a column attaining it leaves,
+    so the masked maximum is taken again only after a round that removed
+    such a pick, or removed more than the pick (a block filled). The counter
+    is charged as if each (candidate, agent) score re-derived its normalizer
+    by scanning the whole feasible pool F: N * |F| * (1 + |F|) per round.
+    That charge is an accounting convention for the full-scan baseline the
+    fast solver's evaluation counts are judged against, not a count of the
+    work done here.
     """
     started = time.perf_counter()
     counter = EvaluationCounter()
     distances = scenario.distances
     feasibility = scenario.matroid.feasibility()
     selected: set[int] = set()
-    norm = scores = None
+    norm = None
     while True:
         mask = feasibility.mask
         size = int(np.count_nonzero(mask))
         if not size:
             break
         counter.add(scenario.n_agents * size * (1 + size))
-        pool_max = distances.max(axis=1, where=mask, initial=0.0)
-        if scores is None or (pool_max != norm).any():
-            norm = pool_max
-            # A zero normalizer means a zero row of the pool, so dividing it
-            # by 1 scores 0. Only the pool is divided: a column outside it
-            # never returns to it, and it could overflow.
-            divisor = np.where(norm > 0.0, norm, 1.0)[:, None]
-            scores = np.divide(distances, divisor, out=np.zeros_like(distances), where=mask).min(axis=0)
-        best = int(np.argmax(np.where(mask, scores, -np.inf)))  # first maximum: lowest id on ties
+        if norm is None or size < last_size - 1 or attains[best]:
+            pool_max = distances.max(axis=1, where=mask, initial=0.0)
+            if norm is None or (pool_max != norm).any():
+                norm = pool_max
+                # A zero normalizer means a zero row of the pool, so dividing
+                # it by 1 scores 0. Only the pool is divided: a column outside
+                # it never returns to it, and it could overflow.
+                divisor = np.where(norm > 0.0, norm, 1.0)[:, None]
+                scores = np.divide(distances, divisor, out=np.zeros_like(distances), where=mask).min(axis=0)
+                order = np.argsort(-scores, kind="stable")  # first maximum: lowest id on ties
+                attains = (distances == norm[:, None]).any(axis=0)
+                at = 0
+        if not mask[order[at]]:
+            at += int(mask[order[at:]].argmax())
+        best = int(order[at])
         if not scores[best] > 0.0:
             break
         feasibility.add(best)
         selected.add(best)
+        last_size = size
+        at += 1  # the columns before it in the order have all left the pool
     return _solution("ratio", scenario, selected, counter, started, {})
 
 

@@ -35,11 +35,12 @@ Handles and accounting contract shared by both:
 * every logical evaluation of the reduced objective charges one count per
   agent, even when the result is read from a handle or lane or is known
   trivially (gamma == 0);
-* ``scan`` is the one charging path for gains: it reads gains in order and
-  charges exactly what scanning them one at a time would, one evaluation
+* ``charge_scan`` is the one charging path for gains: it charges exactly
+  what scanning a number of candidates one at a time would, one evaluation
   per scanned candidate plus one for a cold base (never when gamma == 0,
-  nor for a scan of no candidates). With ``stop_at`` the scan ends at the
-  first candidate whose gain reaches it; lanes past it are not charged;
+  nor for a scan of no candidates). ``scan`` charges a slice of gains it
+  is given; a caller that reads the gains itself charges the count of
+  those it scanned, once, and lanes it never reads are not charged;
 * ``evaluate`` charges one evaluation and reads the value from the last
   handle ``base`` or ``child`` made when it is of the same set; otherwise
   it scores the set from scratch, checking its ids before the charge. The
@@ -180,25 +181,24 @@ class _ProximityOracleBase:
         ids = mask.nonzero()[0]
         if not ids.size:
             return ids, np.zeros(0)
-        if handle.subset and mask[list(handle.subset)].any():
+        if any(mask[j] for j in handle.subset):
             raise ValueError("candidates must lie outside the base set")
         return ids, self.gains(handle)[ids]
 
-    def scan(self, handle: _Handle, gains: np.ndarray, stop_at: float | None = None) -> np.ndarray:
-        """Scan ``gains``, the gains of non-member candidates against
-        ``handle``, in order, and return the scanned prefix: up to and
-        including the first gain >= ``stop_at``, or all of them. The one
-        charging path: one evaluation per scanned candidate, plus one when
-        the handle is cold, which it is not afterwards. A scan of no
-        candidates evaluates nothing and charges nothing."""
-        if gains.size:
-            if stop_at is not None:
-                hits = gains >= stop_at
-                first = hits.argmax()  # the first True, if there is one
-                if hits[first]:
-                    gains = gains[: first + 1]
-            self._charge(gains.size + handle.cold)
+    def charge_scan(self, handle: _Handle, scanned: int) -> None:
+        """Charge a scan of ``scanned`` non-member candidates against
+        ``handle``, one at a time: the one charging path for gains. One
+        evaluation per candidate, plus one when the handle is cold, which it
+        is not afterwards. A scan of no candidates evaluates nothing and
+        charges nothing."""
+        if scanned:
+            self._charge(scanned + handle.cold)
             handle.cold = False
+
+    def scan(self, handle: _Handle, gains: np.ndarray) -> np.ndarray:
+        """Scan ``gains``, the gains of non-member candidates against
+        ``handle``, in order: charge them (``charge_scan``) and return them."""
+        self.charge_scan(handle, gains.size)
         return gains
 
     def evaluate(self, subset: Iterable[int]) -> float:

@@ -192,6 +192,14 @@ def test_read_results_csv_refuses_a_header_other_than_the_field_names(tmp_path):
         read_results_csv(str(path))
 
 
+@pytest.mark.parametrize("row", ["1,0,fast,1.0,2.0,0.0", "1,0,fast,1.0,2.0,0.0,3,extra"])
+def test_read_results_csv_refuses_a_row_of_the_wrong_length(tmp_path, row):
+    path = tmp_path / "results.csv"
+    path.write_text(f"z,trial,algorithm,objective,evaluations,wall_time_ms,seed\n1,0,fast,1.0,2.0,0.0,3\n{row}\n")
+    with pytest.raises(ValueError, match=r"results\.csv, line 3: \d fields, the header has 7"):
+        read_results_csv(str(path))
+
+
 def test_summary_csv(tmp_path):
     rows = [SummaryRow(1, "fast", 1.5, 0.1, 100.0, 2.0, 3.25)]
     path = tmp_path / "summary.csv"

@@ -451,3 +451,14 @@ def test_ground_ids_sees_a_bool_only_if_it_survives_to_the_check():
             ground_ids(ids, 3)
     assert {1, True} == {1}
     assert ground_ids({1, True}, 3).tolist() == ground_ids({1}, 3).tolist() == [1]
+
+
+def test_ground_ids_of_integer_arrays_with_no_entries_are_empty():
+    """Integer input with no entries, in any shape, names no id; input of
+    any other dtype is refused as before, even when it is empty."""
+    for ids in (np.zeros((1, 0), int), [np.zeros(0, int)], np.zeros((2, 0), np.uint8), ()):
+        got = ground_ids(ids, 3)
+        assert got.dtype == np.intp and got.tolist() == []
+    for ids, dtype in (([np.zeros(0)], "float64"), (np.zeros((1, 0), bool), "bool")):
+        with pytest.raises(IndexError, match=f"must be integers, got {dtype}"):
+            ground_ids(ids, 3)

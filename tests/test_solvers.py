@@ -409,31 +409,30 @@ def test_threshold_greedy_with_undecided_bounds_matches_the_literal_loop(rng, mo
     of 2**-52: from 1/64 of the rung to nearly twice it; 2**54: none, so
     every rung is computed), the greedy takes the exact path and still
     equals the literal loop in selection, trace, stats and charges. With
-    the first, a scan can stop at the low bound on a gain short of the
-    rung, and go on from the next candidate."""
+    the first, a search can find a gain at the low bound but short of the
+    rung, and go on to the rung itself."""
     monkeypatch.setattr(solvers, "_LADDER_SLACK", slack)
     continued = 0
+    first_hit = solvers._Ladder.first_hit
+
+    def spy(ladder, running):
+        nonlocal continued
+        at_low = int(running.searchsorted(ladder.low))
+        hit = first_hit(ladder, running)
+        continued += hit > at_low
+        return hit
+
+    monkeypatch.setattr(solvers._Ladder, "first_hit", spy)
     for _ in range(12):
         scenario = random_matroid_scenario(rng, int(rng.integers(1, 12)), int(rng.integers(1, 30)))
         upper = min_objective(scenario, range(scenario.n_actions))
         for gamma, delta in itertools.product((0.0, 0.4 * upper, upper), (1e-3, 0.1, 1.0)):
             literal_oracle, oracle = SurrogateOracle(scenario, gamma), SurrogateOracle(scenario, gamma)
             *expected, charges = literal_threshold_greedy(literal_oracle, scenario.matroid, delta)
-            calls = []
-            scan = oracle.scan
-
-            def spy(handle, gains, stop_at=None):
-                if stop_at is not None:  # not the first, full scan
-                    calls.append((handle, stop_at))
-                return scan(handle, gains, stop_at)
-
-            oracle.scan = spy
             trace, stats = [], {}
             selected = threshold_greedy(oracle, scenario.matroid, delta, trace=trace, stats=stats)
             assert [selected, trace, stats] == expected
             assert oracle.counter.individual_evals == charges * scenario.n_agents
-            # A scan goes on on the same handle only to a higher stop: the rung.
-            continued += sum(a[0] is b[0] and b[1] > a[1] for a, b in zip(calls, calls[1:]))
     assert continued if slack < 2**52 else not continued
 
 # -- saturating solver ------------------------------------------------
@@ -701,12 +700,26 @@ def reference_ratio_baseline(scenario):
 
 
 def test_ratio_baseline_matches_the_round_by_round_definition(rng):
-    """Keeping scores until a normalizer moves changes no pick, value or
-    charge, on uniform and partition matroids (zero capacities included)."""
+    """Keeping the scores and the pick order until a normalizer moves, and
+    the normalizers until a column attaining one leaves, changes no pick,
+    value or charge: on uniform and partition matroids (zero capacities
+    included), on tied scores (duplicated actions), on partition blocks that
+    fill (capacity one: a pick removes its whole block) and on a matroid
+    whose mask is replaced on each ``add``."""
     for _ in range(40):
-        scenario = random_matroid_scenario(rng, int(rng.integers(1, 12)), int(rng.integers(1, 30)))
-        solution = ratio_greedy_baseline(scenario)
-        assert (solution.selected, solution.min_value, solution.individual_evals) == reference_ratio_baseline(scenario)
+        n_actions = int(rng.integers(1, 30))
+        scenario = random_matroid_scenario(rng, int(rng.integers(1, 12)), n_actions)
+        agents, actions = [(p.x, p.y) for p in scenario.agents], [(p.x, p.y) for p in scenario.actions]
+        copies = rng.integers(0, n_actions, n_actions)
+        tied = Scenario.from_coords(agents, [actions[j] for j in copies], scenario.matroid)
+        assignment = rng.integers(0, 4, n_actions)
+        blocks = tuple(tuple(int(j) for j in np.flatnonzero(assignment == b)) for b in range(4))
+        filling = Scenario.from_coords(agents, actions, PartitionMatroid(blocks, (1,) * 4))
+        forwarding = Scenario.from_coords(agents, actions, _ForwardingMatroid(scenario.matroid))
+        for instance in (scenario, tied, filling, forwarding):
+            solution = ratio_greedy_baseline(instance)
+            got = (solution.selected, solution.min_value, solution.individual_evals)
+            assert got == reference_ratio_baseline(instance)
 
 
 # -- exhaustive oracles ------------------------------------------------

@@ -180,17 +180,21 @@ def test_batched_stop_charges_only_the_scanned_prefix(rng):
     hit = int(np.argmax(full))
     oracle = SurrogateOracle(scenario, 50.0)
     base = oracle.base({0})
-    prefix = oracle.scan(base, oracle.gains(base)[1:], stop_at=full[hit])
-    assert prefix.tolist() == full[: hit + 1]
+    assert oracle.gains(base)[1:].tolist() == full
+    # Charging no candidates charges nothing, and leaves the base cold.
+    oracle.charge_scan(base, 0)
+    assert oracle.counter.individual_evals == 0 and base.cold
+    # A scan that stops at the first best gain charges its prefix only.
+    oracle.charge_scan(base, hit + 1)
     assert oracle.counter.individual_evals == (1 + hit + 1) * n
     # The accepted extension is warm: a scan of it charges its candidates only.
     child = oracle.child(base, candidates[hit])
     oracle.scan(child, oracle.gains(child)[[candidates[hit - 1]]])
     assert oracle.counter.individual_evals == (1 + hit + 1 + 1) * n
-    # A threshold nothing reaches scans, and charges, every candidate.
+    # A scan that nothing stops charges every candidate.
     oracle = SurrogateOracle(scenario, 50.0)
     base = oracle.base({0})
-    assert oracle.scan(base, oracle.gains(base)[1:], stop_at=math.inf).tolist() == full
+    assert oracle.scan(base, oracle.gains(base)[1:]).tolist() == full
     assert oracle.counter.individual_evals == (1 + len(candidates)) * n
 
 
@@ -201,25 +205,18 @@ def test_batched_gamma_zero_charges_per_candidate_only(tiny):
     gains = oracle.gains(base)[[1, 2]]
     assert oracle.scan(base, gains).tolist() == [0.0, 0.0]
     assert oracle.counter.individual_evals == 2 * n  # no cold-base charge
-    assert oracle.scan(oracle.base({0}), gains, stop_at=0.0).tolist() == [0.0]
+    assert oracle.scan(oracle.base({0}), gains[:1]).tolist() == [0.0]
     assert oracle.counter.individual_evals == 3 * n
-
-
-def _prefix(gains, stop_at):
-    """``gains`` up to and including the first one >= ``stop_at``, or all."""
-    hits = [i for i, gain in enumerate(gains) if gain >= stop_at]
-    return gains[: hits[0] + 1] if hits else gains
 
 
 @pytest.mark.parametrize("n_agents", [16, 64])
 def test_base_handle_matches_evaluate_differences(rng, n_agents):
     """The threshold greedy's path (``base``, ``feasible``, ``scan`` over
     slices, ``child``) returns the gains a fresh
-    evaluate(S | {e}) - evaluate(S) gives, scan by scan up to the first
-    that reaches the threshold, and a child's value equals a from-scratch
-    evaluation, bit for bit. ``feasible`` checks its mask once: a wrong
-    length is an IndexError, a member a ValueError, and neither it nor a
-    child charges anything. A handle's first scan charges its base, later
+    evaluate(S | {e}) - evaluate(S) gives, scan by scan, and a child's
+    value equals a from-scratch evaluation, bit for bit. ``feasible``
+    checks its mask once: a wrong length is an IndexError, a member a
+    ValueError, and neither it nor a child charges anything. A handle's first scan charges its base, later
     scans only their candidates."""
     scenario = random_scenario(rng, n_agents, 30)
     upper = min_objective(scenario, range(30))
@@ -239,11 +236,10 @@ def test_base_handle_matches_evaluate_differences(rng, n_agents):
         assert oracle.counter.individual_evals == 0
         reference = make()
         by_definition = [reference.evaluate({3, 7, e}) - reference.evaluate({3, 7}) for e in ids.tolist()]
-        stop = float(np.median(gains))
         charged = 1  # the cold base, with the first scan
         for lo in (0, ids.size // 2):
-            scanned = oracle.scan(base, gains[lo:], stop_at=stop)
-            assert scanned.tolist() == _prefix(by_definition[lo:], stop)
+            scanned = oracle.scan(base, gains[lo:])
+            assert scanned.tolist() == by_definition[lo:]
             charged += scanned.size
             assert oracle.counter.individual_evals == charged * n
         e = int(ids[-1])
@@ -271,7 +267,7 @@ def test_gamma_zero_builds_no_lanes(rng):
     assert ids.tolist() == [1, 2, *range(4, 12)] and gains.tolist() == [0.0] * 10
     assert oracle.scan(base, gains).size == 10
     empty = oracle.base(())
-    assert oracle.scan(empty, oracle.gains(empty), stop_at=0.0).tolist() == [0.0]
+    assert oracle.scan(empty, oracle.gains(empty)[:1]).tolist() == [0.0]
     assert oracle.counter.individual_evals == 11 * n  # no cold-base charges
     with pytest.raises(ValueError, match="outside"):
         oracle.feasible(base, np.ones(12, dtype=bool))
@@ -318,7 +314,7 @@ def test_saturated_handles_build_no_lanes(rng, n_agents):
         for each, handle in ((oracle, base), (lanes, reference)):
             gains = each.feasible(handle, mask)[1]
             assert each.scan(handle, gains[:5]).size == 5
-            assert each.scan(handle, gains[5:], stop_at=0.0).size == 1
+            assert each.scan(handle, gains[5:6]).size == 1
         assert oracle.counter.individual_evals == lanes.counter.individual_evals == 7 * n_agents
         child, expected = oracle.child(base, 12), lanes.child(reference, 12)
         assert child.subset == expected.subset and child.value == expected.value
