@@ -4,11 +4,13 @@
     python3 scripts/bench_layers.py --out BENCH_11.json [--label TEXT] [--quick]
 
 Five layers, each timed as the minimum over REPEATS runs on fixed seeds, with
-the evaluations one repeat charges (in f-equivalents, as
-``Solution.f_evaluations`` counts them):
+the evaluations one run of the layer charges (in f-equivalents, as
+``Solution.f_evaluations`` counts them; a batched layer's time and
+evaluations are per run, the batch's divided by its size):
 
 * ``scan``: one ``SurrogateOracle.scan`` of one candidate on a warm handle;
-* ``threshold_greedy``: one greedy at a fixed gamma, half the trivial bound;
+* ``threshold_greedy``: one greedy, timed as a batch of ten at the fixed
+  gammas k/10 of the trivial bound, k = 1..10, and reported per greedy;
 * ``saturate_robust``: one bisection solve (the distance matrix is built);
 * ``bench_cell``: one benchmark cell, ``fast`` and ``ratio`` on a freshly
   generated scenario;
@@ -64,6 +66,10 @@ BASE_SEED = 0
 REPEATS = 7
 # Scans timed back to back per repeat: one takes about a microsecond.
 SCAN_BATCH = 1000
+# Greedies timed back to back per repeat, one per gamma k/10 of the trivial
+# bound: one takes about 0.1 ms, too short to time alone between kernel
+# blocks on a host whose speed moves.
+GREEDY_BATCH = 10
 # Reference kernels per speed block (one takes about 3-5 ms).
 KERNEL_REPS = 2
 
@@ -87,7 +93,9 @@ def layers(repeats: int, full_trials: int) -> list[dict]:
     seed = trial_seed(BASE_SEED, 0)
     scenario = generate_scenario(config, CAPACITY, seed)
     params = config.solver_params()
-    gamma = 0.5 * min_objective(scenario, range(scenario.n_actions))
+    upper = min_objective(scenario, range(scenario.n_actions))
+    gamma = 0.5 * upper
+    gammas = [upper * k / GREEDY_BATCH for k in range(1, GREEDY_BATCH + 1)]
     instance = {"base_seed": BASE_SEED, "trial": 0, "z": CAPACITY, "scenario_seed": seed}
 
     oracle = SurrogateOracle(scenario, gamma)
@@ -104,8 +112,9 @@ def layers(repeats: int, full_trials: int) -> list[dict]:
 
     def greedy() -> float:
         counter = EvaluationCounter()
-        threshold_greedy(SurrogateOracle(scenario, gamma, counter), scenario.matroid, params.delta)
-        return counter.f_equivalent(scenario.n_agents)
+        for probe in gammas:
+            threshold_greedy(SurrogateOracle(scenario, probe, counter), scenario.matroid, params.delta)
+        return counter.f_equivalent(scenario.n_agents) / GREEDY_BATCH
 
     def solve() -> float:
         return saturate_robust(scenario, params).f_evaluations
@@ -118,16 +127,15 @@ def layers(repeats: int, full_trials: int) -> list[dict]:
         return sum(r.evaluations for r in run_benchmark(BenchConfig(trials=full_trials), ("fast", "ratio")))
 
     rows = []
-    for name, run, k, seeds in (
-        ("scan", scan, repeats, {**instance, "gamma": gamma}),
-        ("threshold_greedy", greedy, repeats, {**instance, "gamma": gamma}),
-        ("saturate_robust", solve, repeats, instance),
-        ("bench_cell", cell, repeats, instance),
-        ("bench_full", full, max(1, repeats // 2), {"base_seed": BASE_SEED, "trials": full_trials}),
+    for name, run, k, batch, seeds in (
+        ("scan", scan, repeats, SCAN_BATCH, {**instance, "gamma": gamma}),
+        ("threshold_greedy", greedy, repeats, GREEDY_BATCH, {**instance, "gammas": gammas}),
+        ("saturate_robust", solve, repeats, 1, instance),
+        ("bench_cell", cell, repeats, 1, instance),
+        ("bench_full", full, max(1, repeats // 2), 1, {"base_seed": BASE_SEED, "trials": full_trials}),
     ):
         wall_ms, scaled_ms, evaluations = min_time_ms(run, k)
-        if name == "scan":
-            wall_ms, scaled_ms = wall_ms / SCAN_BATCH, scaled_ms / SCAN_BATCH
+        wall_ms, scaled_ms = wall_ms / batch, scaled_ms / batch
         rows.append({
             "layer": name, "wall_ms": wall_ms, "scaled_ms": scaled_ms, "repeats": k,
             "evaluations": evaluations, "seeds": seeds,

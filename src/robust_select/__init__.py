@@ -31,11 +31,9 @@ from .scenario import (
     agent_values,
     load_scenario,
     min_objective,
-    proximity_objective,
     save_scenario,
     scenario_from_dict,
     scenario_to_dict,
-    worst_case_attack,
 )
 from .solvers import (
     SOLVERS,
@@ -82,7 +80,6 @@ __all__ = [
     "matroid_from_dict",
     "matroid_to_dict",
     "min_objective",
-    "proximity_objective",
     "ratio_greedy_baseline",
     "read_results_csv",
     "run_benchmark",
@@ -93,7 +90,6 @@ __all__ = [
     "simple_greedy",
     "threshold_greedy",
     "trial_seed",
-    "worst_case_attack",
     "write_results_csv",
     "write_summary_csv",
     "__version__",

@@ -66,8 +66,8 @@ def _distinct_ids(subset: Collection[int], n: int) -> np.ndarray:
 
 
 class Feasibility:
-    """The feasibility state of a set that grows one element at a time:
-    ``mask`` is a boolean mask over the ground set whose entry ``e`` is
+    """The feasibility state of a set that grows from empty one element at a
+    time: ``mask`` is a boolean mask over the ground set whose entry ``e`` is
     ``can_extend(set, e)``, and ``add(e)`` puts an element the mask allows
     into the set, raising IndexError for an id outside the ground set and
     ValueError for any other element the mask refuses (a member, or one
@@ -75,9 +75,9 @@ class Feasibility:
     every element again after each ``add``; the built-in matroids update
     their mask in place instead."""
 
-    def __init__(self, matroid: "Matroid", subset: Collection[int]) -> None:
+    def __init__(self, matroid: "Matroid") -> None:
         self.matroid = matroid
-        self.chosen = set(subset)
+        self.chosen: set[int] = set()
         self.mask = self._extendable()
 
     def add(self, element: int) -> None:
@@ -100,11 +100,9 @@ class Feasibility:
 class Matroid:
     """Base independence oracle. Subclasses define ``is_independent`` and
     ``n_actions``, and may override ``feasibility`` with a faster state.
-    ``extendable`` is the mask of a fresh state, and ``is_basis`` is
-    derived from it: a set is a basis when nothing extends it. The greedies
-    grow their set through one state, whose mask the built-in matroids
-    update with a few numpy calls per element added; the generic state asks
-    ``can_extend`` of every element again."""
+    The greedies grow their set from empty through one state, whose mask the
+    built-in matroids update with a few numpy calls per element added; the
+    generic state asks ``can_extend`` of every element again."""
 
     n_actions: int
 
@@ -118,30 +116,18 @@ class Matroid:
             return False
         return self.is_independent(frozenset(subset) | {element})
 
-    def extendable(self, subset: Collection[int]) -> np.ndarray:
-        """Fresh boolean mask over the ground set whose entry ``e`` is
-        ``can_extend(subset, e)``: the mask of a fresh feasibility state."""
-        return self.feasibility(subset).mask
-
-    def feasibility(self, subset: Collection[int] = ()) -> Feasibility:
-        """A feasibility state of ``subset``, for growing it one element at a
-        time."""
-        return Feasibility(self, subset)
-
-    def is_basis(self, subset: Collection[int]) -> bool:
-        """True iff no element can extend subset (so a dependent set is one)."""
-        return not self.extendable(subset).any()
+    def feasibility(self) -> Feasibility:
+        """A feasibility state of the empty set, for growing it one element
+        at a time."""
+        return Feasibility(self)
 
 
 class _UniformFeasibility(Feasibility):
     """``room`` counts the elements the set can still take."""
 
-    def __init__(self, matroid: "UniformMatroid", subset: Collection[int]) -> None:
-        chosen = _distinct_ids(subset, matroid.n_actions) if len(subset) else ()
-        self.room = matroid.rank - len(chosen)
-        self.mask = np.full(matroid.n_actions, self.room > 0)
-        if len(chosen):
-            self.mask[chosen] = False
+    def __init__(self, matroid: "UniformMatroid") -> None:
+        self.room = matroid.rank
+        self.mask = np.full(matroid.n_actions, True)
 
     def add(self, element: int) -> None:
         self._admit(element)
@@ -154,20 +140,10 @@ class _UniformFeasibility(Feasibility):
 class _PartitionFeasibility(Feasibility):
     """``room`` counts, per block, the elements the set can still take."""
 
-    def __init__(self, matroid: "PartitionMatroid", subset: Collection[int]) -> None:
+    def __init__(self, matroid: "PartitionMatroid") -> None:
         self.block_of = matroid._block_of
-        if not len(subset):
-            self.room = list(matroid.capacities)
-            self.mask = (matroid._capacity_of > 0)[self.block_of]
-            return
-        chosen = _distinct_ids(subset, matroid.n_actions)
-        room = matroid._capacity_of - matroid._counts(chosen)
-        self.room = room.tolist()
-        if min(self.room) < 0:  # a dependent set
-            self.mask = np.zeros(matroid.n_actions, dtype=bool)
-        else:
-            self.mask = (room > 0)[self.block_of]
-            self.mask[chosen] = False
+        self.room = list(matroid.capacities)
+        self.mask = (matroid._capacity_of > 0)[self.block_of]
 
     def add(self, element: int) -> None:
         self._admit(element)
@@ -194,8 +170,8 @@ class UniformMatroid(Matroid):
     def is_independent(self, subset: Collection[int]) -> bool:
         return _distinct_ids(subset, self.n_actions).size <= self.rank
 
-    def feasibility(self, subset: Collection[int] = ()) -> Feasibility:
-        return _UniformFeasibility(self, subset)
+    def feasibility(self) -> Feasibility:
+        return _UniformFeasibility(self)
 
 
 @dataclass(frozen=True)
@@ -236,16 +212,13 @@ class PartitionMatroid(Matroid):
     def n_actions(self) -> int:
         return len(self._block_of)
 
-    def _counts(self, chosen: np.ndarray) -> np.ndarray:
-        """How many of the distinct ids ``chosen`` each block holds."""
-        return np.bincount(self._block_of[chosen], minlength=len(self.blocks))
-
     def is_independent(self, subset: Collection[int]) -> bool:
-        counts = self._counts(_distinct_ids(subset, self.n_actions))
+        chosen = _distinct_ids(subset, self.n_actions)
+        counts = np.bincount(self._block_of[chosen], minlength=len(self.blocks))
         return not (counts > self._capacity_of).any()
 
-    def feasibility(self, subset: Collection[int] = ()) -> Feasibility:
-        return _PartitionFeasibility(self, subset)
+    def feasibility(self) -> Feasibility:
+        return _PartitionFeasibility(self)
 
 
 def matroid_to_dict(matroid: Matroid) -> dict:

@@ -18,7 +18,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .matroid import Matroid, ground_ids, is_int, is_real, matroid_from_dict, matroid_to_dict
+from .matroid import Matroid, ground_ids, is_real, matroid_from_dict, matroid_to_dict
 
 # Agent-action pairs a scenario may have: about 1 GB, at the ~32 bytes a pair a solve holds.
 DISTANCE_PAIRS_CAP = 30_000_000
@@ -140,43 +140,17 @@ def agent_values(scenario: Scenario, subset: Iterable[int]) -> np.ndarray:
     return distances[:, ground_ids(subset, n)].max(axis=1, initial=0.0)
 
 
-def proximity_objective(
-    scenario: Scenario,
-    agent: int,
-    subset: Iterable[int],
-    counter: EvaluationCounter | None = None,
-) -> float:
-    """Agent ``agent``'s value of ``subset``; charges one evaluation."""
-    if not (is_int(agent) and 0 <= agent < scenario.n_agents):
-        raise IndexError(f"agent index {agent} out of range [0, {scenario.n_agents})")
-    value = float(agent_values(scenario, subset)[agent])
-    if counter is not None:
-        counter.add(1)
-    return value
-
-
 def min_objective(
     scenario: Scenario,
     subset: Iterable[int],
     counter: EvaluationCounter | None = None,
 ) -> float:
-    """Worst agent's value of ``subset``; evaluates every agent."""
-    return worst_case_attack(scenario, subset, counter)[1]
-
-
-def worst_case_attack(
-    scenario: Scenario,
-    subset: Iterable[int],
-    counter: EvaluationCounter | None = None,
-) -> tuple[int, float]:
-    """The agent an optimal attacker reduces the system to, with its value:
-    (argmin over agents, min over agents). Ties go to the lowest index.
-    Evaluates every agent."""
+    """Worst agent's value of ``subset``, the minimum of ``agent_values``;
+    charges one evaluation per agent."""
     values = agent_values(scenario, subset)
     if counter is not None:
         counter.add(scenario.n_agents)
-    worst = int(np.argmin(values))
-    return worst, float(values[worst])
+    return float(values.min())
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:

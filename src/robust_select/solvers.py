@@ -55,7 +55,11 @@ def threshold_steps(delta: float) -> float:
     return -math.log(delta) / math.log1p(delta)
 
 
-def _check_threshold_steps(delta: float) -> None:
+def _check_delta(delta: float) -> None:
+    """Refuse with ValueError a delta that is not a real number in (0, 1], or
+    whose descent would take more than THRESHOLD_STEPS_CAP divisions."""
+    if not (is_real(delta) and 0 < delta <= 1):
+        raise ValueError(f"delta must lie in (0, 1], got {delta!r}")
     steps = threshold_steps(delta)
     if steps > THRESHOLD_STEPS_CAP:
         raise ValueError(
@@ -164,47 +168,46 @@ class _Ladder:
             return first
         return int(running.searchsorted(self._exact))
 
-    def _stops(self, k: int, bound: float, strict: bool) -> bool | None:
-        """Whether rung ``k`` is a stop of ``drop`` (below ``bound``, or at
-        it unless ``strict``), where the bounds decide it; else None. No rung
-        down to the current one is."""
+    def _stops(self, k: int, bound: float) -> bool | None:
+        """Whether rung ``k`` is a stop of ``drop`` (at or below ``bound``),
+        where the bounds decide it; else None. No rung down to the current
+        one is."""
         if k <= self.k:
             return False
         bounds = self.bounds(k)
         if bounds is None:
             return None
         low, high = bounds
-        if high < bound or (high == bound and not strict):
+        if high <= bound:
             return True
-        if low > bound or (low == bound and strict):
+        if low > bound:
             return False
         return None
 
     def drop(self, at_most: float, floor: float) -> None:
         """Move down to the first rung that is <= ``at_most`` or < ``floor``
-        (the current rung must be neither). That is one condition: a rung
-        <= ``at_most`` when ``at_most >= floor``, else a rung < ``floor``.
-        The target is estimated from logarithms and taken when the bounds
-        certify that it stops and the rung above it does not; otherwise the
-        exact chain is walked to it. (Over 6,809 drops of 450 seed-3 pool
-        solves, 150 per perfbench workload, the estimate was certified every
-        time.)"""
-        strict = not at_most >= floor
-        bound = floor if strict else at_most
+        (the current rung must be neither). A rung is < ``floor`` exactly
+        when it is <= the double below ``floor``, so that is one condition: a
+        rung <= the larger of the two. The target is estimated from
+        logarithms and taken when the bounds certify that it stops and the
+        rung above it does not; otherwise the exact chain is walked to it.
+        (Over 6,809 drops of 450 seed-3 pool solves, 150 per perfbench
+        workload, the estimate was certified every time.)"""
+        bound = max(at_most, math.nextafter(floor, -math.inf))
         if bound >= _MIN_NORMAL and self._exact > bound:
             k = self._exact_k + math.ceil((math.log(self._exact) - math.log(bound)) / math.log(self._c))
             k = max(k, self.k + 1)
-            if self._stops(k, bound, strict) is True and self._stops(k - 1, bound, strict) is False:
+            if self._stops(k, bound) is True and self._stops(k - 1, bound) is False:
                 self._move(k)
                 return
-        self._walk(bound, strict)
+        self._walk(bound)
 
-    def _walk(self, bound: float, strict: bool) -> None:
+    def _walk(self, bound: float) -> None:
         """``drop`` along the exact chain, a chunk at a time."""
         k, t = self.k, self.threshold
         while True:
             chain = threshold_ladder(t, self.delta, _LADDER_CHUNK)
-            stops = chain < bound if strict else chain <= bound
+            stops = chain <= bound
             first = int(stops.argmax())
             if stops[first]:
                 self._settle(k + first, float(chain[first]))
@@ -238,9 +241,7 @@ class SolverParams:
     curvature: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (is_real(self.delta) and 0 < self.delta <= 1):
-            raise ValueError(f"delta must lie in (0, 1], got {self.delta!r}")
-        _check_threshold_steps(self.delta)
+        _check_delta(self.delta)
         if self.epsilon is not None and not (is_real(self.epsilon) and self.epsilon > 0):
             raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon!r}")
         if not (is_real(self.curvature) and 0.0 <= self.curvature <= 1.0):
@@ -346,18 +347,16 @@ def threshold_greedy(
     last entry. The loop counts the candidates the one-at-a-time scan would
     evaluate and charges them once, through ``oracle.charge_scan``.
 
-    A delta outside (0, 1], or whose descent would take more than
-    THRESHOLD_STEPS_CAP divisions, is refused with ValueError, and so is a
-    jump past a threshold that no longer falls (deep in the subnormals,
-    dividing by 1 + delta can return its argument), which the literal loop
-    would repeat forever.
+    A delta that is not a real number in (0, 1], or whose descent would take
+    more than THRESHOLD_STEPS_CAP divisions, is refused with ValueError, and
+    so is a jump past a threshold that no longer falls (deep in the
+    subnormals, dividing by 1 + delta can return its argument), which the
+    literal loop would repeat forever.
 
     ``trace`` (optional list) receives a GreedyStep per insertion;
     ``stats`` (optional dict) receives scan-pass and threshold bookkeeping.
     """
-    if not 0 < delta <= 1:
-        raise ValueError(f"delta must lie in (0, 1], got {delta!r}")
-    _check_threshold_steps(delta)
+    _check_delta(delta)
     passes = 0
     base = oracle.base(())
     # An empty ground set scans nothing, so nothing is charged.

@@ -19,13 +19,13 @@ from robust_select import (
     SolverParams,
     SurrogateOracle,
     UniformMatroid,
+    agent_values,
     aggregate,
     brute_force_maxmin,
     brute_force_surrogate_max,
     check_matroid_axioms,
     compute_curvature,
     min_objective,
-    proximity_objective,
     run_benchmark,
     saturate_robust,
     threshold_greedy,
@@ -113,7 +113,7 @@ def test_criterion_3_structural_properties(instance_family):
         subsets = all_subsets(range(n))
         upper = min_objective(scenario, range(n))
         h = [
-            {s: proximity_objective(scenario, agent, s) for s in subsets}
+            {s: agent_values(scenario, s)[agent] for s in subsets}
             for agent in range(scenario.n_agents)
         ]
         for gamma in [0.0] + gamma_grid(upper):

@@ -39,27 +39,58 @@ def test_can_extend_partition(two_blocks):
     assert two_blocks.can_extend({1}, 0)
 
 
+def basis_by_definition(matroid, subset):
+    """No element outside the set ``subset`` names passes ``can_extend``."""
+    named = frozenset(subset)
+    return not any(
+        matroid.can_extend(named, e) for e in range(matroid.n_actions) if e not in named
+    )
+
+
+def extendable_by_definition(matroid, subset):
+    """The mask of a feasibility state of ``subset``, by its definition:
+    entry ``e`` is ``can_extend(subset, e)``."""
+    return [matroid.can_extend(subset, e) for e in range(matroid.n_actions)]
+
+
+def grown_state(matroid, subset):
+    """A fresh feasibility state grown by every element of ``subset`` that
+    its mask admits, in ascending order, and the set it then holds."""
+    state, chosen = matroid.feasibility(), set()
+    for e in sorted(set(subset)):
+        if state.mask[e]:
+            state.add(e)
+            chosen.add(e)
+    return state, chosen
+
+
 def test_is_basis():
-    assert UniformMatroid(3, 1).is_basis({2})
-    assert not UniformMatroid(3, 2).is_basis({2})
+    assert basis_by_definition(UniformMatroid(3, 1), {2})
+    assert not basis_by_definition(UniformMatroid(3, 2), {2})
 
 
 def test_is_basis_partition(two_blocks):
-    assert not two_blocks.is_basis({0})
-    assert two_blocks.is_basis({0, 1})
-    assert two_blocks.is_basis({0, 2})
+    assert not basis_by_definition(two_blocks, {0})
+    assert basis_by_definition(two_blocks, {0, 1})
+    assert basis_by_definition(two_blocks, {0, 2})
+    m = PartitionMatroid(((0, 1), (2, 3), (4, 5)), (1, 1, 1))
+    assert not basis_by_definition(m, {0, 2})
+    assert basis_by_definition(m, {0, 2, 4})
 
 
 def test_is_basis_empty_ground_set():
-    assert UniformMatroid(0, 1).is_basis(set())
-    assert PartitionMatroid((), ()).is_basis(set())
+    """On an empty ground set the empty state holds a basis: its mask is
+    empty."""
+    for m in (UniformMatroid(0, 1), PartitionMatroid((), ())):
+        assert m.feasibility().mask.shape == (0,)
+        assert basis_by_definition(m, set())
 
 
 def test_rank_capped_by_ground_set():
     # rank above the ground set size: the whole set is the basis
     m = UniformMatroid(2, 5)
-    assert m.is_basis({0, 1})
-    assert not m.is_basis({0})
+    assert basis_by_definition(m, {0, 1})
+    assert not basis_by_definition(m, {0})
 
 
 def test_axioms_uniform():
@@ -187,50 +218,35 @@ def test_can_extend_matches_definition(matroid, data):
 
 @given(any_matroids, st.data())
 def test_extendable_matches_can_extend(matroid, data):
-    """Holds for dependent subsets too: nothing extends them."""
+    """A state grown by a drawn set's admissible elements holds the mask
+    ``can_extend`` defines for the set it then holds."""
     n = matroid.n_actions
     subset = {j for j in range(n) if data.draw(st.booleans(), label=f"in_{j}")}
-    mask = matroid.extendable(subset)
-    assert mask.dtype == bool and mask.shape == (n,)
-    assert mask.tolist() == [matroid.can_extend(subset, e) for e in range(n)]
-
-
-def basis_by_definition(matroid, subset):
-    """No element outside the set ``subset`` names passes ``can_extend``."""
-    named = frozenset(subset)
-    return not any(
-        matroid.can_extend(named, e) for e in range(matroid.n_actions) if e not in named
-    )
+    state, chosen = grown_state(matroid, subset)
+    assert state.mask.dtype == bool and state.mask.shape == (n,)
+    assert state.mask.tolist() == extendable_by_definition(matroid, chosen)
 
 
 @given(any_matroids, st.data())
 def test_is_basis_matches_the_definition(matroid, data):
-    """``is_basis`` agrees with the definition written out, dependent sets
-    included: nothing extends those."""
+    """A grown state's mask is empty exactly when its set is a basis by the
+    definition: that is how the greedies see a basis."""
     n = matroid.n_actions
     subset = {j for j in range(n) if data.draw(st.booleans(), label=f"in_{j}")}
-    expected = basis_by_definition(matroid, subset)
-    assert matroid.is_basis(subset) == expected
-    assert matroid.is_basis(sorted(subset)) == expected
+    state, chosen = grown_state(matroid, subset)
+    assert (not state.mask.any()) == basis_by_definition(matroid, chosen)
+    assert basis_by_definition(matroid, sorted(chosen)) == basis_by_definition(matroid, chosen)
 
 
 @given(any_matroids, st.data())
 def test_a_list_answers_for_the_set_it_names(matroid, data):
-    """Independence and basis queries on a list, repeats included, answer
-    for the set the list names, as ``can_extend`` does."""
+    """Independence and extension queries on a list, repeats included,
+    answer for the set the list names."""
     n = matroid.n_actions
     listed = data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n)) if n else []
     named = frozenset(listed)
     assert matroid.is_independent(listed) == matroid.is_independent(named)
-    assert matroid.is_basis(listed) == basis_by_definition(matroid, named)
-    assert matroid.extendable(listed).tolist() == matroid.extendable(named).tolist()
-
-
-def test_partition_is_basis_of_dependent_sets():
-    m = PartitionMatroid(((0, 1), (2, 3), (4, 5)), (1, 1, 1))
-    assert m.is_basis({0, 1})  # dependent, though shorter than the rank
-    assert not m.is_basis({0, 2})
-    assert m.is_basis({0, 2, 4})
+    assert extendable_by_definition(matroid, listed) == extendable_by_definition(matroid, named)
 
 
 class _AtMostOneLow(Matroid):
@@ -244,21 +260,32 @@ class _AtMostOneLow(Matroid):
 
 def test_extendable_default_uses_is_independent():
     m = _AtMostOneLow()
-    assert m.extendable(set()).tolist() == [True, True, True, True]
-    assert m.extendable({0}).tolist() == [False, False, True, True]
-    assert m.extendable({2}).tolist() == [True, True, False, True]
-    assert m.extendable({0, 3}).tolist() == [False, False, False, False]
+    assert m.feasibility().mask.tolist() == [True, True, True, True]
+    for grown, mask in (([0], [False, False, True, True]), ([2], [True, True, False, True]), ([0, 3], [False] * 4)):
+        state = m.feasibility()
+        for e in grown:
+            state.add(e)
+        assert state.mask.tolist() == mask
 
 
 def test_is_basis_default_uses_is_independent():
     m = _AtMostOneLow()
-    assert not m.is_basis({0})
-    assert m.is_basis({0, 3})
-    assert m.is_basis({0, 1})  # dependent: nothing extends it
+    assert not basis_by_definition(m, {0})
+    assert basis_by_definition(m, {0, 3})
 
 
 _UNIFORM = UniformMatroid(3, 1)
 _PARTITION = PartitionMatroid(((0, 1), (2,)), (1, 1))
+
+
+# Each query by the name a test id gives it: a method of the matroid, or
+# the definition that replaced a deleted one.
+_QUERIES = {
+    "is_independent": lambda matroid, *args: matroid.is_independent(*args),
+    "can_extend": lambda matroid, *args: matroid.can_extend(*args),
+    "is_basis": basis_by_definition,
+    "extendable": extendable_by_definition,
+}
 
 
 @pytest.mark.parametrize(
@@ -286,16 +313,16 @@ _PARTITION = PartitionMatroid(((0, 1), (2,)), (1, 1))
 )
 def test_queries_refuse_ids_outside_the_ground_set(matroid, query, args):
     with pytest.raises(IndexError, match=r"action id -?\d+ outside ground set \[0, 3\)"):
-        getattr(matroid, query)(*args)
+        _QUERIES[query](matroid, *args)
 
 
 @pytest.mark.parametrize("matroid", [_UNIFORM, _PARTITION], ids=["uniform", "partition"])
-@pytest.mark.parametrize("query", ["is_independent", "is_basis", "extendable", "feasibility"])
+@pytest.mark.parametrize("query", ["is_independent", "is_basis", "extendable"])
 @pytest.mark.parametrize("ids", [[True, 2], {False, 2}], ids=["list", "set"])
 def test_queries_refuse_a_bool_among_ids(matroid, query, ids):
     """numpy reads True as 1 in a list of ints; the queries refuse it."""
     with pytest.raises(IndexError, match="got bool"):
-        getattr(matroid, query)(ids)
+        _QUERIES[query](matroid, ids)
 
 
 class _Forwarding(Matroid):
@@ -320,20 +347,20 @@ def _refused(state, element, error):
 
 @given(st.one_of(any_matroids, any_matroids.map(_Forwarding)), st.data())
 def test_feasibility_state_follows_its_set(matroid, data):
-    """Along a drawn insertion order from a drawn start (dependent starts
-    included), the state's mask is the definition's answer after every
-    ``add``; ``extendable`` hands out fresh masks that no later ``add``
-    touches; and ``add`` refuses members, infeasible elements and ids
-    outside the ground set, changing nothing."""
+    """Along a drawn insertion order from empty, the state's mask is the
+    definition's answer after every ``add``; a second state grown the same
+    way hands out a mask that no later ``add`` to the first touches; and
+    ``add`` refuses members, infeasible elements and ids outside the ground
+    set, changing nothing."""
     n = matroid.n_actions
-    chosen = {j for j in range(n) if data.draw(st.booleans(), label=f"start_{j}")}
-    state = matroid.feasibility(sorted(chosen))
+    chosen = set()
+    state = matroid.feasibility()
     handed_out = []
     while True:
-        expected = [matroid.can_extend(chosen, e) for e in range(n)]
+        expected = extendable_by_definition(matroid, chosen)
         assert state.mask.dtype == bool and state.mask.shape == (n,)
         assert state.mask.tolist() == expected
-        mask = matroid.extendable(chosen)
+        mask = grown_state(matroid, chosen)[0].mask
         assert mask is not state.mask and mask.tolist() == expected
         handed_out.append((mask, expected))
         for bad in (-1, n, True, 0.0):
@@ -363,20 +390,18 @@ def _room_of(matroid, chosen):
 def test_empty_feasibility_state_matches_the_general_path(matroid, data):
     """``feasibility()`` reads the empty set's state from the rank or the
     capacities (blocks of capacity 0 included). Its mask and room are the
-    definition's, and after any ``add`` it is the state the general path
-    builds from the one-element set."""
+    definition's, and so they are after any ``add``."""
     n = matroid.n_actions
     empty = matroid.feasibility()
     assert empty.mask.dtype == bool and empty.mask.shape == (n,)
-    assert empty.mask.tolist() == [matroid.can_extend((), e) for e in range(n)]
+    assert empty.mask.tolist() == extendable_by_definition(matroid, ())
     assert empty.room == _room_of(matroid, set())
     allowed = np.flatnonzero(empty.mask).tolist()
     if allowed:
         e = data.draw(st.sampled_from(allowed), label="add")
         empty.add(e)
-        general = matroid.feasibility([e])
-        assert empty.mask.tolist() == general.mask.tolist()
-        assert empty.room == general.room == _room_of(matroid, {e})
+        assert empty.mask.tolist() == extendable_by_definition(matroid, {e})
+        assert empty.room == _room_of(matroid, {e})
 
 
 @given(any_matroids, st.data())

@@ -19,12 +19,10 @@ from robust_select import (
     agent_values,
     load_scenario,
     min_objective,
-    proximity_objective,
     saturate_robust,
     save_scenario,
     scenario_from_dict,
     scenario_to_dict,
-    worst_case_attack,
 )
 from robust_select.matroid import all_subsets
 
@@ -54,29 +52,19 @@ def test_distance_symmetric_nonnegative(ax, ay, bx, by):
 
 
 def test_proximity_examples(tiny):
-    assert proximity_objective(tiny, 0, {0, 1}) == 10.0
-    assert proximity_objective(tiny, 0, set()) == 0.0
-    assert proximity_objective(tiny, 1, {2}) == pytest.approx(SQRT50, abs=1e-12)
-
-
-def test_proximity_agent_out_of_range(tiny):
-    with pytest.raises(IndexError):
-        proximity_objective(tiny, 2, {0})
-    with pytest.raises(IndexError):
-        proximity_objective(tiny, -1, {0})
-    for bad in (True, 1.0, None):
-        with pytest.raises(IndexError, match="agent index"):
-            proximity_objective(tiny, bad, {0})
+    assert agent_values(tiny, {0, 1})[0] == 10.0
+    assert agent_values(tiny, set())[0] == 0.0
+    assert agent_values(tiny, {2})[1] == pytest.approx(SQRT50, abs=1e-12)
 
 
 def test_proximity_action_out_of_range(tiny):
     with pytest.raises(IndexError):
-        proximity_objective(tiny, 0, {3})
+        agent_values(tiny, {3})
     for bad in (-1, 3):
         with pytest.raises(IndexError, match="outside ground set"):
             min_objective(tiny, {0, bad})
         with pytest.raises(IndexError, match="outside ground set"):
-            worst_case_attack(tiny, [bad])
+            agent_values(tiny, [bad])
 
 
 def test_a_bool_among_ids_is_refused(tiny):
@@ -203,23 +191,24 @@ def test_min_objective_brute_matches(tiny):
 
 
 def test_worst_case_attack_examples(tiny):
-    assert worst_case_attack(tiny, {1}) == (1, 0.0)
-    # Both agents tie at sqrt(50); lowest index wins.
-    agent, value = worst_case_attack(tiny, {2})
-    assert agent == 0
-    assert value == pytest.approx(SQRT50, abs=1e-12)
+    """An optimal attacker leaves the system its worst agent's value."""
+    assert agent_values(tiny, {1}).tolist() == [10.0, 0.0]
+    assert min_objective(tiny, {1}) == 0.0
+    # Both agents tie at sqrt(50).
+    assert agent_values(tiny, {2}).tolist() == [min_objective(tiny, {2})] * 2
+    assert min_objective(tiny, {2}) == pytest.approx(SQRT50, abs=1e-12)
 
 
 def test_worst_case_attack_single_agent():
     lone = Scenario.from_coords([(0.0, 0.0)], [(3.0, 4.0)], UniformMatroid(1, 1))
-    assert worst_case_attack(lone, {0}) == (0, 5.0)
+    assert min_objective(lone, {0}) == 5.0
 
 
 def test_min_objective_never_exceeds_any_agent(tiny):
     for subset in all_subsets(range(3)):
         g = min_objective(tiny, subset)
         for agent in range(2):
-            assert g <= proximity_objective(tiny, agent, subset) + 1e-12
+            assert g <= agent_values(tiny, subset)[agent] + 1e-12
 
 
 def test_monotone_and_submodular_exhaustive(rng):
@@ -232,7 +221,7 @@ def test_monotone_and_submodular_exhaustive(rng):
         n = scenario.n_actions
         subsets = all_subsets(range(n))
         for agent in range(scenario.n_agents):
-            value = {s: proximity_objective(scenario, agent, s) for s in subsets}
+            value = {s: agent_values(scenario, s)[agent] for s in subsets}
             for b in subsets:
                 for a in subsets:
                     if not a <= b:
@@ -249,15 +238,15 @@ def test_monotone_and_submodular_exhaustive(rng):
 def test_counter_monotone_and_units(tiny):
     counter = EvaluationCounter()
     seen = [counter.individual_evals]
-    proximity_objective(tiny, 0, {1}, counter)
+    agent_values(tiny, {1})
     seen.append(counter.individual_evals)
     min_objective(tiny, {1, 2}, counter)
     seen.append(counter.individual_evals)
-    worst_case_attack(tiny, {0}, counter)
+    min_objective(tiny, {0}, counter)
     seen.append(counter.individual_evals)
-    assert seen == [0, 1, 3, 5]
+    assert seen == [0, 0, 2, 4]
     assert seen == sorted(seen)
-    assert counter.f_equivalent(tiny.n_agents) == 2.5
+    assert counter.f_equivalent(tiny.n_agents) == 2.0
     with pytest.raises(ValueError):
         counter.add(-1)
 

@@ -111,7 +111,8 @@ def test_threshold_greedy_worthless_singletons():
 
 
 def test_threshold_greedy_rejects_bad_delta(tiny):
-    for delta in (0.0, 1.5):
+    # True is not a real number here, as SolverParams has it.
+    for delta in (0.0, 1.5, True):
         with pytest.raises(ValueError, match=r"delta must lie in \(0, 1\]"):
             threshold_greedy(SurrogateOracle(tiny, 8.0), tiny.matroid, delta)
 
@@ -212,7 +213,7 @@ def literal_threshold_greedy(oracle, matroid, delta):
     initial = max([0.0] + [gain_of(frozenset(), e) for e in range(n)])
     threshold, floor = initial, delta * initial
     unchanged_best = None  # best gain of the last pass, if it inserted nothing
-    while initial > 0 and threshold >= floor and not matroid.is_basis(selected):
+    while initial > 0 and threshold >= floor and any(matroid.can_extend(selected, e) for e in range(n)):
         if unchanged_best is None or unchanged_best >= threshold:
             passes += 1
             best, inserted = 0.0, False
@@ -369,7 +370,8 @@ def test_ladder_bounds_contain_the_division_chain(start, delta, data):
 @given(start=NORMAL_STARTS, delta=LADDER_DELTAS, data=st.data())
 def test_ladder_drop_lands_where_the_chain_stops(start, delta, data):
     """``drop`` lands where searchsorted over the exact chain does, also for
-    a bound equal to a rung or one ulp either side of it."""
+    a bound equal to a rung or one ulp either side of it, and for a floor
+    of 0.0 or of the smallest subnormal."""
     chain = threshold_ladder(start, delta, ladder_length(delta, 5_000))
     negated = -chain
 
@@ -377,7 +379,9 @@ def test_ladder_drop_lands_where_the_chain_stops(start, delta, data):
         rung = chain[data.draw(st.integers(1, chain.size - 1), label=label)]
         return float(rung + data.draw(st.sampled_from([-1, 0, 1]), label=f"{label} ulps") * np.spacing(rung))
 
-    floor = near_rung("floor")
+    # Near a rung, or 0.0 or the smallest subnormal, below every rung.
+    floors = st.one_of(st.builds(near_rung, st.just("floor")), st.sampled_from([0.0, math.ulp(0.0)]))
+    floor = data.draw(floors, label="floor")
     ladder, k = _Ladder(start, delta), 0
     for at_most in data.draw(st.lists(st.builds(near_rung, st.just("at_most")), min_size=1, max_size=4)):
         if not (chain[k] >= floor and chain[k] > at_most):
@@ -646,7 +650,8 @@ def test_ratio_runs_to_basis(rng):
             for i in range(scenario.n_agents)
             for j in range(scenario.n_actions)
         ):
-            assert scenario.matroid.is_basis(set(solution.selected))
+            selected = set(solution.selected)
+            assert not any(scenario.matroid.can_extend(selected, e) for e in range(scenario.n_actions))
 
 
 def test_ratio_counts_full_scans(tiny):
@@ -685,7 +690,7 @@ def reference_ratio_baseline(scenario):
     its normalizers and every score."""
     matroid, selected, charges = scenario.matroid, set(), 0
     while True:
-        feasible = np.flatnonzero(matroid.extendable(selected))
+        feasible = np.flatnonzero([matroid.can_extend(selected, e) for e in range(matroid.n_actions)])
         if feasible.size == 0:
             break
         charges += scenario.n_agents * feasible.size * (1 + feasible.size)

@@ -263,7 +263,10 @@ def test_gamma_zero_builds_no_lanes(rng):
     n = scenario.n_agents
     oracle = SurrogateOracle(scenario, 0.0)
     base = oracle.base({0, 3})
-    ids, gains = oracle.feasible(base, scenario.matroid.extendable({0, 3}))
+    feasibility = scenario.matroid.feasibility()
+    feasibility.add(0)
+    feasibility.add(3)
+    ids, gains = oracle.feasible(base, feasibility.mask)
     assert ids.tolist() == [1, 2, *range(4, 12)] and gains.tolist() == [0.0] * 10
     assert oracle.scan(base, gains).size == 10
     empty = oracle.base(())
