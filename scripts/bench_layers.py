@@ -3,10 +3,10 @@
 
     python3 scripts/bench_layers.py --out BENCH_11.json [--label TEXT] [--quick]
 
-Five layers, each timed as the minimum over REPEATS runs on fixed seeds, with
-the evaluations one run of the layer charges (in f-equivalents, as
-``Solution.f_evaluations`` counts them; a batched layer's time and
-evaluations are per run, the batch's divided by its size):
+Five layers, each timed as the minimum over REPEATS repeats on fixed seeds,
+with the evaluations one run charges (in f-equivalents, as
+``Solution.f_evaluations`` counts them). A repeat of a batched layer runs it
+a batch of times, and its time and evaluations are divided by the batch:
 
 * ``scan``: one ``SurrogateOracle.scan`` of one candidate on a warm handle;
 * ``threshold_greedy``: one greedy, timed as a batch of ten at the fixed

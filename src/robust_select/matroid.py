@@ -127,7 +127,7 @@ class _UniformFeasibility(Feasibility):
 
     def __init__(self, matroid: "UniformMatroid") -> None:
         self.room = matroid.rank
-        self.mask = np.full(matroid.n_actions, True)
+        self.mask = np.full(matroid.n_actions, True)  # the rank is at least 1
 
     def add(self, element: int) -> None:
         self._admit(element)
