@@ -8,7 +8,8 @@ with the evaluations one run charges (in f-equivalents, as
 ``Solution.f_evaluations`` counts them). A repeat of a batched layer runs it
 a batch of times, and its time and evaluations are divided by the batch:
 
-* ``scan``: one ``SurrogateOracle.scan`` of one candidate on a warm handle;
+* ``scan``: one ``SurrogateOracle.charge_scan`` of one candidate on a warm
+  handle, the one charging call (the gains are read from the handle itself);
 * ``threshold_greedy``: one greedy, timed as a batch of ten at the fixed
   gammas k/10 of the trivial bound, k = 1..10, and reported per greedy;
 * ``saturate_robust``: one bisection solve (the distance matrix is built);
@@ -100,14 +101,13 @@ def layers(repeats: int, full_trials: int) -> list[dict]:
 
     oracle = SurrogateOracle(scenario, gamma)
     handle = oracle.base(())
-    gains = oracle.feasible(handle, np.ones(scenario.n_actions, dtype=bool))[1]
-    oracle.scan(handle, gains)  # builds the lanes and charges the cold base
-    one = gains[:1]
+    gains = oracle.feasible(handle, np.ones(scenario.n_actions, dtype=bool))[1]  # builds the lanes
+    oracle.charge_scan(handle, gains.size)  # charges the cold base
 
     def scan() -> float:
         before = oracle.counter.individual_evals
         for _ in range(SCAN_BATCH):
-            oracle.scan(handle, one)
+            oracle.charge_scan(handle, 1)
         return (oracle.counter.individual_evals - before) / scenario.n_agents / SCAN_BATCH
 
     def greedy() -> float:

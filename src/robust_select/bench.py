@@ -40,9 +40,9 @@ class BenchConfig:
     z_max: int = 10
     trials: int = 100
     base_seed: int = 0
-    delta: float = 1e-3
-    epsilon: float | None = None
-    curvature: float = 1.0
+    delta: float = SolverParams.delta
+    epsilon: float | None = SolverParams.epsilon
+    curvature: float = SolverParams.curvature
     measure_wall_time: bool = True
 
     def __post_init__(self) -> None:
@@ -68,14 +68,6 @@ class BenchConfig:
         return SolverParams(delta=self.delta, epsilon=self.epsilon, curvature=self.curvature)
 
     @classmethod
-    def from_dict(cls, data: dict) -> "BenchConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"bench config: unknown field '{sorted(unknown)[0]}'")
-        return cls(**data)
-
-    @classmethod
     def from_json_file(cls, path: str) -> "BenchConfig":
         with open(path, "r", encoding="utf-8") as handle:
             try:
@@ -84,7 +76,10 @@ class BenchConfig:
                 raise ValueError(f"bench config {path}: invalid JSON ({exc})") from None
         if not isinstance(data, dict):
             raise ValueError(f"bench config {path}: top level must be an object")
-        return cls.from_dict(data)
+        unknown = set(data) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValueError(f"bench config: unknown field '{sorted(unknown)[0]}'")
+        return cls(**data)
 
 
 @dataclass(frozen=True)

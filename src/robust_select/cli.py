@@ -36,9 +36,10 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="solve one scenario JSON file")
     solve.add_argument("--config", required=True, help="scenario JSON file")
     solve.add_argument("--algorithm", required=True, choices=tuple(SOLVERS))
-    solve.add_argument("--delta", type=float, default=1e-3, help="threshold shrink factor (fast)")
+    # Each solver flag's dest is the SolverParams field it sets, and its default None keeps that field's default.
+    solve.add_argument("--delta", type=float, default=None, help="threshold shrink factor (fast)")
     solve.add_argument("--epsilon", type=float, default=None, help="absolute bisection gap (fast)")
-    solve.add_argument("--curvature", type=float, default=1.0, help="curvature used in the acceptance test (fast)")
+    solve.add_argument("--curvature", type=float, default=None, help="curvature used in the acceptance test (fast)")
     solve.add_argument("--output", default=None, help="write the solution JSON here instead of stdout")
     solve.set_defaults(func=cmd_solve)
 
@@ -80,9 +81,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _given(args: argparse.Namespace, record: type) -> dict:
+    """The flags named after a field of the dataclass ``record`` that were given (not None)."""
+    return {f.name: getattr(args, f.name) for f in dataclasses.fields(record) if getattr(args, f.name) is not None}
+
+
 def cmd_solve(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.config)
-    params = SolverParams(delta=args.delta, epsilon=args.epsilon, curvature=args.curvature)
+    params = SolverParams(**_given(args, SolverParams))
     solution = SOLVERS[args.algorithm](scenario, params)
     document = json.dumps(solution.to_json_dict())
     if args.output:
@@ -98,8 +104,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     config = BenchConfig.from_json_file(args.config) if args.config else BenchConfig()
-    overrides = {f.name: getattr(args, f.name) for f in dataclasses.fields(BenchConfig)}
-    config = dataclasses.replace(config, **{k: v for k, v in overrides.items() if v is not None})
+    config = dataclasses.replace(config, **_given(args, BenchConfig))
     algorithms = tuple(name.strip() for name in args.algorithms.split(",") if name.strip())
     results = run_benchmark(config, algorithms)
     rows = aggregate(results)
@@ -139,8 +144,6 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except KeyboardInterrupt:
-        raise
     except Exception as exc:  # internal failure: report, don't traceback-spam
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -288,15 +288,15 @@ def all_subsets(items: Iterable[int]) -> list[frozenset]:
     ]
 
 
-def check_matroid_axioms(matroid, n_actions: int | None = None) -> bool:
+def check_matroid_axioms(matroid) -> bool:
     """Exhaustively verify the three matroid axioms over every subset of the
     ground set: the empty set is independent, independence is closed under
     taking subsets, and any smaller independent set can be augmented from a
-    larger one. Accepts anything with an ``is_independent`` method.
+    larger one. Accepts anything with ``n_actions`` and ``is_independent``.
 
     Enumeration is exponential; ground sets above AXIOM_CHECK_CAP are refused.
     """
-    n = matroid.n_actions if n_actions is None else n_actions
+    n = matroid.n_actions
     if n > AXIOM_CHECK_CAP:
         raise ValueError(f"axiom check limited to ground sets of size <= {AXIOM_CHECK_CAP}, got {n}")
     independent = {s for s in all_subsets(range(n)) if matroid.is_independent(s)}

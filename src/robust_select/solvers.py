@@ -129,15 +129,6 @@ class _Ladder:
             n -= length
         return t
 
-    def _move(self, k: int) -> None:
-        """Make rung ``k`` current, computing it when its bounds certify nothing."""
-        bounds = self.bounds(k)
-        if bounds is None:
-            self._settle(k, self._rung(k))
-        else:
-            self.k = k
-            self.low, self.high = bounds
-
     @property
     def threshold(self) -> float:
         """The current rung, exactly."""
@@ -146,8 +137,13 @@ class _Ladder:
         return self._exact
 
     def step(self) -> None:
-        """Move one rung down."""
-        self._move(self.k + 1)
+        """Move one rung down, computing it when its bounds certify nothing."""
+        k = self.k + 1
+        bounds = self.bounds(k)
+        if bounds is None:
+            self._settle(k, self._rung(k))
+        else:
+            self.k, (self.low, self.high) = k, bounds
 
     def at_least(self, floor: float) -> bool:
         """Whether the current rung is >= ``floor``."""
@@ -168,38 +164,26 @@ class _Ladder:
             return first
         return int(running.searchsorted(self._exact))
 
-    def _stops(self, k: int, bound: float) -> bool | None:
-        """Whether rung ``k`` is a stop of ``drop`` (at or below ``bound``),
-        where the bounds decide it; else None. No rung down to the current
-        one is."""
-        if k <= self.k:
-            return False
-        bounds = self.bounds(k)
-        if bounds is None:
-            return None
-        low, high = bounds
-        if high <= bound:
-            return True
-        if low > bound:
-            return False
-        return None
-
     def drop(self, at_most: float, floor: float) -> None:
         """Move down to the first rung that is <= ``at_most`` or < ``floor``
         (the current rung must be neither). A rung is < ``floor`` exactly
         when it is <= the double below ``floor``, so that is one condition: a
-        rung <= the larger of the two. The target is estimated from
-        logarithms and taken when the bounds certify that it stops and the
-        rung above it does not; otherwise the exact chain is walked to it.
-        (Over 6,809 drops of 450 seed-3 pool solves, 150 per perfbench
-        workload, the estimate was certified every time.)"""
+        rung <= the larger of the two. The target ``k`` is estimated from
+        logarithms and taken when its bounds certify that it is <= that
+        bound, and rung ``k - 1`` is the current rung or its bounds certify
+        that it is above; otherwise the exact chain is walked to it. (Over
+        6,809 drops of 450 seed-3 pool solves, 150 per perfbench workload,
+        the estimate was certified every time.)"""
         bound = max(at_most, math.nextafter(floor, -math.inf))
         if bound >= _MIN_NORMAL and self._exact > bound:
             k = self._exact_k + math.ceil((math.log(self._exact) - math.log(bound)) / math.log(self._c))
             k = max(k, self.k + 1)
-            if self._stops(k, bound) is True and self._stops(k - 1, bound) is False:
-                self._move(k)
-                return
+            target = self.bounds(k)
+            if target is not None and target[1] <= bound:
+                above = (math.inf, math.inf) if k - 1 == self.k else self.bounds(k - 1)
+                if above is not None and above[0] > bound:
+                    self.k, (self.low, self.high) = k, target
+                    return
         self._walk(bound)
 
     def _walk(self, bound: float) -> None:
@@ -359,8 +343,10 @@ def threshold_greedy(
     _check_delta(delta)
     passes = 0
     base = oracle.base(())
+    gains = oracle.gains(base)
     # An empty ground set scans nothing, so nothing is charged.
-    initial = float(oracle.scan(base, oracle.gains(base)).max(initial=0.0))
+    oracle.charge_scan(base, gains.size)
+    initial = float(gains.max(initial=0.0))
     ladder = _Ladder(initial, delta)
     floor = delta * initial
     # The set, and so every gain and the feasibility mask, only changes
@@ -466,11 +452,10 @@ def saturate_robust(
     })
 
 
-def simple_greedy(scenario: Scenario, gamma: float | None = None) -> Solution:
-    """Conventional greedy: repeatedly add the feasible element of maximum
-    marginal gain (lowest id on ties) until no feasible element is left or
-    no gain is positive. Runs on the truncated-average surrogate when ``gamma``
-    is given, otherwise directly on the worst-agent objective.
+def simple_greedy(scenario: Scenario) -> Solution:
+    """Conventional greedy on the worst-agent objective: repeatedly add the
+    feasible element of maximum marginal gain (lowest id on ties) until no
+    feasible element is left or no gain is positive.
 
     Each round scans every feasible candidate of one base handle; the next
     base is that handle's child by the argmax, and one
@@ -480,17 +465,14 @@ def simple_greedy(scenario: Scenario, gamma: float | None = None) -> Solution:
     when the argmax was the last candidate scanned, and otherwise cold."""
     started = time.perf_counter()
     counter = EvaluationCounter()
-    if gamma is None:
-        oracle = MinObjectiveOracle(scenario, counter)
-    else:
-        oracle = SurrogateOracle(scenario, gamma, counter)
+    oracle = MinObjectiveOracle(scenario, counter)
     feasibility = scenario.matroid.feasibility()
     base = oracle.base(())
     while True:
         candidates, gains = oracle.feasible(base, feasibility.mask)
         if candidates.size == 0:
             break
-        gains = oracle.scan(base, gains)
+        oracle.charge_scan(base, candidates.size)
         best = int(np.argmax(gains))  # first maximum: lowest id on ties
         if not gains[best] > 0.0:
             break
@@ -498,7 +480,7 @@ def simple_greedy(scenario: Scenario, gamma: float | None = None) -> Solution:
         feasibility.add(e)
         base = oracle.child(base, e)
         base.cold = best != candidates.size - 1
-    return _solution("greedy", scenario, base.subset, counter, started, {"gamma": gamma})
+    return _solution("greedy", scenario, base.subset, counter, started, {})
 
 
 def ratio_greedy_baseline(scenario: Scenario) -> Solution:

@@ -35,12 +35,12 @@ Handles and accounting contract shared by both:
 * every logical evaluation of the reduced objective charges one count per
   agent, even when the result is read from a handle or lane or is known
   trivially (gamma == 0);
-* ``charge_scan`` is the one charging path for gains: it charges exactly
+* ``charge_scan`` is the one charging call for gains: it charges exactly
   what scanning a number of candidates one at a time would, one evaluation
   per scanned candidate plus one for a cold base (never when gamma == 0,
-  nor for a scan of no candidates). ``scan`` charges a slice of gains it
-  is given; a caller that reads the gains itself charges the count of
-  those it scanned, once, and lanes it never reads are not charged;
+  nor for a scan of no candidates). A caller reads the gains itself and
+  charges the count of those it scanned, and lanes it never reads are not
+  charged;
 * ``evaluate`` charges one evaluation and reads the value from the last
   handle ``base`` or ``child`` made when it is of the same set; otherwise
   it scores the set from scratch, checking its ids before the charge. The
@@ -187,19 +187,13 @@ class _ProximityOracleBase:
 
     def charge_scan(self, handle: _Handle, scanned: int) -> None:
         """Charge a scan of ``scanned`` non-member candidates against
-        ``handle``, one at a time: the one charging path for gains. One
+        ``handle``, one at a time: the one charging call for gains. One
         evaluation per candidate, plus one when the handle is cold, which it
         is not afterwards. A scan of no candidates evaluates nothing and
         charges nothing."""
         if scanned:
             self._charge(scanned + handle.cold)
             handle.cold = False
-
-    def scan(self, handle: _Handle, gains: np.ndarray) -> np.ndarray:
-        """Scan ``gains``, the gains of non-member candidates against
-        ``handle``, in order: charge them (``charge_scan``) and return them."""
-        self.charge_scan(handle, gains.size)
-        return gains
 
     def evaluate(self, subset: Iterable[int]) -> float:
         """The reduced objective of ``subset``; charges one evaluation once

@@ -11,9 +11,8 @@ Two seeded shapes, built here from ``np.random.default_rng``:
 Per instance the file pins ``fast`` at two deltas (selection, hex min value,
 evaluation count, hex-encoded params), ``threshold_greedy`` at 0.4 times
 and at the upper bound (selection, trace, stats, evaluation count), and the
-two baselines, ``simple_greedy`` (on the worst-agent objective and on the
-surrogate at 0.4 times the upper bound) and ``ratio_greedy_baseline``
-(selection, hex min value, evaluation count). Floats are stored with
+two baselines, ``simple_greedy`` and ``ratio_greedy_baseline`` (selection,
+hex min value, evaluation count). Floats are stored with
 ``float.hex`` so equality is bit for bit.
 
 Regenerate with ``PYTHONPATH=src python tests/test_bench_shaped_golden.py``,
@@ -107,7 +106,6 @@ def record(shape, index, scenario):
         }
     baselines = {
         "greedy": baseline(simple_greedy(scenario)),
-        "greedy_surrogate_0.4": baseline(simple_greedy(scenario, GREEDY_GAMMA_FRACTIONS[0] * upper)),
         "ratio": baseline(ratio_greedy_baseline(scenario)),
     }
     return {"shape": shape, "index": index, "fast": fast, "threshold_greedy": greedy, "baselines": baselines}

@@ -1,12 +1,15 @@
 """CLI contract: subcommands, exit codes, and output formats."""
 
+import dataclasses
 import json
+import math
 from pathlib import Path
 
 import pytest
 
+from robust_select import checks
 from robust_select.cli import main
-from robust_select.solvers import BRUTE_FORCE_CAP
+from robust_select.solvers import BRUTE_FORCE_CAP, SOLVERS, SolverParams
 
 TINY = {
     "agents": [[0.0, 0.0], [10.0, 0.0]],
@@ -53,6 +56,27 @@ def test_solve_output_file(tiny_path, tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(out_path.read_text())["selected"] == [2]
+
+
+def test_solve_unset_flags_keep_the_solver_defaults(tiny_path, capsys):
+    code, out, _ = run_cli(capsys, "solve", "--config", tiny_path, "--algorithm", "fast")
+    assert code == 0
+    params = json.loads(out)["params"]
+    assert (params["delta"], params["curvature"]) == (SolverParams.delta, SolverParams.curvature)
+    code, out, _ = run_cli(capsys, "solve", "--config", tiny_path, "--algorithm", "fast", "--delta", "0.05")
+    assert code == 0
+    params = json.loads(out)["params"]
+    assert (params["delta"], params["curvature"]) == (0.05, SolverParams.curvature)
+
+
+def test_keyboard_interrupt_is_not_an_internal_error(tiny_path, capsys, monkeypatch):
+    def interrupted(scenario, params):
+        raise KeyboardInterrupt
+
+    monkeypatch.setitem(SOLVERS, "fast", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["solve", "--config", tiny_path, "--algorithm", "fast"])
+    assert "internal error" not in capsys.readouterr().err
 
 
 def test_solve_refuses_delta_that_would_hang(tiny_path, capsys):
@@ -316,6 +340,21 @@ def test_check_passes_on_small_battery(capsys):
     code, out, _ = run_cli(capsys, "check", "--instances", "25", "--seed", "0")
     assert code == 0
     assert out == (GOLDEN / "check_seed0_25.txt").read_text()
+
+
+def test_check_sees_a_stale_min_value(capsys, monkeypatch):
+    """A baseline whose min_value is one ulp above the worst agent's value of
+    its selection fails the solver family."""
+    greedy = checks.simple_greedy
+
+    def stale(scenario):
+        solution = greedy(scenario)
+        return dataclasses.replace(solution, min_value=math.nextafter(solution.min_value, math.inf))
+
+    monkeypatch.setattr(checks, "simple_greedy", stale)
+    code, out, _ = run_cli(capsys, "check", "--instances", "3", "--seed", "0")
+    assert code == 1
+    assert "FAIL solver_feasibility_determinism checked=15 greedy min_value is stale" in out.splitlines()
 
 
 def test_check_rejects_oversized_cap(capsys):

@@ -597,10 +597,6 @@ def test_solver_params_validation():
 # -- simple greedy -----------------------------------------------------
 
 
-def test_simple_greedy_on_surrogate(tiny):
-    assert simple_greedy(tiny, gamma=8.0).selected == (2,)
-
-
 def test_simple_greedy_direct(tiny):
     solution = simple_greedy(tiny)
     assert solution.algorithm == "greedy"
@@ -615,7 +611,7 @@ def test_simple_greedy_all_zero_objective():
     scenario = Scenario.from_coords(
         [(5.0, 5.0)], [(5.0, 5.0), (5.0, 5.0)], UniformMatroid(2, 2)
     )
-    assert simple_greedy(scenario, gamma=4.0).selected == ()
+    assert simple_greedy(scenario).selected == ()
 
 
 # -- ratio baseline ----------------------------------------------------

@@ -14,7 +14,6 @@ from robust_select import (
     UniformMatroid,
     compute_curvature,
     min_objective,
-    simple_greedy,
     threshold_greedy,
 )
 from robust_select.checks import random_small_scenario
@@ -105,12 +104,12 @@ def test_marginal_gain_accounting(tiny):
     oracle = SurrogateOracle(tiny, 8.0)
     n = tiny.n_agents
     base = oracle.base(set())
-    oracle.scan(base, oracle.gains(base)[[0]])
+    oracle.charge_scan(base, 1)
     assert oracle.counter.individual_evals == 2 * n  # base + candidate
-    oracle.scan(base, oracle.gains(base)[[1]])
+    oracle.charge_scan(base, 1)
     assert oracle.counter.individual_evals == 3 * n  # the base is warm now
     base = oracle.base({1})
-    oracle.scan(base, oracle.gains(base)[[2]])
+    oracle.charge_scan(base, 1)
     assert oracle.counter.individual_evals == 5 * n  # a fresh handle is cold
     assert oracle.evaluate({2}) == SQRT50  # the last handle is {1}
     assert oracle.evaluate({1}) == 4.0
@@ -162,12 +161,12 @@ def test_batched_cold_base_costs_one_extra_evaluation(rng):
     n = scenario.n_agents
     base = oracle.base({0, 1})
     gains = oracle.gains(base)[2:]
-    oracle.scan(base, gains)
+    oracle.charge_scan(base, gains.size)
     assert oracle.counter.individual_evals == 11 * n  # cold base + 10 candidates
-    oracle.scan(base, gains)
+    oracle.charge_scan(base, gains.size)
     assert oracle.counter.individual_evals == 21 * n  # a scanned base is warm
     again = oracle.base({0, 1})
-    oracle.scan(again, oracle.gains(again)[2:])
+    oracle.charge_scan(again, gains.size)
     assert oracle.counter.individual_evals == 32 * n  # a fresh handle is cold
 
 
@@ -189,12 +188,13 @@ def test_batched_stop_charges_only_the_scanned_prefix(rng):
     assert oracle.counter.individual_evals == (1 + hit + 1) * n
     # The accepted extension is warm: a scan of it charges its candidates only.
     child = oracle.child(base, candidates[hit])
-    oracle.scan(child, oracle.gains(child)[[candidates[hit - 1]]])
+    oracle.charge_scan(child, 1)
     assert oracle.counter.individual_evals == (1 + hit + 1 + 1) * n
     # A scan that nothing stops charges every candidate.
     oracle = SurrogateOracle(scenario, 50.0)
     base = oracle.base({0})
-    assert oracle.scan(base, oracle.gains(base)[1:]).tolist() == full
+    assert oracle.gains(base)[1:].tolist() == full
+    oracle.charge_scan(base, len(candidates))
     assert oracle.counter.individual_evals == (1 + len(candidates)) * n
 
 
@@ -203,16 +203,17 @@ def test_batched_gamma_zero_charges_per_candidate_only(tiny):
     n = tiny.n_agents
     base = oracle.base({0})
     gains = oracle.gains(base)[[1, 2]]
-    assert oracle.scan(base, gains).tolist() == [0.0, 0.0]
+    assert gains.tolist() == [0.0, 0.0]
+    oracle.charge_scan(base, gains.size)
     assert oracle.counter.individual_evals == 2 * n  # no cold-base charge
-    assert oracle.scan(oracle.base({0}), gains[:1]).tolist() == [0.0]
+    oracle.charge_scan(oracle.base({0}), 1)
     assert oracle.counter.individual_evals == 3 * n
 
 
 @pytest.mark.parametrize("n_agents", [16, 64])
 def test_base_handle_matches_evaluate_differences(rng, n_agents):
-    """The threshold greedy's path (``base``, ``feasible``, ``scan`` over
-    slices, ``child``) returns the gains a fresh
+    """The threshold greedy's path (``base``, ``feasible``, ``charge_scan``
+    over slices, ``child``) returns the gains a fresh
     evaluate(S | {e}) - evaluate(S) gives, scan by scan, and a child's
     value equals a from-scratch evaluation, bit for bit. ``feasible``
     checks its mask once: a wrong length is an IndexError, a member a
@@ -238,7 +239,8 @@ def test_base_handle_matches_evaluate_differences(rng, n_agents):
         by_definition = [reference.evaluate({3, 7, e}) - reference.evaluate({3, 7}) for e in ids.tolist()]
         charged = 1  # the cold base, with the first scan
         for lo in (0, ids.size // 2):
-            scanned = oracle.scan(base, gains[lo:])
+            scanned = gains[lo:]
+            oracle.charge_scan(base, scanned.size)
             assert scanned.tolist() == by_definition[lo:]
             charged += scanned.size
             assert oracle.counter.individual_evals == charged * n
@@ -268,9 +270,10 @@ def test_gamma_zero_builds_no_lanes(rng):
     feasibility.add(3)
     ids, gains = oracle.feasible(base, feasibility.mask)
     assert ids.tolist() == [1, 2, *range(4, 12)] and gains.tolist() == [0.0] * 10
-    assert oracle.scan(base, gains).size == 10
+    oracle.charge_scan(base, gains.size)
     empty = oracle.base(())
-    assert oracle.scan(empty, oracle.gains(empty)[:1]).tolist() == [0.0]
+    assert oracle.gains(empty)[:1].tolist() == [0.0]
+    oracle.charge_scan(empty, 1)
     assert oracle.counter.individual_evals == 11 * n  # no cold-base charges
     with pytest.raises(ValueError, match="outside"):
         oracle.feasible(base, np.ones(12, dtype=bool))
@@ -316,8 +319,8 @@ def test_saturated_handles_build_no_lanes(rng, n_agents):
         mask[list(members)] = False
         for each, handle in ((oracle, base), (lanes, reference)):
             gains = each.feasible(handle, mask)[1]
-            assert each.scan(handle, gains[:5]).size == 5
-            assert each.scan(handle, gains[5:6]).size == 1
+            each.charge_scan(handle, 5)
+            each.charge_scan(handle, 1)
         assert oracle.counter.individual_evals == lanes.counter.individual_evals == 7 * n_agents
         child, expected = oracle.child(base, 12), lanes.child(reference, 12)
         assert child.subset == expected.subset and child.value == expected.value
@@ -370,17 +373,16 @@ def test_a_saturated_value_with_an_agent_below_gamma_builds_lanes():
 
 
 def _greedy_outputs(scenario, gamma):
-    """What the two greedies return at ``gamma``, wall times left out."""
+    """What the threshold greedy returns at ``gamma``."""
     oracle = SurrogateOracle(scenario, gamma)
     trace, stats = [], {}
     selected = threshold_greedy(oracle, scenario.matroid, 0.05, trace=trace, stats=stats)
-    greedy = simple_greedy(scenario, gamma=gamma)
-    return selected, trace, stats, oracle.counter.individual_evals, greedy.selected, greedy.individual_evals
+    return selected, trace, stats, oracle.counter.individual_evals
 
 
 def test_greedies_match_the_lane_path(rng, monkeypatch):
     """Skipping the lanes of saturated handles changes no selection, trace,
-    stat or charge of the threshold greedy or the conventional greedy."""
+    stat or charge of the threshold greedy."""
     saturated = 0
     for _ in range(12):
         n_actions = int(rng.integers(5, 25))
@@ -402,17 +404,6 @@ def test_greedies_match_the_lane_path(rng, monkeypatch):
     assert saturated  # the skip was exercised
 
 
-def test_simple_greedy_at_gamma_zero_scans_once(rng):
-    """Every gain is 0, so the greedy stops after one scan of the feasible
-    ground set (no cold-base charge at gamma == 0) and reports the empty
-    selection, whose worst-agent value costs one more evaluation."""
-    for _ in range(5):
-        scenario = random_scenario(rng, int(rng.integers(1, 20)), int(rng.integers(1, 15)))
-        solution = simple_greedy(scenario, gamma=0.0)
-        assert solution.selected == () and solution.min_value == 0.0
-        assert solution.individual_evals == scenario.n_agents * (scenario.n_actions + 1)
-
-
 def test_batched_rejects_members_and_skips_empty(tiny):
     """A mask that admits a member is refused; an empty one builds no lanes,
     and a scan of nothing charges nothing, not even a cold base."""
@@ -422,7 +413,7 @@ def test_batched_rejects_members_and_skips_empty(tiny):
         oracle.feasible(base, np.array([True, True, False]))
     ids, gains = oracle.feasible(base, np.zeros(3, dtype=bool))
     assert ids.size == gains.size == 0 and base.lanes is None
-    assert oracle.scan(base, gains).size == 0
+    oracle.charge_scan(base, gains.size)
     assert oracle.counter.individual_evals == 0 and base.cold
 
 
@@ -486,14 +477,15 @@ def test_lane_reads_equal_cold_gains_and_charges(rng, n_agents):
             mask = np.ones(30, dtype=bool)
             mask[list(members)] = False
             ids, gains = warm.feasible(base, mask)
-            warm.scan(base, gains[:1])
-            for e, lane in zip(ids.tolist(), gains):
+            warm.charge_scan(base, 1)
+            for e, gain in zip(ids.tolist(), gains.tolist()):
                 before = warm.counter.individual_evals
-                gain = float(warm.scan(base, np.array([lane]))[0])
+                warm.charge_scan(base, 1)
                 assert warm.counter.individual_evals - before == n  # a scanned base
                 cold = make()
                 handle = cold.base(members)
-                assert cold.scan(handle, cold.gains(handle)[[e]])[0] == gain
+                assert cold.gains(handle)[e] == gain
+                cold.charge_scan(handle, 1)
                 assert cold.counter.individual_evals == 2 * n  # cold base + candidate
                 fresh = make()
                 assert fresh.evaluate(members | {e}) - fresh.evaluate(members) == gain
