@@ -78,7 +78,7 @@ class BenchConfig:
             raise ValueError(f"bench config {path}: top level must be an object")
         unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
-            raise ValueError(f"bench config: unknown field '{sorted(unknown)[0]}'")
+            raise ValueError(f"bench config {path}: unknown field '{sorted(unknown)[0]}'")
         return cls(**data)
 
 

@@ -28,7 +28,7 @@ from .surrogate import SurrogateOracle, compute_curvature
 
 MAX_ACTIONS_CAP = 7
 BOUND_TOL = 1e-9
-DELTA = 1e-3
+DELTA = SolverParams.delta
 
 
 @dataclass
