@@ -123,12 +123,9 @@ def generate_scenario(config: BenchConfig, z: int, seed: int) -> Scenario:
     agents = rng.uniform(0.0, config.region, size=(config.n_agents, 2))
     actions = rng.uniform(0.0, config.region, size=(config.n_actions, 2))
     half = config.region / 2.0
-    blocks: list[list[int]] = [[], [], [], []]
-    for j in range(config.n_actions):
-        x, y = actions[j]
-        blocks[(1 if x >= half else 0) + (2 if y >= half else 0)].append(j)
-    matroid = PartitionMatroid(tuple(tuple(b) for b in blocks), (z,) * 4)
-    return Scenario.from_coords(agents, actions, matroid)
+    quadrant = (actions[:, 0] >= half) + 2 * (actions[:, 1] >= half)
+    blocks = tuple(tuple(np.flatnonzero(quadrant == b).tolist()) for b in range(4))
+    return Scenario.from_coords(agents, actions, PartitionMatroid(blocks, (z,) * 4))
 
 
 def _run_cell(config: BenchConfig, z: int, trial: int, algorithms: tuple[str, ...]) -> list[TrialResult]:

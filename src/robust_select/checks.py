@@ -100,7 +100,7 @@ def gamma_grid(upper: float) -> list[float]:
 
 def run_battery(
     instances: int = 200,
-    max_actions: int = 7,
+    max_actions: int = MAX_ACTIONS_CAP,
     seed: int = 0,
     inject_defect: bool = False,
 ) -> list[CheckResult]:

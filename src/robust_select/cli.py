@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import json
 import sys
 
@@ -21,7 +22,7 @@ from .bench import (
     write_summary,
     write_summary_csv,
 )
-from .checks import MAX_ACTIONS_CAP, run_battery
+from .checks import run_battery
 from .scenario import load_scenario, scenario_to_dict
 from .solvers import SOLVERS, SolverParams
 
@@ -69,9 +70,10 @@ def build_parser() -> argparse.ArgumentParser:
     bench.set_defaults(func=cmd_bench)
 
     check = sub.add_parser("check", help="run the randomized verification battery")
-    check.add_argument("--instances", type=int, default=200)
-    check.add_argument("--max-actions", type=int, default=MAX_ACTIONS_CAP)
-    check.add_argument("--seed", type=int, default=0)
+    # Each flag's dest is the run_battery parameter it sets, and its default None keeps that parameter's default.
+    check.add_argument("--instances", type=int, default=None)
+    check.add_argument("--max-actions", type=int, default=None)
+    check.add_argument("--seed", type=int, default=None)
     check.add_argument(
         "--inject-defect",
         action="store_true",
@@ -81,9 +83,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _given(args: argparse.Namespace, record: type) -> dict:
-    """The flags named after a field of the dataclass ``record`` that were given (not None)."""
-    return {f.name: getattr(args, f.name) for f in dataclasses.fields(record) if getattr(args, f.name) is not None}
+def _given(args: argparse.Namespace, target: object) -> dict:
+    """The flags named after a parameter of ``target`` (a dataclass or a function) that were given (not None)."""
+    names = inspect.signature(target).parameters
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -118,12 +121,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    outcomes = run_battery(
-        instances=args.instances,
-        max_actions=args.max_actions,
-        seed=args.seed,
-        inject_defect=args.inject_defect,
-    )
+    outcomes = run_battery(**_given(args, run_battery))
     failed = [o for o in outcomes if not o.passed]
     for outcome in outcomes:
         print(outcome.line())

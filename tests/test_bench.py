@@ -3,6 +3,7 @@ CSV round-trips."""
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -41,15 +42,32 @@ def test_generate_scenario_structure():
         assert 0.0 <= p.x < 100.0 and 0.0 <= p.y < 100.0
 
 
-def test_generate_scenario_quadrants():
+class MidLineDraw:
+    """Stands in for ``np.random.default_rng``: one agent, then five actions
+    of a 100 x 100 region, three of them on the mid lines."""
+
+    def __init__(self, seed):
+        self.draws = iter([[[20.0, 30.0]], [[50.0, 10.0], [10.0, 50.0], [50.0, 50.0], [49.99, 49.99], [10.0, 10.0]]])
+
+    def uniform(self, low, high, size):
+        return np.array(next(self.draws))
+
+
+def test_generate_scenario_quadrants(monkeypatch):
+    """Each action lies in its quadrant's block; points on the mid lines
+    belong to the right/upper half."""
     config = BenchConfig()
-    scenario = generate_scenario(config, z=1, seed=123)
+    drawn = generate_scenario(config, z=1, seed=123)
+    monkeypatch.setattr("robust_select.bench.np.random.default_rng", MidLineDraw)
+    on_mid_lines = generate_scenario(BenchConfig(n_agents=1, n_actions=5), z=1, seed=0)
+    assert on_mid_lines.matroid.blocks == ((3, 4), (0,), (1,), (2,))
     half = config.region / 2.0
-    for b, block in enumerate(scenario.matroid.blocks):
-        for j in block:
-            p = scenario.actions[j]
-            assert (p.x >= half) == bool(b & 1)
-            assert (p.y >= half) == bool(b & 2)
+    for scenario in (drawn, on_mid_lines):
+        for b, block in enumerate(scenario.matroid.blocks):
+            for j in block:
+                p = scenario.actions[j]
+                assert (p.x >= half) == bool(b & 1)
+                assert (p.y >= half) == bool(b & 2)
 
 
 def test_generate_scenario_deterministic():

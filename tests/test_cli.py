@@ -1,6 +1,7 @@
 """CLI contract: subcommands, exit codes, and output formats."""
 
 import dataclasses
+import functools
 import json
 import math
 from pathlib import Path
@@ -222,23 +223,27 @@ def test_bench_deterministic_files(tmp_path, capsys):
 GOLDEN = Path(__file__).parent / "data"
 
 
-@pytest.mark.parametrize("agents", [5, 16])
+@pytest.mark.parametrize("agents", [5, 16, pytest.param(None, id="paper-sweep")])
 def test_bench_matches_golden_csvs(agents, tmp_path, capsys):
     """Solver speed-ups must keep every selection and evaluation count: the
     no-wall-time CSVs stay byte-identical to the committed ones. Sixteen
     agents is past the size where numpy switches a single column's sum to
-    pairwise order."""
+    pairwise order. The paper sweep is ``bench`` with no other flag (z 1-10,
+    100 trials, fast and ratio): its summary pins all 1,000 scenarios behind
+    the README's sweep table, and its raw CSV is not kept."""
     raw, summary = tmp_path / "raw.csv", tmp_path / "summary.csv"
+    small = ("--agents", str(agents), "--z-min", "1", "--z-max", "3", "--trials", "5", "--algorithms", "fast,greedy,ratio")
     code, _, _ = run_cli(
         capsys,
         "bench",
-        "--agents", str(agents), "--z-min", "1", "--z-max", "3", "--trials", "5",
-        "--algorithms", "fast,greedy,ratio", "--no-wall-time",
+        *(small if agents else ()), "--no-wall-time",
         "--out", str(raw), "--summary", str(summary),
     )
     assert code == 0
-    assert raw.read_bytes() == (GOLDEN / f"bench_agents{agents}_raw.csv").read_bytes()
-    assert summary.read_bytes() == (GOLDEN / f"bench_agents{agents}_summary.csv").read_bytes()
+    name = f"bench_agents{agents}" if agents else "bench_default"
+    if agents:
+        assert raw.read_bytes() == (GOLDEN / f"{name}_raw.csv").read_bytes()
+    assert summary.read_bytes() == (GOLDEN / f"{name}_summary.csv").read_bytes()
 
 
 def test_bench_config_file_with_overrides(tmp_path, capsys):
@@ -361,6 +366,25 @@ def test_check_rejects_oversized_cap(capsys):
     code, _, err = run_cli(capsys, "check", "--max-actions", "20")
     assert code == 2
     assert "max-actions" in err
+
+
+def test_check_forwards_only_the_flags_given(capsys, monkeypatch):
+    """A flag left out keeps run_battery's own default, so the CLI holds no
+    second copy of it."""
+    seen = []
+
+    @functools.wraps(checks.run_battery)
+    def record(**kwargs):
+        seen.append(kwargs)
+        return []
+
+    monkeypatch.setattr("robust_select.cli.run_battery", record)
+    for argv in ((), ("--instances", "3", "--max-actions", "4", "--seed", "9")):
+        assert run_cli(capsys, "check", *argv)[0] == 0
+    assert seen == [
+        {"inject_defect": False},
+        {"instances": 3, "max_actions": 4, "seed": 9, "inject_defect": False},
+    ]
 
 
 def test_check_injected_defect_fails_with_counterexample(capsys):

@@ -251,9 +251,36 @@ def test_counter_monotone_and_units(tiny):
         counter.add(-1)
 
 
+def test_from_coords_reads_arrays_lists_and_points():
+    """An array, a list of lists and a tuple of points give one scenario,
+    with float coordinates."""
+    agents, actions = [[1, 2]], [[0.0, -3], [4.25, 7.0]]
+    matroid = UniformMatroid(2, 1)
+    scenarios = [
+        Scenario.from_coords(np.array(agents), np.array(actions), matroid),
+        Scenario.from_coords(agents, actions, matroid),
+        Scenario.from_coords(tuple(Point2(*p) for p in agents), tuple(Point2(*p) for p in actions), matroid),
+    ]
+    assert scenarios[0] == scenarios[1] == scenarios[2]
+    for scenario in scenarios:
+        assert scenario.agents == (Point2(1.0, 2.0),)
+        assert all(type(c) is float for p in scenario.agents + scenario.actions for c in p)
+
+
 def test_scenario_validation():
     with pytest.raises(ValueError, match="at least one agent"):
         Scenario.from_coords([], [(0.0, 0.0)], UniformMatroid(1, 1))
+    with pytest.raises(ValueError, match="at least one agent"):
+        Scenario.from_coords(np.empty((0, 2)), [(0.0, 0.0)], UniformMatroid(1, 1))
+    one = UniformMatroid(1, 1)
+    with pytest.raises(ValueError, match="unpack"):
+        Scenario.from_coords([(0.0, 0.0)], np.zeros((1, 3)), one)
+    with pytest.raises(TypeError):
+        Scenario.from_coords(np.zeros(2), [(0.0, 0.0)], one)
+    with pytest.raises(ValueError):
+        Scenario.from_coords(np.array([["a", "0"]]), [(0.0, 0.0)], one)
+    with pytest.raises(ValueError, match="finite"):
+        Scenario.from_coords(np.array([[math.inf, 0.0]]), [(0.0, 0.0)], one)
     with pytest.raises(ValueError, match="finite"):
         Scenario.from_coords([(math.nan, 0.0)], [(0.0, 0.0)], UniformMatroid(1, 1))
     with pytest.raises(ValueError, match="ground set size"):
