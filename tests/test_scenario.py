@@ -279,6 +279,9 @@ def test_scenario_validation():
         Scenario.from_coords(np.zeros(2), [(0.0, 0.0)], one)
     with pytest.raises(ValueError):
         Scenario.from_coords(np.array([["a", "0"]]), [(0.0, 0.0)], one)
+    # A complex coordinate is refused, not cut to its real part.
+    with pytest.raises(TypeError, match="complex"):
+        Scenario.from_coords(np.array([[1 + 2j, 0]]), [(0.0, 0.0)], one)
     with pytest.raises(ValueError, match="finite"):
         Scenario.from_coords(np.array([[math.inf, 0.0]]), [(0.0, 0.0)], one)
     with pytest.raises(ValueError, match="finite"):
