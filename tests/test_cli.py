@@ -232,7 +232,8 @@ def test_bench_matches_golden_csvs(agents, tmp_path, capsys):
     100 trials, fast and ratio): its summary pins all 1,000 scenarios behind
     the README's sweep table, and its raw CSV is not kept."""
     raw, summary = tmp_path / "raw.csv", tmp_path / "summary.csv"
-    small = ("--agents", str(agents), "--z-min", "1", "--z-max", "3", "--trials", "5", "--algorithms", "fast,greedy,ratio")
+    small = ("--agents", str(agents), "--z-min", "1", "--z-max", "3", "--trials", "5",
+             "--algorithms", "fast,greedy,ratio")
     code, _, _ = run_cli(
         capsys,
         "bench",

@@ -270,9 +270,9 @@ def test_from_coords_reads_arrays_lists_and_points():
 def test_scenario_validation():
     with pytest.raises(ValueError, match="at least one agent"):
         Scenario.from_coords([], [(0.0, 0.0)], UniformMatroid(1, 1))
-    with pytest.raises(ValueError, match="at least one agent"):
-        Scenario.from_coords(np.empty((0, 2)), [(0.0, 0.0)], UniformMatroid(1, 1))
     one = UniformMatroid(1, 1)
+    with pytest.raises(ValueError, match="at least one agent"):
+        Scenario.from_coords(np.empty((0, 2)), [(0.0, 0.0)], one)
     with pytest.raises(ValueError, match="unpack"):
         Scenario.from_coords([(0.0, 0.0)], np.zeros((1, 3)), one)
     with pytest.raises(TypeError):
