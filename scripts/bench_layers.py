@@ -3,7 +3,7 @@
 
     python3 scripts/bench_layers.py --out BENCH_11.json [--label TEXT] [--quick]
 
-Five layers, each timed as the minimum over REPEATS repeats on fixed seeds,
+Six layers, each timed as the minimum over REPEATS repeats on fixed seeds,
 with the evaluations one run charges (in f-equivalents, as
 ``Solution.f_evaluations`` counts them). A repeat of a batched layer runs it
 a batch of times, and its time and evaluations are divided by the batch:
@@ -13,12 +13,13 @@ a batch of times, and its time and evaluations are divided by the batch:
 * ``threshold_greedy``: one greedy, timed as a batch of ten at the fixed
   gammas k/10 of the trivial bound, k = 1..10, and reported per greedy;
 * ``saturate_robust``: one bisection solve (the distance matrix is built);
+* ``ratio_greedy_baseline``: one run of the ratio baseline;
 * ``bench_cell``: one benchmark cell, ``fast`` and ``ratio`` on a freshly
   generated scenario;
 * ``bench_full``: the full benchmark, ``BenchConfig()`` with ``fast`` and
   ``ratio``: 10 capacities x 100 trials x 2 algorithms = 2000 runs.
 
-The first three run on the paper sweep's scenario at capacity 5 of trial 0.
+The first four run on the paper sweep's scenario at capacity 5 of trial 0.
 A block of perfbench's reference kernel (``perfbench/speed.py``) runs
 before each layer's first repeat and after every repeat, and each layer
 also records ``scaled_ms``: the minimum over its repeats of the wall time
@@ -55,6 +56,7 @@ from robust_select import (  # noqa: E402
     SurrogateOracle,
     generate_scenario,
     min_objective,
+    ratio_greedy_baseline,
     run_benchmark,
     saturate_robust,
     threshold_greedy,
@@ -119,6 +121,9 @@ def layers(repeats: int, full_trials: int) -> list[dict]:
     def solve() -> float:
         return saturate_robust(scenario, params).f_evaluations
 
+    def ratio() -> float:
+        return ratio_greedy_baseline(scenario).f_evaluations
+
     def cell() -> float:
         cell_config = BenchConfig(z_min=CAPACITY, z_max=CAPACITY, trials=1, base_seed=BASE_SEED)
         return sum(r.evaluations for r in run_benchmark(cell_config, ("fast", "ratio")))
@@ -131,6 +136,7 @@ def layers(repeats: int, full_trials: int) -> list[dict]:
         ("scan", scan, repeats, SCAN_BATCH, {**instance, "gamma": gamma}),
         ("threshold_greedy", greedy, repeats, GREEDY_BATCH, {**instance, "gammas": gammas}),
         ("saturate_robust", solve, repeats, 1, instance),
+        ("ratio_greedy_baseline", ratio, repeats, 1, instance),
         ("bench_cell", cell, repeats, 1, instance),
         ("bench_full", full, max(1, repeats // 2), 1, {"base_seed": BASE_SEED, "trials": full_trials}),
     ):
@@ -192,7 +198,7 @@ def main(argv: list[str] | None = None) -> int:
     args.out.write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")
     for row in rows:
         print(
-            f"{row['layer']:>16}  {row['wall_ms']:10.4f} ms  {row['scaled_ms']:10.4f} scaled ms  "
+            f"{row['layer']:>21}  {row['wall_ms']:10.4f} ms  {row['scaled_ms']:10.4f} scaled ms  "
             f"{row['evaluations']:12.1f} evaluations"
         )
     return 0

@@ -17,7 +17,7 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import astuple, dataclass, fields
+from dataclasses import astuple, dataclass, fields, replace
 from typing import Iterable, Sequence, TextIO, get_type_hints
 
 import numpy as np
@@ -128,9 +128,9 @@ def generate_scenario(config: BenchConfig, z: int, seed: int) -> Scenario:
     return Scenario.from_coords(agents, actions, PartitionMatroid(blocks, (z,) * 4))
 
 
-def _run_cell(config: BenchConfig, z: int, trial: int, algorithms: tuple[str, ...]) -> list[TrialResult]:
-    seed = trial_seed(config.base_seed, trial)
-    scenario = generate_scenario(config, z, seed)
+def _run_cell(
+    config: BenchConfig, z: int, trial: int, seed: int, scenario: Scenario, algorithms: tuple[str, ...]
+) -> list[TrialResult]:
     params = config.solver_params()
     results = []
     for name in algorithms:
@@ -167,12 +167,14 @@ def run_benchmark(
             raise ValueError(f"unknown algorithm '{name}': expected one of {', '.join(SOLVERS)}")
     if len(set(names)) != len(names):
         raise ValueError("duplicate algorithm names requested")
-    results = [
-        result
-        for z in range(config.z_min, config.z_max + 1)
-        for trial in range(config.trials)
-        for result in _run_cell(config, z, trial, names)
-    ]
+    results = []
+    for trial in range(config.trials):
+        # Every capacity of a trial has the same points: draw them once.
+        seed = trial_seed(config.base_seed, trial)
+        drawn = generate_scenario(config, config.z_min, seed)
+        for z in range(config.z_min, config.z_max + 1):
+            scenario = replace(drawn, matroid=PartitionMatroid(drawn.matroid.blocks, (z,) * 4))
+            results += _run_cell(config, z, trial, seed, scenario, names)
     results.sort(key=lambda r: (r.z, r.trial, r.algorithm))
     return results
 

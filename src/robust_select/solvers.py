@@ -98,6 +98,7 @@ class _Ladder:
     def __init__(self, start: float, delta: float) -> None:
         self.delta = delta
         self._c = 1.0 + delta
+        self._log_c = math.log(self._c)
         self._settle(0, float(start))
 
     def _settle(self, k: int, value: float) -> None:
@@ -176,7 +177,7 @@ class _Ladder:
         the estimate was certified every time.)"""
         bound = max(at_most, math.nextafter(floor, -math.inf))
         if bound >= _MIN_NORMAL and self._exact > bound:
-            k = self._exact_k + math.ceil((math.log(self._exact) - math.log(bound)) / math.log(self._c))
+            k = self._exact_k + math.ceil((math.log(self._exact) - math.log(bound)) / self._log_c)
             k = max(k, self.k + 1)
             target = self.bounds(k)
             if target is not None and target[1] <= bound:
@@ -346,7 +347,7 @@ def threshold_greedy(
     gains = oracle.gains(base)
     # An empty ground set scans nothing, so nothing is charged.
     oracle.charge_scan(base, gains.size)
-    initial = float(gains.max(initial=0.0))
+    initial = float(np.maximum.reduce(gains, initial=0.0))
     ladder = _Ladder(initial, delta)
     floor = delta * initial
     # The set, and so every gain and the feasibility mask, only changes
@@ -512,7 +513,7 @@ def ratio_greedy_baseline(scenario: Scenario) -> Solution:
     """
     started = time.perf_counter()
     counter = EvaluationCounter()
-    distances = scenario.distances
+    distances, n_agents = scenario.distances, scenario.n_agents
     feasibility = scenario.matroid.feasibility()
     selected: set[int] = set()
     norm = None
@@ -521,18 +522,21 @@ def ratio_greedy_baseline(scenario: Scenario) -> Solution:
         size = int(np.count_nonzero(mask))
         if not size:
             break
-        counter.add(scenario.n_agents * size * (1 + size))
+        counter.add(n_agents * size * (1 + size))
         if norm is None or size < last_size - 1 or attains[best]:
-            pool_max = distances.max(axis=1, where=mask, initial=0.0)
-            if norm is None or (pool_max != norm).any():
+            # The ufuncs' own reductions, as ndarray.max/.min/.any call them,
+            # without the Python wrappers around them.
+            pool_max = np.maximum.reduce(distances, axis=1, where=mask, initial=0.0)
+            if norm is None or np.logical_or.reduce(pool_max != norm):
                 norm = pool_max
                 # A zero normalizer means a zero row of the pool, so dividing
                 # it by 1 scores 0. Only the pool is divided: a column outside
                 # it never returns to it, and it could overflow.
                 divisor = np.where(norm > 0.0, norm, 1.0)[:, None]
-                scores = np.divide(distances, divisor, out=np.zeros_like(distances), where=mask).min(axis=0)
-                order = np.argsort(-scores, kind="stable")  # first maximum: lowest id on ties
-                attains = (distances == norm[:, None]).any(axis=0)
+                scores = np.divide(distances, divisor, out=np.zeros(distances.shape), where=mask)
+                scores = np.minimum.reduce(scores, axis=0)
+                order = np.negative(scores).argsort(kind="stable")  # first maximum: lowest id on ties
+                attains = np.logical_or.reduce(distances == norm[:, None], axis=0)
                 at = 0
         if not mask[order[at]]:
             at += int(mask[order[at:]].argmax())

@@ -56,7 +56,6 @@ Handles and accounting contract shared by both:
 from __future__ import annotations
 
 import warnings
-from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -101,6 +100,8 @@ class _ProximityOracleBase:
         # The last handle ``base`` or ``child`` made, which ``evaluate``
         # reads instead of scoring the same set again.
         self._last: _Handle | None = None
+        # The distance matrix capped once, on first use, so that lanes need no capping.
+        self._capped: np.ndarray | None = None
 
     # -- subclass hooks ------------------------------------------------
     def _cap(self, values: np.ndarray) -> np.ndarray:
@@ -120,11 +121,6 @@ class _ProximityOracleBase:
         return False
 
     # -- shared machinery ----------------------------------------------
-    @cached_property
-    def _capped(self) -> np.ndarray:
-        """The distance matrix capped once, so that lanes need no capping."""
-        return self._cap(self.scenario.distances)
-
     def _charge(self, evaluations: int = 1) -> None:
         self.counter.add(evaluations * self._agents)
 
@@ -144,6 +140,8 @@ class _ProximityOracleBase:
                 handle.gains = np.zeros(self.scenario.n_actions)
             else:
                 capped = self._capped
+                if capped is None:
+                    capped = self._capped = self._cap(self.scenario.distances)
                 handle.lanes = np.maximum(handle.values[:, None], capped) if handle.subset else capped
                 handle.reduced = self._total(handle.lanes)
                 handle.gains = handle.reduced - handle.value
@@ -243,7 +241,7 @@ class SurrogateOracle(_ProximityOracleBase):
         return self.gamma == 0.0
 
     def _saturated(self, handle: _Handle) -> bool:
-        return handle.value >= self._nearly_gamma and handle.values.min() >= self.gamma
+        return handle.value >= self._nearly_gamma and np.minimum.reduce(handle.values) >= self.gamma
 
 
 class MinObjectiveOracle(_ProximityOracleBase):
@@ -251,7 +249,7 @@ class MinObjectiveOracle(_ProximityOracleBase):
     but not submodular; useful for direct greedy baselines and reporting."""
 
     def _total(self, capped: np.ndarray) -> np.ndarray:
-        return capped.min(axis=0)
+        return np.minimum.reduce(capped, axis=0)
 
 
 def compute_curvature(oracle, ground: Iterable[int]) -> float:

@@ -131,6 +131,20 @@ def test_run_benchmark_runs_in_one_process():
             run_benchmark(config, ("fast",), workers=workers)
 
 
+def test_run_benchmark_draws_each_trial_once(monkeypatch):
+    """The capacities of a trial share its points: the sweep draws
+    ``trials`` scenarios, not ``trials`` x capacities, and gives the results
+    of one sweep per capacity."""
+    config = small_config(z_min=1, z_max=4, measure_wall_time=False)
+    per_capacity = [
+        r for z in range(1, 5) for r in run_benchmark(small_config(z_min=z, z_max=z, measure_wall_time=False))
+    ]
+    draws, default_rng = [], np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: draws.append(seed) or default_rng(seed))
+    assert run_benchmark(config) == per_capacity
+    assert draws == [trial_seed(config.base_seed, trial) for trial in range(config.trials)]
+
+
 def test_aggregate_means():
     rows = aggregate(
         [

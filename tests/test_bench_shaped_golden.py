@@ -15,7 +15,13 @@ two baselines, ``simple_greedy`` and ``ratio_greedy_baseline`` (selection,
 hex min value, evaluation count). Floats are stored with
 ``float.hex`` so equality is bit for bit.
 
-Regenerate with ``PYTHONPATH=src python tests/test_bench_shaped_golden.py``,
+A second file pins the three product solvers, ``fast``, ``ratio`` and
+``greedy`` of ``SOLVERS`` at their default parameters (selection, hex min
+value, evaluation count), on 20 more instances of each shape: enough that
+the surrogate's row-by-row agent sum (N >= 9) and the ratio baseline's
+rescoring are covered over many draws.
+
+Regenerate both with ``PYTHONPATH=src python tests/test_bench_shaped_golden.py``,
 but only from a commit whose outputs are known to be right.
 """
 
@@ -26,6 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from robust_select import (
+    SOLVERS,
     PartitionMatroid,
     Scenario,
     SolverParams,
@@ -39,11 +46,14 @@ from robust_select import (
 )
 
 GOLDEN = Path(__file__).parent / "data" / "bench_shaped_golden.json"
+SOLVERS_GOLDEN = Path(__file__).parent / "data" / "solvers_shaped_golden.json"
 SEED = 5
 INSTANCES = 8
 FAST_DELTAS = (1e-3, 0.05)
 GREEDY_GAMMA_FRACTIONS = (0.4, 1.0)
 GREEDY_DELTA = 1e-3
+# The instances after GOLDEN's, per shape, that SOLVERS_GOLDEN pins.
+SOLVER_INDICES = range(INSTANCES, INSTANCES + 20)
 
 
 def ring_points(rng, count, radius):
@@ -119,6 +129,16 @@ def records():
     ]
 
 
+def solver_records():
+    names = ("fast", "ratio", "greedy")
+    return [
+        {"shape": shape, "index": index, **{name: baseline(SOLVERS[name](scenario, SolverParams())) for name in names}}
+        for shape, make in (("ring", ring_scenario), ("crowd", crowd_scenario))
+        for index in SOLVER_INDICES
+        for scenario in (make(index),)
+    ]
+
+
 def test_crowd_shape_has_about_sixty_blocks():
     blocks = [len(crowd_scenario(i).matroid.blocks) for i in range(INSTANCES)]
     assert min(blocks) >= 50
@@ -132,5 +152,14 @@ def test_bench_shaped_instances_match_golden():
         assert actual == expected, (expected["shape"], expected["index"])
 
 
+def test_solvers_on_more_shaped_instances_match_golden():
+    golden = json.loads(SOLVERS_GOLDEN.read_text())
+    got = solver_records()
+    assert len(got) == len(golden) == 2 * len(SOLVER_INDICES)
+    for expected, actual in zip(golden, got):
+        assert actual == expected, (expected["shape"], expected["index"])
+
+
 if __name__ == "__main__":
-    GOLDEN.write_text("[\n" + ",\n".join(json.dumps(r, sort_keys=True) for r in records()) + "\n]\n")
+    for path, rows in ((GOLDEN, records()), (SOLVERS_GOLDEN, solver_records())):
+        path.write_text("[\n" + ",\n".join(json.dumps(r, sort_keys=True) for r in rows) + "\n]\n")
