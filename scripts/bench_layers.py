@@ -12,14 +12,15 @@ a batch of times, and its time and evaluations are divided by the batch:
   handle, the one charging call (the gains are read from the handle itself);
 * ``threshold_greedy``: one greedy, timed as a batch of ten at the fixed
   gammas k/10 of the trivial bound, k = 1..10, and reported per greedy;
-* ``saturate_robust``: one bisection solve (the distance matrix is built);
+* ``saturate_robust``: one bisection solve;
 * ``ratio_greedy_baseline``: one run of the ratio baseline;
 * ``bench_cell``: one benchmark cell, ``fast`` and ``ratio`` on a freshly
   generated scenario;
 * ``bench_full``: the full benchmark, ``BenchConfig()`` with ``fast`` and
   ``ratio``: 10 capacities x 100 trials x 2 algorithms = 2000 runs.
 
-The first four run on the paper sweep's scenario at capacity 5 of trial 0.
+The first four run on the paper sweep's scenario at capacity 5 of trial 0,
+whose distance matrix is built before any layer is timed.
 A block of perfbench's reference kernel (``perfbench/speed.py``) runs
 before each layer's first repeat and after every repeat, and each layer
 also records ``scaled_ms``: the minimum over its repeats of the wall time
