@@ -3,7 +3,7 @@
 
     python3 scripts/bench_layers.py --out BENCH_11.json [--label TEXT] [--quick]
 
-Six layers, each timed as the minimum over REPEATS repeats on fixed seeds,
+Seven layers, each timed as the minimum over REPEATS repeats on fixed seeds,
 with the evaluations one run charges (in f-equivalents, as
 ``Solution.f_evaluations`` counts them). A repeat of a batched layer runs it
 a batch of times, and its time and evaluations are divided by the batch:
@@ -14,12 +14,13 @@ a batch of times, and its time and evaluations are divided by the batch:
   gammas k/10 of the trivial bound, k = 1..10, and reported per greedy;
 * ``saturate_robust``: one bisection solve;
 * ``ratio_greedy_baseline``: one run of the ratio baseline;
+* ``simple_greedy``: one run of the worst-agent greedy baseline;
 * ``bench_cell``: one benchmark cell, ``fast`` and ``ratio`` on a freshly
   generated scenario;
 * ``bench_full``: the full benchmark, ``BenchConfig()`` with ``fast`` and
   ``ratio``: 10 capacities x 100 trials x 2 algorithms = 2000 runs.
 
-The first four run on the paper sweep's scenario at capacity 5 of trial 0,
+The first five run on the paper sweep's scenario at capacity 5 of trial 0,
 whose distance matrix is built before any layer is timed.
 A block of perfbench's reference kernel (``perfbench/speed.py``) runs
 before each layer's first repeat and after every repeat, and each layer
@@ -60,6 +61,7 @@ from robust_select import (  # noqa: E402
     ratio_greedy_baseline,
     run_benchmark,
     saturate_robust,
+    simple_greedy,
     threshold_greedy,
     trial_seed,
 )
@@ -125,6 +127,9 @@ def layers(repeats: int, full_trials: int) -> list[dict]:
     def ratio() -> float:
         return ratio_greedy_baseline(scenario).f_evaluations
 
+    def greedy_baseline() -> float:
+        return simple_greedy(scenario).f_evaluations
+
     def cell() -> float:
         cell_config = BenchConfig(z_min=CAPACITY, z_max=CAPACITY, trials=1, base_seed=BASE_SEED)
         return sum(r.evaluations for r in run_benchmark(cell_config, ("fast", "ratio")))
@@ -138,6 +143,7 @@ def layers(repeats: int, full_trials: int) -> list[dict]:
         ("threshold_greedy", greedy, repeats, GREEDY_BATCH, {**instance, "gammas": gammas}),
         ("saturate_robust", solve, repeats, 1, instance),
         ("ratio_greedy_baseline", ratio, repeats, 1, instance),
+        ("simple_greedy", greedy_baseline, repeats, 1, instance),
         ("bench_cell", cell, repeats, 1, instance),
         ("bench_full", full, max(1, repeats // 2), 1, {"base_seed": BASE_SEED, "trials": full_trials}),
     ):

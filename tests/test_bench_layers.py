@@ -7,7 +7,9 @@ import sys
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_layers.py"
-LAYERS = ["scan", "threshold_greedy", "saturate_robust", "ratio_greedy_baseline", "bench_cell", "bench_full"]
+LAYERS = [
+    "scan", "threshold_greedy", "saturate_robust", "ratio_greedy_baseline", "simple_greedy", "bench_cell", "bench_full",
+]
 
 
 def test_quick_mode_appends_a_record_that_parses(tmp_path):

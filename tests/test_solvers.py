@@ -13,6 +13,7 @@ from hypothesis import assume, given, strategies as st
 
 from robust_select import (
     SOLVERS,
+    EvaluationCounter,
     GreedyStep,
     Matroid,
     MinObjectiveOracle,
@@ -612,6 +613,56 @@ def test_simple_greedy_all_zero_objective():
         [(5.0, 5.0)], [(5.0, 5.0), (5.0, 5.0)], UniformMatroid(2, 2)
     )
     assert simple_greedy(scenario).selected == ()
+
+
+def literal_simple_greedy(scenario):
+    """The worst-agent greedy written out one candidate at a time: each round
+    scores every feasible candidate with ``min_objective`` and a counter and
+    adds the first of the largest gains, while it is positive. The base is
+    charged as the one-at-a-time scan charges it: scored again (cold) in the
+    first round, and in a later round unless the last pick was the last
+    candidate scanned, whose extension the scan evaluated last. The final
+    value is charged once more, as every solver charges it."""
+    matroid, n = scenario.matroid, scenario.n_actions
+    counter, selected, value, cold = EvaluationCounter(), set(), 0.0, True
+    while True:
+        feasible = [e for e in range(n) if e not in selected and matroid.can_extend(selected, e)]
+        if not feasible:
+            break
+        if cold:
+            value = min_objective(scenario, selected, counter)
+        values = [min_objective(scenario, selected | {e}, counter) for e in feasible]
+        gains = [v - value for v in values]
+        best = gains.index(max(gains))
+        if not gains[best] > 0.0:
+            break
+        selected.add(feasible[best])
+        value, cold = values[best], best != len(feasible) - 1
+    return tuple(sorted(selected)), min_objective(scenario, selected, counter), counter.individual_evals
+
+
+def test_simple_greedy_matches_the_one_at_a_time_definition(rng):
+    """Scoring whole rounds at once changes no pick, value bit or charge:
+    on uniform and partition matroids (zero capacities included), on tied
+    gains (duplicated actions), on an empty ground set and on a matroid
+    whose mask is replaced on each ``add``."""
+    instances = [empty_ground_scenario()]
+    for _ in range(40):
+        n_actions = int(rng.integers(1, 30))
+        scenario = random_matroid_scenario(rng, int(rng.integers(1, 12)), n_actions)
+        agents, actions = [(p.x, p.y) for p in scenario.agents], [(p.x, p.y) for p in scenario.actions]
+        copies = rng.integers(0, n_actions, n_actions)
+        tied = Scenario.from_coords(agents, [actions[j] for j in copies], scenario.matroid)
+        forwarding = Scenario.from_coords(agents, actions, _ForwardingMatroid(scenario.matroid))
+        instances += [scenario, tied, forwarding]
+    zero_capacity = sum(
+        isinstance(s.matroid, PartitionMatroid) and 0 in s.matroid.capacities for s in instances
+    )
+    assert zero_capacity
+    for instance in instances:
+        solution = simple_greedy(instance)
+        got = (solution.selected, solution.min_value, solution.individual_evals)
+        assert got == literal_simple_greedy(instance)
 
 
 # -- ratio baseline ----------------------------------------------------
