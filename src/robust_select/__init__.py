@@ -40,15 +40,15 @@ from .solvers import (
     GreedyStep,
     Solution,
     SolverParams,
+    brute_force_max,
     brute_force_maxmin,
-    brute_force_surrogate_max,
     iter_independent_sets,
     ratio_greedy_baseline,
     saturate_robust,
     simple_greedy,
     threshold_greedy,
 )
-from .surrogate import MinObjectiveOracle, SurrogateOracle, compute_curvature
+from .surrogate import SurrogateOracle, compute_curvature
 
 __version__ = "0.1.0"
 
@@ -58,7 +58,6 @@ __all__ = [
     "EvaluationCounter",
     "GreedyStep",
     "Matroid",
-    "MinObjectiveOracle",
     "PartitionMatroid",
     "Point2",
     "Scenario",
@@ -70,8 +69,8 @@ __all__ = [
     "UniformMatroid",
     "agent_values",
     "aggregate",
+    "brute_force_max",
     "brute_force_maxmin",
-    "brute_force_surrogate_max",
     "check_matroid_axioms",
     "compute_curvature",
     "generate_scenario",

@@ -17,8 +17,8 @@ from .matroid import Matroid, PartitionMatroid, UniformMatroid, all_subsets, che
 from .scenario import EvaluationCounter, Scenario, agent_values, min_objective
 from .solvers import (
     SolverParams,
+    brute_force_max,
     brute_force_maxmin,
-    brute_force_surrogate_max,
     ratio_greedy_baseline,
     saturate_robust,
     simple_greedy,
@@ -182,7 +182,7 @@ def run_battery(
                 trace: list = []
                 greedy_set = threshold_greedy(oracle, scenario.matroid, DELTA, trace=trace)
                 greedy_value = oracle.evaluate(greedy_set)
-                best_set = brute_force_surrogate_max(SurrogateOracle(scenario, gamma), scenario.matroid)
+                best_set = brute_force_max(SurrogateOracle(scenario, gamma).evaluate, scenario.matroid)
                 best_value = SurrogateOracle(scenario, gamma).evaluate(best_set)
                 curvature = compute_curvature(SurrogateOracle(scenario, gamma), range(n))
                 greedy_bound.count()

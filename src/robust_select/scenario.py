@@ -188,7 +188,7 @@ def _coord_field(data: dict, name: str, minimum: int) -> tuple[Point2, ...]:
     for entry in raw:
         if not (isinstance(entry, (list, tuple)) and len(entry) == 2 and all(map(is_real, entry))):
             raise ValueError(f"scenario config: field '{name}' must contain finite [x, y] pairs")
-    return tuple([tuple.__new__(Point2, (float(x), float(y))) for x, y in raw])
+    return _points(raw)
 
 
 def load_scenario(path: str) -> Scenario:

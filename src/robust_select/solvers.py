@@ -6,8 +6,8 @@ gamma it greedily maximizes the truncated-average surrogate with a descending
 acceptance threshold (no per-step argmax scans), keeps the candidate set when
 its surrogate value clears gamma / (1 + c + delta), and tightens the bisection
 bracket accordingly. Baselines (`simple_greedy`, `ratio_greedy_baseline`) and
-exhaustive oracles (`brute_force_maxmin`, `brute_force_surrogate_max`) share
-the same scenario/matroid types so benchmark trials stay paired.
+exhaustive references (`brute_force_maxmin`, `brute_force_max`) share the
+same scenario/matroid types so benchmark trials stay paired.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from .matroid import Matroid, is_real
 from .scenario import EvaluationCounter, Scenario, min_objective
-from .surrogate import MinObjectiveOracle, SurrogateOracle
+from .surrogate import SurrogateOracle
 
 # Exhaustive enumeration of independent sets; refuse beyond this many actions.
 BRUTE_FORCE_CAP = 20
@@ -458,30 +458,38 @@ def simple_greedy(scenario: Scenario) -> Solution:
     feasible element of maximum marginal gain (lowest id on ties) until no
     feasible element is left or no gain is positive.
 
-    Each round scans every feasible candidate of one base handle; the next
-    base is that handle's child by the argmax, and one
-    ``matroid.feasibility`` state follows the selection. The child is
-    charged as the one-at-a-time scan would charge it: that scan leaves the
-    extension by its last candidate evaluated, so the child is warm only
-    when the argmax was the last candidate scanned, and otherwise cold."""
+    Each round scores every column at once: the selection's per-agent
+    values raised to each column's distances (its lanes), reduced by the
+    minimum over agents. Max and min only select values, so each is
+    ``min_objective`` of the selection plus that column, bit for bit. One
+    ``matroid.feasibility`` state follows the selection. A round of F
+    feasible candidates is charged as the one-at-a-time scan would charge
+    it: N * F, plus N when the selection itself must be scored again (it is
+    cold). The first round is cold; a later one is warm only when the last
+    pick was the last candidate scanned, whose extension that scan
+    evaluated last."""
     started = time.perf_counter()
     counter = EvaluationCounter()
-    oracle = MinObjectiveOracle(scenario, counter)
+    distances, n_agents = scenario.distances, scenario.n_agents
     feasibility = scenario.matroid.feasibility()
-    base = oracle.base(())
+    selected: set[int] = set()
+    values, value, cold = np.zeros(n_agents), 0.0, True
     while True:
-        candidates, gains = oracle.feasible(base, feasibility.mask)
+        candidates = feasibility.mask.nonzero()[0]
         if candidates.size == 0:
             break
-        oracle.charge_scan(base, candidates.size)
-        best = int(np.argmax(gains))  # first maximum: lowest id on ties
+        counter.add(n_agents * (candidates.size + cold))
+        lanes = np.maximum(values[:, None], distances)
+        reduced = np.minimum.reduce(lanes, axis=0)
+        gains = reduced[candidates] - value
+        best = int(gains.argmax())  # first maximum: lowest id on ties
         if not gains[best] > 0.0:
             break
         e = int(candidates[best])
         feasibility.add(e)
-        base = oracle.child(base, e)
-        base.cold = best != candidates.size - 1
-    return _solution("greedy", scenario, base.subset, counter, started, {})
+        selected.add(e)
+        values, value, cold = lanes[:, e], float(reduced[e]), best != candidates.size - 1
+    return _solution("greedy", scenario, selected, counter, started, {})
 
 
 def ratio_greedy_baseline(scenario: Scenario) -> Solution:
@@ -519,7 +527,7 @@ def ratio_greedy_baseline(scenario: Scenario) -> Solution:
     norm = None
     while True:
         mask = feasibility.mask
-        size = int(np.count_nonzero(mask))
+        size = len(mask.nonzero()[0])
         if not size:
             break
         counter.add(n_agents * size * (1 + size))
@@ -568,21 +576,22 @@ def iter_independent_sets(matroid: Matroid) -> Iterator[frozenset]:
 
 
 def brute_force_maxmin(scenario: Scenario) -> Solution:
-    """Exact max-min reference: ``brute_force_surrogate_max`` over the
-    worst-agent objective, so the best worst-agent value wins (ties: fewer
-    elements, then lexicographic ids). Exponential; refuses more than
-    BRUTE_FORCE_CAP actions."""
+    """Exact max-min reference: ``brute_force_max`` of ``min_objective``,
+    so the best worst-agent value wins (ties: fewer elements, then
+    lexicographic ids). Exponential; refuses more than BRUTE_FORCE_CAP
+    actions."""
     started = time.perf_counter()
     counter = EvaluationCounter()
-    best = brute_force_surrogate_max(MinObjectiveOracle(scenario, counter), scenario.matroid)
+    best = brute_force_max(lambda subset: min_objective(scenario, subset, counter), scenario.matroid)
     # The enumeration already charged this set's evaluation.
     return _solution("brute", scenario, best, counter, started, {}, value=min_objective(scenario, best))
 
 
-def brute_force_surrogate_max(oracle, matroid: Matroid) -> frozenset:
-    """Exact reference: the independent set maximizing the oracle (ties:
-    fewer elements, then lexicographic ids). Exponential; refuses more than
-    BRUTE_FORCE_CAP actions."""
+def brute_force_max(value: Callable[[frozenset], float], matroid: Matroid) -> frozenset:
+    """Exact reference: the independent set of largest ``value``, e.g. a
+    ``SurrogateOracle``'s ``evaluate`` (ties: fewer elements, then
+    lexicographic ids). Exponential; refuses more than BRUTE_FORCE_CAP
+    actions."""
     if matroid.n_actions > BRUTE_FORCE_CAP:
         raise ValueError(
             f"brute force limited to instances with <= {BRUTE_FORCE_CAP} actions, got {matroid.n_actions}"
@@ -590,7 +599,7 @@ def brute_force_surrogate_max(oracle, matroid: Matroid) -> frozenset:
 
     def rank(subset: frozenset) -> tuple:
         ordered = tuple(sorted(subset))
-        return -oracle.evaluate(subset), len(ordered), ordered
+        return -value(subset), len(ordered), ordered
 
     return min(iter_independent_sets(matroid), key=rank)
 

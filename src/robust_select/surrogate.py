@@ -1,21 +1,18 @@
-"""Set-function oracles over a scenario.
+"""The set-function oracle over a scenario.
 
 ``SurrogateOracle`` is the truncated-average objective used by the saturating
 solver: the mean over agents of min(agent value, gamma). Capping each agent at
 gamma makes the average monotone and submodular even though the plain minimum
 over agents is not, and the cap is exactly what the outer bisection searches.
 
-``MinObjectiveOracle`` wraps the raw worst-agent objective behind the same
-interface so baselines can greedily optimize it directly.
-
-Handles and accounting contract shared by both:
+Handles and accounting contract:
 
 * per-agent values are numpy vectors: running maxima of distances taken from
   the scenario's ``distances`` matrix (exact in IEEE arithmetic), built by
   ``scenario.agent_values`` and kept capped, as the reduction sees them
-  (``min(value, gamma)`` for the surrogate). Capping commutes with the
-  running maximum bit for bit, since min and max only select values, so an
-  oracle caps ``distances`` once (``_capped``) and never again;
+  (``min(value, gamma)``). Capping commutes with the running maximum bit
+  for bit, since min and max only select values, so the oracle caps
+  ``distances`` once (``_capped``) and never again;
 * gains are read through per-base handles. ``base`` makes a fresh handle of
   a set, scored from scratch and cold: its own value is charged with its
   first scan. A handle's gain lanes, the extension by *every* ground element
@@ -23,8 +20,7 @@ Handles and accounting contract shared by both:
   one ``np.maximum`` of the capped base vector against the capped matrix
   (the empty set's lanes are the capped matrix itself), one reduction.
   ``child`` makes the warm handle of the base plus an element from that
-  element's lane, without scoring any agent again (a caller that charges
-  it as a fresh set marks it ``cold``). Lanes are work, not
+  element's lane, without scoring any agent again. Lanes are work, not
   evaluations: they charge nothing by themselves. A handle with every agent
   at gamma (any handle at gamma == 0) builds none: every gain is 0;
 * every action id must lie in [0, M), or IndexError is raised before
@@ -90,37 +86,49 @@ class _Handle:
         self.gains: np.ndarray | None = None  # (M,): reduced minus the set's value
 
 
-class _ProximityOracleBase:
-    """Evaluation machinery shared by the surrogate and min oracles."""
+class SurrogateOracle:
+    """Truncated-average surrogate at saturation level ``gamma``.
 
-    def __init__(self, scenario: Scenario, counter: EvaluationCounter | None = None) -> None:
+    Values lie in [0, gamma]; the empty set evaluates to 0; equality with
+    gamma means every agent is saturated.
+    """
+
+    def __init__(
+        self,
+        scenario: Scenario,
+        gamma: float,
+        counter: EvaluationCounter | None = None,
+    ) -> None:
+        if not is_real(gamma) or gamma < 0:
+            raise ValueError(f"gamma must be finite and >= 0, got {gamma!r}")
         self.scenario = scenario
         self.counter = EvaluationCounter() if counter is None else counter
+        self.gamma = float(gamma)
         self._agents = scenario.n_agents
+        # A saturated value (N gammas summed, / N) is within N * 2**-53 of gamma: a first test.
+        self._nearly_gamma = self.gamma * (1.0 - 2.0**-20)
         # The last handle ``base`` or ``child`` made, which ``evaluate``
         # reads instead of scoring the same set again.
         self._last: _Handle | None = None
         # The distance matrix capped once, on first use, so that lanes need no capping.
         self._capped: np.ndarray | None = None
 
-    # -- subclass hooks ------------------------------------------------
     def _cap(self, values: np.ndarray) -> np.ndarray:
         """Per-agent values as the reduction sees them."""
-        return values
+        return np.minimum(values, self.gamma)
 
     def _total(self, capped: np.ndarray) -> np.ndarray:
-        """Reduce capped per-agent values along axis 0, in agent order."""
-        raise NotImplementedError
-
-    def _known_zero(self) -> bool:
-        """True when every value is 0 without looking at the agents."""
-        return False
+        """Average capped per-agent values along axis 0, in agent order."""
+        if capped.ndim == 2 and capped.shape[1] > 1 and capped.flags.c_contiguous:
+            total = np.add.reduce(capped, axis=0)
+        else:
+            total = np.add.accumulate(capped, axis=0)[-1]
+        return total / len(capped)
 
     def _saturated(self, handle: _Handle) -> bool:
         """True when no element can raise any of the handle's values."""
-        return False
+        return handle.value >= self._nearly_gamma and np.minimum.reduce(handle.values) >= self.gamma
 
-    # -- shared machinery ----------------------------------------------
     def _charge(self, evaluations: int = 1) -> None:
         self.counter.add(evaluations * self._agents)
 
@@ -149,10 +157,10 @@ class _ProximityOracleBase:
 
     def base(self, subset: Iterable[int]) -> _Handle:
         """A fresh handle of ``subset`` as a base, scored from scratch (its
-        ids are range-checked) and cold unless every value is known to be 0.
-        Nothing is charged until it is scanned."""
+        ids are range-checked) and cold unless gamma == 0, where every value
+        is 0. Nothing is charged until it is scanned."""
         handle = self._last = self._handle(frozenset(subset))
-        handle.cold = not self._known_zero()
+        handle.cold = self.gamma != 0.0
         return handle
 
     def child(self, handle: _Handle, element: int) -> _Handle:
@@ -205,51 +213,6 @@ class _ProximityOracleBase:
             value = self._handle(chosen).value
         self._charge()
         return value
-
-
-class SurrogateOracle(_ProximityOracleBase):
-    """Truncated-average surrogate at saturation level ``gamma``.
-
-    Values lie in [0, gamma]; the empty set evaluates to 0; equality with
-    gamma means every agent is saturated.
-    """
-
-    def __init__(
-        self,
-        scenario: Scenario,
-        gamma: float,
-        counter: EvaluationCounter | None = None,
-    ) -> None:
-        if not is_real(gamma) or gamma < 0:
-            raise ValueError(f"gamma must be finite and >= 0, got {gamma!r}")
-        super().__init__(scenario, counter)
-        self.gamma = float(gamma)
-        # A saturated value (N gammas summed, / N) is within N * 2**-53 of gamma: a first test.
-        self._nearly_gamma = self.gamma * (1.0 - 2.0**-20)
-
-    def _cap(self, values: np.ndarray) -> np.ndarray:
-        return np.minimum(values, self.gamma)
-
-    def _total(self, capped: np.ndarray) -> np.ndarray:
-        if capped.ndim == 2 and capped.shape[1] > 1 and capped.flags.c_contiguous:
-            total = np.add.reduce(capped, axis=0)
-        else:
-            total = np.add.accumulate(capped, axis=0)[-1]
-        return total / len(capped)
-
-    def _known_zero(self) -> bool:
-        return self.gamma == 0.0
-
-    def _saturated(self, handle: _Handle) -> bool:
-        return handle.value >= self._nearly_gamma and np.minimum.reduce(handle.values) >= self.gamma
-
-
-class MinObjectiveOracle(_ProximityOracleBase):
-    """The raw worst-agent objective behind the oracle interface. Monotone
-    but not submodular; useful for direct greedy baselines and reporting."""
-
-    def _total(self, capped: np.ndarray) -> np.ndarray:
-        return np.minimum.reduce(capped, axis=0)
 
 
 def compute_curvature(oracle, ground: Iterable[int]) -> float:

@@ -21,8 +21,8 @@ from robust_select import (
     UniformMatroid,
     agent_values,
     aggregate,
+    brute_force_max,
     brute_force_maxmin,
-    brute_force_surrogate_max,
     check_matroid_axioms,
     compute_curvature,
     min_objective,
@@ -70,7 +70,7 @@ def test_criterion_1_fixed_gamma_bound(instance_family):
         for gamma in gamma_grid(upper):
             oracle = SurrogateOracle(scenario, gamma)
             greedy_value = oracle.evaluate(threshold_greedy(oracle, scenario.matroid, DELTA))
-            best = brute_force_surrogate_max(SurrogateOracle(scenario, gamma), scenario.matroid)
+            best = brute_force_max(SurrogateOracle(scenario, gamma).evaluate, scenario.matroid)
             best_value = SurrogateOracle(scenario, gamma).evaluate(best)
             curvature = compute_curvature(SurrogateOracle(scenario, gamma), range(scenario.n_actions))
             slack = greedy_value - best_value / (1.0 + curvature + DELTA)

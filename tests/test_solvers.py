@@ -16,14 +16,13 @@ from robust_select import (
     EvaluationCounter,
     GreedyStep,
     Matroid,
-    MinObjectiveOracle,
     PartitionMatroid,
     Scenario,
     SolverParams,
     SurrogateOracle,
     UniformMatroid,
+    brute_force_max,
     brute_force_maxmin,
-    brute_force_surrogate_max,
     compute_curvature,
     iter_independent_sets,
     min_objective,
@@ -157,7 +156,7 @@ def test_threshold_greedy_bound_vs_optimal(rng):
             gamma = frac * upper
             oracle = SurrogateOracle(scenario, gamma)
             greedy_value = oracle.evaluate(threshold_greedy(oracle, scenario.matroid, DELTA))
-            best = brute_force_surrogate_max(SurrogateOracle(scenario, gamma), scenario.matroid)
+            best = brute_force_max(SurrogateOracle(scenario, gamma).evaluate, scenario.matroid)
             best_value = SurrogateOracle(scenario, gamma).evaluate(best)
             curvature = compute_curvature(SurrogateOracle(scenario, gamma), range(scenario.n_actions))
             assert greedy_value >= best_value / (1.0 + curvature + DELTA) - 1e-9
@@ -176,7 +175,7 @@ def test_threshold_greedy_accepted_gains_dominate(rng):
         oracle = SurrogateOracle(scenario, gamma)
         trace = []
         threshold_greedy(oracle, scenario.matroid, DELTA, trace=trace)
-        best = brute_force_surrogate_max(SurrogateOracle(scenario, gamma), scenario.matroid)
+        best = brute_force_max(SurrogateOracle(scenario, gamma).evaluate, scenario.matroid)
         probe = SurrogateOracle(scenario, gamma)
         for step in trace:
             for o in best - step.base:
@@ -233,8 +232,7 @@ def literal_threshold_greedy(oracle, matroid, delta):
             unchanged_best = None if inserted else best
         threshold /= 1.0 + delta
     stats = {"passes": passes, "initial_threshold": initial, "final_threshold": threshold}
-    known_zero = isinstance(oracle, SurrogateOracle) and oracle.gamma == 0.0
-    charges = gains_taken + (gains_taken > 0 and not known_zero)
+    charges = gains_taken + (gains_taken > 0 and oracle.gamma != 0.0)
     return selected, trace, stats, charges
 
 
@@ -259,10 +257,8 @@ def test_threshold_greedy_matches_the_literal_loop(rng, delta):
     for _ in range(12):
         scenario = random_matroid_scenario(rng, int(rng.integers(1, 12)), int(rng.integers(1, 30)))
         upper = min_objective(scenario, range(scenario.n_actions))
-        makers = [lambda g=g: SurrogateOracle(scenario, g) for g in (0.0, 0.4 * upper, upper, 3.0 * upper)]
-        makers.append(lambda: MinObjectiveOracle(scenario))
-        for make in makers:
-            literal_oracle, oracle = make(), make()
+        for gamma in (0.0, 0.4 * upper, upper, 3.0 * upper):
+            literal_oracle, oracle = SurrogateOracle(scenario, gamma), SurrogateOracle(scenario, gamma)
             *expected, charges = literal_threshold_greedy(literal_oracle, scenario.matroid, delta)
             trace, stats = [], {}
             selected = threshold_greedy(oracle, scenario.matroid, delta, trace=trace, stats=stats)
@@ -818,16 +814,16 @@ def test_brute_force_cap():
     with pytest.raises(ValueError, match="brute force"):
         brute_force_maxmin(scenario)
     with pytest.raises(ValueError, match="brute force"):
-        brute_force_surrogate_max(SurrogateOracle(scenario, 1.0), scenario.matroid)
+        brute_force_max(SurrogateOracle(scenario, 1.0).evaluate, scenario.matroid)
 
 
 def test_surrogate_max_tiny(tiny):
-    assert brute_force_surrogate_max(SurrogateOracle(tiny, 8.0), tiny.matroid) == {2}
+    assert brute_force_max(SurrogateOracle(tiny, 8.0).evaluate, tiny.matroid) == {2}
 
 
 def test_surrogate_max_gamma_zero(tiny):
     # Everything evaluates to 0; smallest cardinality wins.
-    assert brute_force_surrogate_max(SurrogateOracle(tiny, 0.0), tiny.matroid) == frozenset()
+    assert brute_force_max(SurrogateOracle(tiny, 0.0).evaluate, tiny.matroid) == frozenset()
 
 
 def test_surrogate_max_large_gamma_reaches_full_value():
@@ -835,7 +831,7 @@ def test_surrogate_max_large_gamma_reaches_full_value():
         [(0.0, 0.0)], [(1.0, 0.0), (2.0, 0.0)], UniformMatroid(2, 2)
     )
     oracle = SurrogateOracle(scenario, 100.0)
-    best = brute_force_surrogate_max(oracle, scenario.matroid)
+    best = brute_force_max(oracle.evaluate, scenario.matroid)
     # Monotonicity: the winner matches the full set's value; the tie order
     # prefers the smallest set achieving it.
     assert oracle.evaluate(best) == oracle.evaluate({0, 1})

@@ -8,7 +8,6 @@ import pytest
 
 from robust_select import (
     EvaluationCounter,
-    MinObjectiveOracle,
     Scenario,
     SurrogateOracle,
     UniformMatroid,
@@ -137,7 +136,6 @@ def test_batched_gains_bit_for_bit(rng, n_agents):
         for oracle_of in (
             lambda: SurrogateOracle(scenario, 0.7 * upper),
             lambda: SurrogateOracle(scenario, 2.0 * upper),
-            lambda: MinObjectiveOracle(scenario),
         ):
             for size in (0, 1, 3):
                 subset = frozenset(int(j) for j in rng.choice(24, size, replace=False))
@@ -222,39 +220,42 @@ def test_base_handle_matches_evaluate_differences(rng, n_agents):
     scenario = random_scenario(rng, n_agents, 30)
     upper = min_objective(scenario, range(30))
     n = scenario.n_agents
-    for make in (lambda: SurrogateOracle(scenario, 0.7 * upper), lambda: MinObjectiveOracle(scenario)):
-        oracle = make()
-        base = oracle.base({3, 7})
-        with pytest.raises(IndexError, match="ground set"):
-            oracle.feasible(base, np.ones(31, dtype=bool))
-        mask = rng.random(30) < 0.7
-        mask[3] = True
-        with pytest.raises(ValueError, match="outside"):
-            oracle.feasible(base, mask)
-        mask[[3, 7]] = False
-        ids, gains = oracle.feasible(base, mask)
-        assert ids.tolist() == np.flatnonzero(mask).tolist()
-        assert oracle.counter.individual_evals == 0
-        reference = make()
-        by_definition = [reference.evaluate({3, 7, e}) - reference.evaluate({3, 7}) for e in ids.tolist()]
-        charged = 1  # the cold base, with the first scan
-        for lo in (0, ids.size // 2):
-            scanned = gains[lo:]
-            oracle.charge_scan(base, scanned.size)
-            assert scanned.tolist() == by_definition[lo:]
-            charged += scanned.size
-            assert oracle.counter.individual_evals == charged * n
-        e = int(ids[-1])
-        child = oracle.child(base, e)
-        fresh = make()
-        assert child.value == fresh.evaluate({3, 7, e})
+
+    def make():
+        return SurrogateOracle(scenario, 0.7 * upper)
+
+    oracle = make()
+    base = oracle.base({3, 7})
+    with pytest.raises(IndexError, match="ground set"):
+        oracle.feasible(base, np.ones(31, dtype=bool))
+    mask = rng.random(30) < 0.7
+    mask[3] = True
+    with pytest.raises(ValueError, match="outside"):
+        oracle.feasible(base, mask)
+    mask[[3, 7]] = False
+    ids, gains = oracle.feasible(base, mask)
+    assert ids.tolist() == np.flatnonzero(mask).tolist()
+    assert oracle.counter.individual_evals == 0
+    reference = make()
+    by_definition = [reference.evaluate({3, 7, e}) - reference.evaluate({3, 7}) for e in ids.tolist()]
+    charged = 1  # the cold base, with the first scan
+    for lo in (0, ids.size // 2):
+        scanned = gains[lo:]
+        oracle.charge_scan(base, scanned.size)
+        assert scanned.tolist() == by_definition[lo:]
+        charged += scanned.size
         assert oracle.counter.individual_evals == charged * n
-        # The child's gains are the from-scratch differences of its set.
-        rest = [j for j in ids.tolist() if j != e]
-        assert oracle.feasible(child, mask & (np.arange(30) != e))[1].tolist() == [
-            fresh.evaluate({3, 7, e, j}) - fresh.evaluate({3, 7, e}) for j in rest
-        ]
-        assert oracle.counter.individual_evals == charged * n
+    e = int(ids[-1])
+    child = oracle.child(base, e)
+    fresh = make()
+    assert child.value == fresh.evaluate({3, 7, e})
+    assert oracle.counter.individual_evals == charged * n
+    # The child's gains are the from-scratch differences of its set.
+    rest = [j for j in ids.tolist() if j != e]
+    assert oracle.feasible(child, mask & (np.arange(30) != e))[1].tolist() == [
+        fresh.evaluate({3, 7, e, j}) - fresh.evaluate({3, 7, e}) for j in rest
+    ]
+    assert oracle.counter.individual_evals == charged * n
 
 
 def test_gamma_zero_builds_no_lanes(rng):
@@ -470,33 +471,36 @@ def test_lane_reads_equal_cold_gains_and_charges(rng, n_agents):
     scenario = random_scenario(rng, n_agents, 30)
     upper = min_objective(scenario, range(30))
     n = scenario.n_agents
-    for make in (lambda: SurrogateOracle(scenario, 0.7 * upper), lambda: MinObjectiveOracle(scenario)):
-        warm = make()
-        for members in ({3, 7}, {1, 2, 29}, {3, 7}):
-            base = warm.base(members)
-            mask = np.ones(30, dtype=bool)
-            mask[list(members)] = False
-            ids, gains = warm.feasible(base, mask)
+
+    def make():
+        return SurrogateOracle(scenario, 0.7 * upper)
+
+    warm = make()
+    for members in ({3, 7}, {1, 2, 29}, {3, 7}):
+        base = warm.base(members)
+        mask = np.ones(30, dtype=bool)
+        mask[list(members)] = False
+        ids, gains = warm.feasible(base, mask)
+        warm.charge_scan(base, 1)
+        for e, gain in zip(ids.tolist(), gains.tolist()):
+            before = warm.counter.individual_evals
             warm.charge_scan(base, 1)
-            for e, gain in zip(ids.tolist(), gains.tolist()):
-                before = warm.counter.individual_evals
-                warm.charge_scan(base, 1)
-                assert warm.counter.individual_evals - before == n  # a scanned base
-                cold = make()
-                handle = cold.base(members)
-                assert cold.gains(handle)[e] == gain
-                cold.charge_scan(handle, 1)
-                assert cold.counter.individual_evals == 2 * n  # cold base + candidate
-                fresh = make()
-                assert fresh.evaluate(members | {e}) - fresh.evaluate(members) == gain
-                warm.child(base, e)
-                before = warm.counter.individual_evals
-                assert warm.evaluate(members | {e}) == fresh.evaluate(members | {e})
-                assert warm.counter.individual_evals - before == n
+            assert warm.counter.individual_evals - before == n  # a scanned base
+            cold = make()
+            handle = cold.base(members)
+            assert cold.gains(handle)[e] == gain
+            cold.charge_scan(handle, 1)
+            assert cold.counter.individual_evals == 2 * n  # cold base + candidate
+            fresh = make()
+            assert fresh.evaluate(members | {e}) - fresh.evaluate(members) == gain
+            warm.child(base, e)
+            before = warm.counter.individual_evals
+            assert warm.evaluate(members | {e}) == fresh.evaluate(members | {e})
+            assert warm.counter.individual_evals - before == n
 
 
 @pytest.mark.parametrize("bad", [-1, 3])
-@pytest.mark.parametrize("make", [lambda s: SurrogateOracle(s, 8.0), lambda s: SurrogateOracle(s, 0.0), MinObjectiveOracle])
+@pytest.mark.parametrize("make", [lambda s: SurrogateOracle(s, 8.0), lambda s: SurrogateOracle(s, 0.0)])
 def test_out_of_range_ids_raise(tiny, make, bad):
     """Ids outside [0, M) are refused, never wrapped to another action, and
     a refused call charges nothing."""
@@ -511,15 +515,15 @@ def test_out_of_range_ids_raise(tiny, make, bad):
 def test_a_bool_among_ids_is_refused(tiny):
     """True is not read as id 1, in a base set or in a set that equals the
     memo; a refused call charges nothing."""
-    for oracle in (SurrogateOracle(tiny, 8.0), MinObjectiveOracle(tiny)):
-        with pytest.raises(IndexError, match="got bool"):
-            oracle.base([True, 2])
-        with pytest.raises(IndexError, match="got bool"):
-            oracle.evaluate([0, True])
-        oracle.base({0, 1})
-        with pytest.raises(IndexError, match="got bool"):
-            oracle.evaluate([0, True])
-        assert oracle.counter.individual_evals == 0
+    oracle = SurrogateOracle(tiny, 8.0)
+    with pytest.raises(IndexError, match="got bool"):
+        oracle.base([True, 2])
+    with pytest.raises(IndexError, match="got bool"):
+        oracle.evaluate([0, True])
+    oracle.base({0, 1})
+    with pytest.raises(IndexError, match="got bool"):
+        oracle.evaluate([0, True])
+    assert oracle.counter.individual_evals == 0
 
 
 def test_shared_counter(tiny):
@@ -539,14 +543,6 @@ def test_gamma_validation(tiny):
     for flag in (True, False):
         with pytest.raises(ValueError, match="gamma"):
             SurrogateOracle(tiny, flag)
-
-
-def test_min_objective_oracle(tiny):
-    oracle = MinObjectiveOracle(tiny)
-    assert oracle.evaluate({2}) == min_objective(tiny, {2})
-    assert oracle.evaluate(set()) == 0.0
-    gain = oracle.gains(oracle.base({0}))[1]
-    assert gain == min_objective(tiny, {0, 1}) - min_objective(tiny, {0})
 
 
 def test_structural_properties_random_instances(rng):
