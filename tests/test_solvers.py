@@ -651,10 +651,7 @@ def test_simple_greedy_matches_the_one_at_a_time_definition(rng):
         tied = Scenario.from_coords(agents, [actions[j] for j in copies], scenario.matroid)
         forwarding = Scenario.from_coords(agents, actions, _ForwardingMatroid(scenario.matroid))
         instances += [scenario, tied, forwarding]
-    zero_capacity = sum(
-        isinstance(s.matroid, PartitionMatroid) and 0 in s.matroid.capacities for s in instances
-    )
-    assert zero_capacity
+    assert any(isinstance(s.matroid, PartitionMatroid) and 0 in s.matroid.capacities for s in instances)
     for instance in instances:
         solution = simple_greedy(instance)
         got = (solution.selected, solution.min_value, solution.individual_evals)
