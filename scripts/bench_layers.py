@@ -8,8 +8,10 @@ with the evaluations one run charges (in f-equivalents, as
 ``Solution.f_evaluations`` counts them). A repeat of a batched layer runs it
 a batch of times, and its time and evaluations are divided by the batch:
 
-* ``scan``: one ``SurrogateOracle.charge_scan`` of one candidate on a warm
-  handle, the one charging call (the gains are read from the handle itself);
+* ``lanes``: one warm base's lanes and gains, the work the threshold greedy
+  does once per base (``SurrogateOracle.lanes``, then the reduced row minus
+  the base's value). The base is the singleton of least value, taken from
+  the empty set's lanes as the greedy takes it; lanes charge nothing;
 * ``threshold_greedy``: one greedy, timed as a batch of ten at the fixed
   gammas k/10 of the trivial bound, k = 1..10, and reported per greedy;
 * ``saturate_robust``: one bisection solve;
@@ -70,8 +72,8 @@ CAPACITY = 5
 BASE_SEED = 0
 # Runs each layer's time is the minimum of (the full benchmark takes half).
 REPEATS = 7
-# Scans timed back to back per repeat: one takes about a microsecond.
-SCAN_BATCH = 1000
+# Lanes built back to back per repeat: one takes about ten microseconds.
+LANES_BATCH = 100
 # Greedies timed back to back per repeat, one per gamma k/10 of the trivial
 # bound: one takes about 0.1 ms, too short to time alone between kernel
 # blocks on a host whose speed moves.
@@ -105,15 +107,17 @@ def layers(repeats: int, full_trials: int) -> list[dict]:
     instance = {"base_seed": BASE_SEED, "trial": 0, "z": CAPACITY, "scenario_seed": seed}
 
     oracle = SurrogateOracle(scenario, gamma)
-    handle = oracle.base(())
-    gains = oracle.feasible(handle, np.ones(scenario.n_actions, dtype=bool))[1]  # builds the lanes
-    oracle.charge_scan(handle, gains.size)  # charges the cold base
+    empty_lanes, empty_reduced = oracle.lanes()
+    element = int(empty_reduced.argmin())
+    values, value = empty_lanes[:, element], float(empty_reduced[element])
+    if oracle.lanes(values, value) is None:
+        raise RuntimeError(f"the lanes layer's base {{{element}}} is saturated at gamma {gamma!r}")
 
-    def scan() -> float:
+    def lanes() -> float:
         before = oracle.counter.individual_evals
-        for _ in range(SCAN_BATCH):
-            oracle.charge_scan(handle, 1)
-        return (oracle.counter.individual_evals - before) / scenario.n_agents / SCAN_BATCH
+        for _ in range(LANES_BATCH):
+            oracle.lanes(values, value)[1] - value
+        return (oracle.counter.individual_evals - before) / scenario.n_agents / LANES_BATCH
 
     def greedy() -> float:
         counter = EvaluationCounter()
@@ -139,7 +143,7 @@ def layers(repeats: int, full_trials: int) -> list[dict]:
 
     rows = []
     for name, run, k, batch, seeds in (
-        ("scan", scan, repeats, SCAN_BATCH, {**instance, "gamma": gamma}),
+        ("lanes", lanes, repeats, LANES_BATCH, {**instance, "gamma": gamma, "base": [element]}),
         ("threshold_greedy", greedy, repeats, GREEDY_BATCH, {**instance, "gammas": gammas}),
         ("saturate_robust", solve, repeats, 1, instance),
         ("ratio_greedy_baseline", ratio, repeats, 1, instance),

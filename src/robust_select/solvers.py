@@ -154,16 +154,25 @@ class _Ladder:
             return False
         return self.threshold >= floor
 
-    def first_hit(self, running: np.ndarray) -> int:
-        """The index of the first gain at or above the current rung, given
-        the running maximum of the gains, or its length if there is none.
-        It searches for the low bound; a hit below the high bound computes
-        the rung, and a hit short of it is no hit: the search goes on to the
-        rung, which every earlier gain is short of too."""
-        first = int(running.searchsorted(self.low))
-        if first == running.size or running[first] >= self.high or running[first] >= self.threshold:
+    def first_hit(self, gains: np.ndarray, best: float) -> int:
+        """The index of the first of ``gains`` at or above the current rung,
+        or their number if there is none, given ``best``, a gain at least as
+        large as each of them. A ``best`` short of the low bound decides
+        that there is none without a search. Otherwise one comparison finds
+        the first gain at or above the low bound; a hit below the high bound
+        computes the rung, and a hit short of it is no hit: the search goes
+        on past it to the rung, which every earlier gain is short of too."""
+        if not (gains.size and best >= self.low):
+            return gains.size
+        hits = gains >= self.low
+        first = int(hits.argmax())
+        if not hits[first]:
+            return gains.size
+        if gains[first] >= self.high or gains[first] >= self.threshold:
             return first
-        return int(running.searchsorted(self._exact))
+        hits = gains[first:] >= self._exact
+        later = int(hits.argmax())
+        return first + later if hits[later] else gains.size
 
     def drop(self, at_most: float, floor: float) -> None:
         """Move down to the first rung that is <= ``at_most`` or < ``floor``
@@ -319,18 +328,23 @@ def threshold_greedy(
     for the values ``trace`` and ``stats`` report.
 
     The greedy works once per base set, the selection between two
-    insertions: ``oracle.base`` and ``oracle.child`` give its handle, whose
-    gains against every ground element are computed once, and one
+    insertions, and holds the base itself: its set, its capped per-agent
+    values and its value, and the lanes and reduced row ``oracle.lanes``
+    builds for it (none for a saturated base, whose gains are all 0, nor
+    for a base with no feasible candidate). An accepted element's column
+    and entry of them are the next base's values and value. One
     ``matroid.feasibility`` state follows the selection for the whole run,
-    its mask updated as each element is added (``oracle.feasible`` turns it
-    into the feasible ids and their gains). Each stretch of a pass between
-    insertions is then a slice of those: a pass from the first candidate
-    reads the running maximum of the base's gains, taken at most once per
-    base, and the stretch after an insertion takes that of its own suffix.
-    One ``searchsorted`` finds the first gain at or above the threshold, and
-    a stretch without one ends with its best gain, the running maximum's
-    last entry. The loop counts the candidates the one-at-a-time scan would
-    evaluate and charges them once, through ``oracle.charge_scan``.
+    its mask updated as each element is added and checked once per base: a
+    mask of the wrong shape raises IndexError, one that admits a member of
+    the set ValueError. Each stretch of a pass between insertions is then a
+    slice of the base's feasible gains, and one comparison with the ladder
+    finds its first gain at or above the threshold (``_Ladder.first_hit``).
+    The base's best feasible gain, one reduction, decides every stretch it
+    leaves short of the threshold's low bound without a search, and is the
+    gain a pass without insertions drops to. The loop counts the
+    candidates the one-at-a-time scan would evaluate and charges them once,
+    through ``oracle.charge``, after charging the cold empty set with its
+    first scan, and lets ``oracle.evaluate`` read the final set's value.
 
     A delta that is not a real number in (0, 1], or whose descent would take
     more than THRESHOLD_STEPS_CAP divisions, is refused with ValueError, and
@@ -343,55 +357,75 @@ def threshold_greedy(
     """
     _check_delta(delta)
     passes = 0
-    base = oracle.base(())
-    gains = oracle.gains(base)
+    n_actions = oracle.scenario.n_actions
+    subset, values, value = frozenset(), None, 0.0
+    built = oracle.lanes()
+    lanes, reduced = (None, np.zeros(n_actions)) if built is None else built
     # An empty ground set scans nothing, so nothing is charged.
-    oracle.charge_scan(base, gains.size)
-    initial = float(np.maximum.reduce(gains, initial=0.0))
+    if n_actions:
+        oracle.charge(n_actions + (oracle.gamma != 0.0))  # every element, and the empty set unless gamma == 0
+    initial = float(np.maximum.reduce(reduced, initial=0.0))
     ladder = _Ladder(initial, delta)
     floor = delta * initial
     # The set, and so every gain and the feasibility mask, only changes
-    # when an element is accepted: each base's feasible ids and gains
-    # are computed once, and each stretch of a pass between insertions
-    # scans a slice of them. The greedy ends when none are left.
+    # when an element is accepted. The greedy ends when no candidate is left.
     feasibility = matroid.feasibility()
-    candidates, gains = oracle.feasible(base, feasibility.mask)
-    running = None  # the running maximum of the base's gains, once a pass needs it
+    candidates = _feasible(feasibility.mask, subset, n_actions)
+    gains = reduced[candidates]  # the empty set's gains are its reduced row
+    best = initial if candidates.size == n_actions else float(np.maximum.reduce(gains, initial=0.0))
     scanned = 0  # candidates the one-at-a-time scans evaluate, charged at the end
     while initial > 0 and ladder.at_least(floor) and candidates.size:
         passes += 1
-        if running is None:
-            running = np.maximum.accumulate(gains)
-        hit = ladder.first_hit(running)
-        if hit == running.size:
+        hit = ladder.first_hit(gains, best)
+        if hit == gains.size:
             # A pass that inserts nothing scans every candidate once.
             scanned += hit
-            if not running[-1] > 0.0:
+            if not best > 0.0:
                 break
-            ladder.drop(float(running[-1]), floor)
+            ladder.drop(best, floor)
             continue
         lo = 0
-        while hit < running.size:
+        while hit < gains.size - lo:
             scanned += hit + 1
             e = int(candidates[lo + hit])
             if trace is not None:
-                trace.append(GreedyStep(ladder.threshold, e, float(gains[lo + hit]), base.subset))
+                trace.append(GreedyStep(ladder.threshold, e, float(gains[lo + hit]), subset))
             feasibility.add(e)
-            base = oracle.child(base, e)
-            candidates, gains = oracle.feasible(base, feasibility.mask)
+            if lanes is not None:  # else the base is saturated, and its child has its values
+                values, value = lanes[:, e], float(reduced[e])
+            subset = subset | {e}
+            candidates = _feasible(feasibility.mask, subset, n_actions)
+            built = oracle.lanes(values, value) if candidates.size else None
+            if built is None:
+                lanes, gains, best = None, np.zeros(candidates.size), 0.0
+            else:
+                lanes, reduced = built
+                gains = reduced[candidates] - value
+                best = float(np.maximum.reduce(gains))
             # The pass goes on from the next id, over the new base's suffix.
             lo = int(candidates.searchsorted(e + 1))
-            running = np.maximum.accumulate(gains[lo:])
-            hit = ladder.first_hit(running)
-        scanned += running.size
-        running = None
+            hit = ladder.first_hit(gains[lo:], best)
+        scanned += gains.size - lo
         ladder.step()
-    oracle.charge_scan(base, scanned)
+    oracle.charge(scanned)
+    oracle.remember(subset, value)
     if stats is not None:
         stats["passes"] = passes
         stats["initial_threshold"] = initial
         stats["final_threshold"] = ladder.threshold
-    return set(base.subset)
+    return set(subset)
+
+
+def _feasible(mask: np.ndarray, subset: frozenset, n_actions: int) -> np.ndarray:
+    """The ids a feasibility mask over the ground set admits, ascending. A
+    mask of any other shape is refused with IndexError, so every id is in
+    range; one that admits a member of ``subset`` raises ValueError."""
+    if mask.shape != (n_actions,):
+        raise IndexError(f"feasibility mask of shape {mask.shape} does not cover the ground set [0, {n_actions})")
+    ids = mask.nonzero()[0]
+    if ids.size and any(mask[j] for j in subset):
+        raise ValueError("candidates must lie outside the base set")
+    return ids
 
 
 def saturate_robust(

@@ -5,7 +5,7 @@ solver: the mean over agents of min(agent value, gamma). Capping each agent at
 gamma makes the average monotone and submodular even though the plain minimum
 over agents is not, and the cap is exactly what the outer bisection searches.
 
-Handles and accounting contract:
+Lanes and accounting contract:
 
 * per-agent values are numpy vectors: running maxima of distances taken from
   the scenario's ``distances`` matrix (exact in IEEE arithmetic), built by
@@ -13,34 +13,27 @@ Handles and accounting contract:
   (``min(value, gamma)``). Capping commutes with the running maximum bit
   for bit, since min and max only select values, so the oracle caps
   ``distances`` once (``_capped``) and never again;
-* gains are read through per-base handles. ``base`` makes a fresh handle of
-  a set, scored from scratch and cold: its own value is charged with its
-  first scan. A handle's gain lanes, the extension by *every* ground element
-  at once, are built the first time it is asked for gains and kept with it:
-  one ``np.maximum`` of the capped base vector against the capped matrix
-  (the empty set's lanes are the capped matrix itself), one reduction.
-  ``child`` makes the warm handle of the base plus an element from that
-  element's lane, without scoring any agent again. Lanes are work, not
-  evaluations: they charge nothing by themselves. A handle with every agent
-  at gamma (any handle at gamma == 0) builds none: every gain is 0;
-* every action id must lie in [0, M), or IndexError is raised before
-  anything is scored: ``base`` checks a set's ids, and ``feasible`` checks
-  once per base that its mask covers exactly [0, M). Candidates inside the
-  base raise ValueError, checked by ``feasible`` once per base, which reads
-  the mask at the set's ids;
+* a caller that grows a set one element at a time (the threshold greedy)
+  holds each base itself: its capped values and its value. ``lanes`` gives
+  a base's extension by *every* ground element at once, in one call: one
+  ``np.maximum`` of the capped base vector against the capped matrix (the
+  empty set's lanes are the capped matrix itself) and one reduction. Column
+  j of the lanes is the capped values of the base plus j, and entry j of
+  the reduced row its value, so the caller takes the next base from them
+  without scoring any agent again. A base with every agent at gamma (any
+  base at gamma == 0) gets no lanes: every gain is 0;
+* lanes are work, not evaluations: they charge nothing. The caller charges
+  what scanning its candidates one at a time would, through ``charge``: one
+  evaluation per scanned candidate, plus one for a base scored from
+  scratch (cold) when it is first scanned;
 * every logical evaluation of the reduced objective charges one count per
-  agent, even when the result is read from a handle or lane or is known
+  agent, even when the result is read from lanes or the memo or is known
   trivially (gamma == 0);
-* ``charge_scan`` is the one charging call for gains: it charges exactly
-  what scanning a number of candidates one at a time would, one evaluation
-  per scanned candidate plus one for a cold base (never when gamma == 0,
-  nor for a scan of no candidates). A caller reads the gains itself and
-  charges the count of those it scanned, and lanes it never reads are not
-  charged;
-* ``evaluate`` charges one evaluation and reads the value from the last
-  handle ``base`` or ``child`` made when it is of the same set; otherwise
-  it scores the set from scratch, checking its ids before the charge. The
-  memo saves time only: it never changes a charge, a bit or a refusal;
+* ``evaluate`` charges one evaluation and reads the value a caller passed
+  to ``remember`` when it is of the same set; otherwise it scores the set
+  from scratch, checking its ids (IndexError outside [0, M)) before the
+  charge. The memo saves time only: it never changes a charge, a bit or a
+  refusal;
 * every reduction runs over the agents in agent order, so lane and
   from-scratch values agree bit for bit. numpy reduces
   a C-contiguous 2-D array of two or more columns along axis 0 one row at a
@@ -66,26 +59,6 @@ CURVATURE_GROUND_CAP = 20
 _CLAMP_TOL = 1e-9
 
 
-class _Handle:
-    """The handle of a set as a base: its capped per-agent values and its
-    reduced value. The oracle fills in the gain lanes on first use.
-    ``cold`` marks a handle scored from scratch whose own value is charged
-    with its first scan. A handle holds no reference to its oracle, so
-    dropping an oracle frees its arrays at once.
-    """
-
-    __slots__ = ("subset", "values", "value", "cold", "lanes", "reduced", "gains")
-
-    def __init__(self, subset: frozenset, values: np.ndarray, value: float) -> None:
-        self.subset = subset
-        self.values = values  # (N,), capped
-        self.value = value
-        self.cold = False
-        self.lanes: np.ndarray | None = None  # (N, M): column j holds the capped values of subset | {j}
-        self.reduced: np.ndarray | None = None  # (M,): the reduced objective of subset | {j}
-        self.gains: np.ndarray | None = None  # (M,): reduced minus the set's value
-
-
 class SurrogateOracle:
     """Truncated-average surrogate at saturation level ``gamma``.
 
@@ -107,9 +80,9 @@ class SurrogateOracle:
         self._agents = scenario.n_agents
         # A saturated value (N gammas summed, / N) is within N * 2**-53 of gamma: a first test.
         self._nearly_gamma = self.gamma * (1.0 - 2.0**-20)
-        # The last handle ``base`` or ``child`` made, which ``evaluate``
+        # The set and value last passed to ``remember``, which ``evaluate``
         # reads instead of scoring the same set again.
-        self._last: _Handle | None = None
+        self._memo: tuple[frozenset | None, float] = (None, 0.0)
         # The distance matrix capped once, on first use, so that lanes need no capping.
         self._capped: np.ndarray | None = None
 
@@ -125,93 +98,49 @@ class SurrogateOracle:
             total = np.add.accumulate(capped, axis=0)[-1]
         return total / len(capped)
 
-    def _saturated(self, handle: _Handle) -> bool:
-        """True when no element can raise any of the handle's values."""
-        return handle.value >= self._nearly_gamma and np.minimum.reduce(handle.values) >= self.gamma
+    def _saturated(self, values: np.ndarray | None, value: float) -> bool:
+        """True when no element can raise any of a base's values (None: the
+        empty set's, every one 0)."""
+        return value >= self._nearly_gamma and (values is None or np.minimum.reduce(values) >= self.gamma)
 
-    def _charge(self, evaluations: int = 1) -> None:
+    def charge(self, evaluations: int) -> None:
+        """Charge ``evaluations`` evaluations of the reduced objective, one
+        count per agent each."""
         self.counter.add(evaluations * self._agents)
 
-    def _handle(self, subset: frozenset) -> _Handle:
-        if not subset:  # every agent values the empty set at 0
-            return _Handle(subset, np.zeros(self._agents), 0.0)
-        capped = self._cap(agent_values(self.scenario, subset))
-        return _Handle(subset, capped, float(self._total(capped)))
+    def lanes(self, values: np.ndarray | None = None, value: float = 0.0) -> tuple[np.ndarray, np.ndarray] | None:
+        """The gain lanes of a base given by its capped per-agent values and
+        its value (the empty set's without them), and their reduced row:
+        column j of the lanes holds the capped values of the base plus
+        element j, and entry j of the row its value, so the gain of j is
+        that entry minus ``value``. The empty set's lanes are the capped
+        matrix itself. A saturated base gets None and no lanes are built:
+        each lane would equal its values, whose agent-order sum is its value
+        bit for bit, so every gain is +0.0. Charges nothing."""
+        if self._saturated(values, value):
+            return None
+        capped = self._capped
+        if capped is None:
+            capped = self._capped = self._cap(self.scenario.distances)
+        lanes = capped if values is None else np.maximum(values[:, None], capped)
+        return lanes, self._total(lanes)
 
-    def gains(self, handle: _Handle) -> np.ndarray:
-        """The handle's gain against every ground element, built once; the
-        only place lanes are made (the empty set's are the capped matrix). A
-        saturated handle builds none: each lane would equal its values, whose
-        agent-order sum is its value bit for bit, so every gain is +0.0."""
-        if handle.gains is None:
-            if self._saturated(handle):
-                handle.gains = np.zeros(self.scenario.n_actions)
-            else:
-                capped = self._capped
-                if capped is None:
-                    capped = self._capped = self._cap(self.scenario.distances)
-                handle.lanes = np.maximum(handle.values[:, None], capped) if handle.subset else capped
-                handle.reduced = self._total(handle.lanes)
-                handle.gains = handle.reduced - handle.value
-        return handle.gains
-
-    def base(self, subset: Iterable[int]) -> _Handle:
-        """A fresh handle of ``subset`` as a base, scored from scratch (its
-        ids are range-checked) and cold unless gamma == 0, where every value
-        is 0. Nothing is charged until it is scanned."""
-        handle = self._last = self._handle(frozenset(subset))
-        handle.cold = self.gamma != 0.0
-        return handle
-
-    def child(self, handle: _Handle, element: int) -> _Handle:
-        """The warm handle of ``handle``'s set plus ``element`` (a non-member),
-        read from the element's lane or, if ``handle`` is saturated, from
-        ``handle``: no agent is scored again, and nothing is charged."""
-        element = int(element)
-        self.gains(handle)  # the lanes, unless saturated
-        if handle.lanes is None:  # saturated: the set plus element has the same values
-            values, value = handle.values, handle.value
-        else:
-            values, value = handle.lanes[:, element], float(handle.reduced[element])
-        self._last = _Handle(handle.subset | {element}, values, value)
-        return self._last
-
-    def feasible(self, handle: _Handle, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The ids a boolean mask over the ground set selects, ascending,
-        with their gains against ``handle`` (no lanes are built when there are
-        none). A mask of any other length is refused with IndexError, so
-        every id is in range; a member of the set raises ValueError."""
-        n = self.scenario.n_actions
-        if mask.shape != (n,):
-            raise IndexError(f"feasibility mask of shape {mask.shape} does not cover the ground set [0, {n})")
-        ids = mask.nonzero()[0]
-        if not ids.size:
-            return ids, np.zeros(0)
-        if any(mask[j] for j in handle.subset):
-            raise ValueError("candidates must lie outside the base set")
-        return ids, self.gains(handle)[ids]
-
-    def charge_scan(self, handle: _Handle, scanned: int) -> None:
-        """Charge a scan of ``scanned`` non-member candidates against
-        ``handle``, one at a time: the one charging call for gains. One
-        evaluation per candidate, plus one when the handle is cold, which it
-        is not afterwards. A scan of no candidates evaluates nothing and
-        charges nothing."""
-        if scanned:
-            self._charge(scanned + handle.cold)
-            handle.cold = False
+    def remember(self, subset: frozenset, value: float) -> None:
+        """Let ``evaluate`` read ``value`` for ``subset``, a set whose value
+        the caller took from this oracle's lanes (0.0 for the empty set),
+        instead of scoring it again."""
+        self._memo = (subset, value)
 
     def evaluate(self, subset: Iterable[int]) -> float:
         """The reduced objective of ``subset``; charges one evaluation once
         its ids have passed the checks. The memo is read only for a set
         without bools, which would compare equal to their ids."""
         chosen = frozenset(subset)
-        last = self._last
-        if last is not None and last.subset == chosen and bool not in map(type, chosen):
-            value = last.value
+        if chosen == self._memo[0] and bool not in map(type, chosen):
+            value = self._memo[1]
         else:
-            value = self._handle(chosen).value
-        self._charge()
+            value = float(self._total(self._cap(agent_values(self.scenario, chosen)))) if chosen else 0.0
+        self.charge(1)
         return value
 
 

@@ -6,6 +6,7 @@ import json
 import math
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from robust_select import (
     threshold_greedy,
 )
 from robust_select.checks import gamma_grid, random_small_scenario
+from robust_select.scenario import agent_values
 from robust_select import solvers
 from robust_select.solvers import (
     _LADDER_CHUNK,
@@ -390,6 +392,72 @@ def test_ladder_drop_lands_where_the_chain_stops(start, delta, data):
         assert ladder.threshold == chain[k]
 
 
+@pytest.mark.parametrize("slack", [solvers._LADDER_SLACK, 2**52 - 2**46])
+@given(start=NORMAL_STARTS, delta=LADDER_DELTAS, data=st.data())
+def test_first_hit_is_the_first_gain_at_or_above_the_rung(slack, start, delta, data):
+    """On arbitrary gains, in no order, ``first_hit`` returns the index of
+    the first one at or above the exact chain's rung, or their number if
+    none is, at a rung known exactly or only by its bounds, given their
+    maximum or a larger bound as the best gain. Gains lie at the rung, a few
+    ulps either side of it, at its bounds, or anywhere up to twice it; the
+    widened slack (from 1/64 of the rung to nearly twice it) leaves most of
+    them between the bounds."""
+    chain = threshold_ladder(start, delta, ladder_length(delta, 5_000))
+    with mock.patch.object(solvers, "_LADDER_SLACK", slack):
+        ladder, k = _Ladder(start, delta), data.draw(st.integers(0, chain.size - 1), label="k")
+        if k:
+            ladder.drop(float(chain[k]), 0.0)
+        for _ in range(data.draw(st.integers(0, min(3, chain.size - 1 - k)), label="steps")):
+            ladder.step()
+            k += 1
+        assert ladder.k == k
+        rung = float(chain[k])
+        near = st.integers(-3, 3).map(lambda ulps: float(rung + ulps * np.spacing(rung)))
+        fixed = st.sampled_from([ladder.low, ladder.high, 0.0, 0.5 * rung])
+        gains = np.array(data.draw(st.lists(
+            st.one_of(near, fixed, st.floats(0.0, 2.0 * rung)), min_size=1, max_size=12,
+        ), label="gains"))
+        expected = next((i for i, gain in enumerate(gains) if gain >= rung), gains.size)
+        best = float(gains.max()) * data.draw(st.sampled_from([1.0, 2.0]), label="best / max")
+        assert ladder.first_hit(gains, best) == expected
+        assert ladder.first_hit(gains[:0], best) == 0
+
+
+def test_a_probe_asks_for_lanes_only_for_bases_it_can_extend(rng, monkeypatch):
+    """The greedy asks the oracle for lanes once for the empty set, whose row
+    scores every element, and once for each later base with a feasible
+    candidate; they are built only for a base that is not saturated. So no
+    lanes are built at gamma == 0, and a uniform rank-r probe asks at most r
+    times. The bases are the empty set and each traced insertion's set."""
+    built = []
+    lanes = SurrogateOracle.lanes
+
+    def spy(oracle, *base):
+        result = lanes(oracle, *base)
+        built.append(result is not None)
+        return result
+
+    monkeypatch.setattr(SurrogateOracle, "lanes", spy)
+    asked = 0
+    for _ in range(30):
+        scenario = random_matroid_scenario(rng, int(rng.integers(1, 12)), int(rng.integers(1, 30)))
+        matroid, n = scenario.matroid, scenario.n_actions
+        upper = min_objective(scenario, range(n))
+        for gamma in (0.0, 0.4 * upper, upper, 2.0 * upper):
+            built.clear()
+            trace = []
+            threshold_greedy(SurrogateOracle(scenario, gamma), matroid, DELTA, trace=trace)
+            bases = [step.base | {step.element} for step in trace]
+            bases = [b for b in bases if any(matroid.can_extend(b, e) for e in range(n))]
+            unsaturated = [b for b in bases if float(np.minimum.reduce(agent_values(scenario, b))) < gamma]
+            assert len(built) == 1 + len(bases)
+            assert built == [gamma > 0.0] + [b in unsaturated for b in bases]
+            if isinstance(matroid, UniformMatroid):
+                assert len(built) <= matroid.rank
+            asked += len(built) > 1
+    assert asked  # some probes built lanes past the empty set
+
+
 def test_untraced_greedy_computes_no_rung(rng, monkeypatch):
     """Without a trace or stats, the greedy decides every comparison from
     the ladder's bounds on these instances: no rung is computed."""
@@ -416,11 +484,11 @@ def test_threshold_greedy_with_undecided_bounds_matches_the_literal_loop(rng, mo
     continued = 0
     first_hit = solvers._Ladder.first_hit
 
-    def spy(ladder, running):
+    def spy(ladder, gains, best):
         nonlocal continued
-        at_low = int(running.searchsorted(ladder.low))
-        hit = first_hit(ladder, running)
-        continued += hit > at_low
+        at_low = np.flatnonzero(gains >= ladder.low)
+        hit = first_hit(ladder, gains, best)
+        continued += hit > (at_low[0] if at_low.size else gains.size)
         return hit
 
     monkeypatch.setattr(solvers._Ladder, "first_hit", spy)

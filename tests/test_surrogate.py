@@ -1,13 +1,17 @@
-"""Truncated-average surrogate: values, marginal gains, base handles,
-evaluation accounting, curvature, and the structural properties."""
+"""Truncated-average surrogate: values, marginal gains read from a base's
+lanes, evaluation accounting and the memo, curvature, and the structural
+properties."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from robust_select import (
     EvaluationCounter,
+    Matroid,
+    PartitionMatroid,
     Scenario,
     SurrogateOracle,
     UniformMatroid,
@@ -15,6 +19,7 @@ from robust_select import (
     min_objective,
     threshold_greedy,
 )
+from robust_select import surrogate
 from robust_select.checks import random_small_scenario
 from robust_select.matroid import all_subsets
 from robust_select.scenario import agent_values
@@ -61,9 +66,50 @@ def test_empty_set_is_zero(tiny):
     assert SurrogateOracle(tiny, 8.0).evaluate(set()) == 0.0
 
 
+def scratch_base(scenario, gamma, subset):
+    """``subset`` as the threshold greedy holds a base, scored from scratch:
+    its capped per-agent values (None for the empty set) and its value."""
+    subset = frozenset(subset)
+    values = np.minimum(agent_values(scenario, subset), gamma) if subset else None
+    return values, SurrogateOracle(scenario, gamma).evaluate(subset)
+
+
+def lane_gains(oracle, values, value):
+    """A base's gain against every ground element, read from its lanes: the
+    reduced row minus its value, or +0.0 where the base is saturated."""
+    built = oracle.lanes(values, value)
+    return np.zeros(oracle.scenario.n_actions) if built is None else built[1] - value
+
+
+def child(oracle, values, value, element):
+    """The base plus ``element`` as the greedy takes it: the element's lane
+    and reduced entry, or the base's own values when it is saturated."""
+    built = oracle.lanes(values, value)
+    return (values, value) if built is None else (built[0][:, element], float(built[1][element]))
+
+
+class _FaultyMatroid(Matroid):
+    """A matroid whose feasibility state offers ``mask_of(chosen)`` after
+    every insertion, whether or not it is a valid mask."""
+
+    def __init__(self, n_actions, mask_of):
+        self.n_actions, self.mask_of = n_actions, mask_of
+
+    def feasibility(self):
+        chosen = set()
+        state = SimpleNamespace(mask=self.mask_of(chosen))
+
+        def add(element):
+            chosen.add(element)
+            state.mask = self.mask_of(chosen)
+
+        state.add = add
+        return state
+
+
 def test_marginal_gain_from_empty(tiny):
     oracle = SurrogateOracle(tiny, 8.0)
-    gain = oracle.gains(oracle.base(set()))[2]
+    gain = oracle.lanes()[1][2]  # the empty set's gains are its reduced row
     assert gain == pytest.approx(SQRT50, abs=1e-12)
 
 
@@ -72,48 +118,46 @@ def test_marginal_gain_partial(tiny):
     # to min(10, 8); recomputed here from scratch.
     expected = (SQRT50 + min(10.0, 8.0)) / 2.0 - SQRT50
     oracle = SurrogateOracle(tiny, 8.0)
-    gain = oracle.gains(oracle.base({2}))[0]
+    gain = lane_gains(oracle, *scratch_base(tiny, 8.0, {2}))[0]
     assert gain == pytest.approx(expected, abs=1e-12)
     assert gain == pytest.approx(0.4645, abs=1e-4)
 
 
 def test_marginal_gain_cache_transparency(tiny, rng):
-    """Gains read from one oracle's handles, each base the child of the one
+    """Gains read from one oracle's lanes, each base the child of the one
     before, equal a fresh oracle's from-scratch difference, bit for bit."""
     for _ in range(10):
         scenario = random_small_scenario(rng, max_actions=6)
         upper = min_objective(scenario, range(scenario.n_actions))
         gamma = 0.6 * upper if upper > 0 else 1.0
         warm = SurrogateOracle(scenario, gamma)
-        handle = warm.base(())
+        subset, values, value = frozenset(), None, 0.0
         for e in range(scenario.n_actions):
-            cached_gain = warm.gains(handle)[e]
+            cached_gain = lane_gains(warm, values, value)[e]
             fresh = SurrogateOracle(scenario, gamma)
-            uncached_gain = fresh.evaluate(handle.subset | {e}) - fresh.evaluate(handle.subset)
+            uncached_gain = fresh.evaluate(subset | {e}) - fresh.evaluate(subset)
             assert cached_gain == uncached_gain
             if e % 2 == 0:
-                handle = warm.child(handle, e)
+                subset, (values, value) = subset | {e}, child(warm, values, value, e)
 
 
 def test_marginal_gain_accounting(tiny):
-    """A handle's first scan charges its base and its candidates, later
-    scans only their candidates, and every fresh handle is cold again.
-    ``evaluate`` charges one evaluation whether or not the set is the last
-    handle's, and reads that handle only for its own set."""
+    """Lanes charge nothing, ``charge`` charges its count of evaluations per
+    agent, and ``evaluate`` charges one evaluation whether or not it reads
+    the memo, which it reads only for the remembered set."""
     oracle = SurrogateOracle(tiny, 8.0)
     n = tiny.n_agents
-    base = oracle.base(set())
-    oracle.charge_scan(base, 1)
-    assert oracle.counter.individual_evals == 2 * n  # base + candidate
-    oracle.charge_scan(base, 1)
-    assert oracle.counter.individual_evals == 3 * n  # the base is warm now
-    base = oracle.base({1})
-    oracle.charge_scan(base, 1)
-    assert oracle.counter.individual_evals == 5 * n  # a fresh handle is cold
-    assert oracle.evaluate({2}) == SQRT50  # the last handle is {1}
-    assert oracle.evaluate({1}) == 4.0
-    oracle.evaluate({1, 2})
-    assert oracle.counter.individual_evals == 8 * n  # evaluate always charges
+    lanes, reduced = oracle.lanes()
+    values, value = lanes[:, 1], float(reduced[1])
+    assert oracle.lanes(values, value) is not None
+    assert oracle.counter.individual_evals == 0
+    oracle.charge(3)
+    assert oracle.counter.individual_evals == 3 * n
+    oracle.remember(frozenset({1}), value)
+    assert oracle.evaluate({2}) == SQRT50  # a miss: the memo holds {1}
+    assert oracle.counter.individual_evals == 4 * n
+    assert oracle.evaluate({1}) == 4.0 == value  # a hit
+    assert oracle.counter.individual_evals == 5 * n
 
 
 def random_scenario(rng, n_agents, n_actions):
@@ -126,164 +170,102 @@ def random_scenario(rng, n_agents, n_actions):
 
 @pytest.mark.parametrize("n_agents", [16, 64])
 def test_batched_gains_bit_for_bit(rng, n_agents):
-    """A handle's gains over its feasible candidates equal a fresh
+    """A base's lane gains over its candidates equal a fresh
     evaluate(S | {e}) - evaluate(S), its children's values a fresh
     evaluate(S | {e}), and evaluate equals a sequential sum over agents,
     exactly."""
     for _ in range(4):
         scenario = random_scenario(rng, n_agents, 24)
         upper = min_objective(scenario, range(24))
-        for oracle_of in (
-            lambda: SurrogateOracle(scenario, 0.7 * upper),
-            lambda: SurrogateOracle(scenario, 2.0 * upper),
-        ):
+        for gamma in (0.7 * upper, 2.0 * upper):
             for size in (0, 1, 3):
                 subset = frozenset(int(j) for j in rng.choice(24, size, replace=False))
-                mask = np.ones(24, dtype=bool)
-                mask[list(subset)] = False
-                batched = oracle_of()
-                handle = batched.base(subset)
-                candidates, gains = batched.feasible(handle, mask)
-                for e, gain in zip(candidates.tolist(), gains):
-                    fresh = oracle_of()
+                batched = SurrogateOracle(scenario, gamma)
+                values, value = scratch_base(scenario, gamma, subset)
+                gains = lane_gains(batched, values, value)
+                for e in sorted(set(range(24)) - subset):
+                    fresh = SurrogateOracle(scenario, gamma)
                     extended = fresh.evaluate(subset | {e})
-                    assert gain == extended - fresh.evaluate(subset)
-                    assert batched.child(handle, e).value == extended
+                    assert gains[e] == extended - fresh.evaluate(subset)
+                    assert child(batched, values, value, e)[1] == extended
             oracle = SurrogateOracle(scenario, 0.7 * upper)
             assert oracle.evaluate(subset) == surrogate_by_hand(scenario, 0.7 * upper, subset)
 
 
 def test_batched_cold_base_costs_one_extra_evaluation(rng):
+    """The greedy charges the empty set, scored cold, with its first scan of
+    every element. Under a matroid that admits nothing that scan is all it
+    charges: one evaluation more than at gamma == 0, where every value is
+    known to be 0."""
     scenario = random_scenario(rng, 16, 12)
-    oracle = SurrogateOracle(scenario, 50.0)
-    n = scenario.n_agents
-    base = oracle.base({0, 1})
-    gains = oracle.gains(base)[2:]
-    oracle.charge_scan(base, gains.size)
-    assert oracle.counter.individual_evals == 11 * n  # cold base + 10 candidates
-    oracle.charge_scan(base, gains.size)
-    assert oracle.counter.individual_evals == 21 * n  # a scanned base is warm
-    again = oracle.base({0, 1})
-    oracle.charge_scan(again, gains.size)
-    assert oracle.counter.individual_evals == 32 * n  # a fresh handle is cold
+    nothing = PartitionMatroid((tuple(range(12)),), (0,))
+    for gamma, charged in ((50.0, 13), (0.0, 12)):
+        oracle = SurrogateOracle(scenario, gamma)
+        assert threshold_greedy(oracle, nothing, 0.1) == set()
+        assert oracle.counter.individual_evals == charged * scenario.n_agents
 
 
-def test_batched_stop_charges_only_the_scanned_prefix(rng):
+def test_batched_stop_charges_only_the_scanned_prefix(rng, monkeypatch):
+    """Under rank 1 the greedy's one pass stops at the first best singleton:
+    it charges the cold empty set, every element, and the prefix of the pass
+    up to that singleton, which it takes. The set it leaves has no
+    candidate, so only the empty set's lanes are asked for, and
+    ``evaluate`` reads the set's value from the memo, scoring no agent."""
     scenario = random_scenario(rng, 16, 12)
-    n = scenario.n_agents
-    candidates = list(range(1, 12))
     fresh = SurrogateOracle(scenario, 50.0)
-    full = [fresh.evaluate({0, e}) - fresh.evaluate({0}) for e in candidates]
+    full = [fresh.evaluate({e}) for e in range(12)]
     hit = int(np.argmax(full))
-    oracle = SurrogateOracle(scenario, 50.0)
-    base = oracle.base({0})
-    assert oracle.gains(base)[1:].tolist() == full
-    # Charging no candidates charges nothing, and leaves the base cold.
-    oracle.charge_scan(base, 0)
-    assert oracle.counter.individual_evals == 0 and base.cold
-    # A scan that stops at the first best gain charges its prefix only.
-    oracle.charge_scan(base, hit + 1)
-    assert oracle.counter.individual_evals == (1 + hit + 1) * n
-    # The accepted extension is warm: a scan of it charges its candidates only.
-    child = oracle.child(base, candidates[hit])
-    oracle.charge_scan(child, 1)
-    assert oracle.counter.individual_evals == (1 + hit + 1 + 1) * n
-    # A scan that nothing stops charges every candidate.
-    oracle = SurrogateOracle(scenario, 50.0)
-    base = oracle.base({0})
-    assert oracle.gains(base)[1:].tolist() == full
-    oracle.charge_scan(base, len(candidates))
-    assert oracle.counter.individual_evals == (1 + len(candidates)) * n
+    oracle = _CountingOracle(scenario, 50.0)
+    assert threshold_greedy(oracle, UniformMatroid(12, 1), 0.1) == {hit}
+    assert oracle.counter.individual_evals == (1 + 12 + hit + 1) * scenario.n_agents
+    assert oracle.built == [True]
+    monkeypatch.setattr(surrogate, "agent_values", None)
+    assert oracle.evaluate({hit}) == full[hit]
+    assert oracle.counter.individual_evals == (1 + 12 + hit + 2) * scenario.n_agents
 
 
 def test_batched_gamma_zero_charges_per_candidate_only(tiny):
+    """At gamma == 0 the greedy charges its scan of every element and no
+    cold base, and returns the empty set."""
     oracle = SurrogateOracle(tiny, 0.0)
-    n = tiny.n_agents
-    base = oracle.base({0})
-    gains = oracle.gains(base)[[1, 2]]
-    assert gains.tolist() == [0.0, 0.0]
-    oracle.charge_scan(base, gains.size)
-    assert oracle.counter.individual_evals == 2 * n  # no cold-base charge
-    oracle.charge_scan(oracle.base({0}), 1)
-    assert oracle.counter.individual_evals == 3 * n
+    assert threshold_greedy(oracle, tiny.matroid, 0.1) == set()
+    assert oracle.counter.individual_evals == 3 * tiny.n_agents
 
 
 @pytest.mark.parametrize("n_agents", [16, 64])
 def test_base_handle_matches_evaluate_differences(rng, n_agents):
-    """The threshold greedy's path (``base``, ``feasible``, ``charge_scan``
-    over slices, ``child``) returns the gains a fresh
-    evaluate(S | {e}) - evaluate(S) gives, scan by scan, and a child's
-    value equals a from-scratch evaluation, bit for bit. ``feasible``
-    checks its mask once: a wrong length is an IndexError, a member a
-    ValueError, and neither it nor a child charges anything. A handle's first scan charges its base, later
-    scans only their candidates."""
+    """A base as the threshold greedy holds it, a set with its capped values
+    and value, gets from ``lanes`` the gains a fresh
+    evaluate(S | {e}) - evaluate(S) gives, and its child, taken from the
+    element's lane, the value and the gains of a from-scratch evaluation,
+    bit for bit. Lanes charge nothing."""
     scenario = random_scenario(rng, n_agents, 30)
-    upper = min_objective(scenario, range(30))
-    n = scenario.n_agents
-
-    def make():
-        return SurrogateOracle(scenario, 0.7 * upper)
-
-    oracle = make()
-    base = oracle.base({3, 7})
-    with pytest.raises(IndexError, match="ground set"):
-        oracle.feasible(base, np.ones(31, dtype=bool))
-    mask = rng.random(30) < 0.7
-    mask[3] = True
-    with pytest.raises(ValueError, match="outside"):
-        oracle.feasible(base, mask)
-    mask[[3, 7]] = False
-    ids, gains = oracle.feasible(base, mask)
-    assert ids.tolist() == np.flatnonzero(mask).tolist()
-    assert oracle.counter.individual_evals == 0
-    reference = make()
-    by_definition = [reference.evaluate({3, 7, e}) - reference.evaluate({3, 7}) for e in ids.tolist()]
-    charged = 1  # the cold base, with the first scan
-    for lo in (0, ids.size // 2):
-        scanned = gains[lo:]
-        oracle.charge_scan(base, scanned.size)
-        assert scanned.tolist() == by_definition[lo:]
-        charged += scanned.size
-        assert oracle.counter.individual_evals == charged * n
-    e = int(ids[-1])
-    child = oracle.child(base, e)
-    fresh = make()
-    assert child.value == fresh.evaluate({3, 7, e})
-    assert oracle.counter.individual_evals == charged * n
-    # The child's gains are the from-scratch differences of its set.
-    rest = [j for j in ids.tolist() if j != e]
-    assert oracle.feasible(child, mask & (np.arange(30) != e))[1].tolist() == [
-        fresh.evaluate({3, 7, e, j}) - fresh.evaluate({3, 7, e}) for j in rest
+    gamma = 0.7 * min_objective(scenario, range(30))
+    oracle, reference = SurrogateOracle(scenario, gamma), SurrogateOracle(scenario, gamma)
+    values, value = scratch_base(scenario, gamma, {3, 7})
+    ids = [e for e in range(30) if e not in (3, 7)]
+    by_definition = [reference.evaluate({3, 7, e}) - reference.evaluate({3, 7}) for e in ids]
+    assert lane_gains(oracle, values, value)[ids].tolist() == by_definition
+    e, rest = ids[-1], ids[:-1]
+    values, value = child(oracle, values, value, e)
+    assert value == reference.evaluate({3, 7, e})
+    assert lane_gains(oracle, values, value)[rest].tolist() == [
+        reference.evaluate({3, 7, e, j}) - reference.evaluate({3, 7, e}) for j in rest
     ]
-    assert oracle.counter.individual_evals == charged * n
+    assert oracle.counter.individual_evals == 0
 
 
 def test_gamma_zero_builds_no_lanes(rng):
-    """At gamma == 0 the gains are known to be 0: the oracle returns them,
-    charges them and checks ids and members as at any gamma, but builds no
-    capped matrix and no N x M lanes."""
+    """At gamma == 0 every base is saturated: ``lanes`` builds no capped
+    matrix and no N x M lanes, and the greedy charges every element once and
+    no cold base, and still refuses a mask of the wrong shape."""
     scenario = random_scenario(rng, 16, 12)
-    n = scenario.n_agents
     oracle = SurrogateOracle(scenario, 0.0)
-    base = oracle.base({0, 3})
-    feasibility = scenario.matroid.feasibility()
-    feasibility.add(0)
-    feasibility.add(3)
-    ids, gains = oracle.feasible(base, feasibility.mask)
-    assert ids.tolist() == [1, 2, *range(4, 12)] and gains.tolist() == [0.0] * 10
-    oracle.charge_scan(base, gains.size)
-    empty = oracle.base(())
-    assert oracle.gains(empty)[:1].tolist() == [0.0]
-    oracle.charge_scan(empty, 1)
-    assert oracle.counter.individual_evals == 11 * n  # no cold-base charges
-    with pytest.raises(ValueError, match="outside"):
-        oracle.feasible(base, np.ones(12, dtype=bool))
+    assert oracle.lanes() is None and oracle.lanes(*scratch_base(scenario, 0.0, {0, 3})) is None
+    assert threshold_greedy(oracle, scenario.matroid, 0.1) == set()
+    assert oracle.counter.individual_evals == 12 * scenario.n_agents  # no cold-base charge
     with pytest.raises(IndexError, match="ground set"):
-        oracle.feasible(base, np.ones(13, dtype=bool))
-    with pytest.raises(IndexError, match="outside ground set"):
-        oracle.base({12})
-    assert oracle.counter.individual_evals == 11 * n
-    assert base.lanes is None and empty.lanes is None and not base.cold
+        threshold_greedy(oracle, _FaultyMatroid(12, lambda chosen: np.ones(13, dtype=bool)), 0.1)
     assert oracle._capped is None  # no capped matrix was built
 
 
@@ -293,72 +275,74 @@ def _bits(array):
 
 
 def _lane_path(oracle):
-    """``oracle`` with saturation never detected: every handle builds lanes."""
-    oracle._saturated = lambda handle: False
+    """``oracle`` with saturation never detected: every base gets lanes."""
+    oracle._saturated = lambda values, value: False
     return oracle
+
+
+class _CountingOracle(SurrogateOracle):
+    """Records, for each ``lanes`` call, whether it built lanes."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.built = []
+
+    def lanes(self, *base):
+        built = super().lanes(*base)
+        self.built.append(built is not None)
+        return built
 
 
 @pytest.mark.parametrize("n_agents", [1, 16, 64])
 def test_saturated_handles_build_no_lanes(rng, n_agents):
     """Below every distance, gamma saturates every agent of a non-empty set.
-    Its handle builds no lanes, and its gains are +0.0 bit for bit: the
+    ``lanes`` builds none for it, and its gains are +0.0 bit for bit: the
     from-scratch lanes (``np.maximum``, then ``np.add.reduce`` in agent
-    order) minus its value. Scanning them charges what the lane path
-    charges, and its child is the lane path's child."""
+    order) minus its value, which the lane path returns too. Its child is
+    the lane path's child, and the memo reads the same value."""
     scenario = random_scenario(rng, n_agents, 30)
     gamma = 0.5 * float(scenario.distances.min())
     capped = np.minimum(scenario.distances, gamma)
     for members in ({3}, {3, 7}, {0, 1, 29}):
         oracle, lanes = SurrogateOracle(scenario, gamma), _lane_path(SurrogateOracle(scenario, gamma))
-        base, reference = oracle.base(members), lanes.base(members)
-        values = np.minimum(agent_values(scenario, members), gamma)
-        scratch = np.add.reduce(np.maximum(values[:, None], capped), axis=0) / n_agents - base.value
-        assert _bits(oracle.gains(base)) == _bits(scratch) == _bits(np.zeros(30))
-        assert base.lanes is None
-        assert _bits(lanes.gains(reference)) == _bits(scratch) and reference.lanes is not None
-        mask = np.ones(30, dtype=bool)
-        mask[list(members)] = False
-        for each, handle in ((oracle, base), (lanes, reference)):
-            gains = each.feasible(handle, mask)[1]
-            each.charge_scan(handle, 5)
-            each.charge_scan(handle, 1)
-        assert oracle.counter.individual_evals == lanes.counter.individual_evals == 7 * n_agents
-        child, expected = oracle.child(base, 12), lanes.child(reference, 12)
-        assert child.subset == expected.subset and child.value == expected.value
-        assert _bits(child.values) == _bits(expected.values)
-        assert _bits(oracle.gains(child)) == _bits(lanes.gains(expected)) and child.lanes is None
-        assert oracle.evaluate(members | {12}) == lanes.evaluate(members | {12})
-        assert oracle.counter.individual_evals == lanes.counter.individual_evals == 8 * n_agents
+        values, value = scratch_base(scenario, gamma, members)
+        scratch = np.add.reduce(np.maximum(values[:, None], capped), axis=0) / n_agents - value
+        assert oracle.lanes(values, value) is None
+        assert _bits(lane_gains(oracle, values, value)) == _bits(scratch) == _bits(np.zeros(30))
+        assert _bits(lane_gains(lanes, values, value)) == _bits(scratch)
+        got, expected = child(oracle, values, value, 12), child(lanes, values, value, 12)
+        assert got[1] == expected[1] and _bits(got[0]) == _bits(expected[0])
+        assert _bits(lane_gains(oracle, *got)) == _bits(lane_gains(lanes, *expected))
+        for each in (oracle, lanes):
+            each.remember(frozenset(members | {12}), got[1])
+        assert oracle.evaluate(members | {12}) == lanes.evaluate(members | {12}) == got[1]
+        assert oracle.counter.individual_evals == lanes.counter.individual_evals == n_agents
 
 
 @pytest.mark.parametrize("n_agents", [16, 64])
 def test_partly_saturated_handles_build_lanes(rng, n_agents):
-    """A handle with only some agents at gamma builds its lanes, and its
-    gains and its children are the from-scratch values, bit for bit, even
-    for a child taken before any gain was read."""
+    """A base with only some agents at gamma gets its lanes, and its gains
+    and its children are the from-scratch values, bit for bit."""
     scenario = random_scenario(rng, n_agents, 30)
     for members in ({3}, {3, 7}, {0, 1, 29}):
         gamma = float(np.median(agent_values(scenario, members)))
-        values = np.minimum(agent_values(scenario, members), gamma)
+        values, value = scratch_base(scenario, gamma, members)
         assert (values == gamma).any() and (values < gamma).any()
         oracle = SurrogateOracle(scenario, gamma)
-        base = oracle.base(members)
         capped = np.minimum(scenario.distances, gamma)
-        scratch = np.add.reduce(np.maximum(values[:, None], capped), axis=0) / n_agents - base.value
-        assert _bits(oracle.gains(base)) == _bits(scratch) and base.lanes is not None
-        child = oracle.child(base, 12)
-        assert _bits(child.values) == _bits(np.minimum(agent_values(scenario, members | {12}), gamma))
-        assert child.value == SurrogateOracle(scenario, gamma).evaluate(members | {12})
-        unread = SurrogateOracle(scenario, gamma)
-        assert _bits(unread.child(unread.base(members), 12).values) == _bits(child.values)
+        scratch = np.add.reduce(np.maximum(values[:, None], capped), axis=0) / n_agents - value
+        assert oracle.lanes(values, value) is not None
+        assert _bits(lane_gains(oracle, values, value)) == _bits(scratch)
+        got = child(oracle, values, value, 12)
+        assert _bits(got[0]) == _bits(np.minimum(agent_values(scenario, members | {12}), gamma))
+        assert got[1] == SurrogateOracle(scenario, gamma).evaluate(members | {12})
 
 
 def test_a_saturated_value_with_an_agent_below_gamma_builds_lanes():
     """Two agents at d and at gamma = the next double above d (of even last
     bit) sum to 2 * gamma after rounding, so the set's value equals that of
-    a set saturating both while agent 0 is below gamma. Its handle still
-    builds lanes, and an element that raises agent 0 reaches gamma in its
-    child."""
+    a set saturating both while agent 0 is below gamma. It still gets
+    lanes, and an element that raises agent 0 reaches gamma in its child."""
     for k in range(1, 100):
         near = (3.0, 0.37 * k)
         d = math.dist((0.0, 0.0), near)
@@ -367,10 +351,11 @@ def test_a_saturated_value_with_an_agent_below_gamma_builds_lanes():
             break
     scenario = Scenario.from_coords([(0.0, 0.0), (100.0, 0.0)], [near, (0.0, 50.0)], UniformMatroid(2, 2))
     oracle = SurrogateOracle(scenario, gamma)
-    base = oracle.base({0})
-    assert base.values.tolist() == [d, gamma] and base.value == oracle.evaluate({0, 1})
-    assert oracle.gains(base).tolist() == [0.0, 0.0] and base.lanes is not None
-    assert oracle.child(base, 1).values.tolist() == [gamma, gamma]
+    values, value = scratch_base(scenario, gamma, {0})
+    assert values.tolist() == [d, gamma] and value == oracle.evaluate({0, 1})
+    assert oracle.lanes(values, value) is not None
+    assert lane_gains(oracle, values, value).tolist() == [0.0, 0.0]
+    assert child(oracle, values, value, 1)[0].tolist() == [gamma, gamma]
 
 
 def _greedy_outputs(scenario, gamma):
@@ -382,7 +367,7 @@ def _greedy_outputs(scenario, gamma):
 
 
 def test_greedies_match_the_lane_path(rng, monkeypatch):
-    """Skipping the lanes of saturated handles changes no selection, trace,
+    """Skipping the lanes of saturated bases changes no selection, trace,
     stat or charge of the threshold greedy."""
     saturated = 0
     for _ in range(12):
@@ -395,38 +380,37 @@ def test_greedies_match_the_lane_path(rng, monkeypatch):
         upper = min_objective(scenario, range(n_actions))
         for gamma in (0.0, 0.1 * upper, 0.5 * upper, upper, 2.0 * upper):
             outputs = _greedy_outputs(scenario, gamma)
-            oracle = SurrogateOracle(scenario, gamma)
-            handle = oracle.base(outputs[0])
-            oracle.gains(handle)
-            saturated += bool(handle.subset) and handle.lanes is None
+            values, value = scratch_base(scenario, gamma, outputs[0])
+            saturated += bool(outputs[0]) and SurrogateOracle(scenario, gamma).lanes(values, value) is None
             with monkeypatch.context() as patch:
-                patch.setattr(SurrogateOracle, "_saturated", lambda self, handle: False)
+                patch.setattr(SurrogateOracle, "_saturated", lambda self, values, value: False)
                 assert _greedy_outputs(scenario, gamma) == outputs
     assert saturated  # the skip was exercised
 
 
 def test_batched_rejects_members_and_skips_empty(tiny):
-    """A mask that admits a member is refused; an empty one builds no lanes,
-    and a scan of nothing charges nothing, not even a cold base."""
-    oracle = SurrogateOracle(tiny, 8.0)
-    base = oracle.base({1})
+    """The greedy refuses a feasibility mask of the wrong shape, or one that
+    admits a member of its set, and asks for no lanes for a base with no
+    feasible candidate: under rank 1, only for the empty set."""
+    everything = _FaultyMatroid(3, lambda chosen: np.ones(3, dtype=bool))
     with pytest.raises(ValueError, match="outside"):
-        oracle.feasible(base, np.array([True, True, False]))
-    ids, gains = oracle.feasible(base, np.zeros(3, dtype=bool))
-    assert ids.size == gains.size == 0 and base.lanes is None
-    oracle.charge_scan(base, gains.size)
-    assert oracle.counter.individual_evals == 0 and base.cold
+        threshold_greedy(SurrogateOracle(tiny, 8.0), everything, 0.1)
+    with pytest.raises(IndexError, match="ground set"):
+        threshold_greedy(SurrogateOracle(tiny, 8.0), _FaultyMatroid(3, lambda chosen: np.ones(2, dtype=bool)), 0.1)
+    oracle = _CountingOracle(tiny, 8.0)
+    assert threshold_greedy(oracle, tiny.matroid, 0.1) == {2}
+    assert oracle.built == [True]
 
 
 def test_members_of_a_promoted_base_are_rejected(tiny):
-    """The member mask of a child handle covers the element it added."""
-    oracle = SurrogateOracle(tiny, 8.0)
-    base = oracle.base({0})
-    oracle.feasible(base, np.array([False, True, True]))
-    child = oracle.child(base, 1)
+    """The member check covers the element the greedy added last: a mask
+    that admits only that element is refused, and one that admits every
+    other element is not."""
+    only_chosen = _FaultyMatroid(3, lambda chosen: np.array([not chosen or j in chosen for j in range(3)]))
     with pytest.raises(ValueError, match="outside"):
-        oracle.feasible(child, np.array([False, True, True]))
-    assert oracle.feasible(child, np.array([False, False, True]))[0].tolist() == [2]
+        threshold_greedy(SurrogateOracle(tiny, 8.0), only_chosen, 0.1)
+    others = _FaultyMatroid(3, lambda chosen: np.array([j not in chosen for j in range(3)]))
+    assert 2 in threshold_greedy(SurrogateOracle(tiny, 8.0), others, 0.1)
 
 
 def agent_order_sum(values):
@@ -463,40 +447,31 @@ def test_reduce_is_the_agent_order_sum(rng, layout):
 
 @pytest.mark.parametrize("n_agents", [16, 64])
 def test_lane_reads_equal_cold_gains_and_charges(rng, n_agents):
-    """A gain read from a scanned handle's lanes equals the gain a cold
-    oracle computes and a from-scratch difference, and costs exactly what a
-    fresh oracle's scan of the same candidate costs after its base charge.
-    ``evaluate`` reads a child's value from the handle, charging one
-    evaluation and returning the from-scratch bits."""
+    """A base built warm, each element taken from its predecessor's lanes,
+    has the values of the same set scored cold from scratch, and its lane
+    gains equal the cold base's and a from-scratch difference, bit for bit.
+    ``evaluate`` reads a remembered child's value, returning the
+    from-scratch bits and charging one evaluation, as a miss does."""
     scenario = random_scenario(rng, n_agents, 30)
-    upper = min_objective(scenario, range(30))
+    gamma = 0.7 * min_objective(scenario, range(30))
     n = scenario.n_agents
-
-    def make():
-        return SurrogateOracle(scenario, 0.7 * upper)
-
-    warm = make()
+    warm = SurrogateOracle(scenario, gamma)
     for members in ({3, 7}, {1, 2, 29}, {3, 7}):
-        base = warm.base(members)
-        mask = np.ones(30, dtype=bool)
-        mask[list(members)] = False
-        ids, gains = warm.feasible(base, mask)
-        warm.charge_scan(base, 1)
-        for e, gain in zip(ids.tolist(), gains.tolist()):
-            before = warm.counter.individual_evals
-            warm.charge_scan(base, 1)
-            assert warm.counter.individual_evals - before == n  # a scanned base
-            cold = make()
-            handle = cold.base(members)
-            assert cold.gains(handle)[e] == gain
-            cold.charge_scan(handle, 1)
-            assert cold.counter.individual_evals == 2 * n  # cold base + candidate
-            fresh = make()
-            assert fresh.evaluate(members | {e}) - fresh.evaluate(members) == gain
-            warm.child(base, e)
+        values, value = None, 0.0
+        for m in sorted(members):
+            values, value = child(warm, values, value, m)
+        cold_values, cold_value = scratch_base(scenario, gamma, members)
+        assert _bits(values) == _bits(cold_values) and value == cold_value
+        gains = lane_gains(warm, values, value)
+        assert _bits(gains) == _bits(lane_gains(SurrogateOracle(scenario, gamma), cold_values, cold_value))
+        for e in sorted(set(range(30)) - members):
+            fresh = SurrogateOracle(scenario, gamma)
+            assert fresh.evaluate(members | {e}) - fresh.evaluate(members) == gains[e]
+            warm.remember(frozenset(members | {e}), child(warm, values, value, e)[1])
             before = warm.counter.individual_evals
             assert warm.evaluate(members | {e}) == fresh.evaluate(members | {e})
-            assert warm.counter.individual_evals - before == n
+            assert warm.evaluate(members) == fresh.evaluate(members)  # a miss
+            assert warm.counter.individual_evals - before == 2 * n
 
 
 @pytest.mark.parametrize("bad", [-1, 3])
@@ -507,20 +482,18 @@ def test_out_of_range_ids_raise(tiny, make, bad):
     oracle = make(tiny)
     with pytest.raises(IndexError, match="outside ground set"):
         oracle.evaluate({bad})
-    with pytest.raises(IndexError, match="outside ground set"):
-        oracle.base({bad})
     assert oracle.counter.individual_evals == 0
 
 
 def test_a_bool_among_ids_is_refused(tiny):
-    """True is not read as id 1, in a base set or in a set that equals the
+    """True is not read as id 1, in any set or in one that equals the
     memo; a refused call charges nothing."""
     oracle = SurrogateOracle(tiny, 8.0)
     with pytest.raises(IndexError, match="got bool"):
-        oracle.base([True, 2])
+        oracle.evaluate([True, 2])
     with pytest.raises(IndexError, match="got bool"):
         oracle.evaluate([0, True])
-    oracle.base({0, 1})
+    oracle.remember(frozenset({0, 1}), 8.0)
     with pytest.raises(IndexError, match="got bool"):
         oracle.evaluate([0, True])
     assert oracle.counter.individual_evals == 0
@@ -584,10 +557,10 @@ def test_marginal_gain_nonnegative(rng):
         scenario = random_small_scenario(rng, max_actions=6)
         upper = min_objective(scenario, range(scenario.n_actions))
         oracle = SurrogateOracle(scenario, 0.5 * upper if upper > 0 else 1.0)
-        handle = oracle.base(())
+        values, value = None, 0.0
         for e in range(scenario.n_actions):
-            assert (oracle.gains(handle) >= 0.0).all()
-            handle = oracle.child(handle, e)
+            assert (lane_gains(oracle, values, value) >= 0.0).all()
+            values, value = child(oracle, values, value, e)
 
 
 class _ModularOracle:
