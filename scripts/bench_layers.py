@@ -3,7 +3,7 @@
 
     python3 scripts/bench_layers.py --out BENCH_11.json [--label TEXT] [--quick]
 
-Seven layers, each timed as the minimum over REPEATS repeats on fixed seeds,
+Nine layers, each timed as the minimum over REPEATS repeats on fixed seeds,
 with the evaluations one run charges (in f-equivalents, as
 ``Solution.f_evaluations`` counts them). A repeat of a batched layer runs it
 a batch of times, and its time and evaluations are divided by the batch:
@@ -12,8 +12,13 @@ a batch of times, and its time and evaluations are divided by the batch:
   does once per base (``SurrogateOracle.lanes``, then the reduced row minus
   the base's value). The base is the singleton of least value, taken from
   the empty set's lanes as the greedy takes it; lanes charge nothing;
+* ``scenario``: one ring-uniform scenario built from its coordinate lists
+  (``Scenario.from_coords``) and its distance matrix, the set-up of a
+  perfbench ring-uniform op; it charges nothing;
 * ``threshold_greedy``: one greedy, timed as a batch of ten at the fixed
   gammas k/10 of the trivial bound, k = 1..10, and reported per greedy;
+* ``threshold_greedy_ring``: the same on the ring-uniform scenario, whose
+  probes build the per-base lanes that the paper scenario's mostly skip;
 * ``saturate_robust``: one bisection solve;
 * ``ratio_greedy_baseline``: one run of the ratio baseline;
 * ``simple_greedy``: one run of the worst-agent greedy baseline;
@@ -22,8 +27,10 @@ a batch of times, and its time and evaluations are divided by the batch:
 * ``bench_full``: the full benchmark, ``BenchConfig()`` with ``fast`` and
   ``ratio``: 10 capacities x 100 trials x 2 algorithms = 2000 runs.
 
-The first five run on the paper sweep's scenario at capacity 5 of trial 0,
-whose distance matrix is built before any layer is timed.
+The greedy, solver and baseline layers run on the paper sweep's scenario at
+capacity 5 of trial 0, and the two ring layers on perfbench's ring-uniform
+pool entry 0 of seed 0 (16 agents, 300 actions, any 3); each distance
+matrix is built before any layer is timed.
 A block of perfbench's reference kernel (``perfbench/speed.py``) runs
 before each layer's first repeat and after every repeat, and each layer
 also records ``scaled_ms``: the minimum over its repeats of the wall time
@@ -53,10 +60,12 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import numpy as np  # noqa: E402
 from speed import kernel_ms, scales  # noqa: E402
+from workloads import ring_uniform  # noqa: E402
 
 from robust_select import (  # noqa: E402
     BenchConfig,
     EvaluationCounter,
+    Scenario,
     SurrogateOracle,
     generate_scenario,
     min_objective,
@@ -105,6 +114,11 @@ def layers(repeats: int, full_trials: int) -> list[dict]:
     gamma = 0.5 * upper
     gammas = [upper * k / GREEDY_BATCH for k in range(1, GREEDY_BATCH + 1)]
     instance = {"base_seed": BASE_SEED, "trial": 0, "z": CAPACITY, "scenario_seed": seed}
+    ring = ring_uniform(BASE_SEED, 0)
+    ring_upper = min_objective(ring, range(ring.n_actions))
+    ring_gammas = [ring_upper * k / GREEDY_BATCH for k in range(1, GREEDY_BATCH + 1)]
+    ring_coords = ring.agents.tolist(), ring.actions.tolist()
+    ring_instance = {"workload": "ring-uniform", "seed": BASE_SEED, "index": 0}
 
     oracle = SurrogateOracle(scenario, gamma)
     empty_lanes, empty_reduced = oracle.lanes()
@@ -119,11 +133,17 @@ def layers(repeats: int, full_trials: int) -> list[dict]:
             oracle.lanes(values, value)[1] - value
         return (oracle.counter.individual_evals - before) / scenario.n_agents / LANES_BATCH
 
-    def greedy() -> float:
-        counter = EvaluationCounter()
-        for probe in gammas:
-            threshold_greedy(SurrogateOracle(scenario, probe, counter), scenario.matroid, params.delta)
-        return counter.f_equivalent(scenario.n_agents) / GREEDY_BATCH
+    def build() -> float:
+        Scenario.from_coords(*ring_coords, ring.matroid).distances
+        return 0.0
+
+    def greedies(on: Scenario, probes: list[float]):
+        def run() -> float:
+            counter = EvaluationCounter()
+            for probe in probes:
+                threshold_greedy(SurrogateOracle(on, probe, counter), on.matroid, params.delta)
+            return counter.f_equivalent(on.n_agents) / GREEDY_BATCH
+        return run
 
     def solve() -> float:
         return saturate_robust(scenario, params).f_evaluations
@@ -144,7 +164,10 @@ def layers(repeats: int, full_trials: int) -> list[dict]:
     rows = []
     for name, run, k, batch, seeds in (
         ("lanes", lanes, repeats, LANES_BATCH, {**instance, "gamma": gamma, "base": [element]}),
-        ("threshold_greedy", greedy, repeats, GREEDY_BATCH, {**instance, "gammas": gammas}),
+        ("scenario", build, repeats, 1, ring_instance),
+        ("threshold_greedy", greedies(scenario, gammas), repeats, GREEDY_BATCH, {**instance, "gammas": gammas}),
+        ("threshold_greedy_ring", greedies(ring, ring_gammas), repeats, GREEDY_BATCH,
+         {**ring_instance, "gammas": ring_gammas}),
         ("saturate_robust", solve, repeats, 1, instance),
         ("ratio_greedy_baseline", ratio, repeats, 1, instance),
         ("simple_greedy", greedy_baseline, repeats, 1, instance),

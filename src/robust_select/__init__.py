@@ -26,7 +26,6 @@ from .matroid import (
 )
 from .scenario import (
     EvaluationCounter,
-    Point2,
     Scenario,
     agent_values,
     load_scenario,
@@ -59,7 +58,6 @@ __all__ = [
     "GreedyStep",
     "Matroid",
     "PartitionMatroid",
-    "Point2",
     "Scenario",
     "Solution",
     "SolverParams",

@@ -85,9 +85,7 @@ def random_small_scenario(rng: np.random.Generator, max_actions: int, max_agents
     else:
         n_blocks = int(rng.integers(1, min(4, n_actions) + 1))
         assignment = rng.integers(0, n_blocks, n_actions)
-        blocks = tuple(
-            tuple(int(j) for j in range(n_actions) if assignment[j] == b) for b in range(n_blocks)
-        )
+        blocks = tuple(tuple(np.flatnonzero(assignment == b).tolist()) for b in range(n_blocks))
         matroid = PartitionMatroid(blocks, (int(rng.integers(0, 3)),) * n_blocks)
     return Scenario.from_coords(agents, actions, matroid)
 

@@ -13,31 +13,48 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product, starmap
-from typing import Iterable, NamedTuple
+from itertools import chain, product, starmap
+from typing import Iterable
 
 import numpy as np
 
-from .matroid import Matroid, ground_ids, is_real, matroid_from_dict, matroid_to_dict
+from .matroid import Matroid, ground_ids, matroid_from_dict, matroid_to_dict
 
 # Agent-action pairs a scenario may have: about 1 GB, at the ~32 bytes a pair a solve holds.
 DISTANCE_PAIRS_CAP = 30_000_000
 
-
-class Point2(NamedTuple):
-    """A planar location."""
-
-    x: float
-    y: float
-
-
-def _points(coords: Iterable[tuple[float, float]]) -> tuple[Point2, ...]:
-    """(x, y) rows as points. A numpy array is read through one ``tolist()``,
-    2.4x faster than reading its rows as numpy scalars, and each point is
-    built by ``tuple.__new__``, the namedtuple's own constructor without its
-    Python-level ``__new__``."""
-    rows = coords.tolist() if isinstance(coords, np.ndarray) else coords
-    return tuple([tuple.__new__(Point2, (float(x), float(y))) for x, y in rows])
+def _coords(label: str, coords: Iterable[tuple[float, float]] | np.ndarray) -> np.ndarray:
+    """(x, y) rows as a read-only, C-contiguous float64 (n, 2) array that
+    owns its data. Such an array is returned as it is; any other array is
+    copied once by ``np.array``; a list or tuple of rows (any other iterable
+    is read into a tuple first) has its row lengths checked once and its
+    coordinates read by one ``np.fromiter`` over them all. A row that is
+    not an (x, y) pair is refused with ValueError (TypeError for an array
+    that is not two-dimensional, or a row with no length), a complex
+    coordinate with TypeError and a coordinate that is not finite with
+    ValueError."""
+    if isinstance(coords, np.ndarray):
+        flags = coords.flags
+        if coords.dtype == np.float64 and flags.owndata and flags.c_contiguous and not flags.writeable:
+            array = coords
+        elif np.iscomplexobj(coords):
+            raise TypeError(f"scenario {label}: coordinates must be real, got complex dtype {coords.dtype}")
+        else:
+            array = np.array(coords, dtype=np.float64, order="C")
+        if array.ndim != 2:
+            raise TypeError(f"scenario {label}: expected (x, y) rows, got an array of shape {array.shape}")
+    else:
+        rows = coords if isinstance(coords, (list, tuple)) else tuple(coords)
+        if not set(map(len, rows)) <= {2}:
+            raise ValueError(f"scenario {label}: expected (x, y) rows, got a row of another length")
+        array = np.fromiter(chain.from_iterable(rows), np.float64, 2 * len(rows))
+        array.shape = (len(rows), 2)
+    if array.shape[1] != 2:
+        raise ValueError(f"scenario {label}: expected (x, y) rows, got an array of shape {array.shape}")
+    if not np.isfinite(array).all():
+        raise ValueError(f"scenario {label}: coordinates must be finite")
+    array.setflags(write=False)
+    return array
 
 
 class EvaluationCounter:
@@ -63,34 +80,60 @@ class EvaluationCounter:
         return f"EvaluationCounter({self.individual_evals})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scenario:
     """Immutable problem instance: agent and action locations plus the
     selection constraint over action ids 0..M-1. Safe to share across
-    threads; all mutable run state lives in per-run counters."""
+    threads; all mutable run state lives in per-run counters.
 
-    agents: tuple[Point2, ...]
-    actions: tuple[Point2, ...]
+    ``agents`` and ``actions`` are read-only, C-contiguous float64 arrays of
+    shape (N, 2) and (M, 2), 16 bytes a point; the constructor takes (x, y)
+    rows in any form ``from_coords`` does and keeps such an array that owns
+    its data as it is, so building a scenario from another's arrays (or
+    ``dataclasses.replace``) copies nothing. Scenarios compare and hash by
+    value: equal coordinates and an equal matroid."""
+
+    agents: np.ndarray
+    actions: np.ndarray
     matroid: Matroid
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "agents", _coords("agents", self.agents))
         if len(self.agents) < 1:
             raise ValueError("scenario needs at least one agent")
-        for label, points in (("agents", self.agents), ("actions", self.actions)):
-            for p in points:
-                if not (math.isfinite(p.x) and math.isfinite(p.y)):
-                    raise ValueError(f"scenario {label}: coordinates must be finite")
+        object.__setattr__(self, "actions", _coords("actions", self.actions))
         if self.matroid.n_actions != len(self.actions):
             raise ValueError("matroid ground set size does not match the action count")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            np.array_equal(self.agents, other.agents)
+            and np.array_equal(self.actions, other.actions)
+            and self.matroid == other.matroid
+        )
+
+    def __hash__(self) -> int:
+        # Adding 0.0 turns -0.0 into 0.0, which compares equal to it.
+        return hash(((self.agents + 0.0).tobytes(), (self.actions + 0.0).tobytes(), self.matroid))
+
+    def __reduce__(self):
+        # Unpickled arrays are writeable: rebuild through the constructor.
+        return type(self), (self.agents, self.actions, self.matroid)
 
     @classmethod
     def from_coords(
         cls,
-        agents: Iterable[tuple[float, float]],
-        actions: Iterable[tuple[float, float]],
+        agents: Iterable[tuple[float, float]] | np.ndarray,
+        actions: Iterable[tuple[float, float]] | np.ndarray,
         matroid: Matroid,
     ) -> "Scenario":
-        return cls(agents=_points(agents), actions=_points(actions), matroid=matroid)
+        """A scenario from (x, y) rows: an array of shape (n, 2), or a list
+        or tuple of pairs (lists, tuples or 1-D arrays). The same as calling
+        the constructor; the coordinates are copied unless they already are
+        a read-only float64 array that owns its data."""
+        return cls(agents, actions, matroid)
 
     @property
     def n_agents(self) -> int:
@@ -105,7 +148,8 @@ class Scenario:
         """Agent-to-action distance matrix, one row per agent: a read-only
         float64 N x M array, built on first use so constructing a scenario
         stays free of numpy work. Entries are ``math.dist`` values of each
-        (agent, action) pair in row order, one ``starmap``. More than
+        (agent, action) pair in row order, one ``starmap`` over the (x, y)
+        tuples each coordinate array is read into once. More than
         DISTANCE_PAIRS_CAP pairs are refused with ValueError before allocating.
 
         ``math.dist`` stays, one call per pair, because the vectorised forms
@@ -122,7 +166,8 @@ class Scenario:
         shape = (self.n_agents, self.n_actions)
         if shape[0] * shape[1] > DISTANCE_PAIRS_CAP:
             raise ValueError(f"N x M = {shape[0]} x {shape[1]} exceeds DISTANCE_PAIRS_CAP = {DISTANCE_PAIRS_CAP}")
-        pairs = starmap(math.dist, product(self.agents, self.actions))
+        agents, actions = (list(zip(*points.T.tolist())) for points in (self.agents, self.actions))
+        pairs = starmap(math.dist, product(agents, actions))
         array = np.fromiter(pairs, np.float64, shape[0] * shape[1]).reshape(shape)
         largest = float(array.max(initial=0.0))
         if not math.isfinite(2 * shape[0] * largest):
@@ -160,8 +205,8 @@ def min_objective(
 
 def scenario_to_dict(scenario: Scenario) -> dict:
     return {
-        "agents": [[p.x, p.y] for p in scenario.agents],
-        "actions": [[p.x, p.y] for p in scenario.actions],
+        "agents": scenario.agents.tolist(),
+        "actions": scenario.actions.tolist(),
         "matroid": matroid_to_dict(scenario.matroid),
     }
 
@@ -177,7 +222,7 @@ def scenario_from_dict(data: object) -> Scenario:
     return Scenario(agents=agents, actions=actions, matroid=matroid)
 
 
-def _coord_field(data: dict, name: str, minimum: int) -> tuple[Point2, ...]:
+def _coord_field(data: dict, name: str, minimum: int) -> np.ndarray:
     if name not in data:
         raise ValueError(f"scenario config: field '{name}' is missing")
     raw = data[name]
@@ -185,10 +230,18 @@ def _coord_field(data: dict, name: str, minimum: int) -> tuple[Point2, ...]:
         raise ValueError(
             f"scenario config: field '{name}' must be a list of at least {minimum} [x, y] pairs"
         )
-    for entry in raw:
-        if not (isinstance(entry, (list, tuple)) and len(entry) == 2 and all(map(is_real, entry))):
-            raise ValueError(f"scenario config: field '{name}' must contain finite [x, y] pairs")
-    return _points(raw)
+    pairs = f"scenario config: field '{name}' must contain finite [x, y] pairs"
+    if not (set(map(type, raw)) <= {list, tuple} and set(map(len, raw)) <= {2}):
+        raise ValueError(pairs)
+    # JSON true and false are not numbers: read as 1 and 0, they would load
+    # a scenario that saves differently.
+    types = set(map(type, chain.from_iterable(raw)))
+    if bool in types or not all(issubclass(t, (int, float)) for t in types):
+        raise ValueError(pairs)
+    try:
+        return _coords(name, raw)
+    except (OverflowError, ValueError):  # an integer past the largest double, or inf
+        raise ValueError(pairs) from None
 
 
 def load_scenario(path: str) -> Scenario:

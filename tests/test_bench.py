@@ -38,8 +38,8 @@ def test_generate_scenario_structure():
     assert len(matroid.blocks) == 4
     assert sum(len(b) for b in matroid.blocks) == 50
     assert matroid.capacities == (3, 3, 3, 3)
-    for p in scenario.agents + scenario.actions:
-        assert 0.0 <= p.x < 100.0 and 0.0 <= p.y < 100.0
+    for x, y in np.concatenate((scenario.agents, scenario.actions)).tolist():
+        assert 0.0 <= x < 100.0 and 0.0 <= y < 100.0
 
 
 class MidLineDraw:
@@ -65,9 +65,9 @@ def test_generate_scenario_quadrants(monkeypatch):
     for scenario in (drawn, on_mid_lines):
         for b, block in enumerate(scenario.matroid.blocks):
             for j in block:
-                p = scenario.actions[j]
-                assert (p.x >= half) == bool(b & 1)
-                assert (p.y >= half) == bool(b & 2)
+                x, y = scenario.actions[j].tolist()
+                assert (x >= half) == bool(b & 1)
+                assert (y >= half) == bool(b & 2)
 
 
 def test_generate_scenario_deterministic():

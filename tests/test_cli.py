@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from robust_select import checks
+from robust_select import checks, load_scenario, save_scenario
 from robust_select.cli import main
 from robust_select.solvers import BRUTE_FORCE_CAP, SOLVERS, SolverParams
 
@@ -245,6 +245,21 @@ def test_bench_matches_golden_csvs(agents, tmp_path, capsys):
     if agents:
         assert raw.read_bytes() == (GOLDEN / f"{name}_raw.csv").read_bytes()
     assert summary.read_bytes() == (GOLDEN / f"{name}_summary.csv").read_bytes()
+
+
+def test_solve_matches_the_ring_golden(tmp_path, capsys):
+    """A 16-agent, 300-action ring read from JSON solves to the golden's
+    selection, value, evaluations and params (the wall time dropped), and
+    saving the loaded scenario writes the file's bytes again."""
+    path = GOLDEN / "ring16_scenario.json"
+    code, out, _ = run_cli(capsys, "solve", "--config", str(path), "--algorithm", "fast")
+    assert code == 0
+    document = json.loads(out)
+    del document["wall_time_ms"]
+    assert document == json.loads((GOLDEN / "ring16_fast_solution.json").read_text())
+    saved = tmp_path / "saved.json"
+    save_scenario(load_scenario(str(path)), str(saved))
+    assert saved.read_bytes() == path.read_bytes()
 
 
 def test_bench_config_file_with_overrides(tmp_path, capsys):

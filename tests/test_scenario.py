@@ -1,10 +1,13 @@
 """Scenario geometry, per-agent objectives, worst-case evaluation, counters,
 and the scenario JSON format."""
 
+import dataclasses
 import json
 import math
+import pickle
 import re
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +16,6 @@ from hypothesis import given, strategies as st
 from robust_select import (
     EvaluationCounter,
     PartitionMatroid,
-    Point2,
     Scenario,
     UniformMatroid,
     agent_values,
@@ -32,22 +34,22 @@ coord = st.integers(-1000, 1000).map(lambda v: v / 10.0)
 
 
 def test_distance_identity():
-    assert math.dist(Point2(0.0, 0.0), Point2(0.0, 0.0)) == 0.0
+    assert math.dist((0.0, 0.0), (0.0, 0.0)) == 0.0
 
 
 def test_distance_axis():
-    assert math.dist(Point2(0.0, 0.0), Point2(10.0, 0.0)) == 10.0
+    assert math.dist((0.0, 0.0), (10.0, 0.0)) == 10.0
 
 
 def test_distance_diagonal():
-    d = math.dist(Point2(0.0, 0.0), Point2(5.0, 5.0))
+    d = math.dist((0.0, 0.0), (5.0, 5.0))
     assert d == pytest.approx(SQRT50, abs=1e-12)
     assert d == pytest.approx(7.0711, abs=1e-4)
 
 
 @given(coord, coord, coord, coord)
 def test_distance_symmetric_nonnegative(ax, ay, bx, by):
-    p, q = Point2(ax, ay), Point2(bx, by)
+    p, q = (ax, ay), (bx, by)
     assert math.dist(p, q) == math.dist(q, p) >= 0.0
 
 
@@ -252,19 +254,20 @@ def test_counter_monotone_and_units(tiny):
 
 
 def test_from_coords_reads_arrays_lists_and_points():
-    """An array, a list of lists and a tuple of points give one scenario,
-    with float coordinates."""
+    """An array, a list of lists and a tuple of (x, y) tuples give one
+    scenario, with float coordinates."""
     agents, actions = [[1, 2]], [[0.0, -3], [4.25, 7.0]]
     matroid = UniformMatroid(2, 1)
     scenarios = [
         Scenario.from_coords(np.array(agents), np.array(actions), matroid),
         Scenario.from_coords(agents, actions, matroid),
-        Scenario.from_coords(tuple(Point2(*p) for p in agents), tuple(Point2(*p) for p in actions), matroid),
+        Scenario.from_coords(tuple(map(tuple, agents)), tuple(map(tuple, actions)), matroid),
     ]
     assert scenarios[0] == scenarios[1] == scenarios[2]
     for scenario in scenarios:
-        assert scenario.agents == (Point2(1.0, 2.0),)
-        assert all(type(c) is float for p in scenario.agents + scenario.actions for c in p)
+        assert scenario.agents.tolist() == [[1.0, 2.0]]
+        assert scenario.agents.dtype == scenario.actions.dtype == np.float64
+        assert all(type(c) is float for row in scenario.agents.tolist() + scenario.actions.tolist() for c in row)
 
 
 def test_scenario_validation():
@@ -273,10 +276,18 @@ def test_scenario_validation():
     one = UniformMatroid(1, 1)
     with pytest.raises(ValueError, match="at least one agent"):
         Scenario.from_coords(np.empty((0, 2)), [(0.0, 0.0)], one)
-    with pytest.raises(ValueError, match="unpack"):
+    with pytest.raises(ValueError, match=r"\(x, y\) rows"):
         Scenario.from_coords([(0.0, 0.0)], np.zeros((1, 3)), one)
+    # Lists with a row of one or three entries, or ragged rows.
+    for rows in ([(0.0,)], [(0.0, 0.0, 0.0)], [(0.0, 0.0), (1.0,)], [[0.0, 0.0], [1.0, 2.0, 3.0]]):
+        with pytest.raises(ValueError, match=r"\(x, y\) rows"):
+            Scenario.from_coords(rows, [(0.0, 0.0)], one)
+        with pytest.raises(ValueError, match=r"\(x, y\) rows"):
+            Scenario.from_coords([(0.0, 0.0)], rows, one)
     with pytest.raises(TypeError):
         Scenario.from_coords(np.zeros(2), [(0.0, 0.0)], one)
+    with pytest.raises(TypeError):
+        Scenario.from_coords([0.0, 0.0], [(0.0, 0.0)], one)
     with pytest.raises(ValueError):
         Scenario.from_coords(np.array([["a", "0"]]), [(0.0, 0.0)], one)
     # A complex coordinate is refused, not cut to its real part.
@@ -288,6 +299,96 @@ def test_scenario_validation():
         Scenario.from_coords([(math.nan, 0.0)], [(0.0, 0.0)], UniformMatroid(1, 1))
     with pytest.raises(ValueError, match="ground set size"):
         Scenario.from_coords([(0.0, 0.0)], [(0.0, 0.0)], UniformMatroid(2, 1))
+
+
+def test_the_constructor_reads_rows_as_from_coords_does():
+    rows = ([(0.0, 0.0)], [(1.0, 1.0)])
+    direct = Scenario(*rows, UniformMatroid(1, 1))
+    assert direct == Scenario.from_coords(*rows, UniformMatroid(1, 1))
+    assert direct.agents.tolist() == [[0.0, 0.0]] and direct.actions.tolist() == [[1.0, 1.0]]
+
+
+def test_the_constructor_refuses_a_nan_row():
+    with pytest.raises(ValueError, match="finite"):
+        Scenario([(math.nan, 0.0)], [(1.0, 1.0)], UniformMatroid(1, 1))
+    with pytest.raises(ValueError, match="finite"):
+        Scenario([(0.0, 0.0)], [(1.0, math.nan)], UniformMatroid(1, 1))
+
+
+def test_coordinates_are_read_only_float64_rows(rng):
+    scenario = _random_scenario(rng, 4, 7)
+    for points, n in ((scenario.agents, 4), (scenario.actions, 7)):
+        assert isinstance(points, np.ndarray) and points.dtype == np.float64 and points.shape == (n, 2)
+        assert points.flags.c_contiguous and points.flags.owndata
+        assert not points.flags.writeable
+        with pytest.raises(ValueError):
+            points[0, 0] = 1.0
+    # A float32, a Fortran-ordered and an integer array become the same rows.
+    rows = [[1, 2], [3, 4]]
+    for array in (np.array(rows, np.float32), np.asfortranarray(rows, np.float64), np.array(rows)):
+        made = Scenario.from_coords([(0.0, 0.0)], array, UniformMatroid(2, 1)).actions
+        assert made.tolist() == [[1.0, 2.0], [3.0, 4.0]] and made.flags.c_contiguous and made.dtype == np.float64
+
+
+def test_the_callers_coordinates_are_copied():
+    agents, actions = np.array([[1.0, 2.0]]), [[3.0, 4.0], [5.0, 6.0]]
+    scenario = Scenario.from_coords(agents, actions, UniformMatroid(2, 1))
+    distances = scenario.distances.copy()
+    agents[0, 0] = 100.0
+    actions[1][0] = 100.0
+    actions.append([7.0, 8.0])
+    assert scenario.agents.tolist() == [[1.0, 2.0]]
+    assert scenario.actions.tolist() == [[3.0, 4.0], [5.0, 6.0]]
+    assert np.array_equal(scenario.distances, distances)
+    # A read-only view does not own its data, so it is copied too.
+    base = np.array([[1.0, 2.0], [3.0, 4.0]])
+    view = base[:1]
+    view.setflags(write=False)
+    kept = Scenario(view, actions[:2], UniformMatroid(2, 1))
+    base[0, 0] = 100.0
+    assert kept.agents is not view and kept.agents.tolist() == [[1.0, 2.0]]
+
+
+def test_a_scenarios_own_arrays_are_not_copied(tiny):
+    again = Scenario(tiny.agents, tiny.actions, UniformMatroid(3, 2))
+    assert again.agents is tiny.agents and again.actions is tiny.actions
+    replaced = dataclasses.replace(tiny, matroid=UniformMatroid(3, 3))
+    assert replaced.agents is tiny.agents and replaced.actions is tiny.actions
+
+
+def test_scenarios_compare_and_hash_by_value(tiny):
+    rows = (tiny.agents.tolist(), tiny.actions.tolist())
+    same = Scenario.from_coords(*rows, UniformMatroid(3, 1))
+    assert same == tiny and hash(same) == hash(tiny)
+    assert len({tiny, same}) == 1
+    assert same != Scenario.from_coords(*rows, UniformMatroid(3, 2))
+    moved = Scenario.from_coords(rows[0], [[0.0, 0.0], [10.0, 0.0], [5.0, 6.0]], UniformMatroid(3, 1))
+    assert moved != tiny
+    assert tiny != rows and tiny.__eq__(rows) is NotImplemented
+    zero = Scenario.from_coords([(0.0, 0.0)], [(0.0, 1.0)], UniformMatroid(1, 1))
+    negative_zero = Scenario.from_coords([(-0.0, 0.0)], [(0.0, 1.0)], UniformMatroid(1, 1))
+    assert zero == negative_zero and hash(zero) == hash(negative_zero)
+
+
+def test_a_pickled_scenario_comes_back_read_only(tiny):
+    loaded = pickle.loads(pickle.dumps(tiny))
+    assert loaded == tiny
+    assert not loaded.agents.flags.writeable and not loaded.actions.flags.writeable
+
+
+def test_a_scenario_retains_about_16_bytes_a_point(rng):
+    """100 scenarios of ring-uniform's size (16 agents, 300 actions) retain
+    under 10 KB each: the coordinates take 5,056 bytes."""
+    agents = rng.uniform(0.0, 100.0, (16, 2)).tolist()
+    actions = rng.uniform(0.0, 100.0, (300, 2)).tolist()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kept = [Scenario.from_coords(agents, actions, UniformMatroid(300, 3)) for _ in range(100)]
+        retained = (tracemalloc.get_traced_memory()[0] - before) / len(kept)
+    finally:
+        tracemalloc.stop()
+    assert retained < 10_000
 
 
 def test_json_round_trip(tiny, tmp_path):

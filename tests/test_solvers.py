@@ -714,7 +714,7 @@ def test_simple_greedy_matches_the_one_at_a_time_definition(rng):
     for _ in range(40):
         n_actions = int(rng.integers(1, 30))
         scenario = random_matroid_scenario(rng, int(rng.integers(1, 12)), n_actions)
-        agents, actions = [(p.x, p.y) for p in scenario.agents], [(p.x, p.y) for p in scenario.actions]
+        agents, actions = scenario.agents.tolist(), scenario.actions.tolist()
         copies = rng.integers(0, n_actions, n_actions)
         tied = Scenario.from_coords(agents, [actions[j] for j in copies], scenario.matroid)
         forwarding = Scenario.from_coords(agents, actions, _ForwardingMatroid(scenario.matroid))
@@ -822,7 +822,7 @@ def test_ratio_baseline_matches_the_round_by_round_definition(rng):
     for _ in range(40):
         n_actions = int(rng.integers(1, 30))
         scenario = random_matroid_scenario(rng, int(rng.integers(1, 12)), n_actions)
-        agents, actions = [(p.x, p.y) for p in scenario.agents], [(p.x, p.y) for p in scenario.actions]
+        agents, actions = scenario.agents.tolist(), scenario.actions.tolist()
         copies = rng.integers(0, n_actions, n_actions)
         tied = Scenario.from_coords(agents, [actions[j] for j in copies], scenario.matroid)
         assignment = rng.integers(0, 4, n_actions)
@@ -845,11 +845,7 @@ def test_brute_force_tiny(tiny):
 
 
 def test_brute_force_cardinality_tie_break(tiny):
-    wide = Scenario.from_coords(
-        [(p.x, p.y) for p in tiny.agents],
-        [(p.x, p.y) for p in tiny.actions],
-        UniformMatroid(3, 3),
-    )
+    wide = Scenario.from_coords(tiny.agents.tolist(), tiny.actions.tolist(), UniformMatroid(3, 3))
     solution = brute_force_maxmin(wide)
     assert solution.selected == (0, 1)
     assert solution.min_value == 10.0
