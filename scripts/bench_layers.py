@@ -13,8 +13,9 @@ a batch of times, and its time and evaluations are divided by the batch:
   the base's value). The base is the singleton of least value, taken from
   the empty set's lanes as the greedy takes it; lanes charge nothing;
 * ``scenario``: one ring-uniform scenario built from its coordinate lists
-  (``Scenario.from_coords``) and its distance matrix, the set-up of a
-  perfbench ring-uniform op; it charges nothing;
+  by ``Scenario.from_coords``, as perfbench's generator builds a pool
+  entry, and its distance matrix, as each perfbench op builds it; it
+  charges nothing;
 * ``threshold_greedy``: one greedy, timed as a batch of ten at the fixed
   gammas k/10 of the trivial bound, k = 1..10, and reported per greedy;
 * ``threshold_greedy_ring``: the same on the ring-uniform scenario, whose

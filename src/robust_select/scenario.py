@@ -90,7 +90,9 @@ class Scenario:
     shape (N, 2) and (M, 2), 16 bytes a point; the constructor takes (x, y)
     rows in any form ``from_coords`` does and keeps such an array that owns
     its data as it is, so building a scenario from another's arrays (or
-    ``dataclasses.replace``) copies nothing. Scenarios compare and hash by
+    ``dataclasses.replace``) copies nothing. numpy lets the owner of such an
+    array make it writeable again; writing to it then would change the
+    scenario under its cached distances. Scenarios compare and hash by
     value: equal coordinates and an equal matroid."""
 
     agents: np.ndarray
