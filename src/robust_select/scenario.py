@@ -23,6 +23,7 @@ from .matroid import Matroid, ground_ids, matroid_from_dict, matroid_to_dict
 # Agent-action pairs a scenario may have: about 1 GB, at the ~32 bytes a pair a solve holds.
 DISTANCE_PAIRS_CAP = 30_000_000
 
+
 def _coords(label: str, coords: Iterable[tuple[float, float]] | np.ndarray) -> np.ndarray:
     """(x, y) rows as a read-only, C-contiguous float64 (n, 2) array that
     owns its data. Such an array is returned as it is; any other array is
