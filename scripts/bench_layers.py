@@ -3,7 +3,7 @@
 
     python3 scripts/bench_layers.py --out BENCH_11.json [--label TEXT] [--quick]
 
-Nine layers, each timed as the minimum over REPEATS repeats on fixed seeds,
+Ten layers, each timed as the minimum over REPEATS repeats on fixed seeds,
 with the evaluations one run charges (in f-equivalents, as
 ``Solution.f_evaluations`` counts them). A repeat of a batched layer runs it
 a batch of times, and its time and evaluations are divided by the batch:
@@ -16,6 +16,8 @@ a batch of times, and its time and evaluations are divided by the batch:
   by ``Scenario.from_coords``, as perfbench's generator builds a pool
   entry, and its distance matrix, as each perfbench op builds it; it
   charges nothing;
+* ``scenario_crowd``: the same for crowd-grid pool entry 0 of seed 0 (64
+  agents, 160 actions), whose matrix is twice ring-uniform's;
 * ``threshold_greedy``: one greedy, timed as a batch of ten at the fixed
   gammas k/10 of the trivial bound, k = 1..10, and reported per greedy;
 * ``threshold_greedy_ring``: the same on the ring-uniform scenario, whose
@@ -61,7 +63,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import numpy as np  # noqa: E402
 from speed import kernel_ms, scales  # noqa: E402
-from workloads import ring_uniform  # noqa: E402
+from workloads import crowd_grid, ring_uniform  # noqa: E402
 
 from robust_select import (  # noqa: E402
     BenchConfig,
@@ -120,6 +122,8 @@ def layers(repeats: int, full_trials: int) -> list[dict]:
     ring_gammas = [ring_upper * k / GREEDY_BATCH for k in range(1, GREEDY_BATCH + 1)]
     ring_coords = ring.agents.tolist(), ring.actions.tolist()
     ring_instance = {"workload": "ring-uniform", "seed": BASE_SEED, "index": 0}
+    crowd = crowd_grid(BASE_SEED, 0)
+    crowd_coords = crowd.agents.tolist(), crowd.actions.tolist()
 
     oracle = SurrogateOracle(scenario, gamma)
     empty_lanes, empty_reduced = oracle.lanes()
@@ -134,9 +138,11 @@ def layers(repeats: int, full_trials: int) -> list[dict]:
             oracle.lanes(values, value)[1] - value
         return (oracle.counter.individual_evals - before) / scenario.n_agents / LANES_BATCH
 
-    def build() -> float:
-        Scenario.from_coords(*ring_coords, ring.matroid).distances
-        return 0.0
+    def build(coords, matroid):
+        def run() -> float:
+            Scenario.from_coords(*coords, matroid).distances
+            return 0.0
+        return run
 
     def greedies(on: Scenario, probes: list[float]):
         def run() -> float:
@@ -165,7 +171,9 @@ def layers(repeats: int, full_trials: int) -> list[dict]:
     rows = []
     for name, run, k, batch, seeds in (
         ("lanes", lanes, repeats, LANES_BATCH, {**instance, "gamma": gamma, "base": [element]}),
-        ("scenario", build, repeats, 1, ring_instance),
+        ("scenario", build(ring_coords, ring.matroid), repeats, 1, ring_instance),
+        ("scenario_crowd", build(crowd_coords, crowd.matroid), repeats, 1,
+         {"workload": "crowd-grid", "seed": BASE_SEED, "index": 0}),
         ("threshold_greedy", greedies(scenario, gammas), repeats, GREEDY_BATCH, {**instance, "gammas": gammas}),
         ("threshold_greedy_ring", greedies(ring, ring_gammas), repeats, GREEDY_BATCH,
          {**ring_instance, "gammas": ring_gammas}),

@@ -23,10 +23,26 @@ from .matroid import Matroid, ground_ids, matroid_from_dict, matroid_to_dict
 # Agent-action pairs a scenario may have: about 1 GB, at the ~32 bytes a pair a solve holds.
 DISTANCE_PAIRS_CAP = 30_000_000
 
+# Pairs one chunk of the distance pass holds: its float64 and long-double
+# planes take 48 bytes a pair, 3 MB in all.
+_DISTANCE_CHUNK = 1 << 16
+# Relative half-width w of the band that certifies a long-double distance:
+# twice its error bound on x87, and wide enough that no pair is certified
+# where long double is float64. The pass reads the band's ends, 1 + w and 1 - w.
+_CERTIFY_WIDTH = max(2.0**-62, 2 * float(np.finfo(np.longdouble).eps))
+_CERTIFY_BAND = (np.longdouble(1.0) + _CERTIFY_WIDTH, np.longdouble(1.0) - _CERTIFY_WIDTH)
+# Distances below this go to math.dist, which rounds twice near the subnormal range.
+_CERTIFY_TINY = 2.0**-960
+# The pass runs on coordinates smaller than this in magnitude: every
+# difference, square and distance of it then stays finite, even where long
+# double is float64.
+_PASS_EXTENT = 2.0**510
 
-def _coords(label: str, coords: Iterable[tuple[float, float]] | np.ndarray) -> np.ndarray:
+
+def _coords(label: str, coords: Iterable[tuple[float, float]] | np.ndarray) -> tuple[np.ndarray, float]:
     """(x, y) rows as a read-only, C-contiguous float64 (n, 2) array that
-    owns its data. Such an array is returned as it is; any other array is
+    owns its data, and the largest magnitude among its coordinates (0.0 for
+    no rows). Such an array is returned as it is; any other array is
     copied once by ``np.array``; a list or tuple of rows (any other iterable
     is read into a tuple first) has its row lengths checked once and its
     coordinates read by one ``np.fromiter`` over them all. A row that is
@@ -52,10 +68,11 @@ def _coords(label: str, coords: Iterable[tuple[float, float]] | np.ndarray) -> n
         array.shape = (len(rows), 2)
     if array.shape[1] != 2:
         raise ValueError(f"scenario {label}: expected (x, y) rows, got an array of shape {array.shape}")
-    if not np.isfinite(array).all():
+    extent = float(np.maximum.reduce(np.abs(array), axis=None, initial=0.0))
+    if not extent <= sys.float_info.max:  # also true for NaN
         raise ValueError(f"scenario {label}: coordinates must be finite")
     array.setflags(write=False)
-    return array
+    return array, extent
 
 
 class EvaluationCounter:
@@ -101,12 +118,17 @@ class Scenario:
     matroid: Matroid
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "agents", _coords("agents", self.agents))
+        agents, agents_extent = _coords("agents", self.agents)
+        object.__setattr__(self, "agents", agents)
         if len(self.agents) < 1:
             raise ValueError("scenario needs at least one agent")
-        object.__setattr__(self, "actions", _coords("actions", self.actions))
+        actions, actions_extent = _coords("actions", self.actions)
+        object.__setattr__(self, "actions", actions)
         if self.matroid.n_actions != len(self.actions):
             raise ValueError("matroid ground set size does not match the action count")
+        # The largest coordinate magnitude, which decides whether the distance
+        # pass may run.
+        object.__setattr__(self, "_extent", max(agents_extent, actions_extent))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -148,39 +170,110 @@ class Scenario:
 
     @cached_property
     def distances(self) -> np.ndarray:
-        """Agent-to-action distance matrix, one row per agent: a read-only
-        float64 N x M array, built on first use so constructing a scenario
-        stays free of numpy work. Entries are ``math.dist`` values of each
-        (agent, action) pair in row order, one ``starmap`` over the (x, y)
-        tuples each coordinate array is read into once. More than
-        DISTANCE_PAIRS_CAP pairs are refused with ValueError before allocating.
+        """Agent-to-action distance matrix, one row per agent: a read-only,
+        C-contiguous float64 N x M array, built on first use so constructing
+        a scenario stays free of numpy work. Every entry has the bits of
+        ``math.dist`` of its (agent, action) pair. More than
+        DISTANCE_PAIRS_CAP pairs are refused with ValueError before
+        allocating.
 
-        ``math.dist`` stays, one call per pair, because the vectorised forms
-        round differently and every selection and golden file rests on these
-        bits. Over 100 generated scenarios of each benchmark workload (seeds
-        1 and 101), ``np.hypot`` differed in the last bit on 136-154 of
-        25,000 paper-quadrant pairs, 2,508-2,576 of 480,000 ring-uniform
-        pairs and 5,764-5,842 of 1,024,000 crowd-grid pairs, and
-        ``np.sqrt(dx * dx + dy * dy)`` on about 16% of all pairs.
+        The bits matter: every selection and golden file rests on them, and
+        the plain vectorised forms round differently. Over 100 generated
+        scenarios of each benchmark workload (seeds 1 and 101), ``np.hypot``
+        differed in the last bit on 136-154 of 25,000 paper-quadrant pairs,
+        2,508-2,576 of 480,000 ring-uniform pairs and 5,764-5,842 of
+        1,024,000 crowd-grid pairs, and ``np.sqrt(dx * dx + dy * dy)`` on
+        about 16% of all pairs.
+
+        So the matrix is built by a certified pass, in chunks of at most
+        _DISTANCE_CHUNK pairs (whole rows, or part of a row when one row
+        holds more) written into one preallocated matrix. The float64
+        differences dx and dy are the ones ``math.dist`` takes; their
+        squares, sum and square root in long double give R. On x87 (64-bit
+        significand, unit roundoff u = 2**-64) the squares and the sum put
+        the sum of squares within about 2u of its true value, the root
+        halves that and adds its own u, so R is within 2u = 2**-63 of the
+        true distance D, relatively. ``math.dist`` is CPython's
+        correction-step hypot (Borges, "An Improved Algorithm for
+        hypot(a,b)", 2019): before its last rounding it is within far less
+        than u D of D. R (1 + w) and R (1 - w), with w = _CERTIFY_WIDTH =
+        2**-62 = 4u, are cast to float64. Both ends lie more than u D beyond
+        D, so where the two casts agree, rounding to nearest (monotone) maps
+        everything between them, D and ``math.dist``'s unrounded result
+        included, to that one double: it is the correctly rounded D and
+        ``math.dist``'s result. Every other pair takes ``math.dist`` itself,
+        its (x, y) rows read only for those pairs: the 0.2-0.3% of workload
+        pairs near a rounding midpoint, and any distance below
+        _CERTIFY_TINY (``math.dist`` rounds twice below the normal range;
+        under a numpy error state that raises on underflow, such a distance
+        sends its whole chunk to ``math.dist``).
+        Coordinates of magnitude _PASS_EXTENT = 2**510 or more, where a
+        square could overflow a double, skip the pass: every pair takes
+        ``math.dist``. Where long double is float64 (Windows, macOS on
+        arm64) w is 2**-51, the casts never agree and every pair takes
+        ``math.dist``: the same bits at about the cost of one call a pair.
+        The quad long double of aarch64 Linux is certified by the same
+        bound, is slower, and has not been measured.
 
         A matrix whose largest entry times 2 N is not a finite double is
         refused with ValueError: that covers an infinite distance, the
         surrogate's sum over agents and the bisection's midpoint sum."""
-        shape = (self.n_agents, self.n_actions)
-        if shape[0] * shape[1] > DISTANCE_PAIRS_CAP:
-            raise ValueError(f"N x M = {shape[0]} x {shape[1]} exceeds DISTANCE_PAIRS_CAP = {DISTANCE_PAIRS_CAP}")
-        agents, actions = (list(zip(*points.T.tolist())) for points in (self.agents, self.actions))
-        pairs = starmap(math.dist, product(agents, actions))
-        array = np.fromiter(pairs, np.float64, shape[0] * shape[1]).reshape(shape)
-        largest = float(array.max(initial=0.0))
-        if not math.isfinite(2 * shape[0] * largest):
+        n, m = len(self.agents), len(self.actions)
+        if n * m > DISTANCE_PAIRS_CAP:
+            raise ValueError(f"N x M = {n} x {m} exceeds DISTANCE_PAIRS_CAP = {DISTANCE_PAIRS_CAP}")
+        if self._extent < _PASS_EXTENT:
+            array = _certified_distances(self.agents, self.actions)
+        else:
+            agents, actions = (list(map(tuple, points.tolist())) for points in (self.agents, self.actions))
+            array = np.fromiter(starmap(math.dist, product(agents, actions)), np.float64, n * m).reshape(n, m)
+        largest = float(np.maximum.reduce(array, axis=None, initial=0.0))
+        if not math.isfinite(2 * n * largest):
             raise ValueError(
                 f"largest distance {largest!r} exceeds the distance scale limit "
-                f"{sys.float_info.max / (2 * shape[0]):.6g} = float64 max / (2 x {shape[0]} agents): "
+                f"{sys.float_info.max / (2 * n):.6g} = float64 max / (2 x {n} agents): "
                 "2 x N x the largest distance must be finite"
             )
         array.setflags(write=False)
         return array
+
+
+def _certified_distances(agents: np.ndarray, actions: np.ndarray) -> np.ndarray:
+    """``math.dist`` of every (agent, action) pair, one row per agent, by the
+    certified pass ``Scenario.distances`` describes, a chunk of at most
+    _DISTANCE_CHUNK pairs at a time."""
+    n, m = len(agents), len(actions)
+    array = np.empty((n, m))
+    rows, columns = min(n, max(1, _DISTANCE_CHUNK // max(1, m))), max(1, min(m, _DISTANCE_CHUNK))
+    # One chunk's dx and dy (float64) and their squares (long double), reused
+    # by every chunk. Allocated afresh per chunk, the next chunk's buffers
+    # would be taken while the last ones are held; as four temporaries a
+    # call, glibc returned their pages between calls and a crowd-grid matrix
+    # took about 100 minor page faults.
+    planes, squares = np.empty((2, rows, columns)), np.empty((2, rows, columns), np.longdouble)
+    for i in range(0, n, rows):
+        for j in range(0, m, columns):
+            chunk_agents, chunk_actions = agents[i : i + rows], actions[j : j + columns]
+            out = array[i : i + rows, j : j + columns]
+            differences, squared = planes[:, : out.shape[0], : out.shape[1]], squares[:, : out.shape[0], : out.shape[1]]
+            try:
+                np.subtract(chunk_agents.T[:, :, None], chunk_actions.T[:, None, :], out=differences)
+                np.square(differences, out=squared, dtype=np.longdouble)
+                root, lower = np.add(squared[0], squared[1], out=squared[0]), differences[0]
+                np.sqrt(root, out=root)
+                np.multiply(root, _CERTIFY_BAND[0], out=out)
+                np.multiply(root, _CERTIFY_BAND[1], out=lower)
+                doubtful = out != lower
+                # The casts may agree on a distance too small to certify; one
+                # reduction rules that out for almost every chunk.
+                if np.minimum.reduce(out, axis=None, initial=math.inf) < _CERTIFY_TINY:
+                    doubtful |= out < _CERTIFY_TINY
+            except FloatingPointError:  # np.seterr(under="raise"), and a distance below the normal range
+                doubtful = np.ones(out.shape, dtype=bool)
+            pairs = doubtful.ravel().nonzero()[0]
+            if len(pairs):
+                k, l = np.unravel_index(pairs, out.shape)
+                out[k, l] = list(map(math.dist, chunk_agents[k].tolist(), chunk_actions[l].tolist()))
+    return array
 
 
 def agent_values(scenario: Scenario, subset: Iterable[int]) -> np.ndarray:
@@ -242,7 +335,7 @@ def _coord_field(data: dict, name: str, minimum: int) -> np.ndarray:
     if bool in types or not all(issubclass(t, (int, float)) for t in types):
         raise ValueError(pairs)
     try:
-        return _coords(name, raw)
+        return _coords(name, raw)[0]
     except (OverflowError, ValueError):  # an integer past the largest double, or inf
         raise ValueError(pairs) from None
 

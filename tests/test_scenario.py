@@ -26,6 +26,7 @@ from robust_select import (
     scenario_from_dict,
     scenario_to_dict,
 )
+from robust_select import scenario as scenario_module
 from robust_select.matroid import all_subsets
 
 SQRT50 = math.sqrt(50.0)
@@ -158,7 +159,7 @@ def test_distances_refuse_a_scale_that_overflows(agents, actions):
 def test_distances_is_one_read_only_array(tiny):
     d = tiny.distances
     assert isinstance(d, np.ndarray) and d.dtype == np.float64 and d.shape == (2, 3)
-    assert not d.flags.writeable
+    assert not d.flags.writeable and d.flags.c_contiguous
     assert tiny.distances is d
     for i, agent in enumerate(tiny.agents):
         for j, action in enumerate(tiny.actions):
@@ -166,6 +167,131 @@ def test_distances_is_one_read_only_array(tiny):
     empty = Scenario.from_coords([(0.0, 0.0)], [], PartitionMatroid((), ()))
     assert empty.distances.shape == (1, 0)
     assert agent_values(empty, set()).tolist() == [0.0]
+
+
+def _math_dist_matrix(agents, actions) -> np.ndarray:
+    return np.array([[math.dist(a, b) for b in actions] for a in agents], dtype=np.float64).reshape(len(agents), -1)
+
+
+def _assert_same_bits(got: np.ndarray, expected: np.ndarray) -> None:
+    assert got.shape == expected.shape
+    assert got.view(np.int64).tolist() == expected.view(np.int64).tolist()
+
+
+class _CountingDist:
+    """Stands in for ``math.dist`` and counts its calls."""
+
+    def __init__(self):
+        self.calls = 0
+        self.dist = math.dist
+
+    def __call__(self, p, q):
+        self.calls += 1
+        return self.dist(p, q)
+
+
+# Coordinate scales: subnormal, tiny, unit, and past the pass's 2**510
+# extent; a drawn scenario mixes one scale with exact repeats and one-axis
+# offsets of its agents.
+SCALES = (5e-324, 1e-310, 1e-300, 1e-150, 1.0, 1e6, 1e150, 1e300)
+
+
+@st.composite
+def point_sets(draw):
+    scale = draw(st.sampled_from(SCALES))
+    coordinate = st.floats(-1.0, 1.0).map(lambda v: v * scale)
+    point = st.tuples(coordinate, coordinate)
+    agents = draw(st.lists(point, min_size=1, max_size=4))
+    actions = draw(st.lists(point, max_size=5))
+    for x, y in draw(st.lists(st.sampled_from(agents), max_size=3)):
+        step = draw(coordinate)
+        actions += [(x, y), (x + step, y), (x, y + step)]
+    return agents, actions or [(0.0, 0.0)]
+
+
+@given(point_sets())
+def test_distances_have_math_dists_bits(points):
+    """Every entry is ``math.dist`` of its pair, bit for bit, from
+    subnormal differences to spans of 2e300, for equal points and
+    one-axis offsets."""
+    agents, actions = points
+    scenario = Scenario.from_coords(agents, actions, UniformMatroid(len(actions), 1))
+    _assert_same_bits(scenario.distances, _math_dist_matrix(agents, actions))
+
+
+def _near_midpoint_actions(rng, count):
+    """Actions (dx, dy) whose distance from (0, 0) lies within 1e-6 to 1e-2
+    of an ulp from a rounding midpoint: dx is an integer in [2**52, 2**53),
+    where the ulp is 1, and dx**2 + dy**2 = (dx + 1/2 + off)**2 - 1/4 - off**2."""
+    dx = rng.integers(2**52, 2**53, count).astype(np.float64)
+    off = 10.0 ** rng.uniform(-6.0, -2.0, count) * rng.choice([-1.0, 1.0], count)
+    return np.column_stack((dx, np.sqrt(2.0 * dx * (0.5 + off))))
+
+
+def test_near_midpoint_distances_take_math_dists_bits(rng, monkeypatch):
+    actions = _near_midpoint_actions(rng, 2000)
+    expected = _math_dist_matrix([(0.0, 0.0)], actions.tolist())
+    counting = _CountingDist()
+    monkeypatch.setattr(math, "dist", counting)
+    scenario = Scenario.from_coords([(0.0, 0.0)], actions, UniformMatroid(len(actions), 1))
+    _assert_same_bits(scenario.distances, expected)
+    assert 0 < counting.calls < len(actions)  # the band sends some, not all, to math.dist
+
+
+def test_a_band_too_wide_to_certify_gives_math_dists_bits(rng, monkeypatch):
+    """With a band no cast pair agrees on, as where long double is float64,
+    every pair takes ``math.dist`` and the matrix keeps its bits."""
+    agents, actions = rng.uniform(0.0, 100.0, (7, 2)), rng.uniform(0.0, 100.0, (30, 2))
+    expected = _math_dist_matrix(agents.tolist(), actions.tolist())
+    counting = _CountingDist()
+    monkeypatch.setattr(math, "dist", counting)
+    monkeypatch.setattr(scenario_module, "_CERTIFY_BAND", (np.longdouble(1.5), np.longdouble(0.5)))
+    _assert_same_bits(Scenario.from_coords(agents, actions, UniformMatroid(30, 1)).distances, expected)
+    assert counting.calls == 7 * 30
+
+
+def test_distances_ignore_a_raising_numpy_error_state():
+    """Under np.seterr(all="raise") a distance below the normal range, whose
+    cast underflows, still takes ``math.dist``'s bits."""
+    agents, actions = [(0.0, 0.0), (1.0, 1.0)], [(1e-310, 0.0), (3.0, 4.0), (0.0, 5e-324)]
+    with np.errstate(all="raise"):
+        distances = Scenario.from_coords(agents, actions, UniformMatroid(3, 1)).distances
+    _assert_same_bits(distances, _math_dist_matrix(agents, actions))
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant != 63, reason="long double is not x87 extended precision")
+def test_the_x87_pass_certifies_almost_every_pair(rng, monkeypatch):
+    """Fewer than 1% of a crowd-grid-sized matrix's pairs take ``math.dist``
+    (about 0.28% on the benchmark workloads)."""
+    counting = _CountingDist()
+    monkeypatch.setattr(math, "dist", counting)
+    scenario = _random_scenario(rng, 64, 160)
+    scenario.distances
+    assert counting.calls < 0.01 * 64 * 160
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 8, 20, 39])
+def test_chunked_distances_equal_one_chunk(rng, monkeypatch, chunk):
+    """A matrix built in chunks of a few pairs (parts of rows, single rows,
+    several rows with a short last chunk) equals the one-chunk matrix."""
+    agents, actions = rng.uniform(0.0, 100.0, (5, 2)), rng.uniform(0.0, 100.0, (8, 2))
+    whole = Scenario.from_coords(agents, actions, UniformMatroid(8, 1)).distances
+    monkeypatch.setattr(scenario_module, "_DISTANCE_CHUNK", chunk)
+    _assert_same_bits(Scenario.from_coords(agents, actions, UniformMatroid(8, 1)).distances, whole)
+
+
+def test_distances_hold_the_matrix_and_one_chunk(rng):
+    """Building 64 x 20,000 distances peaks below the 10.24 MB matrix plus
+    4 MB: the pass holds one chunk's planes (48 bytes a pair, at most 2**16
+    pairs) at a time. An unchunked long-double pass holds about 3x the matrix."""
+    scenario = _random_scenario(rng, 64, 20_000)
+    tracemalloc.start()
+    try:
+        scenario.distances
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 20_000 * 8 + 4_000_000
 
 
 def test_agent_values(tiny):
