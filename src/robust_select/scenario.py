@@ -69,7 +69,7 @@ def _coords(label: str, coords: Iterable[tuple[float, float]] | np.ndarray) -> t
     if array.shape[1] != 2:
         raise ValueError(f"scenario {label}: expected (x, y) rows, got an array of shape {array.shape}")
     extent = float(np.maximum.reduce(np.abs(array), axis=None, initial=0.0))
-    if not extent <= sys.float_info.max:  # also true for NaN
+    if not extent <= sys.float_info.max:  # NaN fails the comparison too
         raise ValueError(f"scenario {label}: coordinates must be finite")
     array.setflags(write=False)
     return array, extent
@@ -224,8 +224,8 @@ class Scenario:
         if self._extent < _PASS_EXTENT:
             array = _certified_distances(self.agents, self.actions)
         else:
-            agents, actions = (list(map(tuple, points.tolist())) for points in (self.agents, self.actions))
-            array = np.fromiter(starmap(math.dist, product(agents, actions)), np.float64, n * m).reshape(n, m)
+            pairs = product(self.agents.tolist(), self.actions.tolist())
+            array = np.fromiter(starmap(math.dist, pairs), np.float64, n * m).reshape(n, m)
         largest = float(np.maximum.reduce(array, axis=None, initial=0.0))
         if not math.isfinite(2 * n * largest):
             raise ValueError(

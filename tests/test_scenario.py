@@ -128,6 +128,7 @@ def test_distances_refuse_more_pairs_than_the_cap(rng, monkeypatch):
         raise AssertionError("a distance was computed")
 
     monkeypatch.setattr(math, "dist", refuse)
+    monkeypatch.setattr(scenario_module, "_certified_distances", refuse)
     with pytest.raises(ValueError, match=r"N x M = 5 x 5 exceeds DISTANCE_PAIRS_CAP = 24"):
         oversized.distances
     assert "distances" not in vars(oversized)
