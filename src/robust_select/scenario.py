@@ -197,8 +197,9 @@ class Scenario:
         correction-step hypot (Borges, "An Improved Algorithm for
         hypot(a,b)", 2019): before its last rounding it is within far less
         than u D of D. R (1 + w) and R (1 - w), with w = _CERTIFY_WIDTH =
-        2**-62 = 4u, are cast to float64. Both ends lie more than u D beyond
-        D, so where the two casts agree, rounding to nearest (monotone) maps
+        2**-62 = 4u, are cast to float64. Both ends lie about u D or more
+        beyond D (to first order in u, after the long-double products round),
+        so where the two casts agree, rounding to nearest (monotone) maps
         everything between them, D and ``math.dist``'s unrounded result
         included, to that one double: it is the correctly rounded D and
         ``math.dist``'s result. Every other pair takes ``math.dist`` itself,
