@@ -42,7 +42,6 @@ class BenchConfig:
     base_seed: int = 0
     delta: float = SolverParams.delta
     epsilon: float | None = SolverParams.epsilon
-    curvature: float = SolverParams.curvature
     measure_wall_time: bool = True
 
     def __post_init__(self) -> None:
@@ -65,7 +64,7 @@ class BenchConfig:
         self.solver_params()
 
     def solver_params(self) -> SolverParams:
-        return SolverParams(delta=self.delta, epsilon=self.epsilon, curvature=self.curvature)
+        return SolverParams(delta=self.delta, epsilon=self.epsilon)
 
     @classmethod
     def from_json_file(cls, path: str) -> "BenchConfig":

@@ -40,7 +40,6 @@ def build_parser() -> argparse.ArgumentParser:
     # Each solver flag's dest is the SolverParams field it sets, and its default None keeps that field's default.
     solve.add_argument("--delta", type=float, default=None, help="threshold shrink factor (fast)")
     solve.add_argument("--epsilon", type=float, default=None, help="absolute bisection gap (fast)")
-    solve.add_argument("--curvature", type=float, default=None, help="curvature used in the acceptance test (fast)")
     solve.add_argument("--output", default=None, help="write the solution JSON here instead of stdout")
     solve.set_defaults(func=cmd_solve)
 
@@ -56,7 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--seed", dest="base_seed", type=int, default=None)
     bench.add_argument("--delta", type=float, default=None)
     bench.add_argument("--epsilon", type=float, default=None)
-    bench.add_argument("--curvature", type=float, default=None)
     bench.add_argument("--algorithms", default="fast,ratio", help=f"comma-separated, from: {','.join(SOLVERS)}")
     bench.add_argument("--out", default=None, help="raw per-trial CSV path")
     bench.add_argument("--summary", default=None, help="per-(z, algorithm) summary CSV path")
@@ -86,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _given(args: argparse.Namespace, target: object) -> dict:
     """The flags named after a parameter of ``target`` (a dataclass or a function) that were given (not None)."""
     names = inspect.signature(target).parameters
-    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+    return {name: value for name in names if (value := getattr(args, name, None)) is not None}
 
 
 def cmd_solve(args: argparse.Namespace) -> int:

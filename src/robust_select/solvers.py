@@ -224,10 +224,12 @@ class SolverParams:
         must stay within THRESHOLD_STEPS_CAP steps.
     epsilon: absolute bisection stopping gap; None means one thousandth of
         the instance's initial upper bound.
-    curvature: the c value used in the saturation acceptance test
-        value >= gamma / (1 + c + delta). 1.0 is always safe; smaller values
-        tighten the test and are only sound when they bound the surrogate's
-        true curvature.
+    curvature: c in the acceptance test value >= gamma / (1 + c + delta),
+        sound only when it bounds the surrogate's curvature. With M > N that
+        is 1 at every probe: at gamma <= the trivial bound each agent has an
+        action at distance >= gamma, at most N actions are some agent's only
+        one, and dropping any other a leaves each capped value at gamma, so
+        f(V - a) == f(V) bit for bit: c = 1 if such an a has f({a}) > 0.
     """
 
     delta: float = 1e-3
@@ -376,15 +378,8 @@ def threshold_greedy(
     scanned = 0  # candidates the one-at-a-time scans evaluate, charged at the end
     while initial > 0 and ladder.at_least(floor) and candidates.size:
         passes += 1
+        start, lo = subset, 0
         hit = ladder.first_hit(gains, best)
-        if hit == gains.size:
-            # A pass that inserts nothing scans every candidate once.
-            scanned += hit
-            if not best > 0.0:
-                break
-            ladder.drop(best, floor)
-            continue
-        lo = 0
         while hit < gains.size - lo:
             scanned += hit + 1
             e = int(candidates[lo + hit])
@@ -392,7 +387,9 @@ def threshold_greedy(
                 trace.append(GreedyStep(ladder.threshold, e, float(gains[lo + hit]), subset))
             feasibility.add(e)
             if lanes is not None:  # else the base is saturated, and its child has its values
-                values, value = lanes[:, e], float(reduced[e])
+                # A copy, so that the old lanes are freed before the next are built.
+                values, value = lanes[:, e].copy(), float(reduced[e])
+            lanes = built = None
             subset = subset | {e}
             candidates = _feasible(feasibility.mask, subset, n_actions)
             built = oracle.lanes(values, value) if candidates.size else None
@@ -406,7 +403,12 @@ def threshold_greedy(
             lo = int(candidates.searchsorted(e + 1))
             hit = ladder.first_hit(gains[lo:], best)
         scanned += gains.size - lo
-        ladder.step()
+        if subset is not start:
+            ladder.step()
+        elif best > 0.0:  # a pass that inserts nothing drops to the best gain
+            ladder.drop(best, floor)
+        else:
+            break
     oracle.charge(scanned)
     oracle.remember(subset, value)
     if stats is not None:

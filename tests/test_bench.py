@@ -272,11 +272,11 @@ def test_bench_config_validation():
 def test_bench_config_field_types():
     for field, value in [
         ("trials", "3"), ("base_seed", 1.0), ("n_actions", False), ("delta", "0.1"),
-        ("curvature", None), ("region", True), ("measure_wall_time", 1),
+        ("region", True), ("measure_wall_time", 1),
     ]:
         with pytest.raises(ValueError, match=field):
             BenchConfig(**{field: value})
-    config = BenchConfig(region=50, delta=1, epsilon=None, curvature=0)
+    config = BenchConfig(region=50, delta=1, epsilon=None)
     assert config.solver_params().delta == 1
 
 

@@ -70,6 +70,21 @@ def test_solve_unset_flags_keep_the_solver_defaults(tiny_path, capsys):
     assert (params["delta"], params["curvature"]) == (0.05, SolverParams.curvature)
 
 
+@pytest.mark.parametrize("command", [("solve", "--algorithm", "fast"), ("bench",)])
+def test_curvature_is_not_a_flag(tiny_path, tmp_path, capsys, command):
+    """The surrogate's curvature is 1 whenever actions outnumber agents, so
+    only the library sets it: the flag is a usage error, and so is the field
+    in a bench config file."""
+    with pytest.raises(SystemExit) as exited:
+        main([*command, "--config", tiny_path, "--curvature", "0.5"])
+    assert exited.value.code == 2
+    assert "--curvature" in capsys.readouterr().err
+    config = tmp_path / "bench.json"
+    config.write_text(json.dumps({"curvature": 1.0}))
+    code, _, err = run_cli(capsys, "bench", "--config", str(config))
+    assert code == 2 and "unknown field 'curvature'" in err
+
+
 def test_keyboard_interrupt_is_not_an_internal_error(tiny_path, capsys, monkeypatch):
     def interrupted(scenario, params):
         raise KeyboardInterrupt

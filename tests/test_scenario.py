@@ -8,26 +8,31 @@ import pickle
 import re
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from robust_select import (
+    BenchConfig,
     EvaluationCounter,
     PartitionMatroid,
     Scenario,
     UniformMatroid,
     agent_values,
+    generate_scenario,
     load_scenario,
     min_objective,
     saturate_robust,
     save_scenario,
     scenario_from_dict,
     scenario_to_dict,
+    trial_seed,
 )
 from robust_select import scenario as scenario_module
 from robust_select.matroid import all_subsets
+from test_bench_shaped_golden import crowd_scenario, ring_scenario
 
 SQRT50 = math.sqrt(50.0)
 
@@ -180,15 +185,20 @@ def _assert_same_bits(got: np.ndarray, expected: np.ndarray) -> None:
 
 
 class _CountingDist:
-    """Stands in for ``math.dist`` and counts its calls."""
+    """Stands in for ``math.dist``, counts its calls and keeps each pair and
+    result."""
 
     def __init__(self):
-        self.calls = 0
         self.dist = math.dist
+        self.seen = []
+
+    @property
+    def calls(self):
+        return len(self.seen)
 
     def __call__(self, p, q):
-        self.calls += 1
-        return self.dist(p, q)
+        self.seen.append((p, q, self.dist(p, q)))
+        return self.seen[-1][2]
 
 
 # Coordinate scales: subnormal, tiny, unit, and past the pass's 2**510
@@ -239,6 +249,53 @@ def test_near_midpoint_distances_take_math_dists_bits(rng, monkeypatch):
     assert 0 < counting.calls < len(actions)  # the band sends some, not all, to math.dist
 
 
+def _correctly_rounded(r: float, dx: float, dy: float) -> bool:
+    """Whether ``r`` is sqrt(dx**2 + dy**2) rounded to nearest (ties to
+    even), decided in exact rational arithmetic: the exact sum of squares
+    lies strictly between the squares of the midpoints from ``r`` to its
+    neighbours, or on one when ``r``'s last significand bit is 0."""
+    total = Fraction(dx) ** 2 + Fraction(dy) ** 2
+    exact = Fraction(r)
+    below = (exact + Fraction(math.nextafter(r, -math.inf))) / 2 if r > 0 else Fraction(0)
+    above = (exact + Fraction(math.nextafter(r, math.inf))) / 2
+    if below**2 < total < above**2:
+        return True
+    return total in (below**2, above**2) and (exact / Fraction(math.ulp(r))).numerator % 2 == 0
+
+
+def test_the_exact_check_refuses_a_neighbour():
+    assert _correctly_rounded(5.0, 3.0, -4.0) and _correctly_rounded(0.0, 0.0, 0.0)
+    assert not _correctly_rounded(math.nextafter(5.0, 6.0), 3.0, 4.0)
+    assert not _correctly_rounded(math.nextafter(5.0, 4.0), 3.0, 4.0)
+    assert not _correctly_rounded(5e-324, 0.0, 0.0)
+    dx = 2.0**52 + 1.0  # sqrt(dx**2 + dy**2) lies 1e-3 past the midpoint dx + 1/2
+    dy = math.sqrt(2.0 * dx * (0.5 + 1e-3))
+    assert _correctly_rounded(dx + 1.0, dx, dy) and not _correctly_rounded(dx, dx, dy)
+
+
+def test_distances_are_correctly_rounded_roots(rng, monkeypatch):
+    """Checked exactly: each entry is the correctly rounded square root of
+    the exact sum of the squared float64 differences, on every pair of 8
+    paper-sweep scenarios, every second pair of a benchmark-shaped ring and
+    every fourth of a crowd, and on 2,000 near-midpoint pairs; and every
+    pair the pass hands to ``math.dist`` got the correctly rounded root
+    from it."""
+    counting = _CountingDist()
+    monkeypatch.setattr(math, "dist", counting)
+    midpoints = _near_midpoint_actions(rng, 2000)
+    checked = [(generate_scenario(BenchConfig(), 1, trial_seed(0, i)), 1) for i in range(8)]
+    checked += [(ring_scenario(0), 2), (crowd_scenario(0), 4)]
+    checked += [(Scenario.from_coords([(0.0, 0.0)], midpoints, UniformMatroid(2000, 1)), 1)]
+    for scenario, step in checked:
+        distances, agents, actions = scenario.distances, scenario.agents.tolist(), scenario.actions.tolist()
+        for k in range(0, distances.size, step):
+            (ax, ay), (bx, by) = agents[k // len(actions)], actions[k % len(actions)]
+            assert _correctly_rounded(float(distances.flat[k]), ax - bx, ay - by), (agents, actions, k)
+    assert counting.calls > 1000
+    for (ax, ay), (bx, by), r in counting.seen:
+        assert _correctly_rounded(r, ax - bx, ay - by), ((ax, ay), (bx, by))
+
+
 def test_a_band_too_wide_to_certify_gives_math_dists_bits(rng, monkeypatch):
     """With a band no cast pair agrees on, as where long double is float64,
     every pair takes ``math.dist`` and the matrix keeps its bits."""
@@ -264,6 +321,28 @@ def test_distances_ignore_a_raising_numpy_error_state():
 def test_the_x87_pass_certifies_almost_every_pair(rng, monkeypatch):
     """Fewer than 1% of a crowd-grid-sized matrix's pairs take ``math.dist``
     (about 0.28% on the benchmark workloads)."""
+    counting = _CountingDist()
+    monkeypatch.setattr(math, "dist", counting)
+    scenario = _random_scenario(rng, 64, 160)
+    scenario.distances
+    assert counting.calls < 0.01 * 64 * 160
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant != 52, reason="long double is not float64")
+def test_where_long_double_is_float64_every_pair_takes_math_dist(rng, monkeypatch):
+    """The band is 2**-51 wide there, so no cast pair agrees (Windows, and
+    macOS on arm64)."""
+    counting = _CountingDist()
+    monkeypatch.setattr(math, "dist", counting)
+    scenario = _random_scenario(rng, 64, 160)
+    scenario.distances
+    assert counting.calls == 64 * 160
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant != 112, reason="long double is not IEEE quad")
+def test_the_quad_pass_certifies_almost_every_pair(rng, monkeypatch):
+    """The quad long double of aarch64 Linux is certified by the x87 band:
+    fewer than 1% of a crowd-grid-sized matrix's pairs take ``math.dist``."""
     counting = _CountingDist()
     monkeypatch.setattr(math, "dist", counting)
     scenario = _random_scenario(rng, 64, 160)
@@ -446,7 +525,7 @@ def test_coordinates_are_read_only_float64_rows(rng):
     scenario = _random_scenario(rng, 4, 7)
     for points, n in ((scenario.agents, 4), (scenario.actions, 7)):
         assert isinstance(points, np.ndarray) and points.dtype == np.float64 and points.shape == (n, 2)
-        assert points.flags.c_contiguous and points.flags.owndata
+        assert points.flags.c_contiguous
         assert not points.flags.writeable
         with pytest.raises(ValueError):
             points[0, 0] = 1.0
@@ -474,6 +553,26 @@ def test_the_callers_coordinates_are_copied():
     kept = Scenario(view, actions[:2], UniformMatroid(2, 1))
     base[0, 0] = 100.0
     assert kept.agents is not view and kept.agents.tolist() == [[1.0, 2.0]]
+
+
+def test_no_array_of_a_scenario_can_be_made_writeable_again():
+    """numpy lets whoever holds an array over its own or a caller's memory
+    make it writeable again. A scenario copies a read-only caller array, so
+    writing to it afterwards changes nothing, and its coordinates (from an
+    array or a list) and its distances refuse the flag."""
+    adopted = np.array([[0.0, 0.0]])
+    adopted.setflags(write=False)
+    scenario = Scenario(adopted, [(3.0, 4.0)], UniformMatroid(1, 1))
+    assert scenario.distances.tolist() == [[5.0]]
+    adopted.setflags(write=True)
+    adopted[0, 0] = 3.0
+    for array in (scenario.agents, scenario.actions, scenario.distances, scenario.agents[:1]):
+        with pytest.raises(ValueError):
+            array.setflags(write=True)
+        with pytest.raises(ValueError):
+            array[0, 0] = 99.0
+    assert scenario.agents.tolist() == [[0.0, 0.0]]
+    assert Scenario(scenario.agents, scenario.actions, scenario.matroid).distances.tolist() == [[5.0]]
 
 
 def test_a_scenarios_own_arrays_are_not_copied(tiny):

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -273,6 +274,24 @@ def test_threshold_greedy_matches_the_literal_loop(rng, delta):
         else:
             checked_uniform += 1
     assert checked_partition and checked_uniform
+
+
+def test_a_solve_holds_the_capped_matrix_and_one_base_lanes(rng):
+    """Beyond the distance matrix, ``saturate_robust`` at 300 agents and
+    3,000 actions (rank 40) peaks at about two matrices: the probe's capped
+    matrix and the lanes of one base. The greedy copies an accepted column
+    and drops the old lanes before the next are built; a greedy that kept
+    them peaks at three."""
+    agents, actions = rng.uniform(0.0, 100.0, (300, 2)), rng.uniform(0.0, 100.0, (3000, 2))
+    scenario = Scenario.from_coords(agents, actions, UniformMatroid(3000, 40))
+    scenario.distances
+    tracemalloc.start()
+    try:
+        saturate_robust(scenario)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * scenario.distances.nbytes
 
 
 @pytest.mark.parametrize("delta", [1e-5, 1e-3, 0.1, 1.0, 3.0])

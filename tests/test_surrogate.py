@@ -20,7 +20,7 @@ from robust_select import (
     threshold_greedy,
 )
 from robust_select import surrogate
-from robust_select.checks import random_small_scenario
+from robust_select.checks import gamma_grid, random_small_scenario
 from robust_select.matroid import all_subsets
 from robust_select.scenario import agent_values
 from robust_select.surrogate import CURVATURE_GROUND_CAP
@@ -610,6 +610,23 @@ def test_curvature_of_surrogate_in_unit_interval(tiny, rng):
         upper = min_objective(scenario, range(scenario.n_actions))
         c = compute_curvature(SurrogateOracle(scenario, 0.8 * upper), range(scenario.n_actions))
         assert 0.0 <= c <= 1.0
+
+
+def test_curvature_is_one_when_actions_outnumber_agents(rng):
+    """With M > N, at every gamma up to the trivial bound some action is no
+    agent's only one at distance >= gamma, so dropping it from the ground
+    set changes no capped value: the curvature is exactly 1."""
+    checked = 0
+    while checked < 200:
+        scenario = random_small_scenario(rng, max_actions=12, max_agents=6)
+        if scenario.n_actions <= scenario.n_agents:
+            continue
+        checked += 1
+        for gamma in gamma_grid(min_objective(scenario, range(scenario.n_actions))):
+            assert compute_curvature(SurrogateOracle(scenario, gamma), range(scenario.n_actions)) == 1.0
+    # The proof needs such an action away from some agent: on the only agent, it leaves c at 0.
+    on_the_agent = Scenario.from_coords([(0.0, 0.0)], [(0.0, 0.0), (1.0, 0.0)], UniformMatroid(2, 1))
+    assert compute_curvature(SurrogateOracle(on_the_agent, 0.5), range(2)) == 0.0
 
 
 def test_curvature_ground_cap():
