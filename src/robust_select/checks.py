@@ -16,6 +16,7 @@ import numpy as np
 from .matroid import Matroid, PartitionMatroid, UniformMatroid, all_subsets, check_matroid_axioms
 from .scenario import EvaluationCounter, Scenario, agent_values, min_objective
 from .solvers import (
+    CURVATURE,
     SolverParams,
     brute_force_max,
     brute_force_maxmin,
@@ -196,13 +197,12 @@ def run_battery(
                         if (1.0 + DELTA) * step.gain < gain - BOUND_TOL:
                             gain_dominance.fail(scenario, f"accepted gain dominated at gamma={gamma}")
 
-        params = SolverParams(delta=DELTA)
         bisection_trace: list = []
-        solution = saturate_robust(scenario, params, bisection_trace=bisection_trace)
+        solution = saturate_robust(scenario, SolverParams(delta=DELTA), bisection_trace=bisection_trace)
         optimum = brute_force_maxmin(scenario)
         maxmin_bound.count()
         epsilon = solution.params["epsilon"]
-        if solution.min_value < optimum.min_value / (1.0 + params.curvature + DELTA) - epsilon - BOUND_TOL:
+        if solution.min_value < optimum.min_value / (1.0 + CURVATURE + DELTA) - epsilon - BOUND_TOL:
             maxmin_bound.fail(
                 scenario,
                 f"end-to-end bound violated: got {solution.min_value}, optimum {optimum.min_value}",
@@ -234,7 +234,7 @@ def run_battery(
             # Every solver computes min_value through min_objective: the same bits.
             if run.min_value != min_objective(scenario, run.selected):
                 solvers_ok.fail(scenario, f"{run.algorithm} min_value is stale")
-        repeat = saturate_robust(scenario, params)
+        repeat = saturate_robust(scenario, SolverParams(delta=DELTA))
         solvers_ok.count()
         if (repeat.selected, repeat.min_value, repeat.individual_evals) != (
             solution.selected,

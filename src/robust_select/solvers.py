@@ -224,24 +224,15 @@ class SolverParams:
         must stay within THRESHOLD_STEPS_CAP steps.
     epsilon: absolute bisection stopping gap; None means one thousandth of
         the instance's initial upper bound.
-    curvature: c in the acceptance test value >= gamma / (1 + c + delta),
-        sound only when it bounds the surrogate's curvature. With M > N that
-        is 1 at every probe: at gamma <= the trivial bound each agent has an
-        action at distance >= gamma, at most N actions are some agent's only
-        one, and dropping any other a leaves each capped value at gamma, so
-        f(V - a) == f(V) bit for bit: c = 1 if such an a has f({a}) > 0.
     """
 
     delta: float = 1e-3
     epsilon: float | None = None
-    curvature: float = 1.0
 
     def __post_init__(self) -> None:
         _check_delta(self.delta)
         if self.epsilon is not None and not (is_real(self.epsilon) and self.epsilon > 0):
             raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon!r}")
-        if not (is_real(self.curvature) and 0.0 <= self.curvature <= 1.0):
-            raise ValueError(f"curvature must lie in [0, 1], got {self.curvature!r}")
 
 
 @dataclass(frozen=True)
@@ -430,6 +421,14 @@ def _feasible(mask: np.ndarray, subset: frozenset, n_actions: int) -> np.ndarray
     return ids
 
 
+# c in the acceptance test value >= gamma / (1 + c + delta), sound for any c
+# at or above the surrogate's curvature, which 1 bounds. With M > N no smaller
+# c is sound: at gamma <= the trivial bound every agent has an action at
+# distance >= gamma, at most N actions are some agent's only one, and dropping
+# any other a leaves f(V - a) == f(V) bit for bit, so c = 1 if f({a}) > 0.
+CURVATURE = 1.0
+
+
 def saturate_robust(
     scenario: Scenario,
     params: SolverParams | None = None,
@@ -441,13 +440,13 @@ def saturate_robust(
     Each iteration probes the midpoint gamma with a fresh surrogate (no value
     reuse across gammas, so evaluation counts stay honest), keeps the greedy
     set as the incumbent when its surrogate value reaches
-    gamma / (1 + curvature + delta), and halves the bracket until its width
+    gamma / (1 + CURVATURE + delta), and halves the bracket until its width
     is at most epsilon, or until a probe leaves it unchanged (an epsilon
     finer than the doubles near the bracket, whose midpoint rounds onto an
     end).
 
     What is proven is the per-gamma bound: at each probe the greedy set's
-    surrogate value is within a 1/(1 + curvature + delta) factor of the best
+    surrogate value is within a 1/(1 + CURVATURE + delta) factor of the best
     independent set's surrogate value at that gamma. No end-to-end factor
     on the incumbent's worst-agent value follows from it for two or more
     agents, since the acceptance test reads an average over agents (see
@@ -464,7 +463,7 @@ def saturate_robust(
     upper_init = min_objective(scenario, range(scenario.n_actions), counter)
     lower, upper = 0.0, upper_init
     epsilon = params.epsilon if params.epsilon is not None else 1e-3 * upper_init
-    divisor = 1.0 + params.curvature + params.delta
+    divisor = 1.0 + CURVATURE + params.delta
     best: set[int] = set()
     iterations = 0
     if upper_init > 0.0:
@@ -484,7 +483,7 @@ def saturate_robust(
             if (lower, upper) == bracket:  # every later probe would repeat this one
                 break
     return _solution("fast", scenario, best, counter, started, {
-        "delta": params.delta, "epsilon": epsilon, "curvature": params.curvature,
+        "delta": params.delta, "epsilon": epsilon, "curvature": CURVATURE,
         "lower": lower, "upper": upper, "iterations": iterations,
     })
 

@@ -33,6 +33,7 @@ from robust_select import (
 )
 from robust_select.checks import gamma_grid, random_small_scenario
 from robust_select.matroid import all_subsets
+from robust_select.solvers import CURVATURE
 
 DELTA = 1e-3
 TOL = 1e-9
@@ -87,12 +88,12 @@ def test_criterion_2_end_to_end_bound(instance_family):
     """Solver's worst-agent value within 1/(1 + c + delta) of the enumerated
     max-min optimum minus epsilon, zero violations on the family."""
     started = time.perf_counter()
-    params = SolverParams(delta=DELTA, curvature=1.0)
+    params = SolverParams(delta=DELTA)
     worst = math.inf
     for scenario in instance_family:
         solution = saturate_robust(scenario, params)
         optimum = brute_force_maxmin(scenario)
-        bound = optimum.min_value / (1.0 + params.curvature + DELTA) - solution.params["epsilon"]
+        bound = optimum.min_value / (1.0 + CURVATURE + DELTA) - solution.params["epsilon"]
         slack = solution.min_value - bound
         worst = min(worst, slack)
         assert slack >= -TOL, f"end-to-end bound violated: slack={slack}"

@@ -63,18 +63,18 @@ def test_solve_unset_flags_keep_the_solver_defaults(tiny_path, capsys):
     code, out, _ = run_cli(capsys, "solve", "--config", tiny_path, "--algorithm", "fast")
     assert code == 0
     params = json.loads(out)["params"]
-    assert (params["delta"], params["curvature"]) == (SolverParams.delta, SolverParams.curvature)
+    assert (params["delta"], params["curvature"]) == (SolverParams.delta, 1.0)
     code, out, _ = run_cli(capsys, "solve", "--config", tiny_path, "--algorithm", "fast", "--delta", "0.05")
     assert code == 0
     params = json.loads(out)["params"]
-    assert (params["delta"], params["curvature"]) == (0.05, SolverParams.curvature)
+    assert (params["delta"], params["curvature"]) == (0.05, 1.0)
 
 
 @pytest.mark.parametrize("command", [("solve", "--algorithm", "fast"), ("bench",)])
 def test_curvature_is_not_a_flag(tiny_path, tmp_path, capsys, command):
     """The surrogate's curvature is 1 whenever actions outnumber agents, so
-    only the library sets it: the flag is a usage error, and so is the field
-    in a bench config file."""
+    the solver holds it constant: the flag is a usage error, and so is the
+    field in a bench config file."""
     with pytest.raises(SystemExit) as exited:
         main([*command, "--config", tiny_path, "--curvature", "0.5"])
     assert exited.value.code == 2

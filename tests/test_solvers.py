@@ -39,6 +39,7 @@ from robust_select import solvers
 from robust_select.solvers import (
     _LADDER_CHUNK,
     BRUTE_FORCE_CAP,
+    CURVATURE,
     THRESHOLD_STEPS_CAP,
     _Ladder,
     threshold_ladder,
@@ -527,7 +528,7 @@ def test_threshold_greedy_with_undecided_bounds_matches_the_literal_loop(rng, mo
 
 
 def test_saturate_tiny(tiny):
-    solution = saturate_robust(tiny, SolverParams(delta=DELTA, curvature=1.0))
+    solution = saturate_robust(tiny, SolverParams(delta=DELTA))
     assert solution.selected == (2,)
     assert solution.min_value == pytest.approx(SQRT50, abs=1e-3)
     reference = brute_force_maxmin(tiny)
@@ -628,10 +629,10 @@ def test_saturate_end_to_end_bound(rng):
     max-min optimum, minus epsilon, on the random family."""
     for _ in range(60):
         scenario = random_small_scenario(rng, max_actions=6)
-        params = SolverParams(delta=DELTA, curvature=1.0)
+        params = SolverParams(delta=DELTA)
         solution = saturate_robust(scenario, params)
         optimum, _ = maxmin_by_enumeration(scenario)
-        bound = optimum / (1.0 + params.curvature + DELTA) - solution.params["epsilon"]
+        bound = optimum / (1.0 + CURVATURE + DELTA) - solution.params["epsilon"]
         assert solution.min_value >= bound - 1e-9
 
 
@@ -654,10 +655,10 @@ def test_saturate_end_to_end_bound_known_counterexample():
         ],
         matroid=PartitionMatroid(((0, 1, 3), (), (2,)), (1, 1, 1)),
     )
-    params = SolverParams(delta=DELTA, curvature=1.0)
+    params = SolverParams(delta=DELTA)
     solution = saturate_robust(scenario, params)
     optimum = brute_force_maxmin(scenario)
-    bound = optimum.min_value / (1.0 + params.curvature + DELTA) - solution.params["epsilon"]
+    bound = optimum.min_value / (1.0 + CURVATURE + DELTA) - solution.params["epsilon"]
     assert solution.min_value < bound  # the bound genuinely fails here
     # The per-gamma guarantee still holds; the defect is only end-to-end.
     assert solution.min_value > 0.0
@@ -668,14 +669,14 @@ def test_solver_params_validation():
     for delta in (0.0, 1.5, math.inf):
         with pytest.raises(ValueError, match=r"delta must lie in \(0, 1\]"):
             SolverParams(delta=delta)
-    for field in ("delta", "epsilon", "curvature"):
+    for field in ("delta", "epsilon"):
         for flag in (True, False):
             with pytest.raises(ValueError, match=field):
                 SolverParams(**{field: flag})
     with pytest.raises(ValueError):
         SolverParams(epsilon=-1.0)
-    with pytest.raises(ValueError):
-        SolverParams(curvature=1.5)
+    with pytest.raises(TypeError, match="curvature"):
+        SolverParams(curvature=1.0)
 
 
 # -- simple greedy -----------------------------------------------------
