@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, product, starmap
@@ -24,7 +25,9 @@ from .matroid import Matroid, ground_ids, matroid_from_dict, matroid_to_dict
 DISTANCE_PAIRS_CAP = 30_000_000
 
 # Pairs one chunk of the distance pass holds: its float64 and long-double
-# planes take 48 bytes a pair, 3 MB in all.
+# planes take 48 bytes a pair, 3 MB in all. Each thread holds one such pair
+# of buffers (``_distance_workspace``) and reuses it for every matrix it
+# builds; only the pages a chunk touches count toward the resident set.
 _DISTANCE_CHUNK = 1 << 16
 # Relative half-width w of the band that certifies a long-double distance:
 # twice its error bound on x87, and wide enough that no pair is certified
@@ -199,7 +202,12 @@ class Scenario:
 
         So the matrix is built by a certified pass, in chunks of at most
         _DISTANCE_CHUNK pairs (whole rows, or part of a row when one row
-        holds more) written into one preallocated matrix. The float64
+        holds more) written into one preallocated matrix. A chunk's
+        temporaries are views of a workspace held per thread: one float64
+        and one long-double buffer of 2 * _DISTANCE_CHUNK entries, allocated
+        by the thread's first matrix and reused by every later one. So the
+        pass holds at most one chunk beyond the matrix, whatever its shape,
+        and threads building matrices at once never share a buffer. The float64
         differences dx and dy are the ones ``math.dist`` takes; their
         squares, sum and square root in long double give R. On x87 (64-bit
         significand, unit roundoff u = 2**-64) the squares and the sum put
@@ -252,6 +260,23 @@ class Scenario:
         return np.asarray(memoryview(array).toreadonly())
 
 
+# The distance pass's work buffers, one pair for each thread: numpy releases
+# the GIL inside the pass's ufunc loops, so two threads sharing one pair
+# would overwrite each other's chunks.
+_workspace = threading.local()
+
+
+def _distance_workspace() -> tuple[np.ndarray, np.ndarray]:
+    """This thread's flat float64 and long-double buffers of
+    2 * _DISTANCE_CHUNK entries each, allocated on the thread's first matrix
+    and kept for every later one."""
+    try:
+        return _workspace.buffers
+    except AttributeError:
+        _workspace.buffers = np.empty(2 * _DISTANCE_CHUNK), np.empty(2 * _DISTANCE_CHUNK, np.longdouble)
+        return _workspace.buffers
+
+
 def _certified_distances(agents: np.ndarray, actions: np.ndarray) -> np.ndarray:
     """``math.dist`` of every (agent, action) pair, one row per agent, by the
     certified pass ``Scenario.distances`` describes, a chunk of at most
@@ -259,12 +284,17 @@ def _certified_distances(agents: np.ndarray, actions: np.ndarray) -> np.ndarray:
     n, m = len(agents), len(actions)
     array = np.empty((n, m))
     rows, columns = min(n, max(1, _DISTANCE_CHUNK // max(1, m))), max(1, min(m, _DISTANCE_CHUNK))
-    # One chunk's dx and dy (float64) and their squares (long double), reused
-    # by every chunk. Allocated afresh per chunk, the next chunk's buffers
-    # would be taken while the last ones are held; as four temporaries a
-    # call, glibc returned their pages between calls and a crowd-grid matrix
-    # took about 100 minor page faults.
-    planes, squares = np.empty((2, rows, columns)), np.empty((2, rows, columns), np.longdouble)
+    # One chunk's dx and dy (float64) and their squares (long double): views
+    # of the leading 2 * rows * columns entries of this thread's workspace,
+    # which holds one chunk and is reused by every chunk and every matrix
+    # the thread builds. Allocated afresh for each matrix, the buffers cost
+    # a crowd-grid op time when other work runs between matrices (README's
+    # claims table); allocated per chunk, as four temporaries a call, glibc
+    # returned their pages between calls and a crowd-grid matrix took about
+    # 100 minor page faults.
+    size, shape = 2 * rows * columns, (2, rows, columns)
+    flat_planes, flat_squares = _distance_workspace()
+    planes, squares = flat_planes[:size].reshape(shape), flat_squares[:size].reshape(shape)
     for i in range(0, n, rows):
         for j in range(0, m, columns):
             chunk_agents, chunk_actions = agents[i : i + rows], actions[j : j + columns]

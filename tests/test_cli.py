@@ -349,7 +349,7 @@ def test_bench_brute_runs_under_cap(tmp_path, capsys):
         ("trials", "3"), ("n_agents", True), ("z_max", 2.0), ("region", "100"), ("epsilon", [1]),
         ("measure_wall_time", 0),
         # Integers that no double can hold.
-        *(pytest.param(field, 10**400, id=f"{field}-huge") for field in ("region", "epsilon", "curvature")),
+        *(pytest.param(field, 10**400, id=f"{field}-huge") for field in ("region", "epsilon", "delta")),
     ],
 )
 def test_bench_mistyped_config_is_a_config_error(tmp_path, capsys, field, value):

@@ -7,6 +7,7 @@ import math
 import pickle
 import re
 import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -372,6 +373,74 @@ def test_distances_hold_the_matrix_and_one_chunk(rng):
     finally:
         tracemalloc.stop()
     assert peak < 64 * 20_000 * 8 + 4_000_000
+
+
+def test_threads_building_distances_get_the_main_threads_bits():
+    """Four threads (more than two cores) run the distance pass on
+    benchmark-shaped scenarios (16 x 300 rings, 64 x 160 crowds and 5 x 50
+    paper draws) over and over, with the thread switch interval cut to a
+    microsecond. numpy releases the GIL inside the pass's loops, so a work
+    buffer shared by the threads would let one thread's chunk overwrite
+    another's; each thread's own workspace keeps every matrix equal to the
+    one the main thread built. The threads call the pass itself: before
+    Python 3.12, ``functools.cached_property`` holds one lock for every
+    scenario's ``distances``, which would serialise them."""
+    shapes = [ring_scenario(0), ring_scenario(1), crowd_scenario(0), crowd_scenario(1)]
+    shapes += [generate_scenario(BenchConfig(), z, trial_seed(0, z)) for z in (1, 5)]
+    expected = [np.array(s.distances) for s in shapes]
+    mismatches, errors = [], []
+
+    def build(offset):
+        try:
+            for round_ in range(40):
+                for i in range(len(shapes)):
+                    k = (i + offset + round_) % len(shapes)
+                    s = shapes[k]
+                    if not np.array_equal(scenario_module._certified_distances(s.agents, s.actions), expected[k]):
+                        mismatches.append(k)
+        except BaseException as exc:  # noqa: BLE001 - reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(offset,)) for offset in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert mismatches == []
+
+
+def test_a_threads_workspace_is_one_chunk_pair_across_shapes():
+    """After matrices of several shapes, among them a row longer than a chunk
+    (M > 2**16, one row per chunk, the last short), and no actions at all,
+    a thread's workspace still holds the one pair of buffers its first
+    matrix allocated: 2 * _DISTANCE_CHUNK float64 and long-double entries."""
+    chunk = scenario_module._DISTANCE_CHUNK
+    rng = np.random.default_rng(5)
+    seen = {}
+
+    def build():
+        for n, m in [(5, 50), (64, 160), (16, 300), (3, chunk + 5), (2, 0), (1, 1)]:
+            distances = _random_scenario(rng, n, m).distances
+            assert distances.shape == (n, m)
+            seen.setdefault("first", scenario_module._workspace.buffers)
+        seen["state"] = dict(vars(scenario_module._workspace))
+
+    thread = threading.Thread(target=build)
+    thread.start()
+    thread.join(timeout=30.0)
+    assert not thread.is_alive()
+    assert list(seen["state"]) == ["buffers"]
+    planes, squares = seen["state"]["buffers"]
+    assert planes is seen["first"][0] and squares is seen["first"][1]
+    assert (planes.shape, planes.dtype) == ((2 * chunk,), np.float64)
+    assert (squares.shape, squares.dtype) == ((2 * chunk,), np.longdouble)
 
 
 def test_agent_values(tiny):

@@ -386,6 +386,46 @@ def test_ladder_bounds_contain_the_division_chain(start, delta, data):
                 assert bounds[0] <= chain[k] <= bounds[1]
 
 
+# Starts within a factor 4 of the smallest normal double: a few rungs down,
+# the chain is subnormal and no bound is certified.
+NEAR_MIN_NORMAL_STARTS = st.floats(min_value=sys.float_info.min, max_value=4 * sys.float_info.min)
+
+
+@given(start=st.one_of(NORMAL_STARTS, NEAR_MIN_NORMAL_STARTS), delta=LADDER_DELTAS, data=st.data())
+def test_ladder_bounds_bracket_the_chain_where_drops_land(start, delta, data):
+    """Driven by ``drop`` jumps, with the exact rung read only now and then,
+    the ladder lands on rungs it mostly knows by their bounds from an
+    earlier exact rung. At every rung it lands on, and the few below it,
+    ``bounds(k)`` brackets rung ``k`` of the chain computed from the start
+    in one ``threshold_ladder`` call, or is None; it is None at every
+    subnormal rung past the last exact one, and only within a factor 2 of
+    the smallest normal double. A landed rung that is the last exact one
+    is bracketed by itself."""
+    chain = threshold_ladder(start, delta, ladder_length(delta, 20_000) + 32)
+    ladder = _Ladder(start, delta)
+    for _ in range(data.draw(st.integers(1, 5), label="drops")):
+        below = np.flatnonzero(chain < chain[ladder.k])
+        if not below.size:
+            break
+        j = data.draw(st.sampled_from(below.tolist()), label="j")
+        at_most = float(chain[j] + data.draw(st.sampled_from([0, 1]), label="ulps") * np.spacing(chain[j]))
+        ladder.drop(at_most, 0.0)
+        k = ladder.k
+        for rung in range(k, min(k + 8, chain.size - 1) + 1):
+            expected = float(threshold_ladder(start, delta, rung + 1)[-1])
+            bounds = ladder.bounds(rung)
+            if rung == ladder._exact_k:
+                assert bounds == (expected, expected)
+            elif bounds is None:
+                assert expected < 2 * solvers._MIN_NORMAL
+            else:
+                assert solvers._MIN_NORMAL <= bounds[0] <= expected <= bounds[1]
+            if expected < solvers._MIN_NORMAL and rung != ladder._exact_k:
+                assert bounds is None
+        if data.draw(st.booleans(), label="read the rung"):
+            assert ladder.threshold == chain[k]
+
+
 @given(start=NORMAL_STARTS, delta=LADDER_DELTAS, data=st.data())
 def test_ladder_drop_lands_where_the_chain_stops(start, delta, data):
     """``drop`` lands where searchsorted over the exact chain does, also for
