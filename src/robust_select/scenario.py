@@ -287,11 +287,11 @@ def _certified_distances(agents: np.ndarray, actions: np.ndarray) -> np.ndarray:
     # One chunk's dx and dy (float64) and their squares (long double): views
     # of the leading 2 * rows * columns entries of this thread's workspace,
     # which holds one chunk and is reused by every chunk and every matrix
-    # the thread builds. Allocated afresh for each matrix, the buffers cost
-    # a crowd-grid op time when other work runs between matrices (README's
-    # claims table); allocated per chunk, as four temporaries a call, glibc
-    # returned their pages between calls and a crowd-grid matrix took about
-    # 100 minor page faults.
+    # the thread builds. Allocated afresh for each matrix, their pages were
+    # faulted in again whenever other work ran between matrices: about 90
+    # minor page faults and a quarter of a crowd-grid matrix's time in
+    # perfbench's loop (README's claims table). Allocated per chunk, as four
+    # temporaries a call, they cost a crowd-grid matrix about 100 faults.
     size, shape = 2 * rows * columns, (2, rows, columns)
     flat_planes, flat_squares = _distance_workspace()
     planes, squares = flat_planes[:size].reshape(shape), flat_squares[:size].reshape(shape)

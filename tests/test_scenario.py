@@ -398,7 +398,7 @@ def test_threads_building_distances_get_the_main_threads_bits():
                     s = shapes[k]
                     if not np.array_equal(scenario_module._certified_distances(s.agents, s.actions), expected[k]):
                         mismatches.append(k)
-        except BaseException as exc:  # noqa: BLE001 - reported by the main thread
+        except Exception as exc:  # reported by the main thread
             errors.append(exc)
 
     interval = sys.getswitchinterval()
@@ -423,12 +423,12 @@ def test_a_threads_workspace_is_one_chunk_pair_across_shapes():
     matrix allocated: 2 * _DISTANCE_CHUNK float64 and long-double entries."""
     chunk = scenario_module._DISTANCE_CHUNK
     rng = np.random.default_rng(5)
-    seen = {}
+    shapes = [(5, 50), (64, 160), (16, 300), (3, chunk + 5), (2, 0), (1, 1)]
+    seen = {"shapes": []}
 
     def build():
-        for n, m in [(5, 50), (64, 160), (16, 300), (3, chunk + 5), (2, 0), (1, 1)]:
-            distances = _random_scenario(rng, n, m).distances
-            assert distances.shape == (n, m)
+        for n, m in shapes:
+            seen["shapes"].append(_random_scenario(rng, n, m).distances.shape)
             seen.setdefault("first", scenario_module._workspace.buffers)
         seen["state"] = dict(vars(scenario_module._workspace))
 
@@ -436,6 +436,7 @@ def test_a_threads_workspace_is_one_chunk_pair_across_shapes():
     thread.start()
     thread.join(timeout=30.0)
     assert not thread.is_alive()
+    assert seen["shapes"] == shapes
     assert list(seen["state"]) == ["buffers"]
     planes, squares = seen["state"]["buffers"]
     assert planes is seen["first"][0] and squares is seen["first"][1]

@@ -395,12 +395,12 @@ NEAR_MIN_NORMAL_STARTS = st.floats(min_value=sys.float_info.min, max_value=4 * s
 def test_ladder_bounds_bracket_the_chain_where_drops_land(start, delta, data):
     """Driven by ``drop`` jumps, with the exact rung read only now and then,
     the ladder lands on rungs it mostly knows by their bounds from an
-    earlier exact rung. At every rung it lands on, and the few below it,
+    earlier exact rung. At every rung it lands on, and the eight below it,
     ``bounds(k)`` brackets rung ``k`` of the chain computed from the start
-    in one ``threshold_ladder`` call, or is None; it is None at every
-    subnormal rung past the last exact one, and only within a factor 2 of
-    the smallest normal double. A landed rung that is the last exact one
-    is bracketed by itself."""
+    in one ``threshold_ladder`` call with a normal low bound, or is None,
+    and None only within a factor 2 of the smallest normal double: so it is
+    None at every subnormal rung past the last exact one. The last exact
+    rung is bracketed by itself."""
     chain = threshold_ladder(start, delta, ladder_length(delta, 20_000) + 32)
     ladder = _Ladder(start, delta)
     for _ in range(data.draw(st.integers(1, 5), label="drops")):
@@ -420,8 +420,6 @@ def test_ladder_bounds_bracket_the_chain_where_drops_land(start, delta, data):
                 assert expected < 2 * solvers._MIN_NORMAL
             else:
                 assert solvers._MIN_NORMAL <= bounds[0] <= expected <= bounds[1]
-            if expected < solvers._MIN_NORMAL and rung != ladder._exact_k:
-                assert bounds is None
         if data.draw(st.booleans(), label="read the rung"):
             assert ladder.threshold == chain[k]
 
