@@ -3,7 +3,7 @@
 
     python3 scripts/bench_layers.py --out BENCH_11.json [--label TEXT] [--quick]
 
-Ten layers, each timed as the minimum over REPEATS repeats on fixed seeds,
+Eleven layers, each timed as the minimum over REPEATS repeats on fixed seeds,
 with the evaluations one run charges (in f-equivalents, as
 ``Solution.f_evaluations`` counts them). A repeat of a batched layer runs it
 a batch of times, and its time and evaluations are divided by the batch:
@@ -28,7 +28,11 @@ a batch of times, and its time and evaluations are divided by the batch:
 * ``bench_cell``: one benchmark cell, ``fast`` and ``ratio`` on a freshly
   generated scenario;
 * ``bench_full``: the full benchmark, ``BenchConfig()`` with ``fast`` and
-  ``ratio``: 10 capacities x 100 trials x 2 algorithms = 2000 runs.
+  ``ratio``: 10 capacities x 100 trials x 2 algorithms = 2000 runs;
+* ``draw``: one paper-sweep draw, ``generate_scenario`` with its quadrant
+  ``PartitionMatroid``, as perfbench's paper-quadrant set-up makes each pool
+  entry, timed as a batch of DRAW_BATCH trials' draws (capacities cycling
+  1..10) and reported per draw; it charges nothing.
 
 The greedy, solver and baseline layers run on the paper sweep's scenario at
 capacity 5 of trial 0, and the two ring layers on perfbench's ring-uniform
@@ -90,6 +94,8 @@ LANES_BATCH = 100
 # bound: one takes about 0.1 ms, too short to time alone between kernel
 # blocks on a host whose speed moves.
 GREEDY_BATCH = 10
+# Paper-sweep draws timed back to back per repeat: one takes about 40 us.
+DRAW_BATCH = 200
 # Reference kernels per speed block (one takes about 3-5 ms).
 KERNEL_REPS = 2
 
@@ -168,6 +174,11 @@ def layers(repeats: int, full_trials: int) -> list[dict]:
     def full() -> float:
         return sum(r.evaluations for r in run_benchmark(BenchConfig(trials=full_trials), ("fast", "ratio")))
 
+    def draws() -> float:
+        for trial in range(DRAW_BATCH):
+            generate_scenario(config, 1 + trial % 10, trial_seed(BASE_SEED, trial))
+        return 0.0
+
     rows = []
     for name, run, k, batch, seeds in (
         ("lanes", lanes, repeats, LANES_BATCH, {**instance, "gamma": gamma, "base": [element]}),
@@ -182,6 +193,7 @@ def layers(repeats: int, full_trials: int) -> list[dict]:
         ("simple_greedy", greedy_baseline, repeats, 1, instance),
         ("bench_cell", cell, repeats, 1, instance),
         ("bench_full", full, max(1, repeats // 2), 1, {"base_seed": BASE_SEED, "trials": full_trials}),
+        ("draw", draws, repeats, DRAW_BATCH, {"base_seed": BASE_SEED, "trials": DRAW_BATCH}),
     ):
         wall_ms, scaled_ms, evaluations = min_time_ms(run, k)
         wall_ms, scaled_ms = wall_ms / batch, scaled_ms / batch

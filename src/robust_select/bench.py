@@ -113,17 +113,32 @@ def trial_seed(base_seed: int, trial: int) -> int:
     return int.from_bytes(digest[:8], "little") >> 1
 
 
+# A point's quadrant code, 0 to 3, is (x >= half) + 2 (y >= half).
+_QUADRANT_WEIGHTS = np.array([1, 2])
+
+
+def quadrant_blocks(actions: np.ndarray, half: float) -> tuple[tuple[int, ...], ...]:
+    """The ids of the (M, 2) ``actions`` in each quadrant of a square split
+    at ``half`` on both axes, ascending within a block: lower left, lower
+    right, upper left, upper right. Points on the mid lines belong to the
+    right/upper half. One stable argsort of the quadrant codes puts the ids
+    in block order, and one bincount gives the block sizes."""
+    quadrant = (actions >= half) @ _QUADRANT_WEIGHTS
+    ids = quadrant.argsort(kind="stable").tolist()
+    ends = np.bincount(quadrant, minlength=4).cumsum().tolist()
+    return tuple(tuple(ids[start:end]) for start, end in zip([0, *ends], ends))
+
+
 def generate_scenario(config: BenchConfig, z: int, seed: int) -> Scenario:
     """Draw agent and action positions i.i.d. uniform over the region and
-    build the quadrant partition constraint with capacity z per block.
-    Points on the mid lines belong to the right/upper half. Block sizes are
-    whatever the draw produces."""
+    build the quadrant partition constraint (``quadrant_blocks``) with
+    capacity z per block. Block sizes are whatever the draw produces. The
+    agents are the first N rows of one (N + M, 2) draw and the actions the
+    rest: the same doubles as drawing the agents, then the actions."""
     rng = np.random.default_rng(seed)
-    agents = rng.uniform(0.0, config.region, size=(config.n_agents, 2))
-    actions = rng.uniform(0.0, config.region, size=(config.n_actions, 2))
-    half = config.region / 2.0
-    quadrant = (actions[:, 0] >= half) + 2 * (actions[:, 1] >= half)
-    blocks = tuple(tuple(np.flatnonzero(quadrant == b).tolist()) for b in range(4))
+    points = rng.uniform(0.0, config.region, size=(config.n_agents + config.n_actions, 2))
+    agents, actions = points[: config.n_agents], points[config.n_agents :]
+    blocks = quadrant_blocks(actions, config.region / 2.0)
     return Scenario.from_coords(agents, actions, PartitionMatroid(blocks, (z,) * 4))
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Collection, Iterable
 
 import numpy as np
@@ -178,7 +179,15 @@ class UniformMatroid(Matroid):
 class PartitionMatroid(Matroid):
     """Ground set split into disjoint blocks, each with its own capacity.
     A subset is independent iff it takes at most ``capacities[b]`` elements
-    from block ``b``. Blocks must cover exactly the ids 0..M-1."""
+    from block ``b``. Blocks must cover exactly the ids 0..M-1.
+
+    A valid spec is accepted by set-level checks, without a loop per id:
+    every capacity and every id is of type ``int`` exactly, the capacities
+    lie in [0, np.intp max], and the sorted ids are 0..M-1. ``_block_of``
+    is then filled by one scatter of the block numbers. Any other spec (a
+    fault, or ids or capacities of an ``int`` subclass, which are valid)
+    goes through the check of one capacity and one id at a time, which
+    names the first fault or accepts it."""
 
     blocks: tuple[tuple[int, ...], ...]
     capacities: tuple[int, ...]
@@ -189,6 +198,37 @@ class PartitionMatroid(Matroid):
     def __post_init__(self) -> None:
         if len(self.blocks) != len(self.capacities):
             raise ValueError("matroid: one capacity per block is required")
+        block_of = self._scatter_block_of()
+        if block_of is None:
+            block_of = self._checked_block_of()
+        object.__setattr__(self, "_block_of", block_of)
+        object.__setattr__(self, "_capacity_of", np.array(self.capacities, dtype=np.intp))
+
+    def _scatter_block_of(self) -> np.ndarray | None:
+        """The block of each id, if the set-level checks accept the spec;
+        None otherwise, and for blocks that have no length or cannot be
+        iterated."""
+        caps = self.capacities
+        try:
+            sizes = [len(block) for block in self.blocks]
+            ids = list(chain.from_iterable(self.blocks))
+        except TypeError:
+            return None
+        if not (
+            set(map(type, caps)) <= {int}
+            and set(map(type, ids)) <= {int}
+            and (not caps or (min(caps) >= 0 and max(caps) <= _INTP_MAX))
+            and sorted(ids) == list(range(len(ids)))
+        ):
+            return None
+        # The ids are distinct ints in [0, M), so they fill every entry.
+        block_of = np.empty(len(ids), dtype=np.intp)
+        block_of[np.fromiter(ids, np.intp, len(ids))] = np.arange(len(sizes), dtype=np.intp).repeat(sizes)
+        return block_of
+
+    def _checked_block_of(self) -> np.ndarray:
+        """The block of each id, after checking one capacity and one id at a
+        time; raises ValueError naming the first fault."""
         for cap in self.capacities:
             # The capacities are held as np.intp.
             if not is_int(cap) or not 0 <= cap <= _INTP_MAX:
@@ -204,9 +244,7 @@ class PartitionMatroid(Matroid):
         if sorted(block_of) != list(range(len(block_of))):
             missing = next(i for i in range(len(block_of) + 1) if i not in block_of)
             raise ValueError(f"matroid.blocks: action id {missing} is outside all blocks")
-        block_of_id = [block_of[e] for e in range(len(block_of))]
-        object.__setattr__(self, "_block_of", np.array(block_of_id, dtype=np.intp))
-        object.__setattr__(self, "_capacity_of", np.array(self.capacities, dtype=np.intp))
+        return np.array([block_of[e] for e in range(len(block_of))], dtype=np.intp)
 
     @property
     def n_actions(self) -> int:

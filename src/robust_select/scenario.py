@@ -13,7 +13,6 @@ import math
 import sys
 import threading
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain, product, starmap
 from typing import Iterable
 
@@ -85,6 +84,30 @@ def _sealed(array: np.ndarray) -> bool:
     with ValueError. An array over its own or a caller's memory is not:
     whoever holds it can make it writeable again."""
     return array.dtype == np.float64 and type(array.base) is bytes and array.flags.c_contiguous
+
+
+class _cached_property:
+    """``functools.cached_property`` without its lock: a non-data descriptor
+    that computes the value on the first read and stores it in the
+    instance's ``__dict__``, where every later read finds it before the
+    descriptor. Before Python 3.12 ``cached_property`` holds one lock for
+    every instance of the class, so threads building different scenarios'
+    distances would run one at a time. Two threads reading one instance's
+    value at once may both compute it; the last one stored is kept."""
+
+    def __init__(self, func) -> None:
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, instance, owner: type | None = None):
+        if instance is None:
+            return self
+        value = self.func(instance)
+        instance.__dict__[self.name] = value
+        return value
 
 
 class EvaluationCounter:
@@ -180,7 +203,7 @@ class Scenario:
     def n_actions(self) -> int:
         return len(self.actions)
 
-    @cached_property
+    @_cached_property
     def distances(self) -> np.ndarray:
         """Agent-to-action distance matrix, one row per agent: a read-only,
         C-contiguous float64 N x M array, built on first use so constructing

@@ -20,6 +20,7 @@ from robust_select import (
     write_results_csv,
     write_summary_csv,
 )
+from robust_select.bench import quadrant_blocks
 
 
 def small_config(**overrides):
@@ -42,32 +43,65 @@ def test_generate_scenario_structure():
         assert 0.0 <= x < 100.0 and 0.0 <= y < 100.0
 
 
-class MidLineDraw:
-    """Stands in for ``np.random.default_rng``: one agent, then five actions
-    of a 100 x 100 region, three of them on the mid lines."""
-
-    def __init__(self, seed):
-        self.draws = iter([[[20.0, 30.0]], [[50.0, 10.0], [10.0, 50.0], [50.0, 50.0], [49.99, 49.99], [10.0, 10.0]]])
-
-    def uniform(self, low, high, size):
-        return np.array(next(self.draws))
-
-
-def test_generate_scenario_quadrants(monkeypatch):
+def test_generate_scenario_quadrants():
     """Each action lies in its quadrant's block; points on the mid lines
-    belong to the right/upper half."""
+    belong to the right/upper half, in a draw and in points built by hand."""
     config = BenchConfig()
     drawn = generate_scenario(config, z=1, seed=123)
-    monkeypatch.setattr("robust_select.bench.np.random.default_rng", MidLineDraw)
-    on_mid_lines = generate_scenario(BenchConfig(n_agents=1, n_actions=5), z=1, seed=0)
-    assert on_mid_lines.matroid.blocks == ((3, 4), (0,), (1,), (2,))
     half = config.region / 2.0
-    for scenario in (drawn, on_mid_lines):
-        for b, block in enumerate(scenario.matroid.blocks):
+    on_mid_lines = np.array([[50.0, 10.0], [10.0, 50.0], [50.0, 50.0], [49.99, 49.99], [10.0, 10.0]])
+    assert quadrant_blocks(on_mid_lines, half) == ((3, 4), (0,), (1,), (2,))
+    below = math.nextafter(0.375, 0.0)
+    small = np.array([[0.375, below], [below, 0.375], [0.375, 0.375], [below, below], [0.0, 0.75]])
+    assert quadrant_blocks(small, 0.375) == ((3,), (0,), (1, 4), (2,))
+    cases = [(drawn.actions, drawn.matroid.blocks, half), (on_mid_lines, None, half), (small, None, 0.375)]
+    for actions, blocks, mid in cases:
+        for b, block in enumerate(blocks or quadrant_blocks(actions, mid)):
             for j in block:
-                x, y = scenario.actions[j].tolist()
-                assert (x >= half) == bool(b & 1)
-                assert (y >= half) == bool(b & 2)
+                x, y = actions[j].tolist()
+                assert (x >= mid) == bool(b & 1)
+                assert (y >= mid) == bool(b & 2)
+
+
+def two_draw_reference(config, seed):
+    """The draw ``generate_scenario`` made before it took one draw and one
+    argsort: agents and actions in two ``uniform`` calls, and one
+    ``np.flatnonzero`` scan per quadrant."""
+    rng = np.random.default_rng(seed)
+    agents = rng.uniform(0.0, config.region, size=(config.n_agents, 2))
+    actions = rng.uniform(0.0, config.region, size=(config.n_actions, 2))
+    half = config.region / 2.0
+    quadrant = (actions[:, 0] >= half) + 2 * (actions[:, 1] >= half)
+    blocks = tuple(tuple(np.flatnonzero(quadrant == b).tolist()) for b in range(4))
+    return agents, actions, blocks
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        BenchConfig(),
+        BenchConfig(n_actions=0),
+        BenchConfig(n_agents=1, n_actions=1),
+        BenchConfig(n_agents=3, n_actions=80, region=7.5),
+        BenchConfig(n_agents=2, n_actions=200, region=1e6),
+    ],
+    ids=["paper", "no-actions", "one-each", "region-7.5", "region-1e6"],
+)
+def test_generate_scenario_matches_the_two_draw_reference(config):
+    """Over 500 trial seeds, the one-draw scenario has the reference's
+    coordinate bits, blocks, capacities and block of each id."""
+    for trial in range(500):
+        seed = trial_seed(config.base_seed, trial)
+        z = 1 + trial % 10
+        agents, actions, blocks = two_draw_reference(config, seed)
+        scenario = generate_scenario(config, z, seed)
+        assert scenario.agents.tobytes() == agents.tobytes()
+        assert scenario.actions.tobytes() == actions.tobytes()
+        assert scenario.matroid.blocks == blocks
+        assert scenario.matroid.capacities == (z,) * 4
+        block_of = [b for j in range(config.n_actions) for b, block in enumerate(blocks) if j in block]
+        assert scenario.matroid._block_of.dtype == np.intp
+        assert scenario.matroid._block_of.tolist() == block_of
 
 
 def test_generate_scenario_deterministic():

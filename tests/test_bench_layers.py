@@ -9,7 +9,7 @@ from pathlib import Path
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_layers.py"
 LAYERS = [
     "lanes", "scenario", "scenario_crowd", "threshold_greedy", "threshold_greedy_ring", "saturate_robust",
-    "ratio_greedy_baseline", "simple_greedy", "bench_cell", "bench_full",
+    "ratio_greedy_baseline", "simple_greedy", "bench_cell", "bench_full", "draw",
 ]
 
 
@@ -28,5 +28,6 @@ def test_quick_mode_appends_a_record_that_parses(tmp_path):
         for row in record["layers"]:
             assert row["wall_ms"] > 0 and row["scaled_ms"] > 0 and row["repeats"] >= 1 and row["seeds"]
         assert [row["evaluations"] for row in record["layers"][:3]] == [0.0] * 3  # lanes, scenario, scenario_crowd
+        assert record["layers"][-1]["evaluations"] == 0.0  # draw
     # The same seeds charge the same evaluations on every run.
     assert [row["evaluations"] for row in records[0]["layers"]] == [row["evaluations"] for row in records[1]["layers"]]

@@ -2,10 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from robust_select import PartitionMatroid, UniformMatroid, check_matroid_axioms
-from robust_select.matroid import AXIOM_CHECK_CAP, Matroid, ground_ids, matroid_from_dict, matroid_to_dict
+from robust_select.matroid import AXIOM_CHECK_CAP, Matroid, ground_ids, is_int, matroid_from_dict, matroid_to_dict
 
 
 @pytest.fixture
@@ -166,6 +166,115 @@ def test_validation_errors():
         PartitionMatroid(((0,),), (True,))
     with pytest.raises(ValueError, match="action ids"):
         PartitionMatroid(((False,),), (1,))
+
+
+_INTP_MAX = int(np.iinfo(np.intp).max)
+
+
+def loop_block_of(blocks, capacities):
+    """``PartitionMatroid``'s validation as it was before the set-level
+    check, kept verbatim as the reference: one capacity and one id at a
+    time. Returns the block of each id, or raises ValueError."""
+    if len(blocks) != len(capacities):
+        raise ValueError("matroid: one capacity per block is required")
+    for cap in capacities:
+        # The capacities are held as np.intp.
+        if not is_int(cap) or not 0 <= cap <= _INTP_MAX:
+            raise ValueError(f"matroid.capacity must be an integer >= 0 and <= {_INTP_MAX}, got {cap!r}")
+    block_of: dict[int, int] = {}
+    for b, block in enumerate(blocks):
+        for e in block:
+            if not is_int(e) or e < 0:
+                raise ValueError("matroid.blocks: action ids must be integers >= 0")
+            if e in block_of:
+                raise ValueError(f"matroid.blocks: action id {e} appears in two blocks")
+            block_of[e] = b
+    if sorted(block_of) != list(range(len(block_of))):
+        missing = next(i for i in range(len(block_of) + 1) if i not in block_of)
+        raise ValueError(f"matroid.blocks: action id {missing} is outside all blocks")
+    block_of_id = [block_of[e] for e in range(len(block_of))]
+    return np.array(block_of_id, dtype=np.intp)
+
+
+class Id(int):
+    """An int subclass: ``is_int`` accepts it as an id or a capacity."""
+
+
+# Values that are not plain ints, or are out of range, for ids and capacities.
+_ODD_IDS = [True, False, 1.0, 0.0, np.int64(1), np.intp(0), Id(0), Id(2), -1, -3, 2**63, 2**64]
+_ODD_CAPACITIES = [True, False, -1, 1.0, np.int64(1), Id(1), _INTP_MAX, _INTP_MAX + 1, 2**64]
+
+
+@st.composite
+def partition_specs(draw):
+    """A partition of 0..M-1 into blocks with capacities, valid or not: then
+    up to three faults, each a duplicate, a gap, an id or a capacity swapped
+    for an odd value, or a capacity too many or too few."""
+    n = draw(st.integers(0, 8))
+    n_blocks = draw(st.integers(0 if n == 0 else 1, 4))
+    order = draw(st.permutations(range(n)))
+    cuts = sorted(draw(st.lists(st.integers(0, n), min_size=max(0, n_blocks - 1), max_size=max(0, n_blocks - 1))))
+    blocks = [list(order[a:b]) for a, b in zip([0, *cuts], [*cuts, n])][:n_blocks]
+    capacities = [draw(st.integers(0, 3)) for _ in blocks]
+    for _ in range(draw(st.integers(0, 3))):
+        fault = draw(st.sampled_from(["id", "odd id", "drop", "add", "capacity", "count"]))
+        ids = [(b, i) for b, block in enumerate(blocks) for i in range(len(block))]
+        if fault in ("id", "odd id", "drop") and ids:
+            b, i = draw(st.sampled_from(ids))
+            if fault == "drop":
+                del blocks[b][i]
+            else:
+                blocks[b][i] = draw(st.integers(-2, n + 1) if fault == "id" else st.sampled_from(_ODD_IDS))
+        elif fault == "add" and blocks:
+            draw(st.sampled_from(blocks)).append(draw(st.integers(-1, n + 1) | st.sampled_from(_ODD_IDS)))
+        elif fault == "capacity" and capacities:
+            capacities[draw(st.integers(0, len(capacities) - 1))] = draw(st.sampled_from(_ODD_CAPACITIES))
+        elif fault == "count":
+            if capacities and draw(st.booleans()):
+                capacities.pop()
+            else:
+                capacities.append(draw(st.integers(0, 3)))
+    as_blocks = draw(st.sampled_from([tuple, list]))
+    return tuple(as_blocks(block) for block in blocks), tuple(capacities)
+
+
+def _outcome(build):
+    try:
+        return build()
+    except (TypeError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@given(partition_specs())
+@example((((0,), (0,)), (1, 1)))  # a duplicate
+@example((((0,), (2,)), (1, 1)))  # a gap
+@example((((-1, 0),), (1,)))  # a negative id
+@example((((True, 0),), (1,)))  # a bool id
+@example((((1.0, 0),), (1,)))  # a float id
+@example((((np.int64(0),),), (1,)))  # a numpy integer id
+@example((((Id(1), Id(0)),), (Id(2),)))  # int subclasses, which are accepted
+@example((((0,),), (True,)))  # a bool capacity
+@example((((0,),), (-1,)))  # a negative capacity
+@example((((0,),), (_INTP_MAX + 1,)))  # a capacity above np.intp
+@example((((0,),), (_INTP_MAX,)))
+@example((((0,),), (1, 1)))  # one capacity too many
+@example((((1,), (2**64,)), (-1, 1)))  # a bad capacity before a bad id
+@example(((), ()))
+@example((((-1,), 5), (1, 1)))  # a bad id before a block that is not iterable
+@example((((0,), 5), (1, 1)))  # a block that is not iterable: TypeError
+def test_partition_validation_matches_the_id_loop(spec):
+    """The set-level check accepts exactly the specs the one-id-at-a-time
+    loop accepts, with the same block of each id (values and dtype), and
+    refuses every other spec with the loop's error and message for its
+    first fault."""
+    blocks, capacities = spec
+    expected = _outcome(lambda: loop_block_of(blocks, capacities))
+    got = _outcome(lambda: PartitionMatroid(blocks, capacities)._block_of)
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert isinstance(got, np.ndarray) and got.dtype == np.intp and got.flags.c_contiguous
+        assert got.tolist() == expected.tolist()
 
 
 uniform_matroids = st.integers(1, 8).flatmap(

@@ -167,7 +167,8 @@ def test_distances_is_one_read_only_array(tiny):
     d = tiny.distances
     assert isinstance(d, np.ndarray) and d.dtype == np.float64 and d.shape == (2, 3)
     assert not d.flags.writeable and d.flags.c_contiguous
-    assert tiny.distances is d
+    assert tiny.distances is d and vars(tiny)["distances"] is d
+    assert Scenario.distances.__doc__.startswith("Agent-to-action distance matrix")
     for i, agent in enumerate(tiny.agents):
         for j, action in enumerate(tiny.actions):
             assert d[i][j] == math.dist(agent, action)
@@ -382,9 +383,8 @@ def test_threads_building_distances_get_the_main_threads_bits():
     microsecond. numpy releases the GIL inside the pass's loops, so a work
     buffer shared by the threads would let one thread's chunk overwrite
     another's; each thread's own workspace keeps every matrix equal to the
-    one the main thread built. The threads call the pass itself: before
-    Python 3.12, ``functools.cached_property`` holds one lock for every
-    scenario's ``distances``, which would serialise them."""
+    one the main thread built. Each read is of a fresh scenario's
+    ``distances``, over the same sealed coordinate arrays."""
     shapes = [ring_scenario(0), ring_scenario(1), crowd_scenario(0), crowd_scenario(1)]
     shapes += [generate_scenario(BenchConfig(), z, trial_seed(0, z)) for z in (1, 5)]
     expected = [np.array(s.distances) for s in shapes]
@@ -396,7 +396,7 @@ def test_threads_building_distances_get_the_main_threads_bits():
                 for i in range(len(shapes)):
                     k = (i + offset + round_) % len(shapes)
                     s = shapes[k]
-                    if not np.array_equal(scenario_module._certified_distances(s.agents, s.actions), expected[k]):
+                    if not np.array_equal(Scenario(s.agents, s.actions, s.matroid).distances, expected[k]):
                         mismatches.append(k)
         except Exception as exc:  # reported by the main thread
             errors.append(exc)
@@ -414,6 +414,39 @@ def test_threads_building_distances_get_the_main_threads_bits():
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
     assert mismatches == []
+
+
+def test_threads_build_different_scenarios_distances_at_once(monkeypatch):
+    """Two threads reading two scenarios' ``distances`` are inside the
+    distance pass at the same time: the pass is patched to wait on a
+    two-party barrier, which breaks after 10 s unless both threads reach
+    it. ``functools.cached_property`` before Python 3.12 holds one lock for
+    every instance, which would let only one thread in."""
+    barrier = threading.Barrier(2, timeout=10.0)
+    certified = scenario_module._certified_distances
+
+    def meeting(agents, actions):
+        barrier.wait()
+        return certified(agents, actions)
+
+    monkeypatch.setattr(scenario_module, "_certified_distances", meeting)
+    scenarios = [generate_scenario(BenchConfig(), 1, trial_seed(0, t)) for t in range(2)]
+    built, errors = [], []
+
+    def read(scenario):
+        try:
+            built.append(scenario.distances.shape)
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=read, args=(s,)) for s in scenarios]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30.0)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert built == [(5, 50), (5, 50)]
 
 
 def test_a_threads_workspace_is_one_chunk_pair_across_shapes():
