@@ -54,9 +54,10 @@ def test_generate_scenario_quadrants():
     below = math.nextafter(0.375, 0.0)
     small = np.array([[0.375, below], [below, 0.375], [0.375, 0.375], [below, below], [0.0, 0.75]])
     assert quadrant_blocks(small, 0.375) == ((3,), (0,), (1, 4), (2,))
-    cases = [(drawn.actions, drawn.matroid.blocks, half), (on_mid_lines, None, half), (small, None, 0.375)]
+    cases = [(drawn.actions, drawn.matroid.blocks, half)]
+    cases += [(on_mid_lines, quadrant_blocks(on_mid_lines, half), half), (small, quadrant_blocks(small, 0.375), 0.375)]
     for actions, blocks, mid in cases:
-        for b, block in enumerate(blocks or quadrant_blocks(actions, mid)):
+        for b, block in enumerate(blocks):
             for j in block:
                 x, y = actions[j].tolist()
                 assert (x >= mid) == bool(b & 1)
