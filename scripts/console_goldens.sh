@@ -2,10 +2,11 @@
 # Runs the installed robust-select console script and compares its outputs
 # with the goldens under tests/data/: the check lines (25 and 200 instances),
 # bench stdout and both bench files, the whole default paper sweep's stdout,
-# and the fast solution of the checked-in 16-agent ring (its wall time
-# dropped). Carriage returns are stripped from each output before its diff,
-# since Windows writes CRLF to stdout; any other differing byte fails. The
-# failure path must exit 1 with the injected defect's FAIL line.
+# and the fast, greedy and ratio solutions of the checked-in 16-agent ring
+# (their wall times dropped). Carriage returns are stripped from each output
+# before its diff, since Windows writes CRLF to stdout; any other differing
+# byte fails. The failure path must exit 1 with the injected defect's FAIL
+# line.
 #
 #   bash scripts/console_goldens.sh [OUT_DIR]
 #
@@ -30,7 +31,9 @@ same "$out/summary_file.csv" "$data"/bench_agents5_summary.csv
 same "$out/raw.csv" "$data"/bench_agents5_raw.csv
 robust-select bench --no-wall-time > "$out/sweep.csv"
 same "$out/sweep.csv" "$data"/bench_default_summary.csv
-robust-select solve --config "$data"/ring16_scenario.json --algorithm fast \
-  | python -c 'import json, sys; d = json.load(sys.stdin); del d["wall_time_ms"]; print(json.dumps(d, sort_keys=True))' \
-  > "$out/ring16.json"
-same "$out/ring16.json" "$data"/ring16_fast_solution.json
+for algorithm in fast greedy ratio; do
+  robust-select solve --config "$data"/ring16_scenario.json --algorithm "$algorithm" \
+    | python -c 'import json, sys; d = json.load(sys.stdin); del d["wall_time_ms"]; print(json.dumps(d, sort_keys=True))' \
+    > "$out/ring16_$algorithm.json"
+  same "$out/ring16_$algorithm.json" "$data/ring16_${algorithm}_solution.json"
+done

@@ -74,7 +74,13 @@ class Feasibility:
     ValueError for any other element the mask refuses (a member, or one
     that breaks independence). This generic state asks ``can_extend`` of
     every element again after each ``add``; the built-in matroids update
-    their mask in place instead."""
+    their mask in place instead.
+
+    The contract every greedy checks (``solvers._feasible``) before it
+    reads a candidate from a state, its own included: ``mask`` is a boolean
+    array of shape (M,), and a mask of any other shape makes the solver
+    raise IndexError; for the threshold greedy only, the mask admits no
+    member of the set, or it raises ValueError."""
 
     def __init__(self, matroid: "Matroid") -> None:
         self.matroid = matroid
@@ -119,7 +125,11 @@ class Matroid:
 
     def feasibility(self) -> Feasibility:
         """A feasibility state of the empty set, for growing it one element
-        at a time."""
+        at a time. An override keeps ``Feasibility``'s contract: its
+        ``mask`` is a boolean array of shape (M,), and every greedy raises
+        IndexError for a mask of any other shape; for ``threshold_greedy``
+        only, the mask admits no member of the set, or it raises
+        ValueError."""
         return Feasibility(self)
 
 
@@ -181,6 +191,11 @@ class PartitionMatroid(Matroid):
     A subset is independent iff it takes at most ``capacities[b]`` elements
     from block ``b``. Blocks must cover exactly the ids 0..M-1.
 
+    ``blocks`` and ``capacities`` are stored as tuples, read before any
+    check, so a partition given as lists hashes and equals the same one
+    given as tuples, and a block given as an iterator keeps its ids. A
+    block that cannot be iterated raises TypeError there.
+
     A valid spec is accepted by set-level checks, without a loop per id:
     every capacity and every id is of type ``int`` exactly, the capacities
     lie in [0, np.intp max], and the sorted ids are 0..M-1. ``_block_of``
@@ -196,6 +211,8 @@ class PartitionMatroid(Matroid):
     _capacity_of: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "blocks", tuple(map(tuple, self.blocks)))
+        object.__setattr__(self, "capacities", tuple(self.capacities))
         if len(self.blocks) != len(self.capacities):
             raise ValueError("matroid: one capacity per block is required")
         block_of = self._scatter_block_of()
@@ -206,14 +223,10 @@ class PartitionMatroid(Matroid):
 
     def _scatter_block_of(self) -> np.ndarray | None:
         """The block of each id, if the set-level checks accept the spec;
-        None otherwise, and for blocks that have no length or cannot be
-        iterated."""
+        None otherwise."""
         caps = self.capacities
-        try:
-            sizes = [len(block) for block in self.blocks]
-            ids = list(chain.from_iterable(self.blocks))
-        except TypeError:
-            return None
+        sizes = [len(block) for block in self.blocks]
+        ids = list(chain.from_iterable(self.blocks))
         if not (
             set(map(type, caps)) <= {int}
             and set(map(type, ids)) <= {int}
@@ -286,26 +299,23 @@ def matroid_from_dict(spec: dict, n_actions: int) -> Matroid:
             raise ValueError("scenario config: field 'matroid.rank' must be a positive integer")
         return UniformMatroid(n_actions=n_actions, rank=rank)
     if kind == "partition":
-        raw_blocks = spec.get("blocks")
-        if not isinstance(raw_blocks, list):
+        blocks = spec.get("blocks")
+        if not isinstance(blocks, list):
             raise ValueError("scenario config: field 'matroid.blocks' must be a list of id lists")
-        blocks = []
-        for block in raw_blocks:
+        for block in blocks:
             if not isinstance(block, list) or not all(map(is_int, block)):
                 raise ValueError("scenario config: field 'matroid.blocks' must contain integer ids")
-            blocks.append(tuple(block))
         if "capacities" in spec:
-            caps = spec["capacities"]
-            if not isinstance(caps, list) or len(caps) != len(blocks):
+            capacities = spec["capacities"]
+            if not isinstance(capacities, list) or len(capacities) != len(blocks):
                 raise ValueError("scenario config: field 'matroid.capacities' must list one capacity per block")
-            capacities = tuple(caps)
         else:
             z = spec.get("capacity")
             if not is_int(z):
                 raise ValueError("scenario config: field 'matroid.capacity' must be an integer")
-            capacities = (z,) * len(blocks)
+            capacities = [z] * len(blocks)
         try:
-            matroid = PartitionMatroid(tuple(blocks), capacities)
+            matroid = PartitionMatroid(blocks, capacities)
         except ValueError as exc:
             raise ValueError(f"scenario config: {exc}") from None
         if matroid.n_actions != n_actions:

@@ -363,7 +363,7 @@ def threshold_greedy(
     # The set, and so every gain and the feasibility mask, only changes
     # when an element is accepted. The greedy ends when no candidate is left.
     feasibility = matroid.feasibility()
-    candidates = _feasible(feasibility.mask, subset, n_actions)
+    candidates = _feasible(feasibility.mask, n_actions, subset)
     gains = reduced[candidates]  # the empty set's gains are its reduced row
     best = initial if candidates.size == n_actions else float(np.maximum.reduce(gains, initial=0.0))
     scanned = 0  # candidates the one-at-a-time scans evaluate, charged at the end
@@ -382,7 +382,7 @@ def threshold_greedy(
                 values, value = lanes[:, e].copy(), float(reduced[e])
             lanes = built = None
             subset = subset | {e}
-            candidates = _feasible(feasibility.mask, subset, n_actions)
+            candidates = _feasible(feasibility.mask, n_actions, subset)
             built = oracle.lanes(values, value) if candidates.size else None
             if built is None:
                 lanes, gains, best = None, np.zeros(candidates.size), 0.0
@@ -409,10 +409,12 @@ def threshold_greedy(
     return set(subset)
 
 
-def _feasible(mask: np.ndarray, subset: frozenset, n_actions: int) -> np.ndarray:
-    """The ids a feasibility mask over the ground set admits, ascending. A
-    mask of any other shape is refused with IndexError, so every id is in
-    range; one that admits a member of ``subset`` raises ValueError."""
+def _feasible(mask: np.ndarray, n_actions: int, subset: frozenset = frozenset()) -> np.ndarray:
+    """The ids a feasibility mask over the ground set admits, ascending: the
+    one place a greedy turns a ``Matroid.feasibility`` mask into candidates.
+    A mask of a shape other than (n_actions,) is refused with IndexError, so
+    every id is in range; one that admits a member of ``subset`` (the
+    threshold greedy's base; the baselines pass none) raises ValueError."""
     if mask.shape != (n_actions,):
         raise IndexError(f"feasibility mask of shape {mask.shape} does not cover the ground set [0, {n_actions})")
     ids = mask.nonzero()[0]
@@ -497,12 +499,13 @@ def simple_greedy(scenario: Scenario) -> Solution:
     values raised to each column's distances (its lanes), reduced by the
     minimum over agents. Max and min only select values, so each is
     ``min_objective`` of the selection plus that column, bit for bit. One
-    ``matroid.feasibility`` state follows the selection. A round of F
-    feasible candidates is charged as the one-at-a-time scan would charge
-    it: N * F, plus N when the selection itself must be scored again (it is
-    cold). The first round is cold; a later one is warm only when the last
-    pick was the last candidate scanned, whose extension that scan
-    evaluated last."""
+    ``matroid.feasibility`` state follows the selection, and ``_feasible``
+    reads each round's candidates from its mask, refusing a mask of the
+    wrong shape with IndexError. A round of F feasible candidates is
+    charged as the one-at-a-time scan would charge it: N * F, plus N when
+    the selection itself must be scored again (it is cold). The first round
+    is cold; a later one is warm only when the last pick was the last
+    candidate scanned, whose extension that scan evaluated last."""
     started = time.perf_counter()
     counter = EvaluationCounter()
     distances, n_agents = scenario.distances, scenario.n_agents
@@ -510,7 +513,7 @@ def simple_greedy(scenario: Scenario) -> Solution:
     selected: set[int] = set()
     values, value, cold = np.zeros(n_agents), 0.0, True
     while True:
-        candidates = feasibility.mask.nonzero()[0]
+        candidates = _feasible(feasibility.mask, scenario.n_actions)
         if candidates.size == 0:
             break
         counter.add(n_agents * (candidates.size + cold))
@@ -540,16 +543,18 @@ def ratio_greedy_baseline(scenario: Scenario) -> Solution:
     (0/0 counts as 0).
 
     One ``matroid.feasibility`` state follows the selection, and a column
-    that leaves the pool never returns. A candidate's score depends on the
-    normalizers alone, so the scores are computed again only when a
-    normalizer moved, and with them the pool's pick order (descending score,
-    lowest id first: a stable argsort) and the columns that attain some
-    normalizer. A round's pick is the first column of that order still in
-    the pool. A normalizer can only move when a column attaining it leaves,
-    so the masked maximum is taken again only after a round that removed
-    such a pick, or removed more than the pick (a block filled). The counter
-    is charged as if each (candidate, agent) score re-derived its normalizer
-    by scanning the whole feasible pool F: N * |F| * (1 + |F|) per round.
+    that leaves the pool never returns; ``_feasible`` reads the pool's size
+    from its mask, refusing a mask of the wrong shape with IndexError. A
+    candidate's score depends on the normalizers alone, so the scores are
+    computed again only when a normalizer moved, and with them the pool's
+    pick order (descending score, lowest id first: a stable argsort) and
+    the columns that attain some normalizer. A round's pick is the first
+    column of that order still in the pool. A normalizer can only move when
+    a column attaining it leaves, so the masked maximum is taken again only
+    after a round that removed such a pick, or removed more than the pick
+    (a block filled). The counter is charged as if each (candidate, agent)
+    score re-derived its normalizer by scanning the whole feasible pool F:
+    N * |F| * (1 + |F|) per round.
     That charge is an accounting convention for the full-scan baseline the
     fast solver's evaluation counts are judged against, not a count of the
     work done here.
@@ -562,7 +567,7 @@ def ratio_greedy_baseline(scenario: Scenario) -> Solution:
     norm = None
     while True:
         mask = feasibility.mask
-        size = len(mask.nonzero()[0])
+        size = _feasible(mask, scenario.n_actions).size
         if not size:
             break
         counter.add(n_agents * size * (1 + size))

@@ -263,15 +263,17 @@ def test_bench_matches_golden_csvs(agents, tmp_path, capsys):
 
 
 def test_solve_matches_the_ring_golden(tmp_path, capsys):
-    """A 16-agent, 300-action ring read from JSON solves to the golden's
-    selection, value, evaluations and params (the wall time dropped), and
-    saving the loaded scenario writes the file's bytes again."""
+    """A 16-agent, 300-action ring read from JSON solves, with the fast
+    solver and both baselines, to each golden's selection, value,
+    evaluations and params (the wall time dropped), and saving the loaded
+    scenario writes the file's bytes again."""
     path = GOLDEN / "ring16_scenario.json"
-    code, out, _ = run_cli(capsys, "solve", "--config", str(path), "--algorithm", "fast")
-    assert code == 0
-    document = json.loads(out)
-    del document["wall_time_ms"]
-    assert document == json.loads((GOLDEN / "ring16_fast_solution.json").read_text())
+    for algorithm in ("fast", "greedy", "ratio"):
+        code, out, _ = run_cli(capsys, "solve", "--config", str(path), "--algorithm", algorithm)
+        assert code == 0
+        document = json.loads(out)
+        del document["wall_time_ms"]
+        assert document == json.loads((GOLDEN / f"ring16_{algorithm}_solution.json").read_text())
     saved = tmp_path / "saved.json"
     save_scenario(load_scenario(str(path)), str(saved))
     assert saved.read_bytes() == path.read_bytes()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from robust_select import PartitionMatroid, UniformMatroid, check_matroid_axioms
+from robust_select import PartitionMatroid, Scenario, UniformMatroid, check_matroid_axioms
 from robust_select.matroid import AXIOM_CHECK_CAP, Matroid, ground_ids, is_int, matroid_from_dict, matroid_to_dict
 
 
@@ -260,15 +260,16 @@ def _outcome(build):
 @example((((0,),), (1, 1)))  # one capacity too many
 @example((((1,), (2**64,)), (-1, 1)))  # a bad capacity before a bad id
 @example(((), ()))
-@example((((-1,), 5), (1, 1)))  # a bad id before a block that is not iterable
+@example((((-1,), 5), (1, 1)))  # a block that is not iterable, after a bad id: TypeError
 @example((((0,), 5), (1, 1)))  # a block that is not iterable: TypeError
 def test_partition_validation_matches_the_id_loop(spec):
     """The set-level check accepts exactly the specs the one-id-at-a-time
     loop accepts, with the same block of each id (values and dtype), and
     refuses every other spec with the loop's error and message for its
-    first fault."""
+    first fault. The matroid reads every block into a tuple first, so a
+    block that cannot be iterated is the first fault wherever it lies."""
     blocks, capacities = spec
-    expected = _outcome(lambda: loop_block_of(blocks, capacities))
+    expected = _outcome(lambda: loop_block_of(tuple(map(tuple, blocks)), capacities))
     got = _outcome(lambda: PartitionMatroid(blocks, capacities)._block_of)
     if isinstance(expected, str):
         assert got == expected
@@ -556,6 +557,34 @@ def test_matroid_dict_round_trip(two_blocks):
 
     uni = UniformMatroid(3, 2)
     assert matroid_from_dict(matroid_to_dict(uni), 3) == uni
+
+
+def test_partition_given_as_lists_hashes():
+    assert hash(PartitionMatroid([[0, 1], [2]], [1, 1])) == hash(PartitionMatroid(((0, 1), (2,)), (1, 1)))
+
+
+def test_partition_given_as_lists_equals_it_given_as_tuples():
+    lists = PartitionMatroid([[0, 1], [2]], [1, 1])
+    assert lists == PartitionMatroid(((0, 1), (2,)), (1, 1))
+    assert lists.blocks == ((0, 1), (2,)) and lists.capacities == (1, 1)
+
+
+def test_scenario_holding_a_partition_given_as_lists_hashes():
+    actions = [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)]
+    lists = Scenario.from_coords([(0.0, 1.0)], actions, PartitionMatroid([[0, 1], [2]], [1, 1]))
+    tuples = Scenario.from_coords([(0.0, 1.0)], actions, PartitionMatroid(((0, 1), (2,)), (1, 1)))
+    assert hash(lists) == hash(tuples) and lists == tuples
+
+
+def test_partition_block_given_as_a_generator_keeps_its_ids():
+    """Validation reads a generator block once, into the stored tuple, so
+    the matroid still knows its ids; a block that cannot be iterated is
+    refused with TypeError."""
+    matroid = PartitionMatroid([(j for j in (0, 1)), [2]], [1, 1])
+    assert matroid_to_dict(matroid)["blocks"] == [[0, 1], [2]]
+    assert matroid.is_independent({0, 2}) and not matroid.is_independent({0, 1})
+    with pytest.raises(TypeError):
+        PartitionMatroid([[0], 1], [1, 1])
 
 
 def test_matroid_dict_errors():

@@ -14,6 +14,8 @@ from robust_select import (
     Matroid,
     PartitionMatroid,
     Scenario,
+    SOLVERS,
+    SolverParams,
     SurrogateOracle,
     UniformMatroid,
     compute_curvature,
@@ -402,6 +404,17 @@ def test_batched_rejects_members_and_skips_empty(tiny):
     oracle = _CountingOracle(tiny, 8.0)
     assert threshold_greedy(oracle, tiny.matroid, 0.1) == {2}
     assert oracle.built == [True]
+
+
+@pytest.mark.parametrize("size", [2, 4], ids=["one short", "one long"])
+@pytest.mark.parametrize("name", ["fast", "greedy", "ratio"])
+def test_every_greedy_refuses_a_mask_of_the_wrong_shape(tiny, name, size):
+    """Every solver that grows its set through ``Matroid.feasibility``
+    refuses a mask that does not cover the ground set, with the same
+    IndexError, rather than read a selection from it."""
+    faulty = Scenario(tiny.agents, tiny.actions, _FaultyMatroid(3, lambda chosen: np.ones(size, dtype=bool)))
+    with pytest.raises(IndexError, match=r"feasibility mask of shape .* does not cover the ground set \[0, 3\)"):
+        SOLVERS[name](faulty, SolverParams())
 
 
 def test_members_of_a_promoted_base_are_rejected(tiny):
