@@ -6,8 +6,8 @@ import json
 import math
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -37,12 +37,11 @@ from robust_select.checks import gamma_grid, random_small_scenario
 from robust_select.scenario import agent_values
 from robust_select import solvers
 from robust_select.solvers import (
-    _LADDER_CHUNK,
     BRUTE_FORCE_CAP,
     CURVATURE,
     THRESHOLD_STEPS_CAP,
-    _Ladder,
-    threshold_ladder,
+    _jump,
+    threshold_rung,
     threshold_steps,
 )
 
@@ -193,11 +192,13 @@ def test_threshold_greedy_accepted_gains_dominate(rng):
 
 def literal_threshold_greedy(oracle, matroid, delta):
     """The descending-threshold greedy written out pass by pass: one gain
-    per scanned candidate, one division per pass, and no shared code with
-    ``threshold_greedy``. A pass over the set the previous pass left
-    unchanged, while that pass's best gain is still below the threshold,
-    would insert nothing; it is neither scanned nor counted, since those are
-    exactly the passes ``threshold_greedy`` skips.
+    per scanned candidate, one rung per pass, and no code shared with
+    ``threshold_greedy`` but ``threshold_rung``, which defines the rungs
+    (and is checked against exact arithmetic on its own). A pass over the
+    set the previous pass left unchanged, while that pass's best gain is
+    still below the threshold, would insert nothing; it is neither scanned
+    nor counted, since those are exactly the passes ``threshold_greedy``
+    skips.
 
     It counts its own charges, in evaluations: one per gain it takes, plus
     one for the empty base unless the oracle is known to be zero (gamma ==
@@ -215,7 +216,7 @@ def literal_threshold_greedy(oracle, matroid, delta):
         return oracle.evaluate(base | {e}) - oracle.evaluate(base)
 
     initial = max([0.0] + [gain_of(frozenset(), e) for e in range(n)])
-    threshold, floor = initial, delta * initial
+    k, threshold, floor = 0, initial, delta * initial
     unchanged_best = None  # best gain of the last pass, if it inserted nothing
     while initial > 0 and threshold >= floor and any(matroid.can_extend(selected, e) for e in range(n)):
         if unchanged_best is None or unchanged_best >= threshold:
@@ -234,7 +235,8 @@ def literal_threshold_greedy(oracle, matroid, delta):
             if not inserted and best == 0.0:
                 break
             unchanged_best = None if inserted else best
-        threshold /= 1.0 + delta
+        k += 1
+        threshold = threshold_rung(initial, delta, k)
     stats = {"passes": passes, "initial_threshold": initial, "final_threshold": threshold}
     charges = gains_taken + (gains_taken > 0 and oracle.gamma != 0.0)
     return selected, trace, stats, charges
@@ -254,7 +256,7 @@ def random_matroid_scenario(rng, n_agents, n_actions):
 
 @pytest.mark.parametrize("delta", [1e-3, 0.1, 1.0])
 def test_threshold_greedy_matches_the_literal_loop(rng, delta):
-    """Ladder jumps and batched scans change nothing observable: selection,
+    """Jumps and batched scans change nothing observable: selection,
     trace, stats and charges equal those of the literal pass-by-pass loop,
     and the selection's value is the same bits from either oracle."""
     checked_partition = checked_uniform = 0
@@ -295,56 +297,26 @@ def test_a_solve_holds_the_capped_matrix_and_one_base_lanes(rng):
     assert peak < 2.5 * scenario.distances.nbytes
 
 
-@pytest.mark.parametrize("delta", [1e-5, 1e-3, 0.1, 1.0, 3.0])
-def test_threshold_ladder_is_the_division_chain(delta):
-    start = 7.123456789
-    rungs = threshold_ladder(start, delta, 2 * _LADDER_CHUNK + 3)
-    t = start
-    for rung in rungs:
-        assert rung == t
-        t /= 1.0 + delta
-    # The chunked cursor, stepping across chunk boundaries.
-    ladder, t = _Ladder(start, delta), start
-    for _ in range(3 * _LADDER_CHUNK + 2):
-        assert ladder.threshold == t
-        ladder.step()
-        t /= 1.0 + delta
-    # Jumps land where replaying the division chain stops, across chunks,
-    # including on a rung equal to the bound or to the floor.
-    floor = rungs[-2] if delta < 1e-2 else start * 1e-4
-    marks = [rungs[k] for k in (1, 7, _LADDER_CHUNK - 1, _LADDER_CHUNK + 10) if k < rungs.size - 2]
-    ladder, t = _Ladder(start, delta), start
-    for at_most in [*marks, start * 0.99, start * 0.5, start * 0.2, start * 1e-3, 0.0]:
-        if not (t >= floor and t > at_most):
-            continue
-        while t >= floor and t > at_most:
-            t /= 1.0 + delta
-        ladder.drop(at_most, floor)
-        assert ladder.threshold == t
-
-
-def test_stalled_threshold_raises_instead_of_hanging():
-    """Far enough into the subnormals, dividing by 1 + delta returns its
-    argument; a jump that can only land below that point is refused instead
-    of looping forever, as the literal loop would."""
-    with pytest.raises(ValueError, match="stalled"):
-        _Ladder(1e-320, 1e-3).drop(1e-323, 1e-323)
-    # Distances of a few hundred units of the smallest subnormal.
+def test_a_subnormal_scenario_solves():
+    """Distances of a few hundred units of the smallest subnormal: the rungs
+    F / (1 + delta)**k fall to 0.0 there, so the descent ends, and ``fast``
+    finds the optimum's value."""
     scale = 1e-321
     scenario = Scenario.from_coords(
         [(85.0 * scale, 63.0 * scale), (51.0 * scale, 26.0 * scale)],
         [(x * scale, y * scale) for x, y in ((30.0, 4.0), (7.0, 1.0), (17.0, 81.0), (64.0, 91.0))],
         UniformMatroid(4, 2),
     )
-    with pytest.raises(ValueError, match="stalled"):
-        saturate_robust(scenario, SolverParams(delta=1e-3))
+    solution = saturate_robust(scenario, SolverParams(delta=1e-3))
+    assert solution.min_value == brute_force_maxmin(scenario).min_value == 6.6155e-320
 
 
 def test_delta_beyond_the_step_cap_is_refused(tiny):
     """A delta so small that 1 + delta rounds to 1 used to hang the greedy;
-    any delta whose descent needs more than THRESHOLD_STEPS_CAP divisions is
+    any delta whose descent needs more than THRESHOLD_STEPS_CAP rungs is
     now refused up front, by the parameters and by the greedy itself."""
     assert threshold_steps(1e-5) < THRESHOLD_STEPS_CAP < threshold_steps(1e-6)
+    assert threshold_steps(SMALLEST_DELTA) < THRESHOLD_STEPS_CAP
     assert saturate_robust(tiny, SolverParams(delta=1e-5)).selected == (2,)
     for delta in (1e-6, 1e-17, 5e-324):
         with pytest.raises(ValueError, match="THRESHOLD_STEPS_CAP"):
@@ -353,10 +325,22 @@ def test_delta_beyond_the_step_cap_is_refused(tiny):
             threshold_greedy(SurrogateOracle(tiny, 8.0), tiny.matroid, delta)
 
 
-# -- certified ladder ---------------------------------------------------
+# -- thresholds in closed form -----------------------------------------
 
+# Within 1e-13 of the smallest delta THRESHOLD_STEPS_CAP admits (1.35e-6).
+SMALLEST_DELTA = 1.3514352513022e-06
+RUNG_DELTAS = [1e-3, 0.05, 1e-5, 1.0]
 NORMAL_STARTS = st.floats(min_value=sys.float_info.min, max_value=1e300)
-LADDER_DELTAS = st.floats(min_value=1.35e-6, max_value=3.0)
+ADMITTED_DELTAS = st.floats(min_value=SMALLEST_DELTA, max_value=1.0)
+
+
+def rungs(start, delta, ks):
+    """``threshold_rung`` at every k of the int array ``ks``: the same table
+    entries, multiplied and divided in the same order, in float64, whose
+    operations are correctly rounded as Python's are."""
+    low, mid, high = map(np.array, solvers._power_tables(delta))
+    with np.errstate(over="ignore"):  # a power past the largest double is inf, as in Python
+        return start / (low[ks & 255] * mid[ks >> 8 & 255] * high[ks >> 16])
 
 
 def ladder_length(delta, cap):
@@ -364,121 +348,129 @@ def ladder_length(delta, cap):
     return min(max(int(threshold_steps(delta)), 0) + 2, cap) + 1
 
 
-@given(start=NORMAL_STARTS, delta=LADDER_DELTAS, data=st.data())
-def test_ladder_bounds_contain_the_division_chain(start, delta, data):
-    """The certified bounds of every rung hold the exact chain's rung, from
-    rung 0 and from a rung computed exactly later on; they are given for
-    every rung well inside the normal range."""
-    chain = threshold_ladder(start, delta, ladder_length(delta, 20_000))
-    last = chain.size - 1
-    ladder = _Ladder(start, delta)
-    for base in (0, data.draw(st.integers(0, last), label="base")):
-        if base:
-            ladder.drop(chain[base], 0.0)
-            assert ladder.threshold == chain[base]
-        ks = {*range(base, min(base + 32, last) + 1), *range(max(base, last - 32), last + 1)}
-        ks |= set(data.draw(st.lists(st.integers(base, last), max_size=16), label="ks"))
-        for k in sorted(ks):
-            bounds = ladder.bounds(k)
-            if bounds is None:
-                assert chain[k] < 2.0 * sys.float_info.min
-            else:
-                assert bounds[0] <= chain[k] <= bounds[1]
+def power_bracket(c, k, bits=192):
+    """Fractions lo <= c**k <= hi, by square and multiply on integer
+    mantissas cut to ``bits`` bits after each product, down for lo and up
+    for hi. (``Fraction(c)**k`` itself took 0.3 s at k = 65,536 and 22 s at
+    k = 1.15e6 on a 2-vCPU Xeon VM.)"""
+    num, den = c.as_integer_ratio()
+
+    def times(a, b, up):
+        m, e = a[0] * b[0], a[1] + b[1]
+        cut = max(m.bit_length() - bits, 0)
+        return (-(-m >> cut) if up else m >> cut), e + cut
+
+    ends = []
+    for up in (False, True):
+        power, square, n = (1, 0), (num, 1 - den.bit_length()), k
+        while n:
+            if n & 1:
+                power = times(power, square, up)
+            square, n = times(square, square, up), n >> 1
+        ends.append(Fraction(power[0]) * Fraction(2) ** power[1])
+    return ends
 
 
-# Starts within a factor 4 of the smallest normal double: a few rungs down,
-# the chain is subnormal and no bound is certified.
-NEAR_MIN_NORMAL_STARTS = st.floats(min_value=sys.float_info.min, max_value=4 * sys.float_info.min)
+# Six correctly rounded operations, each off by a factor within [1 - u, 1 + u]
+# (u = 2**-53): three table entries, two products and the division.
+U = Fraction(1, 2**53)
+SIX_ROUNDINGS = (1 + U) / (1 - U) ** 5 - 1
 
 
-@given(start=st.one_of(NORMAL_STARTS, NEAR_MIN_NORMAL_STARTS), delta=LADDER_DELTAS, data=st.data())
-def test_ladder_bounds_bracket_the_chain_where_drops_land(start, delta, data):
-    """Driven by ``drop`` jumps, with the exact rung read only now and then,
-    the ladder lands on rungs it mostly knows by their bounds from an
-    earlier exact rung. At every rung it lands on, and the eight below it,
-    ``bounds(k)`` brackets rung ``k`` of the chain computed from the start
-    in one ``threshold_ladder`` call with a normal low bound, or is None,
-    and None only within a factor 2 of the smallest normal double: so it is
-    None at every subnormal rung past the last exact one. The last exact
-    rung is bracketed by itself."""
-    chain = threshold_ladder(start, delta, ladder_length(delta, 20_000) + 32)
-    ladder = _Ladder(start, delta)
-    for _ in range(data.draw(st.integers(1, 5), label="drops")):
-        below = np.flatnonzero(chain < chain[ladder.k])
-        if not below.size:
-            break
-        j = data.draw(st.sampled_from(below.tolist()), label="j")
-        at_most = float(chain[j] + data.draw(st.sampled_from([0, 1]), label="ulps") * np.spacing(chain[j]))
-        ladder.drop(at_most, 0.0)
-        k = ladder.k
-        for rung in range(k, min(k + 8, chain.size - 1) + 1):
-            expected = float(threshold_ladder(start, delta, rung + 1)[-1])
-            bounds = ladder.bounds(rung)
-            if rung == ladder._exact_k:
-                assert bounds == (expected, expected)
-            elif bounds is None:
-                assert expected < 2 * solvers._MIN_NORMAL
-            else:
-                assert solvers._MIN_NORMAL <= bounds[0] <= expected <= bounds[1]
-        if data.draw(st.booleans(), label="read the rung"):
-            assert ladder.threshold == chain[k]
+@pytest.mark.parametrize("delta", RUNG_DELTAS)
+def test_threshold_rung_is_within_six_roundings_of_the_exact_value(delta):
+    """Rung k is Fraction(start) / Fraction(1 + delta)**k within six
+    roundings wherever it is a normal double, at the tables' seams and two
+    rungs past the greedy's floor, from starts across the normal range. Past
+    k = 10,000 the exact power is bracketed (``power_bracket``), and the
+    bracket holds it where both are computed. The worst error at these
+    points is 0.74 ulps of the rung, and 2.8 over every k <= 2,000 from
+    7.123456789; six roundings allow 6."""
+    c = 1.0 + delta
+    low, high = power_bracket(c, 4096)
+    assert low <= Fraction(c) ** 4096 <= high < low * (1 + U**3)
+    for k in (0, 1, 255, 256, 65535, 65536, int(threshold_steps(delta)) + 2):
+        low, high = (Fraction(c) ** k,) * 2 if k <= 10_000 else power_bracket(c, k)
+        for start in (sys.float_info.max, 7.123456789, 1e-300, sys.float_info.min):
+            rung = Fraction(threshold_rung(start, delta, k))
+            near, far = Fraction(start) / high, Fraction(start) / low
+            if far < sys.float_info.min:
+                assert rung < sys.float_info.min
+            elif near >= sys.float_info.min and far <= sys.float_info.max:
+                assert max(abs(rung - near), abs(rung - far)) <= SIX_ROUNDINGS * near
 
 
-@given(start=NORMAL_STARTS, delta=LADDER_DELTAS, data=st.data())
-def test_ladder_drop_lands_where_the_chain_stops(start, delta, data):
-    """``drop`` lands where searchsorted over the exact chain does, also for
-    a bound equal to a rung or one ulp either side of it, and for a floor
-    of 0.0 or of the smallest subnormal."""
-    chain = threshold_ladder(start, delta, ladder_length(delta, 5_000))
-    negated = -chain
+def test_threshold_rung_pins():
+    """Rungs that libm's ``pow`` (start / (1 + delta) ** k) rounds
+    otherwise, pinned in hex: a rung is defined by the tables on every
+    platform."""
+    for delta, k, pinned in ((1e-3, 257, "0x1.609ff30fac375p+2"),
+                             (1e-5, 65539, "0x1.d972078922f4bp+1"),
+                             (1e-5, 1151296, "0x1.2ac94bdc84625p-14")):
+        assert threshold_rung(7.123456789, delta, k).hex() == pinned
+    with pytest.raises(IndexError):
+        threshold_rung(1.0, 1e-3, 2**24)
+
+
+@pytest.mark.parametrize("delta", RUNG_DELTAS)
+def test_rungs_fall_strictly_while_normal_and_never_rise(delta):
+    """``_jump`` relies on both: over the greedy's range of k and past the
+    tables' second seam, each rung is below the one before while that is a
+    normal double, and no rung rises, also in the subnormals. ``rungs`` is
+    ``threshold_rung`` bit for bit."""
+    ks = np.arange(max(int(threshold_steps(delta)) + 3, 65537 + 256))
+    sample = ks[::997]
+    for start in (sys.float_info.max, 7.123456789, 1e-300, 4 * sys.float_info.min):
+        values = rungs(start, delta, ks)
+        assert values[sample].tolist() == [threshold_rung(start, delta, int(k)) for k in sample]
+        normal = values[:-1] >= sys.float_info.min
+        assert (values[1:][normal] < values[:-1][normal]).all()
+        assert (values[1:] <= values[:-1]).all()
+
+
+@given(start=NORMAL_STARTS, delta=ADMITTED_DELTAS, data=st.data())
+def test_jump_lands_where_a_scan_of_the_rungs_stops(start, delta, data):
+    """``_jump`` lands on the first rung past the current one that a linear
+    scan finds <= the bound or < the floor, also for a bound equal to a rung
+    or one ulp either side of it, and for a floor of 0.0 or of the smallest
+    subnormal."""
+    ladder = rungs(start, delta, np.arange(ladder_length(delta, 5_000)))
 
     def near_rung(label):
-        rung = chain[data.draw(st.integers(1, chain.size - 1), label=label)]
+        rung = ladder[data.draw(st.integers(1, ladder.size - 1), label=label)]
         return float(rung + data.draw(st.sampled_from([-1, 0, 1]), label=f"{label} ulps") * np.spacing(rung))
 
     # Near a rung, or 0.0 or the smallest subnormal, below every rung.
     floors = st.one_of(st.builds(near_rung, st.just("floor")), st.sampled_from([0.0, math.ulp(0.0)]))
     floor = data.draw(floors, label="floor")
-    ladder, k = _Ladder(start, delta), 0
+    k = 0
     for at_most in data.draw(st.lists(st.builds(near_rung, st.just("at_most")), min_size=1, max_size=4)):
-        if not (chain[k] >= floor and chain[k] > at_most):
+        # The greedy jumps only with a positive best gain.
+        if not (ladder[k] >= floor and ladder[k] > at_most > 0.0):
             continue
-        k = int(min(negated.searchsorted(-at_most, side="left"), negated.searchsorted(-floor, side="right")))
-        assume(k < chain.size)
-        ladder.drop(at_most, floor)
-        assert ladder.k == k
-        assert ladder.threshold == chain[k]
+        stops = np.flatnonzero((ladder[k + 1 :] <= at_most) | (ladder[k + 1 :] < floor))
+        assume(stops.size)
+        landed = _jump(start, delta, k, at_most, floor)
+        assert landed == k + 1 + int(stops[0])
+        k = landed
 
 
-@pytest.mark.parametrize("slack", [solvers._LADDER_SLACK, 2**52 - 2**46])
-@given(start=NORMAL_STARTS, delta=LADDER_DELTAS, data=st.data())
-def test_first_hit_is_the_first_gain_at_or_above_the_rung(slack, start, delta, data):
-    """On arbitrary gains, in no order, ``first_hit`` returns the index of
-    the first one at or above the exact chain's rung, or their number if
-    none is, at a rung known exactly or only by its bounds, given their
-    maximum or a larger bound as the best gain. Gains lie at the rung, a few
-    ulps either side of it, at its bounds, or anywhere up to twice it; the
-    widened slack (from 1/64 of the rung to nearly twice it) leaves most of
-    them between the bounds."""
-    chain = threshold_ladder(start, delta, ladder_length(delta, 5_000))
-    with mock.patch.object(solvers, "_LADDER_SLACK", slack):
-        ladder, k = _Ladder(start, delta), data.draw(st.integers(0, chain.size - 1), label="k")
-        if k:
-            ladder.drop(float(chain[k]), 0.0)
-        for _ in range(data.draw(st.integers(0, min(3, chain.size - 1 - k)), label="steps")):
-            ladder.step()
-            k += 1
-        assert ladder.k == k
-        rung = float(chain[k])
-        near = st.integers(-3, 3).map(lambda ulps: float(rung + ulps * np.spacing(rung)))
-        fixed = st.sampled_from([ladder.low, ladder.high, 0.0, 0.5 * rung])
-        gains = np.array(data.draw(st.lists(
-            st.one_of(near, fixed, st.floats(0.0, 2.0 * rung)), min_size=1, max_size=12,
-        ), label="gains"))
-        expected = next((i for i, gain in enumerate(gains) if gain >= rung), gains.size)
-        best = float(gains.max()) * data.draw(st.sampled_from([1.0, 2.0]), label="best / max")
-        assert ladder.first_hit(gains, best) == expected
-        assert ladder.first_hit(gains[:0], best) == 0
+@pytest.mark.parametrize("start, at_most", [(1e-318, 5e-324), (9.9e-319, 7e-321), (3e-320, 1e-322)])
+def test_jump_from_a_subnormal_start_at_the_smallest_delta(start, at_most):
+    """At the smallest admitted delta, from a start F below 1e-318, where
+    delta * F rounds to 0.0 and any positive gain is a bound the greedy can
+    jump to, the jump lands millions of rungs down, inside the tables, where
+    a linear scan stops."""
+    floor = SMALLEST_DELTA * start
+    assert floor == 0.0
+    landed = _jump(start, SMALLEST_DELTA, 0, at_most, floor)
+    chunk, scanned = 1 << 18, 1
+    while True:
+        stops = np.flatnonzero(rungs(start, SMALLEST_DELTA, np.arange(scanned, scanned + chunk)) <= at_most)
+        if stops.size:
+            break
+        scanned += chunk
+    assert landed == scanned + int(stops[0]) > 10**6
 
 
 def test_a_probe_asks_for_lanes_only_for_bases_it_can_extend(rng, monkeypatch):
@@ -515,52 +507,6 @@ def test_a_probe_asks_for_lanes_only_for_bases_it_can_extend(rng, monkeypatch):
             asked += len(built) > 1
     assert asked  # some probes built lanes past the empty set
 
-
-def test_untraced_greedy_computes_no_rung(rng, monkeypatch):
-    """Without a trace or stats, the greedy decides every comparison from
-    the ladder's bounds on these instances: no rung is computed."""
-    computed = []
-    chain = solvers.threshold_ladder
-    monkeypatch.setattr(solvers, "threshold_ladder", lambda *args: computed.append(args) or chain(*args))
-    for _ in range(12):
-        scenario = random_matroid_scenario(rng, int(rng.integers(2, 12)), int(rng.integers(5, 30)))
-        upper = min_objective(scenario, range(scenario.n_actions))
-        for gamma in (0.4 * upper, upper):
-            threshold_greedy(SurrogateOracle(scenario, gamma), scenario.matroid, DELTA)
-    assert computed == []
-
-
-@pytest.mark.parametrize("slack", [2**52 - 2**46, 2**54])
-def test_threshold_greedy_with_undecided_bounds_matches_the_literal_loop(rng, monkeypatch, slack):
-    """With bounds too wide to decide most comparisons (2**52 - 2**46 units
-    of 2**-52: from 1/64 of the rung to nearly twice it; 2**54: none, so
-    every rung is computed), the greedy takes the exact path and still
-    equals the literal loop in selection, trace, stats and charges. With
-    the first, a search can find a gain at the low bound but short of the
-    rung, and go on to the rung itself."""
-    monkeypatch.setattr(solvers, "_LADDER_SLACK", slack)
-    continued = 0
-    first_hit = solvers._Ladder.first_hit
-
-    def spy(ladder, gains, best):
-        nonlocal continued
-        at_low = np.flatnonzero(gains >= ladder.low)
-        hit = first_hit(ladder, gains, best)
-        continued += hit > (at_low[0] if at_low.size else gains.size)
-        return hit
-
-    monkeypatch.setattr(solvers._Ladder, "first_hit", spy)
-    for _ in range(12):
-        scenario = random_matroid_scenario(rng, int(rng.integers(1, 12)), int(rng.integers(1, 30)))
-        upper = min_objective(scenario, range(scenario.n_actions))
-        for gamma, delta in itertools.product((0.0, 0.4 * upper, upper), (1e-3, 0.1, 1.0)):
-            literal_oracle, oracle = SurrogateOracle(scenario, gamma), SurrogateOracle(scenario, gamma)
-            *expected, charges = literal_threshold_greedy(literal_oracle, scenario.matroid, delta)
-            trace, stats = [], {}
-            selected = threshold_greedy(oracle, scenario.matroid, delta, trace=trace, stats=stats)
-            assert [selected, trace, stats] == expected
-            assert oracle.counter.individual_evals == charges * scenario.n_agents
-    assert continued if slack < 2**52 else not continued
 
 # -- saturating solver ------------------------------------------------
 
