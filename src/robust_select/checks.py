@@ -179,12 +179,13 @@ def run_battery(
             for gamma in gamma_grid(upper):
                 oracle = SurrogateOracle(scenario, gamma)
                 trace: list = []
-                greedy_set = threshold_greedy(oracle, scenario.matroid, DELTA, trace=trace)
-                greedy_value = oracle.evaluate(greedy_set)
+                greedy_set, greedy_value = threshold_greedy(oracle, scenario.matroid, DELTA, trace=trace)
                 best_set = brute_force_max(SurrogateOracle(scenario, gamma).evaluate, scenario.matroid)
                 best_value = SurrogateOracle(scenario, gamma).evaluate(best_set)
                 curvature = compute_curvature(SurrogateOracle(scenario, gamma), range(n))
                 greedy_bound.count()
+                if greedy_value != SurrogateOracle(scenario, gamma).evaluate(greedy_set):
+                    greedy_bound.fail(scenario, f"greedy value is not its set's at gamma={gamma}")
                 if greedy_value < best_value / (1.0 + curvature + DELTA) - BOUND_TOL:
                     greedy_bound.fail(scenario, f"greedy below bound at gamma={gamma}")
                 probe = SurrogateOracle(scenario, gamma)

@@ -213,9 +213,9 @@ def threshold_greedy(
     delta: float,
     trace: list | None = None,
     stats: dict | None = None,
-) -> set[int]:
+) -> tuple[set[int], float]:
     """Maximize a monotone submodular oracle under a matroid constraint with
-    a descending acceptance threshold.
+    a descending acceptance threshold; return the set and its value.
 
     The threshold starts at the best singleton value F and shrinks by
     1/(1+delta) per pass; each pass scans the non-selected elements in
@@ -249,7 +249,8 @@ def threshold_greedy(
     without insertions jumps to. The loop counts the candidates the
     one-at-a-time scan would evaluate and charges them once,
     through ``oracle.charge``, after charging the cold empty set with its
-    first scan, and lets ``oracle.evaluate`` read the final set's value.
+    first scan. The value returned is the final base's (0.0 for the empty
+    set): the bits ``oracle.evaluate`` gives the set, uncharged.
 
     A delta that is not a real number in (0, 1], or whose descent would take
     more than THRESHOLD_STEPS_CAP rungs, is refused with ValueError.
@@ -311,12 +312,11 @@ def threshold_greedy(
             break
         threshold = threshold_rung(initial, delta, k)
     oracle.charge(scanned)
-    oracle.remember(subset, value)
     if stats is not None:
         stats["passes"] = passes
         stats["initial_threshold"] = initial
         stats["final_threshold"] = threshold
-    return set(subset)
+    return set(subset), value
 
 
 def _feasible(mask: np.ndarray, n_actions: int, subset: frozenset = frozenset()) -> np.ndarray:
@@ -383,8 +383,9 @@ def saturate_robust(
             gamma = 0.5 * (upper + lower)
             bracket = (lower, upper)
             oracle = SurrogateOracle(scenario, gamma, counter)
-            candidate = threshold_greedy(oracle, scenario.matroid, params.delta)
-            if oracle.evaluate(candidate) < gamma / divisor:
+            candidate, value = threshold_greedy(oracle, scenario.matroid, params.delta)
+            oracle.charge(1)  # the acceptance test reads the candidate's value
+            if value < gamma / divisor:
                 upper = gamma
             else:
                 lower = gamma

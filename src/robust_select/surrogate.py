@@ -27,13 +27,10 @@ Lanes and accounting contract:
   evaluation per scanned candidate, plus one for a base scored from
   scratch (cold) when it is first scanned;
 * every logical evaluation of the reduced objective charges one count per
-  agent, even when the result is read from lanes or the memo or is known
-  trivially (gamma == 0);
-* ``evaluate`` charges one evaluation and reads the value a caller passed
-  to ``remember`` when it is of the same set; otherwise it scores the set
-  from scratch, checking its ids (IndexError outside [0, M)) before the
-  charge. The memo saves time only: it never changes a charge, a bit or a
-  refusal;
+  agent, even when the result is read from lanes or is known trivially
+  (gamma == 0);
+* ``evaluate`` scores a set from scratch, checking its ids (IndexError
+  outside [0, M)) before it charges one evaluation;
 * every reduction runs over the agents in agent order, so lane and
   from-scratch values agree bit for bit. numpy reduces
   a C-contiguous 2-D array of two or more columns along axis 0 one row at a
@@ -80,9 +77,6 @@ class SurrogateOracle:
         self._agents = scenario.n_agents
         # A saturated value (N gammas summed, / N) is within N * 2**-53 of gamma: a first test.
         self._nearly_gamma = self.gamma * (1.0 - 2.0**-20)
-        # The set and value last passed to ``remember``, which ``evaluate``
-        # reads instead of scoring the same set again.
-        self._memo: tuple[frozenset | None, float] = (None, 0.0)
         # The distance matrix capped once, on first use, so that lanes need no capping.
         self._capped: np.ndarray | None = None
 
@@ -125,21 +119,11 @@ class SurrogateOracle:
         lanes = capped if values is None else np.maximum(values[:, None], capped)
         return lanes, self._total(lanes)
 
-    def remember(self, subset: frozenset, value: float) -> None:
-        """Let ``evaluate`` read ``value`` for ``subset``, a set whose value
-        the caller took from this oracle's lanes (0.0 for the empty set),
-        instead of scoring it again."""
-        self._memo = (subset, value)
-
     def evaluate(self, subset: Iterable[int]) -> float:
-        """The reduced objective of ``subset``; charges one evaluation once
-        its ids have passed the checks. The memo is read only for a set
-        without bools, which would compare equal to their ids."""
+        """The reduced objective of ``subset``, scored from scratch; charges
+        one evaluation once its ids have passed the checks."""
         chosen = frozenset(subset)
-        if chosen == self._memo[0] and bool not in map(type, chosen):
-            value = self._memo[1]
-        else:
-            value = float(self._total(self._cap(agent_values(self.scenario, chosen)))) if chosen else 0.0
+        value = float(self._total(self._cap(agent_values(self.scenario, chosen)))) if chosen else 0.0
         self.charge(1)
         return value
 

@@ -107,7 +107,7 @@ def record(shape, index, scenario):
     for fraction in GREEDY_GAMMA_FRACTIONS:
         oracle = SurrogateOracle(scenario, fraction * upper)
         trace, stats = [], {}
-        selected = threshold_greedy(oracle, scenario.matroid, GREEDY_DELTA, trace=trace, stats=stats)
+        selected, _ = threshold_greedy(oracle, scenario.matroid, GREEDY_DELTA, trace=trace, stats=stats)
         greedy[repr(fraction)] = {
             "selected": sorted(selected),
             "trace": [[s.threshold.hex(), s.element, s.gain.hex(), sorted(s.base)] for s in trace],

@@ -395,6 +395,21 @@ def test_check_sees_a_stale_min_value(capsys, monkeypatch):
     assert "FAIL solver_feasibility_determinism checked=15 greedy min_value is stale" in out.splitlines()
 
 
+def test_check_sees_a_greedy_value_one_ulp_off(capsys, monkeypatch):
+    """A threshold greedy that returns its set's value plus one ulp fails the
+    fixed-gamma family, which compares that value with a fresh oracle's."""
+    greedy = checks.threshold_greedy
+
+    def off(*args, **kwargs):
+        selected, value = greedy(*args, **kwargs)
+        return selected, math.nextafter(value, math.inf)
+
+    monkeypatch.setattr(checks, "threshold_greedy", off)
+    code, out, _ = run_cli(capsys, "check", "--instances", "3", "--seed", "0")
+    assert code == 1
+    assert "FAIL threshold_greedy_vs_optimal_bound checked=15 greedy value is not its set's at gamma=" in out
+
+
 def test_check_rejects_oversized_cap(capsys):
     code, _, err = run_cli(capsys, "check", "--max-actions", "20")
     assert code == 2

@@ -44,6 +44,7 @@ from robust_select.solvers import (
     threshold_rung,
     threshold_steps,
 )
+from test_bench_shaped_golden import crowd_scenario, ring_scenario
 
 SQRT50 = math.sqrt(50.0)
 DELTA = 1e-3
@@ -83,7 +84,8 @@ def maxmin_by_enumeration(scenario):
 
 def test_threshold_greedy_tiny(tiny):
     oracle = SurrogateOracle(tiny, 8.0)
-    assert threshold_greedy(oracle, tiny.matroid, DELTA) == {2}
+    selected, _ = threshold_greedy(oracle, tiny.matroid, DELTA)
+    assert selected == {2}
 
 
 def test_threshold_greedy_initial_threshold_is_best_singleton(tiny):
@@ -95,7 +97,7 @@ def test_threshold_greedy_initial_threshold_is_best_singleton(tiny):
 def test_threshold_greedy_empty_ground_set():
     scenario = empty_ground_scenario()
     oracle = SurrogateOracle(scenario, 1.0)
-    assert threshold_greedy(oracle, scenario.matroid, DELTA) == set()
+    assert threshold_greedy(oracle, scenario.matroid, DELTA) == (set(), 0.0)
     assert oracle.counter.individual_evals == 0
 
 
@@ -103,14 +105,14 @@ def test_threshold_greedy_zero_capacity():
     scenario = Scenario.from_coords(
         [(0.0, 0.0)], [(1.0, 0.0), (2.0, 0.0)], PartitionMatroid(((0, 1),), (0,))
     )
-    assert threshold_greedy(SurrogateOracle(scenario, 5.0), scenario.matroid, DELTA) == set()
+    assert threshold_greedy(SurrogateOracle(scenario, 5.0), scenario.matroid, DELTA) == (set(), 0.0)
 
 
 def test_threshold_greedy_worthless_singletons():
     scenario = Scenario.from_coords(
         [(5.0, 5.0)], [(5.0, 5.0), (5.0, 5.0)], UniformMatroid(2, 2)
     )
-    assert threshold_greedy(SurrogateOracle(scenario, 9.0), scenario.matroid, DELTA) == set()
+    assert threshold_greedy(SurrogateOracle(scenario, 9.0), scenario.matroid, DELTA) == (set(), 0.0)
 
 
 def test_threshold_greedy_rejects_bad_delta(tiny):
@@ -124,7 +126,7 @@ def test_threshold_greedy_feasible_output(rng):
     for _ in range(20):
         scenario = random_small_scenario(rng, max_actions=6)
         upper = min_objective(scenario, range(scenario.n_actions))
-        selected = threshold_greedy(
+        selected, _ = threshold_greedy(
             SurrogateOracle(scenario, 0.7 * upper if upper > 0 else 1.0),
             scenario.matroid,
             DELTA,
@@ -158,7 +160,7 @@ def test_threshold_greedy_bound_vs_optimal(rng):
         for frac in (0.2, 0.6, 1.0):
             gamma = frac * upper
             oracle = SurrogateOracle(scenario, gamma)
-            greedy_value = oracle.evaluate(threshold_greedy(oracle, scenario.matroid, DELTA))
+            _, greedy_value = threshold_greedy(oracle, scenario.matroid, DELTA)
             best = brute_force_max(SurrogateOracle(scenario, gamma).evaluate, scenario.matroid)
             best_value = SurrogateOracle(scenario, gamma).evaluate(best)
             curvature = compute_curvature(SurrogateOracle(scenario, gamma), range(scenario.n_actions))
@@ -258,7 +260,8 @@ def random_matroid_scenario(rng, n_agents, n_actions):
 def test_threshold_greedy_matches_the_literal_loop(rng, delta):
     """Jumps and batched scans change nothing observable: selection,
     trace, stats and charges equal those of the literal pass-by-pass loop,
-    and the selection's value is the same bits from either oracle."""
+    and the value it returns is the bits the literal loop's oracle scores
+    for the selection."""
     checked_partition = checked_uniform = 0
     for _ in range(12):
         scenario = random_matroid_scenario(rng, int(rng.integers(1, 12)), int(rng.integers(1, 30)))
@@ -267,11 +270,10 @@ def test_threshold_greedy_matches_the_literal_loop(rng, delta):
             literal_oracle, oracle = SurrogateOracle(scenario, gamma), SurrogateOracle(scenario, gamma)
             *expected, charges = literal_threshold_greedy(literal_oracle, scenario.matroid, delta)
             trace, stats = [], {}
-            selected = threshold_greedy(oracle, scenario.matroid, delta, trace=trace, stats=stats)
+            selected, value = threshold_greedy(oracle, scenario.matroid, delta, trace=trace, stats=stats)
             assert [selected, trace, stats] == expected
             assert oracle.counter.individual_evals == charges * scenario.n_agents
-            assert oracle.evaluate(selected) == literal_oracle.evaluate(selected)
-            assert oracle.counter.individual_evals == (charges + 1) * scenario.n_agents
+            assert value == literal_oracle.evaluate(selected)
         if isinstance(scenario.matroid, PartitionMatroid):
             checked_partition += 1
         else:
@@ -589,6 +591,84 @@ def test_saturate_bisection_contract(rng):
             width = upper_bound - lower
         assert width <= epsilon
         checked += 1
+
+
+@pytest.mark.parametrize("delta", [1e-3, 0.05, 1.0])
+def test_a_probe_decides_on_the_greedy_value_charged_once(monkeypatch, delta):
+    """``saturate_robust`` decides each probe on the value the threshold
+    greedy returns. On ring- and crowd-shaped scenarios and small draws
+    that value is a float, a fresh oracle's ``evaluate`` of the greedy's
+    set bit for bit, and the acceptance test charges one evaluation (N
+    individual ones) per probe beyond the greedy's own charges."""
+    greedy = solvers.threshold_greedy
+    probes = []
+
+    def recorded(oracle, matroid, delta, trace=None, stats=None):
+        before = oracle.counter.individual_evals
+        selected, value = greedy(oracle, matroid, delta, trace=trace, stats=stats)
+        probes.append((oracle.gamma, selected, value, oracle.counter.individual_evals - before))
+        return selected, value
+
+    monkeypatch.setattr(solvers, "threshold_greedy", recorded)
+    rng = np.random.default_rng(32)
+    scenarios = [ring_scenario(i) for i in range(2)] + [crowd_scenario(i) for i in range(2)]
+    scenarios += [random_small_scenario(rng, 7) for _ in range(60)]
+    checked = 0
+    for scenario in scenarios:
+        probes.clear()
+        solution = saturate_robust(scenario, SolverParams(delta=delta))
+        assert len(probes) == solution.params["iterations"]
+        for gamma, selected, value, _ in probes:
+            assert type(selected) is set and type(value) is float
+            assert value.hex() == SurrogateOracle(scenario, gamma).evaluate(selected).hex()
+        # Beyond the probes, the trivial bound and the final min_value charge N each.
+        greedy_charges = sum(charged for *_, charged in probes)
+        assert solution.individual_evals == greedy_charges + scenario.n_agents * (len(probes) + 2)
+        checked += len(probes)
+    assert checked > 500
+
+
+def test_the_surface_traced_benchmarks_bind_to(monkeypatch):
+    """perfbench's traced runs swap stand-ins for ``SurrogateOracle``,
+    ``threshold_greedy`` and ``min_objective`` into ``solvers`` by name for
+    one solve. Its greedy stand-in passes ``trace=None, stats={}`` and reads
+    ``stats["passes"]``; it counts the pairs of
+    ``saturate_robust(..., bisection_trace=[])`` against
+    ``params["iterations"]``. Pass-through stand-ins called that way see
+    every probe fill the stats, one bracket pair per iteration and the
+    unwrapped solution, and the namespace is restored afterwards."""
+    names = ("SurrogateOracle", "threshold_greedy", "min_objective")
+    originals = {name: getattr(solvers, name) for name in names}
+    passes, objectives = [], []
+
+    def greedy(oracle, matroid, delta, trace=None, stats=None):
+        stats = {} if stats is None else stats
+        selected = originals["threshold_greedy"](oracle, matroid, delta, trace=trace, stats=stats)
+        passes.append(stats["passes"])
+        return selected
+
+    def objective(*args, **kwargs):
+        objectives.append(args)
+        return originals["min_objective"](*args, **kwargs)
+
+    rng = np.random.default_rng(5)
+    scenarios = [ring_scenario(0), crowd_scenario(0)] + [random_small_scenario(rng, 7) for _ in range(10)]
+    for scenario in scenarios:
+        want = saturate_robust(scenario)
+        passes.clear()
+        objectives.clear()
+        brackets = []
+        with monkeypatch.context() as patch:
+            patch.setattr(solvers, "SurrogateOracle", type("Traced", (originals["SurrogateOracle"],), {}))
+            patch.setattr(solvers, "threshold_greedy", greedy)
+            patch.setattr(solvers, "min_objective", objective)
+            got = saturate_robust(scenario, bisection_trace=brackets)
+        assert {name: getattr(solvers, name) for name in names} == originals
+        assert len(passes) == len(brackets) == got.params["iterations"]
+        assert len(objectives) == 2  # the trivial bound and the final min_value
+        assert (got.selected, got.min_value, got.individual_evals, got.params) == (
+            want.selected, want.min_value, want.individual_evals, want.params,
+        )
 
 
 def test_saturate_stops_when_a_probe_leaves_the_bracket_unchanged(deadline):
@@ -972,6 +1052,6 @@ def test_generic_matroid_path_solves_as_the_built_in(rng):
             runs = []
             for instance in (scenario, generic):
                 oracle, trace, stats = SurrogateOracle(instance, gamma), [], {}
-                selected = threshold_greedy(oracle, instance.matroid, 1e-3, trace=trace, stats=stats)
-                runs.append((selected, trace, stats, oracle.counter.individual_evals))
+                selected, value = threshold_greedy(oracle, instance.matroid, 1e-3, trace=trace, stats=stats)
+                runs.append((selected, value, trace, stats, oracle.counter.individual_evals))
             assert runs[0] == runs[1]

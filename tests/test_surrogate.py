@@ -1,6 +1,5 @@
 """Truncated-average surrogate: values, marginal gains read from a base's
-lanes, evaluation accounting and the memo, curvature, and the structural
-properties."""
+lanes, evaluation accounting, curvature, and the structural properties."""
 
 import math
 from fractions import Fraction
@@ -147,8 +146,8 @@ def test_marginal_gain_cache_transparency(tiny, rng):
 
 def test_marginal_gain_accounting(tiny):
     """Lanes charge nothing, ``charge`` charges its count of evaluations per
-    agent, and ``evaluate`` charges one evaluation whether or not it reads
-    the memo, which it reads only for the remembered set."""
+    agent, and ``evaluate`` charges one evaluation per call, also for a set
+    whose value the lanes already gave."""
     oracle = SurrogateOracle(tiny, 8.0)
     n = tiny.n_agents
     lanes, reduced = oracle.lanes()
@@ -157,10 +156,9 @@ def test_marginal_gain_accounting(tiny):
     assert oracle.counter.individual_evals == 0
     oracle.charge(3)
     assert oracle.counter.individual_evals == 3 * n
-    oracle.remember(frozenset({1}), value)
-    assert oracle.evaluate({2}) == SQRT50  # a miss: the memo holds {1}
+    assert oracle.evaluate({2}) == SQRT50
     assert oracle.counter.individual_evals == 4 * n
-    assert oracle.evaluate({1}) == 4.0 == value  # a hit
+    assert oracle.evaluate({1}) == 4.0 == value
     assert oracle.counter.individual_evals == 5 * n
 
 
@@ -205,7 +203,7 @@ def test_batched_cold_base_costs_one_extra_evaluation(rng):
     nothing = PartitionMatroid((tuple(range(12)),), (0,))
     for gamma, charged in ((50.0, 13), (0.0, 12)):
         oracle = SurrogateOracle(scenario, gamma)
-        assert threshold_greedy(oracle, nothing, 0.1) == set()
+        assert threshold_greedy(oracle, nothing, 0.1) == (set(), 0.0)
         assert oracle.counter.individual_evals == charged * scenario.n_agents
 
 
@@ -213,26 +211,24 @@ def test_batched_stop_charges_only_the_scanned_prefix(rng, monkeypatch):
     """Under rank 1 the greedy's one pass stops at the first best singleton:
     it charges the cold empty set, every element, and the prefix of the pass
     up to that singleton, which it takes. The set it leaves has no
-    candidate, so only the empty set's lanes are asked for, and
-    ``evaluate`` reads the set's value from the memo, scoring no agent."""
+    candidate, so only the empty set's lanes are asked for, and the greedy
+    returns the set's value read from them, scoring no set from scratch."""
     scenario = random_scenario(rng, 16, 12)
     fresh = SurrogateOracle(scenario, 50.0)
     full = [fresh.evaluate({e}) for e in range(12)]
     hit = int(np.argmax(full))
     oracle = _CountingOracle(scenario, 50.0)
-    assert threshold_greedy(oracle, UniformMatroid(12, 1), 0.1) == {hit}
+    monkeypatch.setattr(surrogate, "agent_values", None)
+    assert threshold_greedy(oracle, UniformMatroid(12, 1), 0.1) == ({hit}, full[hit])
     assert oracle.counter.individual_evals == (1 + 12 + hit + 1) * scenario.n_agents
     assert oracle.built == [True]
-    monkeypatch.setattr(surrogate, "agent_values", None)
-    assert oracle.evaluate({hit}) == full[hit]
-    assert oracle.counter.individual_evals == (1 + 12 + hit + 2) * scenario.n_agents
 
 
 def test_batched_gamma_zero_charges_per_candidate_only(tiny):
     """At gamma == 0 the greedy charges its scan of every element and no
     cold base, and returns the empty set."""
     oracle = SurrogateOracle(tiny, 0.0)
-    assert threshold_greedy(oracle, tiny.matroid, 0.1) == set()
+    assert threshold_greedy(oracle, tiny.matroid, 0.1) == (set(), 0.0)
     assert oracle.counter.individual_evals == 3 * tiny.n_agents
 
 
@@ -266,7 +262,7 @@ def test_gamma_zero_builds_no_lanes(rng):
     scenario = random_scenario(rng, 16, 12)
     oracle = SurrogateOracle(scenario, 0.0)
     assert oracle.lanes() is None and oracle.lanes(*scratch_base(scenario, 0.0, {0, 3})) is None
-    assert threshold_greedy(oracle, scenario.matroid, 0.1) == set()
+    assert threshold_greedy(oracle, scenario.matroid, 0.1) == (set(), 0.0)
     assert oracle.counter.individual_evals == 12 * scenario.n_agents  # no cold-base charge
     with pytest.raises(IndexError, match="ground set"):
         threshold_greedy(oracle, _FaultyMatroid(12, lambda chosen: np.ones(13, dtype=bool)), 0.1)
@@ -303,7 +299,7 @@ def test_saturated_handles_build_no_lanes(rng, n_agents):
     ``lanes`` builds none for it, and its gains are +0.0 bit for bit: the
     from-scratch lanes (``np.maximum``, then ``np.add.reduce`` in agent
     order) minus its value, which the lane path returns too. Its child is
-    the lane path's child, and the memo reads the same value."""
+    the lane path's child, and ``evaluate`` scores the same value."""
     scenario = random_scenario(rng, n_agents, 30)
     gamma = 0.5 * float(scenario.distances.min())
     capped = np.minimum(scenario.distances, gamma)
@@ -317,8 +313,6 @@ def test_saturated_handles_build_no_lanes(rng, n_agents):
         got, expected = child(oracle, values, value, 12), child(lanes, values, value, 12)
         assert got[1] == expected[1] and _bits(got[0]) == _bits(expected[0])
         assert _bits(lane_gains(oracle, *got)) == _bits(lane_gains(lanes, *expected))
-        for each in (oracle, lanes):
-            each.remember(frozenset(members | {12}), got[1])
         assert oracle.evaluate(members | {12}) == lanes.evaluate(members | {12}) == got[1]
         assert oracle.counter.individual_evals == lanes.counter.individual_evals == n_agents
 
@@ -363,16 +357,16 @@ def test_a_saturated_value_with_an_agent_below_gamma_builds_lanes():
 
 
 def _greedy_outputs(scenario, gamma):
-    """What the threshold greedy returns at ``gamma``."""
+    """What the threshold greedy returns and records at ``gamma``."""
     oracle = SurrogateOracle(scenario, gamma)
     trace, stats = [], {}
-    selected = threshold_greedy(oracle, scenario.matroid, 0.05, trace=trace, stats=stats)
-    return selected, trace, stats, oracle.counter.individual_evals
+    selected, value = threshold_greedy(oracle, scenario.matroid, 0.05, trace=trace, stats=stats)
+    return selected, value, trace, stats, oracle.counter.individual_evals
 
 
 def test_greedies_match_the_lane_path(rng, monkeypatch):
-    """Skipping the lanes of saturated bases changes no selection, trace,
-    stat or charge of the threshold greedy."""
+    """Skipping the lanes of saturated bases changes no selection, value,
+    trace, stat or charge of the threshold greedy."""
     saturated = 0
     for _ in range(12):
         n_actions = int(rng.integers(5, 25))
@@ -402,7 +396,8 @@ def test_batched_rejects_members_and_skips_empty(tiny):
     with pytest.raises(IndexError, match="ground set"):
         threshold_greedy(SurrogateOracle(tiny, 8.0), _FaultyMatroid(3, lambda chosen: np.ones(2, dtype=bool)), 0.1)
     oracle = _CountingOracle(tiny, 8.0)
-    assert threshold_greedy(oracle, tiny.matroid, 0.1) == {2}
+    selected, _ = threshold_greedy(oracle, tiny.matroid, 0.1)
+    assert selected == {2}
     assert oracle.built == [True]
 
 
@@ -425,7 +420,8 @@ def test_members_of_a_promoted_base_are_rejected(tiny):
     with pytest.raises(ValueError, match="outside"):
         threshold_greedy(SurrogateOracle(tiny, 8.0), only_chosen, 0.1)
     others = _FaultyMatroid(3, lambda chosen: np.array([j not in chosen for j in range(3)]))
-    assert 2 in threshold_greedy(SurrogateOracle(tiny, 8.0), others, 0.1)
+    selected, _ = threshold_greedy(SurrogateOracle(tiny, 8.0), others, 0.1)
+    assert 2 in selected
 
 
 def agent_order_sum(values):
@@ -511,8 +507,8 @@ def test_lane_reads_equal_cold_gains_and_charges(rng, n_agents):
     """A base built warm, each element taken from its predecessor's lanes,
     has the values of the same set scored cold from scratch, and its lane
     gains equal the cold base's and a from-scratch difference, bit for bit.
-    ``evaluate`` reads a remembered child's value, returning the
-    from-scratch bits and charging one evaluation, as a miss does."""
+    ``evaluate`` of a child returns the bits of the child's lane, charging
+    one evaluation per call."""
     scenario = random_scenario(rng, n_agents, 30)
     gamma = 0.7 * min_objective(scenario, range(30))
     n = scenario.n_agents
@@ -528,10 +524,9 @@ def test_lane_reads_equal_cold_gains_and_charges(rng, n_agents):
         for e in sorted(set(range(30)) - members):
             fresh = SurrogateOracle(scenario, gamma)
             assert fresh.evaluate(members | {e}) - fresh.evaluate(members) == gains[e]
-            warm.remember(frozenset(members | {e}), child(warm, values, value, e)[1])
             before = warm.counter.individual_evals
-            assert warm.evaluate(members | {e}) == fresh.evaluate(members | {e})
-            assert warm.evaluate(members) == fresh.evaluate(members)  # a miss
+            assert warm.evaluate(members | {e}) == child(warm, values, value, e)[1] == fresh.evaluate(members | {e})
+            assert warm.evaluate(members) == fresh.evaluate(members)
             assert warm.counter.individual_evals - before == 2 * n
 
 
@@ -547,14 +542,11 @@ def test_out_of_range_ids_raise(tiny, make, bad):
 
 
 def test_a_bool_among_ids_is_refused(tiny):
-    """True is not read as id 1, in any set or in one that equals the
-    memo; a refused call charges nothing."""
+    """True is not read as id 1, even in a set equal to {0, 1}; a refused
+    call charges nothing."""
     oracle = SurrogateOracle(tiny, 8.0)
     with pytest.raises(IndexError, match="got bool"):
         oracle.evaluate([True, 2])
-    with pytest.raises(IndexError, match="got bool"):
-        oracle.evaluate([0, True])
-    oracle.remember(frozenset({0, 1}), 8.0)
     with pytest.raises(IndexError, match="got bool"):
         oracle.evaluate([0, True])
     assert oracle.counter.individual_evals == 0
