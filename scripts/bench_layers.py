@@ -3,7 +3,7 @@
 
     python3 scripts/bench_layers.py --out BENCH_11.json [--label TEXT] [--quick]
 
-Eleven layers, each timed as the minimum over REPEATS repeats on fixed seeds,
+Twelve layers, each timed as the minimum over REPEATS repeats on fixed seeds,
 with the evaluations one run charges (in f-equivalents, as
 ``Solution.f_evaluations`` counts them). A repeat of a batched layer runs it
 a batch of times, and its time and evaluations are divided by the batch:
@@ -24,6 +24,11 @@ a batch of times, and its time and evaluations are divided by the batch:
   probes build the per-base lanes that the paper scenario's mostly skip;
 * ``saturate_robust``: one bisection solve;
 * ``ratio_greedy_baseline``: one run of the ratio baseline;
+* ``ratio_full_rank``: one run of the ratio baseline at full rank,
+  ``UniformMatroid(M, M)`` with N = 10 agents and M = 2,500 actions drawn
+  uniformly from [0, 100) squared (``numpy.random.default_rng(BASE_SEED)``),
+  which runs until all M are selected: the cost that grows quadratically
+  in M;
 * ``simple_greedy``: one run of the worst-agent greedy baseline;
 * ``bench_cell``: one benchmark cell, ``fast`` and ``ratio`` on a freshly
   generated scenario;
@@ -74,6 +79,7 @@ from robust_select import (  # noqa: E402
     EvaluationCounter,
     Scenario,
     SurrogateOracle,
+    UniformMatroid,
     generate_scenario,
     min_objective,
     ratio_greedy_baseline,
@@ -86,6 +92,8 @@ from robust_select import (  # noqa: E402
 
 CAPACITY = 5
 BASE_SEED = 0
+# The full-rank ratio layer's shape: about 30 ms a run.
+FULL_RANK_AGENTS, FULL_RANK_ACTIONS = 10, 2_500
 # Runs each layer's time is the minimum of (the full benchmark takes half).
 REPEATS = 7
 # Lanes built back to back per repeat: one takes about ten microseconds.
@@ -130,6 +138,13 @@ def layers(repeats: int, full_trials: int) -> list[dict]:
     ring_instance = {"workload": "ring-uniform", "seed": BASE_SEED, "index": 0}
     crowd = crowd_grid(BASE_SEED, 0)
     crowd_coords = crowd.agents.tolist(), crowd.actions.tolist()
+    draw = np.random.default_rng(BASE_SEED)
+    full_rank = Scenario.from_coords(
+        draw.uniform(0.0, 100.0, (FULL_RANK_AGENTS, 2)),
+        draw.uniform(0.0, 100.0, (FULL_RANK_ACTIONS, 2)),
+        UniformMatroid(FULL_RANK_ACTIONS, FULL_RANK_ACTIONS),
+    )
+    full_rank.distances
 
     oracle = SurrogateOracle(scenario, gamma)
     empty_lanes, empty_reduced = oracle.lanes()
@@ -161,8 +176,10 @@ def layers(repeats: int, full_trials: int) -> list[dict]:
     def solve() -> float:
         return saturate_robust(scenario, params).f_evaluations
 
-    def ratio() -> float:
-        return ratio_greedy_baseline(scenario).f_evaluations
+    def ratio(on: Scenario):
+        def run() -> float:
+            return ratio_greedy_baseline(on).f_evaluations
+        return run
 
     def greedy_baseline() -> float:
         return simple_greedy(scenario).f_evaluations
@@ -189,7 +206,9 @@ def layers(repeats: int, full_trials: int) -> list[dict]:
         ("threshold_greedy_ring", greedies(ring, ring_gammas), repeats, GREEDY_BATCH,
          {**ring_instance, "gammas": ring_gammas}),
         ("saturate_robust", solve, repeats, 1, instance),
-        ("ratio_greedy_baseline", ratio, repeats, 1, instance),
+        ("ratio_greedy_baseline", ratio(scenario), repeats, 1, instance),
+        ("ratio_full_rank", ratio(full_rank), repeats, 1,
+         {"seed": BASE_SEED, "agents": FULL_RANK_AGENTS, "actions": FULL_RANK_ACTIONS, "rank": FULL_RANK_ACTIONS}),
         ("simple_greedy", greedy_baseline, repeats, 1, instance),
         ("bench_cell", cell, repeats, 1, instance),
         ("bench_full", full, max(1, repeats // 2), 1, {"base_seed": BASE_SEED, "trials": full_trials}),

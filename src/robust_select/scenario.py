@@ -29,16 +29,16 @@ DISTANCE_PAIRS_CAP = 30_000_000
 # builds; only the pages a chunk touches count toward the resident set.
 _DISTANCE_CHUNK = 1 << 16
 # Relative half-width w of the band that certifies a long-double distance:
-# twice its error bound on x87, and wide enough that no pair is certified
-# where long double is float64. The pass reads the band's ends, 1 + w and 1 - w.
-_CERTIFY_WIDTH = max(2.0**-62, 2 * float(np.finfo(np.longdouble).eps))
+# twice its error bound on x87, and wider than IEEE quad's. The pass reads
+# the band's ends, 1 + w and 1 - w.
+_CERTIFY_WIDTH = 2.0**-62
 _CERTIFY_BAND = (np.longdouble(1.0) + _CERTIFY_WIDTH, np.longdouble(1.0) - _CERTIFY_WIDTH)
 # Distances below this go to math.dist, which rounds twice near the subnormal range.
 _CERTIFY_TINY = 2.0**-960
 # The pass runs on coordinates smaller than this in magnitude: every
-# difference, square and distance of it then stays finite, even where long
-# double is float64.
-_PASS_EXTENT = 2.0**510
+# difference, square and distance of it then stays finite. The band certifies
+# only x87 and IEEE quad long doubles; elsewhere (float64) the pass never runs.
+_PASS_EXTENT = 2.0**510 if np.finfo(np.longdouble).nmant in (63, 112) else 0.0
 
 
 def _coords(label: str, coords: Iterable[tuple[float, float]] | np.ndarray) -> tuple[np.ndarray, float]:
@@ -253,11 +253,11 @@ class Scenario:
         sends its whole chunk to ``math.dist``).
         Coordinates of magnitude _PASS_EXTENT = 2**510 or more, where a
         square could overflow a double, skip the pass: every pair takes
-        ``math.dist``. Where long double is float64 (Windows, macOS on
-        arm64) w is 2**-51, the casts never agree and every pair takes
-        ``math.dist``: the same bits at about the cost of one call a pair.
-        The quad long double of aarch64 Linux is certified by the same
-        bound, is slower, and has not been measured. Checked in exact
+        ``math.dist``. So does every matrix where long double is neither
+        x87 nor IEEE quad (float64 on Windows and macOS arm64: _PASS_EXTENT
+        is 0 there), since the band would certify no pair. The quad long
+        double of aarch64 Linux is certified by the same bound, is slower,
+        and has not been measured. Checked in exact
         rational arithmetic, ``math.dist`` was correctly rounded on every
         pair tried: the 4,157 pairs it took in 300 benchmark-pool matrices
         (seed 11, 100 a workload) and 200,000 near-midpoint pairs.

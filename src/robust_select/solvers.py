@@ -457,13 +457,13 @@ def ratio_greedy_baseline(scenario: Scenario) -> Solution:
     that leaves the pool never returns; ``_feasible`` reads the pool's size
     from its mask, refusing a mask of the wrong shape with IndexError. A
     candidate's score depends on the normalizers alone, so the scores are
-    computed again only when a normalizer moved, and with them the pool's
-    pick order (descending score, lowest id first: a stable argsort) and
-    the columns that attain some normalizer. A round's pick is the first
-    column of that order still in the pool. A normalizer can only move when
-    a column attaining it leaves, so the masked maximum is taken again only
-    after a round that removed such a pick, or removed more than the pick
-    (a block filled). The counter is charged as if each (candidate, agent)
+    computed again only when a normalizer moved, and with them the columns
+    that attain some normalizer. A column outside the pool scores 0 (a pick
+    is zeroed, and so are the columns a filled block removed), so a round
+    picks the first maximum. A normalizer can only move when a column
+    attaining it leaves, so the masked maximum is taken again only after a
+    round that removed such a pick, or removed more than the pick (a block
+    filled). The counter is charged as if each (candidate, agent)
     score re-derived its normalizer by scanning the whole feasible pool F:
     N * |F| * (1 + |F|) per round.
     That charge is an accounting convention for the full-scan baseline the
@@ -494,18 +494,16 @@ def ratio_greedy_baseline(scenario: Scenario) -> Solution:
                 divisor = np.where(norm > 0.0, norm, 1.0)[:, None]
                 scores = np.divide(distances, divisor, out=np.zeros(distances.shape), where=mask)
                 scores = np.minimum.reduce(scores, axis=0)
-                order = np.negative(scores).argsort(kind="stable")  # first maximum: lowest id on ties
                 attains = np.logical_or.reduce(distances == norm[:, None], axis=0)
-                at = 0
-        if not mask[order[at]]:
-            at += int(mask[order[at:]].argmax())
-        best = int(order[at])
+            elif size < last_size - 1:
+                np.multiply(scores, mask, out=scores)
+        best = int(scores.argmax())  # first maximum: lowest id on ties
         if not scores[best] > 0.0:
             break
         feasibility.add(best)
         selected.add(best)
+        scores[best] = 0.0
         last_size = size
-        at += 1  # the columns before it in the order have all left the pool
     return _solution("ratio", scenario, selected, counter, started, {})
 
 

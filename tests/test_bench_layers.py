@@ -9,7 +9,7 @@ from pathlib import Path
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_layers.py"
 LAYERS = [
     "lanes", "scenario", "scenario_crowd", "threshold_greedy", "threshold_greedy_ring", "saturate_robust",
-    "ratio_greedy_baseline", "simple_greedy", "bench_cell", "bench_full", "draw",
+    "ratio_greedy_baseline", "ratio_full_rank", "simple_greedy", "bench_cell", "bench_full", "draw",
 ]
 
 

@@ -248,7 +248,10 @@ def test_near_midpoint_distances_take_math_dists_bits(rng, monkeypatch):
     monkeypatch.setattr(math, "dist", counting)
     scenario = Scenario.from_coords([(0.0, 0.0)], actions, UniformMatroid(len(actions), 1))
     _assert_same_bits(scenario.distances, expected)
-    assert 0 < counting.calls < len(actions)  # the band sends some, not all, to math.dist
+    if scenario_module._PASS_EXTENT:
+        assert 0 < counting.calls < len(actions)  # the band sends some, not all, to math.dist
+    else:  # no pass: every pair takes math.dist
+        assert counting.calls == len(actions)
 
 
 def _correctly_rounded(r: float, dx: float, dy: float) -> bool:
@@ -330,15 +333,37 @@ def test_the_x87_pass_certifies_almost_every_pair(rng, monkeypatch):
     assert counting.calls < 0.01 * 64 * 160
 
 
+def _refuse_the_pass(*args):
+    raise AssertionError("the distance pass ran")
+
+
 @pytest.mark.skipif(np.finfo(np.longdouble).nmant != 52, reason="long double is not float64")
 def test_where_long_double_is_float64_every_pair_takes_math_dist(rng, monkeypatch):
-    """The band is 2**-51 wide there, so no cast pair agrees (Windows, and
-    macOS on arm64)."""
+    """The band would certify no pair there (Windows, and macOS on arm64),
+    so the pass is skipped and every pair takes ``math.dist``."""
     counting = _CountingDist()
     monkeypatch.setattr(math, "dist", counting)
+    monkeypatch.setattr(scenario_module, "_certified_distances", _refuse_the_pass)
     scenario = _random_scenario(rng, 64, 160)
     scenario.distances
     assert counting.calls == 64 * 160
+
+
+def test_skipping_the_pass_keeps_every_workloads_bits(monkeypatch):
+    """The path a platform without a certifying long double takes, forced
+    here: with _PASS_EXTENT at 0, benchmark-shaped matrices (a 16 x 300
+    ring, a 64 x 160 crowd and a 5 x 50 paper draw) never enter the pass,
+    call ``math.dist`` once a pair and keep the bits this platform's own
+    path gives them."""
+    shapes = [ring_scenario(0), crowd_scenario(0), generate_scenario(BenchConfig(), 5, trial_seed(0, 5))]
+    expected = [np.array(s.distances) for s in shapes]
+    monkeypatch.setattr(scenario_module, "_PASS_EXTENT", 0.0)
+    monkeypatch.setattr(scenario_module, "_certified_distances", _refuse_the_pass)
+    for scenario, matrix in zip(shapes, expected):
+        counting = _CountingDist()
+        monkeypatch.setattr(math, "dist", counting)
+        _assert_same_bits(Scenario(scenario.agents, scenario.actions, scenario.matroid).distances, matrix)
+        assert counting.calls == matrix.size
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).nmant != 112, reason="long double is not IEEE quad")
@@ -430,6 +455,7 @@ def test_threads_build_different_scenarios_distances_at_once(monkeypatch):
         return certified(agents, actions)
 
     monkeypatch.setattr(scenario_module, "_certified_distances", meeting)
+    monkeypatch.setattr(scenario_module, "_PASS_EXTENT", 2.0**510)  # as in the workspace test below
     scenarios = [generate_scenario(BenchConfig(), 1, trial_seed(0, t)) for t in range(2)]
     built, errors = [], []
 
@@ -449,7 +475,7 @@ def test_threads_build_different_scenarios_distances_at_once(monkeypatch):
     assert built == [(5, 50), (5, 50)]
 
 
-def test_a_threads_workspace_is_one_chunk_pair_across_shapes():
+def test_a_threads_workspace_is_one_chunk_pair_across_shapes(monkeypatch):
     """After matrices of several shapes, among them a row longer than a chunk
     (M > 2**16, one row per chunk, the last short), and no actions at all,
     a thread's workspace still holds the one pair of buffers its first
@@ -457,6 +483,8 @@ def test_a_threads_workspace_is_one_chunk_pair_across_shapes():
     chunk = scenario_module._DISTANCE_CHUNK
     rng = np.random.default_rng(5)
     shapes = [(5, 50), (64, 160), (16, 300), (3, chunk + 5), (2, 0), (1, 1)]
+    # A platform whose long double certifies nothing skips the pass; it runs there too.
+    monkeypatch.setattr(scenario_module, "_PASS_EXTENT", 2.0**510)
     seen = {"shapes": []}
 
     def build():

@@ -897,12 +897,17 @@ def reference_ratio_baseline(scenario):
 
 
 def test_ratio_baseline_matches_the_round_by_round_definition(rng):
-    """Keeping the scores and the pick order until a normalizer moves, and
-    the normalizers until a column attaining one leaves, changes no pick,
-    value or charge: on uniform and partition matroids (zero capacities
-    included), on tied scores (duplicated actions), on partition blocks that
-    fill (capacity one: a pick removes its whole block) and on a matroid
-    whose mask is replaced on each ``add``."""
+    """Keeping the scores until a normalizer moves, and the normalizers until
+    a column attaining one leaves, changes no pick, value or charge: on
+    uniform and partition matroids (zero capacities included), on tied
+    scores (duplicated actions), on partition blocks that fill (capacity
+    one: a pick removes its whole block), on a matroid whose mask is
+    replaced on each ``add`` and at full rank.
+
+    In the hand-built partition, action 2 scores best and attains no
+    normalizer; picking it fills its block, so action 3, the runner-up,
+    leaves the pool while both normalizers (actions 0 and 1) stay. Only
+    zeroing the scores of the columns that left keeps 3 from being picked."""
     for _ in range(40):
         n_actions = int(rng.integers(1, 30))
         scenario = random_matroid_scenario(rng, int(rng.integers(1, 12)), n_actions)
@@ -917,6 +922,20 @@ def test_ratio_baseline_matches_the_round_by_round_definition(rng):
             solution = ratio_greedy_baseline(instance)
             got = (solution.selected, solution.min_value, solution.individual_evals)
             assert got == reference_ratio_baseline(instance)
+    full_rank = Scenario.from_coords(
+        rng.uniform(0.0, 100.0, (4, 2)), rng.uniform(0.0, 100.0, (60, 2)), UniformMatroid(60, 60)
+    )
+    filled = Scenario.from_coords(
+        [(0.0, 0.0), (10.0, 0.0)],
+        [(12.0, 0.0), (-2.0, 0.0), (5.0, 8.0), (5.0, 7.0)],
+        PartitionMatroid(((0,), (1,), (2, 3)), (1, 1, 1)),
+    )
+    for instance in (full_rank, filled):
+        solution = ratio_greedy_baseline(instance)
+        got = (solution.selected, solution.min_value, solution.individual_evals)
+        assert got == reference_ratio_baseline(instance)
+    assert len(ratio_greedy_baseline(full_rank).selected) == 60
+    assert ratio_greedy_baseline(filled).selected == (0, 1, 2)
 
 
 # -- exhaustive oracles ------------------------------------------------
