@@ -76,7 +76,7 @@ class Feasibility:
     every element again after each ``add``; the built-in matroids update
     their mask in place instead.
 
-    The contract every greedy checks (``solvers._feasible``) before it
+    The contract every greedy checks (``solvers._checked``) before it
     reads a candidate from a state, its own included: ``mask`` is a boolean
     array of shape (M,), and a mask of any other shape makes the solver
     raise IndexError; for the threshold greedy only, the mask admits no

@@ -319,15 +319,21 @@ def threshold_greedy(
     return set(subset), value
 
 
-def _feasible(mask: np.ndarray, n_actions: int, subset: frozenset = frozenset()) -> np.ndarray:
-    """The ids a feasibility mask over the ground set admits, ascending: the
-    one place a greedy turns a ``Matroid.feasibility`` mask into candidates.
-    A mask of a shape other than (n_actions,) is refused with IndexError, so
-    every id is in range; one that admits a member of ``subset`` (the
-    threshold greedy's base; the baselines pass none) raises ValueError."""
+def _checked(mask: np.ndarray, n_actions: int) -> np.ndarray:
+    """``mask``, once it covers the ground set: every greedy reads its
+    ``Matroid.feasibility`` mask through here, and one of a shape other than
+    (n_actions,) is refused with IndexError, so every id it admits is in range."""
     if mask.shape != (n_actions,):
         raise IndexError(f"feasibility mask of shape {mask.shape} does not cover the ground set [0, {n_actions})")
-    ids = mask.nonzero()[0]
+    return mask
+
+
+def _feasible(mask: np.ndarray, n_actions: int, subset: frozenset = frozenset()) -> np.ndarray:
+    """The ids a ``_checked`` feasibility mask admits, ascending: the one
+    place a greedy lists its candidates (``ratio_greedy_baseline`` only
+    counts its pool). A mask that admits a member of ``subset`` (the
+    threshold greedy's base) raises ValueError."""
+    ids = _checked(mask, n_actions).nonzero()[0]
     if ids.size and any(mask[j] for j in subset):
         raise ValueError("candidates must lie outside the base set")
     return ids
@@ -454,49 +460,39 @@ def ratio_greedy_baseline(scenario: Scenario) -> Solution:
     (0/0 counts as 0).
 
     One ``matroid.feasibility`` state follows the selection, and a column
-    that leaves the pool never returns; ``_feasible`` reads the pool's size
-    from its mask, refusing a mask of the wrong shape with IndexError. A
-    candidate's score depends on the normalizers alone, so the scores are
-    computed again only when a normalizer moved, and with them the columns
-    that attain some normalizer. A column outside the pool scores 0 (a pick
-    is zeroed, and so are the columns a filled block removed), so a round
-    picks the first maximum. A normalizer can only move when a column
-    attaining it leaves, so the masked maximum is taken again only after a
-    round that removed such a pick, or removed more than the pick (a block
-    filled). The counter is charged as if each (candidate, agent)
+    that leaves the pool never returns; each round counts the pool on its
+    ``_checked`` mask. The pool is one N x M matrix, the distances times the
+    mask, and one rule rescores from it: its row maxima are the normalizers
+    and each column scores its minimum over agents of the matrix divided by
+    them, so a column outside the pool scores +0. A normalizer can only
+    move when a column attaining it leaves, so the pool is refilled and
+    rescored only in the first round, after a pick that attained a
+    normalizer, or after a round that removed more than the pick (a block
+    filled); between rescores a pick's score is zeroed, and a round picks
+    the first maximum. The counter is charged as if each (candidate, agent)
     score re-derived its normalizer by scanning the whole feasible pool F:
-    N * |F| * (1 + |F|) per round.
-    That charge is an accounting convention for the full-scan baseline the
-    fast solver's evaluation counts are judged against, not a count of the
-    work done here.
+    N * |F| * (1 + |F|) per round, an accounting convention for the
+    full-scan baseline the fast solver's evaluation counts are judged
+    against, not a count of the work done here.
     """
     started = time.perf_counter()
     counter = EvaluationCounter()
     distances, n_agents = scenario.distances, scenario.n_agents
     feasibility = scenario.matroid.feasibility()
     selected: set[int] = set()
-    norm = None
+    pool = np.empty(distances.shape)
     while True:
-        mask = feasibility.mask
-        size = _feasible(mask, scenario.n_actions).size
+        mask = _checked(feasibility.mask, scenario.n_actions)
+        size = int(np.count_nonzero(mask))
         if not size:
             break
         counter.add(n_agents * size * (1 + size))
-        if norm is None or size < last_size - 1 or attains[best]:
-            # The ufuncs' own reductions, as ndarray.max/.min/.any call them,
-            # without the Python wrappers around them.
-            pool_max = np.maximum.reduce(distances, axis=1, where=mask, initial=0.0)
-            if norm is None or np.logical_or.reduce(pool_max != norm):
-                norm = pool_max
-                # A zero normalizer means a zero row of the pool, so dividing
-                # it by 1 scores 0. Only the pool is divided: a column outside
-                # it never returns to it, and it could overflow.
-                divisor = np.where(norm > 0.0, norm, 1.0)[:, None]
-                scores = np.divide(distances, divisor, out=np.zeros(distances.shape), where=mask)
-                scores = np.minimum.reduce(scores, axis=0)
-                attains = np.logical_or.reduce(distances == norm[:, None], axis=0)
-            elif size < last_size - 1:
-                np.multiply(scores, mask, out=scores)
+        if not selected or size < last_size - 1 or attains[best]:
+            np.multiply(distances, mask, out=pool)
+            norm = np.maximum.reduce(pool, axis=1)
+            # A zero normalizer is a zero row of the pool: divided by 1, it scores 0.
+            scores = np.minimum.reduce(pool / np.where(norm > 0.0, norm, 1.0)[:, None], axis=0)
+            attains = np.logical_or.reduce(pool == norm[:, None], axis=0)
         best = int(scores.argmax())  # first maximum: lowest id on ties
         if not scores[best] > 0.0:
             break

@@ -867,8 +867,9 @@ def test_ratio_zero_normalizer_scores_zero():
 
 
 def test_ratio_scores_only_the_feasible_pool():
-    """Round 2's pool is the one action at a subnormal distance; the
-    infeasible far action would overflow its score, and is not scored."""
+    """Round 2's pool is the one action at a subnormal distance. The
+    infeasible far action is 0 in the pool matrix, so it scores +0 and
+    cannot overflow, as its distance divided by that normalizer would."""
     scenario = Scenario.from_coords(
         [(0.0, 0.0)], [(1e-310, 0.0), (1e10, 0.0)], PartitionMatroid(((0,), (1,)), (1, 1))
     )
@@ -877,9 +878,10 @@ def test_ratio_scores_only_the_feasible_pool():
     assert solution.selected == (0, 1)
 
 
-def reference_ratio_baseline(scenario):
+def reference_ratio_baseline(scenario, rounds=None):
     """The baseline as defined, round by round: rebuild the feasible pool,
-    its normalizers and every score."""
+    its normalizers and every score. ``rounds`` (optional list) receives
+    each round's pool size and normalizers."""
     matroid, selected, charges = scenario.matroid, set(), 0
     while True:
         feasible = np.flatnonzero([matroid.can_extend(selected, e) for e in range(matroid.n_actions)])
@@ -888,6 +890,8 @@ def reference_ratio_baseline(scenario):
         charges += scenario.n_agents * feasible.size * (1 + feasible.size)
         pool = scenario.distances[:, feasible]
         norm = pool.max(axis=1, keepdims=True)
+        if rounds is not None:
+            rounds.append((feasible.size, norm))
         scores = (pool / np.where(norm > 0.0, norm, 1.0)).min(axis=0)
         best = int(np.argmax(scores))
         if not scores[best] > 0.0:
@@ -897,17 +901,20 @@ def reference_ratio_baseline(scenario):
 
 
 def test_ratio_baseline_matches_the_round_by_round_definition(rng):
-    """Keeping the scores until a normalizer moves, and the normalizers until
-    a column attaining one leaves, changes no pick, value or charge: on
-    uniform and partition matroids (zero capacities included), on tied
-    scores (duplicated actions), on partition blocks that fill (capacity
-    one: a pick removes its whole block), on a matroid whose mask is
-    replaced on each ``add`` and at full rank.
+    """Rescoring from the pool matrix only after a pick that attained a
+    normalizer or a filled block, and zeroing a pick's score otherwise,
+    changes no pick, value or charge: on uniform and partition matroids
+    (zero capacities included), on tied scores (duplicated actions), on
+    partition blocks that fill (capacity one: a pick removes its whole
+    block), on a matroid whose mask is replaced on each ``add``, at full
+    rank, and at workload shape: 64 agents and 160 actions in 60 blocks of
+    capacity one, where many fills leave every normalizer in place, and 16
+    agents and 300 actions, any 3.
 
     In the hand-built partition, action 2 scores best and attains no
     normalizer; picking it fills its block, so action 3, the runner-up,
     leaves the pool while both normalizers (actions 0 and 1) stay. Only
-    zeroing the scores of the columns that left keeps 3 from being picked."""
+    rescoring after the fill (3 then scores +0) keeps 3 from being picked."""
     for _ in range(40):
         n_actions = int(rng.integers(1, 30))
         scenario = random_matroid_scenario(rng, int(rng.integers(1, 12)), n_actions)
@@ -930,10 +937,26 @@ def test_ratio_baseline_matches_the_round_by_round_definition(rng):
         [(12.0, 0.0), (-2.0, 0.0), (5.0, 8.0), (5.0, 7.0)],
         PartitionMatroid(((0,), (1,), (2, 3)), (1, 1, 1)),
     )
-    for instance in (full_rank, filled):
+    wide = []
+    for _ in range(2):
+        agents, actions = rng.uniform(0.0, 100.0, (64, 2)), rng.uniform(0.0, 100.0, (160, 2))
+        assignment = rng.integers(0, 60, 160)
+        blocks = tuple(tuple(int(j) for j in np.flatnonzero(assignment == b)) for b in range(60))
+        wide.append(Scenario.from_coords(agents, actions, PartitionMatroid(blocks, (1,) * 60)))
+        agents, actions = rng.uniform(0.0, 100.0, (16, 2)), rng.uniform(0.0, 100.0, (300, 2))
+        wide.append(Scenario.from_coords(agents, actions, UniformMatroid(300, 3)))
+    kept = 0  # fills that left every normalizer in place
+    for instance in (full_rank, filled, *wide):
         solution = ratio_greedy_baseline(instance)
         got = (solution.selected, solution.min_value, solution.individual_evals)
-        assert got == reference_ratio_baseline(instance)
+        rounds = []
+        assert got == reference_ratio_baseline(instance, rounds)
+        assert type(solution.individual_evals) is int
+        kept += sum(
+            size < last_size - 1 and np.array_equal(norm, last_norm)
+            for (last_size, last_norm), (size, norm) in zip(rounds, rounds[1:])
+        )
+    assert kept >= 10
     assert len(ratio_greedy_baseline(full_rank).selected) == 60
     assert ratio_greedy_baseline(filled).selected == (0, 1, 2)
 
