@@ -5,8 +5,13 @@
 
 Twelve layers, each timed as the minimum over REPEATS repeats on fixed seeds,
 with the evaluations one run charges (in f-equivalents, as
-``Solution.f_evaluations`` counts them). A repeat of a batched layer runs it
-a batch of times, and its time and evaluations are divided by the batch:
+``Solution.f_evaluations`` counts them). A repeat runs a short layer a
+batch of times, so that it lasts about a millisecond or more, and its time
+is divided by the batch (its evaluations are one run's); each row records
+its ``batch``, 1 for the two long layers. Records whose rows have no
+``batch`` ran ``scenario``, ``scenario_crowd``, ``saturate_robust``,
+``ratio_greedy_baseline``, ``simple_greedy`` and ``bench_cell`` once per
+repeat:
 
 * ``lanes``: one warm base's lanes and gains, the work the threshold greedy
   does once per base (``SurrogateOracle.lanes``, then the reduced row minus
@@ -104,6 +109,10 @@ LANES_BATCH = 100
 GREEDY_BATCH = 10
 # Paper-sweep draws timed back to back per repeat: one takes about 40 us.
 DRAW_BATCH = 200
+# Runs per repeat of the other short layers, so that a repeat lasts about
+# 1 ms or more: one scenario takes about 0.3-0.5 ms, one solve 0.6, one ratio
+# run 0.2, one worst-agent greedy 0.08 and one benchmark cell 1.1.
+SCENARIO_BATCH, SOLVE_BATCH, RATIO_BATCH, SIMPLE_BATCH, CELL_BATCH = 4, 2, 8, 16, 2
 # Reference kernels per speed block (one takes about 3-5 ms).
 KERNEL_REPS = 2
 
@@ -184,6 +193,14 @@ def layers(repeats: int, full_trials: int) -> list[dict]:
     def greedy_baseline() -> float:
         return simple_greedy(scenario).f_evaluations
 
+    def batched(run, batch: int):
+        """``run`` called ``batch`` times: the evaluations of one call."""
+        def runs() -> float:
+            for _ in range(batch):
+                evaluations = run()
+            return evaluations
+        return runs
+
     def cell() -> float:
         cell_config = BenchConfig(z_min=CAPACITY, z_max=CAPACITY, trials=1, base_seed=BASE_SEED)
         return sum(r.evaluations for r in run_benchmark(cell_config, ("fast", "ratio")))
@@ -199,25 +216,26 @@ def layers(repeats: int, full_trials: int) -> list[dict]:
     rows = []
     for name, run, k, batch, seeds in (
         ("lanes", lanes, repeats, LANES_BATCH, {**instance, "gamma": gamma, "base": [element]}),
-        ("scenario", build(ring_coords, ring.matroid), repeats, 1, ring_instance),
-        ("scenario_crowd", build(crowd_coords, crowd.matroid), repeats, 1,
+        ("scenario", batched(build(ring_coords, ring.matroid), SCENARIO_BATCH), repeats, SCENARIO_BATCH,
+         ring_instance),
+        ("scenario_crowd", batched(build(crowd_coords, crowd.matroid), SCENARIO_BATCH), repeats, SCENARIO_BATCH,
          {"workload": "crowd-grid", "seed": BASE_SEED, "index": 0}),
         ("threshold_greedy", greedies(scenario, gammas), repeats, GREEDY_BATCH, {**instance, "gammas": gammas}),
         ("threshold_greedy_ring", greedies(ring, ring_gammas), repeats, GREEDY_BATCH,
          {**ring_instance, "gammas": ring_gammas}),
-        ("saturate_robust", solve, repeats, 1, instance),
-        ("ratio_greedy_baseline", ratio(scenario), repeats, 1, instance),
+        ("saturate_robust", batched(solve, SOLVE_BATCH), repeats, SOLVE_BATCH, instance),
+        ("ratio_greedy_baseline", batched(ratio(scenario), RATIO_BATCH), repeats, RATIO_BATCH, instance),
         ("ratio_full_rank", ratio(full_rank), repeats, 1,
          {"seed": BASE_SEED, "agents": FULL_RANK_AGENTS, "actions": FULL_RANK_ACTIONS, "rank": FULL_RANK_ACTIONS}),
-        ("simple_greedy", greedy_baseline, repeats, 1, instance),
-        ("bench_cell", cell, repeats, 1, instance),
+        ("simple_greedy", batched(greedy_baseline, SIMPLE_BATCH), repeats, SIMPLE_BATCH, instance),
+        ("bench_cell", batched(cell, CELL_BATCH), repeats, CELL_BATCH, instance),
         ("bench_full", full, max(1, repeats // 2), 1, {"base_seed": BASE_SEED, "trials": full_trials}),
         ("draw", draws, repeats, DRAW_BATCH, {"base_seed": BASE_SEED, "trials": DRAW_BATCH}),
     ):
         wall_ms, scaled_ms, evaluations = min_time_ms(run, k)
         wall_ms, scaled_ms = wall_ms / batch, scaled_ms / batch
         rows.append({
-            "layer": name, "wall_ms": wall_ms, "scaled_ms": scaled_ms, "repeats": k,
+            "layer": name, "wall_ms": wall_ms, "scaled_ms": scaled_ms, "repeats": k, "batch": batch,
             "evaluations": evaluations, "seeds": seeds,
         })
     return rows

@@ -146,6 +146,7 @@ def _run_cell(
     config: BenchConfig, z: int, trial: int, seed: int, scenario: Scenario, algorithms: tuple[str, ...]
 ) -> list[TrialResult]:
     params = config.solver_params()
+    scenario.distances  # built here, or the first solver's wall time would include it
     results = []
     for name in algorithms:
         solution = SOLVERS[name](scenario, params)

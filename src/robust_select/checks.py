@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -28,7 +29,6 @@ from .solvers import (
 from .surrogate import SurrogateOracle, compute_curvature
 
 MAX_ACTIONS_CAP = 7
-BOUND_TOL = 1e-9
 DELTA = SolverParams.delta
 
 
@@ -142,11 +142,12 @@ def run_battery(
             axioms.fail(scenario, "matroid axioms violated")
 
         # Per-agent objective: monotone and submodular, checked exhaustively
-        # from a table of all subset values.
+        # from a table of all subset values. Maxima only select values, and
+        # subtracting them rounds monotonically: the checks are exact.
         values = {s: agent_values(scenario, s).tolist() for s in subsets}
         h_tables = [{s: values[s][agent] for s in subsets} for agent in range(n_agents)]
         for agent in range(n_agents):
-            _check_monotone_submodular(mono_h, scenario, h_tables[agent], f"h_{agent}")
+            _check_monotone_submodular(mono_h, scenario, h_tables[agent], 0.0, f"h_{agent}")
 
         upper = min_objective(scenario, range(n))
 
@@ -160,50 +161,48 @@ def run_battery(
         for gamma in [0.0] + gamma_grid(upper):
             oracle = SurrogateOracle(scenario, gamma)
             table = {s: oracle.evaluate(s) for s in subsets}
+            # Each value is a mean within `error` of exact: a check comparing k of them
+            # allows k errors, each with half an ulp of gamma to spare for its own roundings.
+            error = SurrogateOracle.mean_error(n_agents, gamma)
             for s in subsets:
                 bounds_f.count()
-                value = table[s]
-                if not (-BOUND_TOL <= value <= gamma + BOUND_TOL):
+                value, low = table[s], min(h_tables[i][s] for i in range(n_agents))
+                if not (0.0 <= value <= gamma + error):
                     bounds_f.fail(scenario, f"surrogate outside [0, gamma] on {sorted(s)}")
-                floor = min(min(h_tables[i][s] for i in range(n_agents)), gamma) / n_agents
-                if value < floor - BOUND_TOL:
+                if value < min(low, gamma) / n_agents - error:
                     bounds_f.fail(scenario, f"surrogate below its floor on {sorted(s)}")
-                saturated = all(h_tables[i][s] >= gamma - BOUND_TOL for i in range(n_agents))
-                if saturated != (value >= gamma - BOUND_TOL):
+                # Saturated, the exact mean is gamma; else at most gamma - (gamma - low) / N (three roundings).
+                if value < gamma - error if low >= gamma else value > gamma - (gamma - low) / n_agents + 2 * error:
                     bounds_f.fail(scenario, f"saturation mismatch on {sorted(s)}")
             if table[frozenset()] != 0.0:
                 bounds_f.fail(scenario, "surrogate of the empty set is not 0")
-            _check_monotone_submodular(mono_f, scenario, table, f"surrogate at gamma={gamma}")
-
-        if upper > 0:
-            for gamma in gamma_grid(upper):
-                oracle = SurrogateOracle(scenario, gamma)
-                trace: list = []
-                greedy_set, greedy_value = threshold_greedy(oracle, scenario.matroid, DELTA, trace=trace)
-                best_set = brute_force_max(SurrogateOracle(scenario, gamma).evaluate, scenario.matroid)
-                best_value = SurrogateOracle(scenario, gamma).evaluate(best_set)
-                curvature = compute_curvature(SurrogateOracle(scenario, gamma), range(n))
-                greedy_bound.count()
-                if greedy_value != SurrogateOracle(scenario, gamma).evaluate(greedy_set):
-                    greedy_bound.fail(scenario, f"greedy value is not its set's at gamma={gamma}")
-                if greedy_value < best_value / (1.0 + curvature + DELTA) - BOUND_TOL:
-                    greedy_bound.fail(scenario, f"greedy below bound at gamma={gamma}")
-                probe = SurrogateOracle(scenario, gamma)
-                for step in trace:
-                    for o in best_set - step.base:
-                        if not scenario.matroid.can_extend(step.base, o):
-                            continue
-                        gain_dominance.count()
-                        gain = probe.evaluate(step.base | {o}) - probe.evaluate(step.base)
-                        if (1.0 + DELTA) * step.gain < gain - BOUND_TOL:
-                            gain_dominance.fail(scenario, f"accepted gain dominated at gamma={gamma}")
+            _check_monotone_submodular(mono_f, scenario, table, error, f"surrogate at gamma={gamma}")
+            if gamma == 0.0:
+                continue
+            trace: list = []
+            greedy_set, greedy_value = threshold_greedy(oracle, scenario.matroid, DELTA, trace=trace)
+            best_set = brute_force_max(table.__getitem__, scenario.matroid)
+            curvature = compute_curvature(oracle, range(n))
+            greedy_bound.count()
+            if greedy_value != table[frozenset(greedy_set)]:
+                greedy_bound.fail(scenario, f"greedy value is not its set's at gamma={gamma}")
+            if greedy_value < greedy_floor(scenario, gamma, table[best_set], curvature):
+                greedy_bound.fail(scenario, f"greedy below bound at gamma={gamma}")
+            for step in trace:
+                for o in best_set - step.base:
+                    if not scenario.matroid.can_extend(step.base, o):
+                        continue
+                    gain_dominance.count()
+                    if (1.0 + DELTA) * step.gain < table[step.base | {o}] - table[step.base] - 4 * error:
+                        gain_dominance.fail(scenario, f"accepted gain dominated at gamma={gamma}")
 
         bisection_trace: list = []
         solution = saturate_robust(scenario, SolverParams(delta=DELTA), bisection_trace=bisection_trace)
         optimum = brute_force_maxmin(scenario)
         maxmin_bound.count()
         epsilon = solution.params["epsilon"]
-        if solution.min_value < optimum.min_value / (1.0 + CURVATURE + DELTA) - epsilon - BOUND_TOL:
+        # Min values are exact, and the bound's three roundings stay within an ulp of the optimum.
+        if solution.min_value < optimum.min_value / (1.0 + CURVATURE + DELTA) - epsilon - math.ulp(optimum.min_value):
             maxmin_bound.fail(
                 scenario,
                 f"end-to-end bound violated: got {solution.min_value}, optimum {optimum.min_value}",
@@ -215,11 +214,12 @@ def run_battery(
             bisection.count()
             if solution.params["iterations"] != expected:
                 bisection.fail(scenario, f"iterations {solution.params['iterations']} != {expected}")
+            # A midpoint is one rounding of the exact one, and the widths subtract exactly.
             for lower, upper_bound in bisection_trace:
                 bisection.count()
-                if abs((upper_bound - lower) - width / 2.0) > 1e-9 * upper:
+                if abs((upper_bound - lower) - width / 2.0) > math.ulp(upper):
                     bisection.fail(scenario, "bracket does not halve")
-                if not (-1e-12 <= lower <= upper_bound <= upper * (1 + 1e-12)):
+                if not (0.0 <= lower <= upper_bound <= upper):
                     bisection.fail(scenario, "bracket escaped [0, initial upper]")
                 width = upper_bound - lower
 
@@ -269,17 +269,32 @@ def run_battery(
     ]
 
 
-def _check_monotone_submodular(family: CheckResult, scenario: Scenario, table: dict, label: str) -> None:
-    """Check a table of every subset's value for monotonicity and
-    submodularity, over every pair a <= b of its subsets and every v outside b."""
+def greedy_floor(scenario: Scenario, gamma: float, best_value: float, curvature: float) -> Fraction:
+    """The least value the per-gamma bound allows a greedy set at ``gamma``,
+    exactly: best / (1 + c + DELTA) less two values' ``mean_error``, with c
+    the computed ``curvature`` raised by its own error to a ceiling on the
+    exact one: 1 less the least ratio of an element's gain at the full set to
+    its singleton value that the errors allow (never below 0: monotone)."""
+    f, n = SurrogateOracle(scenario, gamma).evaluate, scenario.n_actions
+    e, full = Fraction(SurrogateOracle.mean_error(scenario.n_agents, gamma)), frozenset(range(n))
+    ratios = [max(0, (Fraction(f(full)) - Fraction(f(full - {a})) - 2 * e) / (Fraction(single) + e))
+              for a in range(n) if (single := f({a})) > 0.0]
+    c = max(Fraction(curvature), 1 - min(ratios, default=1))
+    return Fraction(best_value) / (1 + c + Fraction(DELTA)) - 2 * e
+
+
+def _check_monotone_submodular(family: CheckResult, scenario: Scenario, table: dict, error: float, label: str) -> None:
+    """Check a table of every subset's value, each within ``error`` of exact,
+    for monotonicity and submodularity, over every pair a <= b of its subsets
+    and every v outside b: two values and four."""
     for b in table:
         for a in all_subsets(b):
             family.count()
-            if table[a] > table[b] + BOUND_TOL:
+            if table[a] > table[b] + 2 * error:
                 family.fail(scenario, f"{label} not monotone on {sorted(a)} vs {sorted(b)}")
             for v in range(scenario.n_actions):
                 if v in b:
                     continue
                 family.count()
-                if table[a | {v}] - table[a] < table[b | {v}] - table[b] - BOUND_TOL:
+                if table[a | {v}] - table[a] < table[b | {v}] - table[b] - 4 * error:
                     family.fail(scenario, f"{label} not submodular at v={v}")

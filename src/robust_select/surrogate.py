@@ -41,6 +41,7 @@ Lanes and accounting contract:
 
 from __future__ import annotations
 
+import math
 import warnings
 from typing import Iterable
 
@@ -51,9 +52,6 @@ from .scenario import EvaluationCounter, Scenario, agent_values
 
 # Curvature needs f on the full set minus each element; refuse huge grounds.
 CURVATURE_GROUND_CAP = 20
-
-# Clamps beyond this are reported; below it they are floating-point dust.
-_CLAMP_TOL = 1e-9
 
 
 class SurrogateOracle:
@@ -75,8 +73,8 @@ class SurrogateOracle:
         self.counter = EvaluationCounter() if counter is None else counter
         self.gamma = float(gamma)
         self._agents = scenario.n_agents
-        # A saturated value (N gammas summed, / N) is within N * 2**-53 of gamma: a first test.
-        self._nearly_gamma = self.gamma * (1.0 - 2.0**-20)
+        # A saturated base's value, N gammas summed and divided by N, is never below this.
+        self._nearly_gamma = self.gamma - self.mean_error(self._agents, self.gamma)
         # The distance matrix capped once, on first use, so that lanes need no capping.
         self._capped: np.ndarray | None = None
 
@@ -92,10 +90,25 @@ class SurrogateOracle:
             total = np.add.accumulate(capped, axis=0)[-1]
         return total / len(capped)
 
+    @staticmethod
+    def mean_error(n: int, magnitude: float) -> float:
+        """A bound on |float mean - exact mean| of ``n`` values averaged as
+        ``_total`` averages them, whose magnitudes average at most
+        ``magnitude`` (the largest will do). Summing them in any order is off
+        by at most k u / (1 - k u) times the sum of their magnitudes, k = n - 1
+        and u = 2**-53 (Higham, Accuracy and Stability of Numerical
+        Algorithms, 2nd ed., section 4.2: gamma_k), and dividing by n by half
+        an ulp of the mean, which lies below 2 * magnitude: in all at most
+        k u / (1 - k u) * magnitude + ulp(magnitude). Each of the three
+        roundings here steps up one double, so the result is never below it."""
+        ku = (n - 1) * 2.0**-53  # exact, and so is 1 - ku
+        factor = math.nextafter(ku / (1.0 - ku), math.inf)
+        return math.nextafter(math.nextafter(factor * magnitude, math.inf) + math.ulp(magnitude), math.inf)
+
     def _saturated(self, values: np.ndarray | None, value: float) -> bool:
         """True when no element can raise any of a base's values (None: the
         empty set's, every one 0)."""
-        return value >= self._nearly_gamma and (values is None or np.minimum.reduce(values) >= self.gamma)
+        return value >= self._nearly_gamma and (0.0 if values is None else np.minimum.reduce(values)) >= self.gamma
 
     def charge(self, evaluations: int) -> None:
         """Charge ``evaluations`` evaluations of the reduced objective, one
@@ -135,8 +148,9 @@ def compute_curvature(oracle, ground: Iterable[int]) -> float:
     elements with positive singleton value. A function with no positive
     singleton is flat; its curvature is defined as 0 here.
 
-    Results are clamped to [0, 1]; clamps beyond floating-point dust raise
-    a RuntimeWarning (the oracle is probably not monotone submodular).
+    Results are clamped to [0, 1]; a clamp beyond rounding (a
+    ``SurrogateOracle``'s values within ``mean_error`` of exact, any other
+    oracle's exact) raises a RuntimeWarning (probably not monotone submodular).
     """
     ids = sorted(set(ground))
     if len(ids) > CURVATURE_GROUND_CAP:
@@ -145,18 +159,21 @@ def compute_curvature(oracle, ground: Iterable[int]) -> float:
         )
     full = frozenset(ids)
     f_full = oracle.evaluate(full)
-    worst_ratio = None
+    worst = None  # the least ratio, with its element's gain and singleton value
     for a in ids:
         f_single = oracle.evaluate(frozenset((a,)))
         if f_single <= 0.0:
             continue
-        ratio = (f_full - oracle.evaluate(full - {a})) / f_single
-        if worst_ratio is None or ratio < worst_ratio:
-            worst_ratio = ratio
-    if worst_ratio is None:
+        gain = f_full - oracle.evaluate(full - {a})
+        if worst is None or gain / f_single < worst[0]:
+            worst = gain / f_single, gain, f_single
+    if worst is None:
         return 0.0
-    raw = 1.0 - worst_ratio
-    if raw < -_CLAMP_TOL or raw > 1.0 + _CLAMP_TOL:
+    ratio, gain, f_single = worst
+    raw = 1.0 - ratio
+    error = SurrogateOracle.mean_error(oracle._agents, oracle.gamma) if isinstance(oracle, SurrogateOracle) else 0.0
+    # The exact gain lies in [0, f_single]; the computed one is off by two errors, or three (4 multiplies exactly).
+    if gain < -2.0 * error or gain > f_single + 4.0 * error:
         warnings.warn(
             f"curvature {raw!r} outside [0, 1]; clamped. Is the oracle monotone submodular?",
             RuntimeWarning,

@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 from robust_select import (
     BenchConfig,
     PartitionMatroid,
+    SOLVERS,
     SummaryRow,
     TrialResult,
     aggregate,
@@ -178,6 +179,23 @@ def test_run_benchmark_draws_each_trial_once(monkeypatch):
     monkeypatch.setattr(np.random, "default_rng", lambda seed: draws.append(seed) or default_rng(seed))
     assert run_benchmark(config) == per_capacity
     assert draws == [trial_seed(config.base_seed, trial) for trial in range(config.trials)]
+
+
+def test_no_solver_times_the_distance_pass(monkeypatch):
+    """Each cell builds its scenario's distance matrix before the first
+    solver starts its clock: every solver is entered with it cached."""
+    entered = []
+
+    def spy(solver):
+        def run(scenario, params):
+            entered.append("distances" in vars(scenario))
+            return solver(scenario, params)
+        return run
+
+    for name in ("fast", "ratio"):
+        monkeypatch.setitem(SOLVERS, name, spy(SOLVERS[name]))
+    run_benchmark(small_config(), ("fast", "ratio"))
+    assert entered == [True] * 2 * 2 * 3
 
 
 def test_aggregate_means():

@@ -1,5 +1,6 @@
 """The layered timing record: its quick mode runs and writes a file that
-parses, and a second run appends to it."""
+parses, and a second run appends to it. Every layer but the two long ones
+runs a batch of calls per repeat, and each row records its batch."""
 
 import json
 import subprocess
@@ -11,6 +12,7 @@ LAYERS = [
     "lanes", "scenario", "scenario_crowd", "threshold_greedy", "threshold_greedy_ring", "saturate_robust",
     "ratio_greedy_baseline", "ratio_full_rank", "simple_greedy", "bench_cell", "bench_full", "draw",
 ]
+UNBATCHED = {"ratio_full_rank", "bench_full"}
 
 
 def test_quick_mode_appends_a_record_that_parses(tmp_path):
@@ -27,6 +29,7 @@ def test_quick_mode_appends_a_record_that_parses(tmp_path):
         assert [row["layer"] for row in record["layers"]] == LAYERS
         for row in record["layers"]:
             assert row["wall_ms"] > 0 and row["scaled_ms"] > 0 and row["repeats"] >= 1 and row["seeds"]
+            assert (row["batch"] == 1) == (row["layer"] in UNBATCHED) and row["batch"] >= 1
         assert [row["evaluations"] for row in record["layers"][:3]] == [0.0] * 3  # lanes, scenario, scenario_crowd
         assert record["layers"][-1]["evaluations"] == 0.0  # draw
     # The same seeds charge the same evaluations on every run.

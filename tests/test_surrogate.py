@@ -456,19 +456,78 @@ def test_reduce_is_the_agent_order_sum(rng, layout):
         assert np.array_equal(reduced, expected)
 
 
+def _exact_means(values: np.ndarray) -> tuple[Fraction, Fraction]:
+    """The exact mean of ``values`` and of their magnitudes. Every double is
+    an integer multiple of 2**-1074, so the sums are exact integers."""
+    scaled = [num << 1075 - den.bit_length() for num, den in map(float.as_integer_ratio, values.tolist())]
+    return Fraction(sum(scaled), len(values) << 1074), Fraction(sum(map(abs, scaled)), len(values) << 1074)
+
+
+def _summation_bound(n: int, magnitude: Fraction, got: float) -> Fraction:
+    """The bound on ``got``, an agent-order float mean of ``n`` values whose
+    magnitudes have the exact mean ``magnitude``: recursive summation's
+    gamma_{N-1} * sum |x| (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., section 4.2; gamma_k = k u / (1 - k u),
+    u = 2**-53) over N, plus half an ulp of ``got`` for the division by N."""
+    return Fraction(n - 1, 2**53 - (n - 1)) * magnitude + Fraction(math.ulp(got)) / 2
+
+
 def _mean_error_to_bound(values: np.ndarray, got: float) -> Fraction:
     """How far ``got`` lies from the exact mean of ``values``, as a share of
-    the bound on an agent-order float mean: recursive summation's
-    gamma_{N-1} * sum |x| (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2nd ed., section 4.2; gamma_k = k u / (1 - k u), u = 2**-53)
-    over N, plus half an ulp of ``got`` for the division by N. Every double
-    is an integer multiple of 2**-1074, so the sums are exact integers."""
-    n, scale = len(values), 2**1074
-    scaled = [num * (scale // den) for num, den in map(float.as_integer_ratio, values.tolist())]
-    exact = Fraction(sum(scaled), n * scale)
-    gamma = Fraction(n - 1, 2**53 - (n - 1))
-    bound = gamma * Fraction(sum(map(abs, scaled)), n * scale) + Fraction(math.ulp(got)) / 2
-    return abs(Fraction(got) - exact) / bound
+    ``_summation_bound``."""
+    exact, magnitude = _exact_means(values)
+    return abs(Fraction(got) - exact) / _summation_bound(len(values), magnitude, got)
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 64, 333, 10**5])
+def test_mean_error_covers_the_summation_bound(n):
+    """``SurrogateOracle.mean_error``, given the largest magnitude or the
+    least double at or above their exact mean, is at least
+    ``_summation_bound`` of an agent-order mean, on values spread over
+    thirteen decades and on N copies of a double just under a power of two
+    (whose sum can round up past it), and the mean lies within it."""
+    rng = np.random.default_rng(n)
+    oracle = SurrogateOracle(random_scenario(rng, 1, 1), 1.0)
+    draws = [rng.uniform(0.0, 1.0, n) * 10.0 ** rng.integers(-6, 7, n) for _ in range(3)]
+    draws += [np.full(n, math.nextafter(2.0, 0.0)), np.full(n, math.nextafter(128.0, 0.0)), np.full(n, 1.0 / 3.0)]
+    for values in draws:
+        got = float(oracle._total(values))
+        exact, magnitude = _exact_means(values)
+        least = float(magnitude)
+        if least < magnitude:
+            least = math.nextafter(least, math.inf)
+        for bound in (float(values.max()), least):
+            error = Fraction(SurrogateOracle.mean_error(n, bound))
+            assert error >= _summation_bound(n, magnitude, got)
+            assert abs(Fraction(got) - exact) <= error
+
+
+def test_mean_error_covers_a_mean_rounded_past_its_binade():
+    """Three values whose exact mean is the double just under 2 sum, in
+    agent order, to a float mean of 2.0, whose half ulp is a whole ulp of
+    that magnitude: ``mean_error`` still covers the summation bound."""
+    values = np.array([2.0 + 6 * 2.0**-52, 2.0, 2.0 - 9 * 2.0**-52])
+    got = float(SurrogateOracle(random_scenario(np.random.default_rng(0), 1, 1), 1.0)._total(values))
+    exact, magnitude = _exact_means(values)
+    assert got == 2.0 and exact == magnitude == Fraction(math.nextafter(2.0, 0.0))
+    assert Fraction(SurrogateOracle.mean_error(3, float(magnitude))) >= _summation_bound(3, magnitude, got)
+
+
+@pytest.mark.parametrize("gamma", [
+    5e-324, 3 * 5e-324, math.nextafter(2.0**-1022, 0.0), 2.0**-1022, 1.0 / 3.0, 1.0, math.nextafter(2.0, 0.0),
+    100.0 * math.sqrt(2.0), 1e300,
+])
+def test_a_base_of_n_gammas_passes_the_saturation_prefilter(gamma):
+    """A base whose N capped values all equal gamma, and whose value is
+    their agent-order mean, is saturated, for N up to 10**6 and subnormal
+    gammas too: ``_nearly_gamma`` never turns one away. The empty set is
+    saturated only at gamma 0."""
+    for n in (1, 2, 3, 9, 64, 333, 10**5, 10**6):
+        oracle = SurrogateOracle(SimpleNamespace(n_agents=n), gamma)
+        values = np.full(n, gamma)
+        assert oracle._saturated(values, float(oracle._total(values)))
+        assert not oracle._saturated(None, 0.0)
+    assert SurrogateOracle(SimpleNamespace(n_agents=3), 0.0)._saturated(None, 0.0)
 
 
 def test_agent_order_means_are_within_the_summation_bound():
@@ -584,24 +643,25 @@ def test_structural_properties_random_instances(rng):
             oracle = SurrogateOracle(scenario, gamma)
             value = {s: oracle.evaluate(s) for s in subsets}
             assert value[frozenset()] == 0.0
+            error = SurrogateOracle.mean_error(scenario.n_agents, gamma)
             for s in subsets:
-                assert -1e-12 <= value[s] <= gamma + 1e-12
+                assert 0.0 <= value[s] <= gamma + error
                 worst = min(
                     max((scenario.distances[i][j] for j in s), default=0.0)
                     for i in range(scenario.n_agents)
                 )
-                assert value[s] >= min(worst, gamma) / scenario.n_agents - 1e-12
+                assert value[s] >= min(worst, gamma) / scenario.n_agents - error
             for b in subsets:
                 for a in subsets:
                     if not a <= b:
                         continue
-                    assert value[a] <= value[b] + 1e-12
+                    assert value[a] <= value[b] + 2 * error
                     for v in range(n):
                         if v in b:
                             continue
                         assert (
                             value[a | {v}] - value[a]
-                            >= value[b | {v}] - value[b] - 1e-12
+                            >= value[b | {v}] - value[b] - 4 * error
                         )
 
 
